@@ -18,6 +18,7 @@ equal whenever their coefficients match.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -184,22 +185,30 @@ def commutator(a: LinearForm, b: LinearForm, hbar: float = 1.0) -> CommutatorRes
     central, so nesting them inside further commutators is a type error
     rather than a silent zero.
 
-    The sum is accumulated in a fixed order over (particle, component)
-    pairs, which makes antisymmetry exact in floating point:
-    ``commutator(a, b).scalar == -commutator(b, a).scalar`` bit for bit.
+    Both signed products of every (particle, component) pair are summed
+    exactly with ``math.fsum`` and rounded once.  Correct rounding is
+    symmetric under negation, so antisymmetry holds bit for bit:
+    ``commutator(a, b).scalar == -commutator(b, a).scalar``.
     """
     if not isinstance(a, LinearForm) or not isinstance(b, LinearForm):
         raise TypeError("commutator expects two LinearForm operands; nested commutators are scalars and cannot be commuted again")
-    if hbar <= 0:
-        raise DomainError(f"hbar must be positive, got {hbar}")
+    if not 0 < hbar < math.inf:
+        raise DomainError(f"hbar must be positive and finite, got {hbar}")
 
     pairs = {(v.particle_id, v.component) for v in a._terms}
     pairs |= {(v.particle_id, v.component) for v in b._terms}
-    scalar = 0.0
-    for pid, comp in sorted(pairs):
+    products = []
+    for pid, comp in pairs:
         xv = CanonicalVar(pid, f"x{comp}")
         pv = CanonicalVar(pid, f"p{comp}")
-        scalar += a.coefficient(xv) * b.coefficient(pv) - a.coefficient(pv) * b.coefficient(xv)
+        products.append(a.coefficient(xv) * b.coefficient(pv))
+        products.append(-(a.coefficient(pv) * b.coefficient(xv)))
+    try:
+        scalar = math.fsum(products)
+    except (OverflowError, ValueError):
+        # fsum raises on inf - inf and on partial sums beyond the float
+        # range; the plain sum gives nan or inf there instead.
+        scalar = sum(products)
     return CommutatorResult(scalar=scalar, hbar=float(hbar))
 
 

@@ -37,8 +37,7 @@ from .dynamics import (
     coordinate_spread,
     energy_drift,
     evolve,
-    nc_initial_state,
-    wep_trajectories,
+    wep_runs,
 )
 from .errors import ConfigError, NCPhaseError, SingularMapError
 from .reports import CheckRecord, CheckReport
@@ -57,71 +56,6 @@ from .representation import (
 TOOL = "ncphase"
 DEFAULT_SEED = 20260814
 
-_COMMON_DEFAULTS: dict[str, Any] = {
-    "hbar": 1.0,
-    "tol": 1e-12,
-    "format": None,
-    "output": None,
-    "config": None,
-    "family": "branch",
-    "branch": "minus",
-    "mass": 1.0,
-}
-
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "verify": {
-        **_COMMON_DEFAULTS,
-        "theta": None,
-        "eta": None,
-        "gamma": None,
-        "alpha": None,
-        "expect_theta": None,
-        "expect_eta": None,
-        "expect_diag": None,
-        "limit_scales": None,
-        "limit_tols": None,
-        "random": None,
-    },
-    "repr": {
-        **_COMMON_DEFAULTS,
-        "theta": None,
-        "eta": None,
-        "gamma": None,
-        "alpha": None,
-    },
-    "com": {
-        **_COMMON_DEFAULTS,
-        "masses": None,
-        "gamma": None,
-        "alpha": None,
-        "thetas": None,
-        "etas": None,
-    },
-    "simulate": {
-        **_COMMON_DEFAULTS,
-        "theta": None,
-        "eta": None,
-        "gamma": None,
-        "alpha": None,
-        "kind": "free",
-        "g": 1.0,
-        "omega": 1.0,
-        "x1": 0.0,
-        "x2": 0.0,
-        "p1": 0.0,
-        "p2": 0.0,
-        "t_end": 10.0,
-        "dt": 0.01,
-        "wep": False,
-        "masses": None,
-        "nc_x1": 0.0,
-        "nc_x2": 0.0,
-        "nc_v1": 1.0,
-        "nc_v2": 0.0,
-    },
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=TOOL, description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
@@ -129,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=str, help="JSON file with option values; flags override")
-        p.add_argument("--hbar", type=float, help="Planck constant (default 1)")
-        p.add_argument("--tol", type=float, help="check tolerance (default 1e-12)")
+        p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
+        p.add_argument("--tol", type=float, default=1e-12, help="check tolerance (default 1e-12)")
         p.add_argument("--output", type=str, help="write the report/trajectory to this path")
         p.add_argument("--format", choices=("json", "csv"), help="output format")
 
@@ -139,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", type=float, help="momentum noncommutativity")
         p.add_argument("--gamma", type=float, help="mass condition: theta = gamma/m")
         p.add_argument("--alpha", type=float, help="mass condition: eta = alpha*m")
-        p.add_argument("--mass", type=float, help="particle mass (default 1)")
-        p.add_argument("--family", choices=("branch", "simple", "epsilon_general"))
-        p.add_argument("--branch", choices=BRANCHES)
+        p.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
+        p.add_argument("--family", choices=("branch", "simple", "epsilon_general"), default="branch")
+        p.add_argument("--branch", choices=BRANCHES, default="minus")
 
     pv = sub.add_parser("verify", help="check a representation's commutator table")
     add_common(pv)
@@ -166,36 +100,65 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--alpha", type=float, help="shared mass condition alpha")
     pc.add_argument("--thetas", type=str, help="comma list of per-particle theta values")
     pc.add_argument("--etas", type=str, help="comma list of per-particle eta values")
-    pc.add_argument("--family", choices=("branch", "simple"))
-    pc.add_argument("--branch", choices=BRANCHES)
+    pc.add_argument("--family", choices=("branch", "simple"), default="branch")
+    pc.add_argument("--branch", choices=BRANCHES, default="minus")
 
     ps = sub.add_parser("simulate", help="integrate a quadratic Hamiltonian")
     add_common(ps)
     add_params(ps)
-    ps.add_argument("--kind", choices=("free", "uniform_gravity", "gravity", "harmonic"))
-    ps.add_argument("--g", type=float, help="gravitational acceleration")
-    ps.add_argument("--omega", type=float, help="oscillator frequency")
-    ps.add_argument("--x1", type=float, help="initial canonical x1")
-    ps.add_argument("--x2", type=float, help="initial canonical x2")
-    ps.add_argument("--p1", type=float, help="initial canonical p1")
-    ps.add_argument("--p2", type=float, help="initial canonical p2")
-    ps.add_argument("--t-end", type=float, dest="t_end")
-    ps.add_argument("--dt", type=float)
-    ps.add_argument("--wep", action="store_const", const=True,
+    ps.add_argument("--kind", choices=("free", "uniform_gravity", "gravity", "harmonic"), default="free")
+    ps.add_argument("--g", type=float, default=1.0, help="gravitational acceleration")
+    ps.add_argument("--omega", type=float, default=1.0, help="oscillator frequency")
+    ps.add_argument("--x1", type=float, default=0.0, help="initial canonical x1")
+    ps.add_argument("--x2", type=float, default=0.0, help="initial canonical x2")
+    ps.add_argument("--p1", type=float, default=0.0, help="initial canonical p1")
+    ps.add_argument("--p2", type=float, default=0.0, help="initial canonical p2")
+    ps.add_argument("--t-end", type=float, dest="t_end", default=10.0)
+    ps.add_argument("--dt", type=float, default=0.01)
+    ps.add_argument("--wep", action="store_true",
                     help="compare free fall across masses instead of one trajectory")
     ps.add_argument("--masses", type=str, help="comma list of masses for --wep")
-    ps.add_argument("--nc-x1", type=float, dest="nc_x1", help="initial X1 for --wep")
-    ps.add_argument("--nc-x2", type=float, dest="nc_x2", help="initial X2 for --wep")
-    ps.add_argument("--nc-v1", type=float, dest="nc_v1", help="initial dX1/dt for --wep")
-    ps.add_argument("--nc-v2", type=float, dest="nc_v2", help="initial dX2/dt for --wep")
+    ps.add_argument("--nc-x1", type=float, dest="nc_x1", default=0.0, help="initial X1 for --wep")
+    ps.add_argument("--nc-x2", type=float, dest="nc_x2", default=0.0, help="initial X2 for --wep")
+    ps.add_argument("--nc-v1", type=float, dest="nc_v1", default=1.0, help="initial dX1/dt for --wep")
+    ps.add_argument("--nc-v2", type=float, dest="nc_v2", default=0.0, help="initial dX2/dt for --wep")
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
-    """defaults <- config file <- explicit flags."""
-    defaults = _DEFAULTS[args.command]
-    resolved = dict(defaults)
-    path = getattr(args, "config", None)
+def _check_config_value(action: argparse.Action, key: str, value: Any) -> None:
+    # A config value must be one the option's own flag would accept.
+    if value is None:
+        return
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    if action.type not in (int, float):
+        return
+    try:
+        converted = action.type(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} needs a {action.type.__name__}, got {value!r}") from exc
+    if action.type is int and converted != float(value):
+        raise ConfigError(f"config key {key!r} needs an integer, got {value!r}")
+
+
+def _resolve_config(parser: argparse.ArgumentParser, command: str, argv: list[str]) -> dict[str, Any]:
+    """defaults <- config file <- explicit flags.
+
+    The options, their defaults and their types are those of the command's
+    subparser.  Parsing the command's arguments again into a namespace
+    pre-filled with a marker leaves the marker on every option the command
+    line did not give, which tells explicit flags from defaults.
+    """
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command_parser = commands.choices[command]
+    actions = {a.dest: a for a in command_parser._actions if a.dest != "help"}
+    resolved = {dest: a.default for dest, a in actions.items()}
+    unset = object()
+    flags = command_parser.parse_args(
+        argv[argv.index(command) + 1:], argparse.Namespace(**dict.fromkeys(actions, unset))
+    )
+    explicit = {dest: value for dest, value in vars(flags).items() if value is not unset}
+    path = explicit.get("config")
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -206,14 +169,11 @@ def _resolve_config(args: argparse.Namespace) -> dict[str, Any]:
             raise ConfigError(f"config file {path} must hold a JSON object")
         for key, value in file_cfg.items():
             norm = key.replace("-", "_")
-            if norm not in defaults:
-                raise ConfigError(f"config key {key!r} is not an option of `{args.command}`")
+            if norm not in actions:
+                raise ConfigError(f"config key {key!r} is not an option of `{command}`")
+            _check_config_value(actions[norm], key, value)
             resolved[norm] = value
-        resolved["config"] = path
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
+    resolved.update(explicit)
     return resolved
 
 
@@ -255,8 +215,11 @@ def _config_echo(cfg: dict[str, Any]) -> dict[str, Any]:
 def _emit(text: str, cfg: dict[str, Any]) -> None:
     output = cfg.get("output")
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -561,8 +524,6 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
 def _cmd_simulate_wep(cfg: dict[str, Any]) -> int:
     hbar = float(cfg["hbar"])
     masses = _float_list(cfg.get("masses"), "--masses")
-    if len(masses) < 2:
-        raise ConfigError(f"--wep needs at least two masses, got {masses}")
     conditioned = cfg.get("gamma") is not None and cfg.get("alpha") is not None
     if conditioned:
         cond = MassConditions(gamma=float(cfg["gamma"]), alpha=float(cfg["alpha"]))
@@ -574,14 +535,16 @@ def _cmd_simulate_wep(cfg: dict[str, Any]) -> int:
         ]
     else:
         raise ConfigError("--wep needs either --gamma/--alpha or --theta/--eta")
-    reps = [build_representation(q, cfg["family"], cfg["branch"]) for q in params]
     nc_data = (
         float(cfg["nc_x1"]),
         float(cfg["nc_x2"]),
         float(cfg["nc_v1"]),
         float(cfg["nc_v2"]),
     )
-    runs = wep_trajectories(reps, nc_data, float(cfg["g"]), float(cfg["t_end"]), float(cfg["dt"]))
+    runs = wep_runs(
+        params, cfg["family"], cfg["branch"], float(cfg["g"]), nc_data,
+        float(cfg["t_end"]), float(cfg["dt"]),
+    )
     payload = {
         "tool": TOOL,
         "version": __version__,
@@ -609,10 +572,11 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(parser, args.command, argv)
         return _COMMANDS[args.command](cfg)
     except SingularMapError as exc:
         sys.stdout.write(_error_payload(args.command, exc) + "\n")

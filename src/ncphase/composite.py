@@ -27,11 +27,11 @@ differ, which is the whole point of the conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import LinearForm, commutator, form_distance, p1, p2, x1, x2
+from .algebra import CanonicalVar, LinearForm, form_distance, p1, p2, x1, x2
 from .errors import ConfigError, DomainError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -44,6 +44,7 @@ from .representation import (
     build_representation,
     build_simple_rep,
     params_from_conditions,
+    verify_nc_algebra,
 )
 
 
@@ -251,31 +252,14 @@ def com_simple_direct(
     )
 
 
-def _momentum_coordinate_coeff(p: NCParams, family: str, branch: str | None) -> float:
-    # Coefficient of xc2 inside P1c for the algebraic route; grows linearly
-    # with the total mass under shared conditions.
-    if family == "simple":
-        return 0.5 * p.eta
-    sign = branch_sign(branch or "minus")
-    s = math.sqrt(1.0 - p.product)
-    if sign < 0:
-        return math.sqrt((1.0 + s) / 2.0) * (p.eta / (1.0 + s))
-    return math.sqrt(p.product / (2.0 * (1.0 + s))) * ((1.0 + s) / p.theta)
-
-
 def _compare_routes(
     system: CompositeSystem,
     algebraic: Representation,
     direct: tuple[LinearForm, ...],
     tol: float,
-    family: str,
-    branch: str | None,
 ) -> CheckReport:
-    if tol < 0:
-        raise ConfigError(f"tolerance must be nonnegative, got {tol}")
-    names = ("X1", "X2", "P1", "P2")
     checks = []
-    for name, alg_form, dir_form in zip(names, algebraic.forms(), direct):
+    for name, alg_form, dir_form in zip(algebraic.form_names(), algebraic.forms(), direct):
         dist = form_distance(alg_form, dir_form)
         checks.append(
             CheckRecord(
@@ -292,53 +276,29 @@ def _compare_routes(
     # product: the algebraic route is built from the effective pair, so its
     # diagonal is 1 + theta_eff*eta_eff/4, while summing per-particle forms
     # gives the mass-weighted mean of the individual products instead.
-    theta_eff, eta_eff = effective_params(system)
-    hbar = system.hbar
-    M = system.total_mass
-    if family == "simple":
-        diag_alg = 1.0 + theta_eff * eta_eff / 4.0
+    p = algebraic.params
+    M = p.mass
+    diag_direct = None
+    if algebraic.family == "simple":
         diag_direct = 1.0 + math.fsum(
             (part.mass / M) * part.params.product for part in system.particles
         ) / 4.0
-    else:
-        diag_alg = diag_direct = 1.0
-    for label, forms, diag in (
-        ("algebraic", algebraic.forms(), diag_alg),
-        ("direct", direct, diag_direct),
-    ):
-        expected_table = {
-            "[X1,X2]": theta_eff,
-            "[P1,P2]": eta_eff,
-            "[X1,P1]": diag,
-            "[X2,P2]": diag,
-            "[X1,P2]": 0.0,
-            "[X2,P1]": 0.0,
-        }
-        f = dict(zip(names, forms))
-        measured = {
-            "[X1,X2]": commutator(f["X1"], f["X2"], hbar).scalar,
-            "[P1,P2]": commutator(f["P1"], f["P2"], hbar).scalar,
-            "[X1,P1]": commutator(f["X1"], f["P1"], hbar).scalar,
-            "[X2,P2]": commutator(f["X2"], f["P2"], hbar).scalar,
-            "[X1,P2]": commutator(f["X1"], f["P2"], hbar).scalar,
-            "[X2,P1]": commutator(f["X2"], f["P1"], hbar).scalar,
-        }
-        for cname, value in measured.items():
-            checks.append(
-                CheckRecord(
-                    name=f"table.{label}.{cname}",
-                    expected=expected_table[cname],
-                    measured=value,
-                    tol=tol,
-                    passed=abs(value - expected_table[cname]) <= tol,
-                )
-            )
-    coeff = _momentum_coordinate_coeff(com_params(system), family, branch)
+    direct_rep = Representation(
+        *direct, family=algebraic.family, params=p, branch=algebraic.branch, particle_id=None
+    )
+    for label, rep, diag in (("algebraic", algebraic, None), ("direct", direct_rep, diag_direct)):
+        table = verify_nc_algebra(rep, expect_diag=diag, tol=tol)
+        checks.extend(replace(c, name=f"table.{label}.{c.name}") for c in table.checks)
+    # Coefficient of xc2 inside P1c for the algebraic route; grows linearly
+    # with the total mass under shared conditions.
+    coeff = build_representation(p, algebraic.family, algebraic.branch).P1.coefficient(
+        CanonicalVar(0, "x2")
+    )
     meta = {
-        "family": family,
-        "branch": branch,
-        "theta_eff": theta_eff,
-        "eta_eff": eta_eff,
+        "family": algebraic.family,
+        "branch": algebraic.branch,
+        "theta_eff": p.theta,
+        "eta_eff": p.eta,
         "total_mass": M,
         "conditioned": system.conditions is not None,
         "routes_equal": all(c.passed for c in checks[:4]),
@@ -354,11 +314,11 @@ def compare_com_reps(
     """Coefficient-wise comparison of the two branch-family routes."""
     algebraic = com_rep_algebraic(system, branch)
     direct = com_rep_direct(system, branch)
-    return _compare_routes(system, algebraic, direct, tol, "branch", branch)
+    return _compare_routes(system, algebraic, direct, tol)
 
 
 def compare_com_simple(system: CompositeSystem, tol: float = DEFAULT_TOL) -> CheckReport:
     """Coefficient-wise comparison of the two simple-family routes."""
     algebraic = com_simple_algebraic(system)
     direct = com_simple_direct(system)
-    return _compare_routes(system, algebraic, direct, tol, "simple", None)
+    return _compare_routes(system, algebraic, direct, tol)

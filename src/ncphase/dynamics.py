@@ -143,6 +143,8 @@ class Trajectory:
 
 
 def _step_count(t_end: float, dt: float) -> int:
+    if not (math.isfinite(t_end) and math.isfinite(dt)):
+        raise StepError(f"t_end and dt must be finite, got t_end = {t_end}, dt = {dt}")
     if dt <= 0:
         raise StepError(f"dt must be positive, got {dt}")
     if t_end < 0:
@@ -247,6 +249,29 @@ def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -
     return float(np.max(coords.max(axis=0) - coords.min(axis=0)))
 
 
+def wep_runs(
+    params: Sequence[NCParams],
+    family: str,
+    branch: str | None,
+    g: float,
+    nc_data: Sequence[float],
+    t_end: float,
+    dt: float,
+) -> list[tuple[QuadraticHamiltonian, Trajectory]]:
+    """Free fall of one representation per mass from the same initial data.
+
+    ``params`` holds one parameter set per mass; each is built into a
+    ``family``/``branch`` representation and launched from the same
+    (X1, X2, dX1/dt, dX2/dt) under uniform gravity ``g``.
+    """
+    if len(params) < 2:
+        raise ConfigError(
+            f"need at least two masses to compare free fall, got {[q.mass for q in params]}"
+        )
+    reps = [build_representation(q, family, branch) for q in params]
+    return wep_trajectories(reps, nc_data, g, t_end, dt)
+
+
 def wep_deviation(
     c: MassConditions,
     masses: Sequence[float],
@@ -265,13 +290,8 @@ def wep_deviation(
     pointwise spread of the noncommutative coordinates.  Mass independence
     of the conditioned kinematics makes this vanish to rounding.
     """
-    if len(masses) < 2:
-        raise ConfigError("need at least two masses to compare free fall")
-    reps = [
-        build_representation(params_from_conditions(c, m, hbar), family, branch)
-        for m in masses
-    ]
-    return coordinate_spread(wep_trajectories(reps, nc_data, g, t_end, dt))
+    params = [params_from_conditions(c, m, hbar) for m in masses]
+    return coordinate_spread(wep_runs(params, family, branch, g, nc_data, t_end, dt))
 
 
 def wep_deviation_fixed(
@@ -292,12 +312,5 @@ def wep_deviation_fixed(
     conditions the noncommutative shifts enter the dynamics mass-weighted,
     and equal initial data no longer yields equal coordinate histories.
     """
-    if len(masses) < 2:
-        raise ConfigError("need at least two masses to compare free fall")
-    reps = [
-        build_representation(
-            NCParams(theta=theta, eta=eta, hbar=hbar, mass=m), family, branch
-        )
-        for m in masses
-    ]
-    return coordinate_spread(wep_trajectories(reps, nc_data, g, t_end, dt))
+    params = [NCParams(theta=theta, eta=eta, hbar=hbar, mass=m) for m in masses]
+    return coordinate_spread(wep_runs(params, family, branch, g, nc_data, t_end, dt))

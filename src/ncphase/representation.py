@@ -59,6 +59,9 @@ class NCParams:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("theta", "eta", "hbar", "mass"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.hbar > 0:
             raise DomainError(f"hbar must be positive, got {self.hbar}")
         if not self.mass > 0:

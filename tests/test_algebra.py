@@ -227,3 +227,23 @@ def test_form_distance_includes_constants():
     assert form_distance(x1() + 2.0, x1()) == 2.0
     assert form_distance(x1(), p1()) == 1.0
     assert math.isclose(form_distance(2.0 * x1(), x1() + 0.25 * p2()), 1.0)
+
+
+def test_sum_is_exact_under_cancellation():
+    # The products 1e16, 1 and -1e16 lose the 1 in any left-to-right sum.
+    a = 1e16 * x1(0) + x1(1) - 1e16 * x1(2)
+    b = p1(0) + p1(1) + p1(2)
+    assert commutator(a, b).scalar == 1.0
+    assert commutator(b, a).scalar == -1.0
+
+
+@pytest.mark.parametrize("hbar", [math.nan, math.inf])
+def test_nonfinite_hbar_rejected(hbar):
+    with pytest.raises(DomainError):
+        commutator(x1(), p1(), hbar=hbar)
+
+
+def test_opposite_infinite_products_give_nan():
+    a = LinearForm({CanonicalVar(0, "x1"): math.inf, CanonicalVar(0, "p1"): math.inf})
+    b = x1() + p1()
+    assert math.isnan(commutator(a, b).scalar)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import subprocess
 
 import pytest
 
-from ncphase.cli import main
+from ncphase.cli import build_parser, main
 
 REPORT_KEYS = {"tool", "version", "command", "config", "checks", "overall", "meta", "kind"}
 CHECK_KEYS = {"name", "expected", "measured", "tol", "pass"}
@@ -337,3 +338,78 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["overall"] is True
+
+
+# --- input contract --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["verify", "--theta", "nan", "--eta", "0.5"], "DomainError"),
+        (["verify", "--theta", "0.5", "--eta=-inf"], "DomainError"),
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--hbar", "inf"], "DomainError"),
+        (["verify", "--gamma", "0.3", "--alpha", "0.2", "--mass", "inf"], "DomainError"),
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--dt", "nan"], "StepError"),
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "inf"], "StepError"),
+    ],
+)
+def test_nonfinite_input_exits_2(capsys, argv, error):
+    rc, data = run_json(capsys, *argv)
+    assert rc == 2
+    assert data["error"]["type"] == error
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing-dir" / "report.json"
+    rc, data = run_json(
+        capsys, "verify", "--theta", "0.5", "--eta", "0.5", "--output", str(out_path)
+    )
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"theta": "abc", "eta": 0.5}, {"theta": 0.5, "eta": 0.5, "random": 2.7},
+     {"theta": 0.5, "eta": 0.5, "format": "xml"}],
+)
+def test_config_value_the_flag_would_reject_exits_2(capsys, tmp_path, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    rc, data = run_json(capsys, "verify", "--config", str(cfg))
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+
+
+def _option_dests(command):
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in commands.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theta", "0.5", "--eta", "0.5"],
+        ["repr", "--theta", "0.5", "--eta", "0.5"],
+        ["com", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2"],
+        ["simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "0.1", "--format", "json"],
+        ["simulate", "--wep", "--masses", "1,2", "--gamma", "0.01", "--alpha", "0.01",
+         "--t-end", "0.1"],
+    ],
+)
+def test_config_echo_holds_exactly_the_command_options(capsys, tmp_path, argv):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    rc, data = run_json(capsys, *argv, "--config", str(cfg))
+    assert rc == 0
+    assert set(data["config"]) == _option_dests(argv[0])
+
+
+def test_com_config_rejects_mass(capsys, tmp_path):
+    cfg = tmp_path / "com.json"
+    cfg.write_text(json.dumps({"masses": [1, 2], "gamma": 0.3, "alpha": 0.2, "mass": 5}))
+    rc, data = run_json(capsys, "com", "--config", str(cfg))
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"

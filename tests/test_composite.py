@@ -293,3 +293,21 @@ def test_simple_diagonals_diverge_without_conditions():
     assert direct.passed and alg.passed
     # The cross-route agreement checks are what fail for this system.
     assert not report.overall
+
+
+@pytest.mark.parametrize("family,branch", [("branch", "minus"), ("branch", "plus"), ("simple", None)])
+def test_momentum_coordinate_coefficient_matches_closed_form(family, branch):
+    # Closed forms of the xc2 coefficient inside P1c for the effective pair.
+    system = conditioned([1.0, 2.0, 7.0])
+    if family == "simple":
+        report = compare_com_simple(system)
+    else:
+        report = compare_com_reps(system, branch)
+    theta, eta = effective_params(system)
+    s = math.sqrt(1.0 - theta * eta)
+    want = {
+        "simple": 0.5 * eta,
+        "minus": math.sqrt((1.0 + s) / 2.0) * (eta / (1.0 + s)),
+        "plus": math.sqrt(theta * eta / (2.0 * (1.0 + s))) * ((1.0 + s) / theta),
+    }[branch or family]
+    assert report.meta["momentum_coordinate_coeff"] == want

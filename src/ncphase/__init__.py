@@ -25,16 +25,6 @@ from .composite import (
     compare_com_simple,
     effective_params,
 )
-from .dynamics import (
-    QuadraticHamiltonian,
-    Trajectory,
-    build_hamiltonian,
-    energy_drift,
-    evolve,
-    nc_initial_state,
-    wep_deviation,
-    wep_deviation_fixed,
-)
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -123,3 +113,14 @@ __all__ = [
     "x2",
     "__version__",
 ]
+
+
+# The names of ``__all__`` not imported above belong to ``dynamics``, which
+# needs numpy; it loads on first use of one of them, so code that only does
+# the algebra never imports numpy.
+def __getattr__(name: str):
+    if name in __all__:
+        from . import dynamics
+
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -228,6 +228,11 @@ def form_equal(a: LinearForm, b: LinearForm, tol: float = 0.0) -> bool:
     With the default ``tol=0`` this is exact comparison of the canonical
     sparse representations.
     """
-    if tol < 0:
-        raise ConfigError(f"tolerance must be nonnegative, got {tol}")
+    check_tolerance(tol)
     return form_distance(a, b) <= tol
+
+
+def check_tolerance(tol: float) -> None:
+    """Raise ``ConfigError`` unless ``tol`` lies in [0, inf)."""
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"tolerance must be finite and nonnegative, got {tol}")

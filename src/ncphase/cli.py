@@ -28,17 +28,8 @@ import os
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import __version__
 from .composite import CompositeSystem, compare_com_reps, compare_com_simple, effective_params
-from .dynamics import (
-    build_hamiltonian,
-    coordinate_spread,
-    energy_drift,
-    evolve,
-    wep_runs,
-)
 from .errors import ConfigError, NCPhaseError, SingularMapError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -55,6 +46,7 @@ from .representation import (
 
 TOOL = "ncphase"
 DEFAULT_SEED = 20260814
+TRAJECTORY_COLUMNS = ("t", "x1", "x2", "p1", "p2", "X1", "X2", "P1", "P2")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=TOOL, description=__doc__.splitlines()[0])
@@ -284,6 +276,8 @@ def _seed() -> int:
 
 def random_param_batch(n: int, seed: int) -> list[NCParams]:
     """n random parameter pairs with product in (-5, 1), never zero."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
@@ -487,41 +481,42 @@ def _cmd_com(cfg: dict[str, Any]) -> int:
 def _cmd_simulate(cfg: dict[str, Any]) -> int:
     if cfg.get("wep"):
         return _cmd_simulate_wep(cfg)
+    import numpy as np
+
+    from .dynamics import build_hamiltonian, energy_drift, evolve
+
     p = _resolve_particle_params(cfg)
     rep = build_representation(p, cfg["family"], cfg["branch"])
     kind = {"gravity": "uniform_gravity"}.get(cfg["kind"], cfg["kind"])
     h = build_hamiltonian(kind, rep, g=float(cfg["g"]), omega=float(cfg["omega"]))
     initial = (float(cfg["x1"]), float(cfg["x2"]), float(cfg["p1"]), float(cfg["p2"]))
     traj = evolve(h, initial, float(cfg["t_end"]), float(cfg["dt"]))
+    table = np.column_stack((traj.times, traj.canonical_states, traj.nc_observables))
     if cfg.get("format") == "json":
         payload = {
             "tool": TOOL,
             "version": __version__,
             "command": "simulate",
             "config": _config_echo(cfg),
-            "columns": ["t", "x1", "x2", "p1", "p2", "X1", "X2", "P1", "P2"],
-            "rows": [
-                [t, *state, *obs]
-                for t, state, obs in zip(
-                    traj.times.tolist(),
-                    traj.canonical_states.tolist(),
-                    traj.nc_observables.tolist(),
-                )
-            ],
+            "columns": list(TRAJECTORY_COLUMNS),
+            "rows": table.tolist(),
             "energy_drift": energy_drift(h, traj),
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
         return 0
+    # One row at a time: float reprs never need CSV quoting, and a list of
+    # the whole table would cost more memory than the text it becomes.
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "x1", "x2", "p1", "p2", "X1", "X2", "P1", "P2"])
-    for t, state, obs in zip(traj.times, traj.canonical_states, traj.nc_observables):
-        writer.writerow([repr(float(t))] + [repr(float(v)) for v in state] + [repr(float(v)) for v in obs])
+    buf.write(",".join(TRAJECTORY_COLUMNS) + "\n")
+    for row in table:
+        buf.write(",".join(map(repr, row.tolist())) + "\n")
     _emit(buf.getvalue(), cfg)
     return 0
 
 
 def _cmd_simulate_wep(cfg: dict[str, Any]) -> int:
+    from .dynamics import coordinate_spread, energy_drift, wep_runs
+
     hbar = float(cfg["hbar"])
     masses = _float_list(cfg.get("masses"), "--masses")
     conditioned = cfg.get("gamma") is not None and cfg.get("alpha") is not None

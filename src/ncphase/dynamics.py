@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import CanonicalVar, LinearForm
 from .errors import ConfigError, SingularMapError, StepError
@@ -42,6 +41,9 @@ HAMILTONIAN_KINDS = ("free", "uniform_gravity", "harmonic")
 
 #: Canonical state ordering used throughout this module.
 STATE_ORDER = ("x1", "x2", "p1", "p2")
+
+#: Most steps one trajectory may take; more would allocate an unbounded table.
+MAX_STEPS = 10**6
 
 _J = np.array(
     [
@@ -102,6 +104,8 @@ def build_hamiltonian(
         raise ConfigError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
     if rep.particle_id is None:
         raise ConfigError("dynamics expects a single-particle representation")
+    if not (math.isfinite(g) and math.isfinite(omega)):
+        raise ConfigError(f"g and omega must be finite, got g = {g}, omega = {omega}")
     mass = rep.params.mass
     pid = rep.particle_id
     vecs = {name: _form_vector(f, pid) for name, f in zip(rep.form_names(), rep.forms())}
@@ -149,10 +153,17 @@ def _step_count(t_end: float, dt: float) -> int:
         raise StepError(f"dt must be positive, got {dt}")
     if t_end < 0:
         raise StepError(f"t_end must be nonnegative, got {t_end}")
-    n = round(t_end / dt)
-    if abs(n * dt - t_end) <= 1e-9 * max(1.0, abs(t_end)):
-        return int(n)
-    return int(math.ceil(t_end / dt))
+    steps = t_end / dt
+    n = MAX_STEPS + 1  # stands in for counts past the cap, an overflow to inf among them
+    if steps <= n:
+        n = round(steps)
+        if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+            n = math.ceil(steps)
+    if n > MAX_STEPS:
+        raise StepError(
+            f"t_end = {t_end} at dt = {dt} needs {steps:.15g} steps, more than the cap of {MAX_STEPS}"
+        )
+    return int(n)
 
 
 def evolve(h: QuadraticHamiltonian, initial: Sequence[float], t_end: float, dt: float) -> Trajectory:
@@ -166,7 +177,13 @@ def evolve(h: QuadraticHamiltonian, initial: Sequence[float], t_end: float, dt: 
     z0 = np.asarray(initial, dtype=float)
     if z0.shape != (4,):
         raise ConfigError(f"initial state must have 4 components (x1, x2, p1, p2), got shape {z0.shape}")
+    if not np.isfinite(z0).all():
+        raise ConfigError(f"initial state must be finite, got {z0.tolist()}")
     n = _step_count(t_end, dt)
+    # Imported here, not at module level: scipy takes longer to import than
+    # the rest of the package, and only integration needs it.
+    from scipy.linalg import expm
+
     A, b = h.drift()
     aug = np.zeros((5, 5))
     aug[:4, :4] = A * dt
@@ -205,6 +222,8 @@ def nc_initial_state(h: QuadraticHamiltonian, nc_data: Sequence[float]) -> np.nd
         raise ConfigError(
             f"need 4 values (X1, X2, dX1/dt, dX2/dt), got shape {vals.shape}"
         )
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"X1, X2, dX1/dt, dX2/dt must be finite, got {vals.tolist()}")
     pid = h.rep.particle_id
     r1 = _form_vector(h.rep.X1, pid)
     r2 = _form_vector(h.rep.X2, pid)

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import LinearForm, commutator, form_distance, p1, p2, x1, x2
+from .algebra import LinearForm, check_tolerance, commutator, form_distance, p1, p2, x1, x2
 from .errors import ConfigError, DegenerateError, DomainError
 from .reports import CheckRecord, CheckReport
 
@@ -338,8 +338,7 @@ def verify_nc_algebra(
     off-diagonal coordinate-momentum commutators are always expected to
     vanish.
     """
-    if tol < 0:
-        raise ConfigError(f"tolerance must be nonnegative, got {tol}")
+    check_tolerance(tol)
     table_theta, table_eta, table_diag = rep.expected_table()
     exp = {
         "[X1,X2]": table_theta if expect_theta is None else expect_theta,
@@ -412,8 +411,7 @@ def branch_transform_residual(p: NCParams) -> float:
 
 def check_branch_transform(p: NCParams, tol: float = DEFAULT_TOL) -> bool:
     """Whether the plus branch maps onto the minus branch within ``tol``."""
-    if tol < 0:
-        raise ConfigError(f"tolerance must be nonnegative, got {tol}")
+    check_tolerance(tol)
     return branch_transform_residual(p) <= tol
 
 
@@ -447,6 +445,8 @@ def check_commutative_limit(
         raise ConfigError(
             f"need one tolerance per scale, got {len(scales)} scales and {len(tols)} tolerances"
         )
+    for tol in tols:
+        check_tolerance(tol)
     if p0.eta == 0.0 or p0.theta / p0.eta <= 0.0:
         raise DomainError(
             f"commutative limit tracking needs theta0/eta0 > 0, got theta0 = {p0.theta}, eta0 = {p0.eta}"

@@ -6,11 +6,17 @@ import argparse
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import ncphase
+from ncphase import NCParams, build_hamiltonian, build_representation, evolve
 from ncphase.cli import build_parser, main
 
 REPORT_KEYS = {"tool", "version", "command", "config", "checks", "overall", "meta", "kind"}
@@ -188,6 +194,30 @@ def test_simulate_gravity_alias(capsys):
     assert float(last[4]) == pytest.approx(-0.5)  # p2 = -m*g*t
 
 
+def test_simulate_csv_bytes_match_the_csv_writer_formula(capsys):
+    # The CSV rows are joined by hand; they must stay the bytes that
+    # csv.writer gives for repr(float(v)) of every value.
+    rc, out = run_cli(
+        capsys, "simulate", "--kind", "gravity", "--theta", "0.2", "--eta", "-0.1",
+        "--x1", "3", "--p1", "-1.5", "--t-end", "1", "--dt", "0.25", "--format", "csv",
+    )
+    rep = build_representation(NCParams(0.2, -0.1), "branch", "minus")
+    traj = evolve(build_hamiltonian("uniform_gravity", rep, g=1.0), (3.0, 0.0, -1.5, 0.0), 1.0, 0.25)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "x1", "x2", "p1", "p2", "X1", "X2", "P1", "P2"])
+    values = []
+    for t, state, obs in zip(traj.times, traj.canonical_states, traj.nc_observables):
+        row = [float(t)] + [float(v) for v in state] + [float(v) for v in obs]
+        values += row
+        writer.writerow([repr(v) for v in row])
+    assert rc == 0
+    assert out == buf.getvalue()
+    # the trajectory holds negative values, zeros, exact integers and fractions
+    assert min(values) < 0.0 and 0.0 in values
+    assert any(v == int(v) != 0 for v in values) and any(v != int(v) for v in values)
+
+
 def test_simulate_wep_summary(capsys):
     rc, data = run_json(
         capsys, "simulate", "--wep", "--masses", "1,2", "--gamma", "0.01", "--alpha", "0.01",
@@ -352,12 +382,36 @@ def test_console_script_entry_point():
         (["verify", "--gamma", "0.3", "--alpha", "0.2", "--mass", "inf"], "DomainError"),
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--dt", "nan"], "StepError"),
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "inf"], "StepError"),
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--tol", "inf"], "ConfigError"),
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--tol", "nan"], "ConfigError"),
+        (["repr", "--theta", "0.5", "--eta", "0.5", "--tol", "nan"], "ConfigError"),
+        (["com", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2", "--tol", "inf"], "ConfigError"),
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--limit-scales", "1e-2,1e-4",
+          "--limit-tols", "1e-2,inf"], "ConfigError"),
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--g", "nan"], "ConfigError"),
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "harmonic", "--omega", "inf"],
+         "ConfigError"),
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--x1", "nan"], "ConfigError"),
+        (["simulate", "--wep", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2", "--g", "inf"],
+         "ConfigError"),
+        (["simulate", "--wep", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2", "--nc-v1", "nan"],
+         "ConfigError"),
     ],
 )
 def test_nonfinite_input_exits_2(capsys, argv, error):
     rc, data = run_json(capsys, *argv)
     assert rc == 2
     assert data["error"]["type"] == error
+
+
+def test_runaway_step_count_exits_2(capsys):
+    # 10^12 steps are refused from the count alone, before any table exists
+    rc, data = run_json(
+        capsys, "simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "1e9", "--dt", "1e-3"
+    )
+    assert rc == 2
+    assert data["error"]["type"] == "StepError"
+    assert "1000000000000 steps" in data["error"]["message"]
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
@@ -413,3 +467,37 @@ def test_com_config_rejects_mass(capsys, tmp_path):
     rc, data = run_json(capsys, "com", "--config", str(cfg))
     assert rc == 2
     assert data["error"]["type"] == "ConfigError"
+
+
+# --- start-up --------------------------------------------------------------------
+
+
+def test_start_up_imports_only_what_the_command_needs():
+    # A fresh interpreter, since this one has loaded numpy and scipy already.
+    script = textwrap.dedent(
+        """
+        import json, sys
+
+        def loaded():
+            return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+        import ncphase.cli
+        facts = {"cli": loaded()}
+        import ncphase.dynamics
+        facts["dynamics"] = loaded()
+        facts["lazy_name"] = ncphase.evolve is ncphase.dynamics.evolve
+        names = {}
+        exec("from ncphase import *", names)
+        facts["unbound"] = sorted(set(ncphase.__all__) - set(names))
+        print(json.dumps(facts))
+        """
+    )
+    src = str(Path(ncphase.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "cli": [], "dynamics": ["numpy"], "lazy_name": True, "unbound": [],
+    }

@@ -29,7 +29,7 @@ from ncphase import (
     wep_deviation,
     wep_deviation_fixed,
 )
-from ncphase.dynamics import coordinate_spread, wep_trajectories
+from ncphase.dynamics import MAX_STEPS, _step_count, coordinate_spread, wep_trajectories
 
 IDENTITY = build_representation(NCParams(0.0, 0.0), "simple")
 
@@ -137,6 +137,16 @@ def test_step_count_covers_t_end():
     traj = evolve(h, [0.0] * 4, t_end=0.3, dt=0.1)
     assert len(traj) == 4
     assert traj.times[-1] == pytest.approx(0.3, abs=1e-12)
+
+
+def test_step_count_is_capped():
+    assert _step_count(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
+    # counts past the cap, one of them overflowing to inf, are refused
+    # before anything is allocated
+    for t_end, dt, count in [(1e9, 1e-3, "1000000000000"), ((MAX_STEPS + 1) * 0.5, 0.5, "1000001"),
+                             (1e300, 1e-300, "inf")]:
+        with pytest.raises(StepError, match=f"needs {count} steps, more than the cap of {MAX_STEPS}"):
+            _step_count(t_end, dt)
 
 
 # --- initial data in noncommutative observables ------------------------------------

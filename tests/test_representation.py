@@ -9,6 +9,7 @@ import pytest
 
 from ncphase import (
     CanonicalVar,
+    ConfigError,
     DegenerateError,
     DomainError,
     MassConditions,
@@ -353,6 +354,22 @@ def test_commutative_limit_zero_scale_recorded_not_raised():
 def test_commutative_limit_asymmetric_ratio():
     report = check_commutative_limit((1e-3, 1e-5), NCParams(0.9, 0.1), (1e-3, 1e-5))
     assert report.overall
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tol: form_equal(x1(), x1(), tol=tol),
+        lambda tol: verify_nc_algebra(build_branch_rep(NCParams(0.5, 0.5), "minus"), tol=tol),
+        lambda tol: check_branch_transform(NCParams(0.5, 0.5), tol=tol),
+        lambda tol: check_commutative_limit([1e-2, 1e-4], NCParams(0.5, 0.5), [1e-2, tol]),
+    ],
+    ids=["form_equal", "verify_nc_algebra", "check_branch_transform", "check_commutative_limit"],
+)
+def test_tolerance_outside_zero_to_inf_rejected(check, tol):
+    with pytest.raises(ConfigError):
+        check(tol)
 
 
 def test_commutative_limit_needs_positive_ratio():

@@ -47,6 +47,8 @@ from .representation import (
 TOOL = "ncphase"
 DEFAULT_SEED = 20260814
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "p1", "p2", "X1", "X2", "P1", "P2")
+#: Options holding a comma list, which a config file may give as a JSON array.
+_LIST_OPTIONS = ("masses", "thetas", "etas", "limit_scales", "limit_tols")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=TOOL, description=__doc__.splitlines()[0])
@@ -118,14 +120,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_config_value(action: argparse.Action, key: str, value: Any) -> None:
-    # A config value must be one the option's own flag would accept.
+    # A config value must be one the option's own flag would accept.  null
+    # stands for "not given", which only an option without a default allows.
     if value is None:
+        if action.default is not None:
+            raise ConfigError(f"config key {key!r} needs a value, got null")
         return
     if action.choices is not None and value not in action.choices:
         raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} needs true or false, got {value!r}")
+        return
+    if action.type is str:
+        # A comma list may also be given as a JSON array.
+        if not isinstance(value, (list, str) if action.dest in _LIST_OPTIONS else str):
+            raise ConfigError(f"config key {key!r} needs a string, got {value!r}")
+        return
     if action.type not in (int, float):
         return
     try:
+        if isinstance(value, bool):
+            raise TypeError("a JSON boolean is not a number")
         converted = action.type(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} needs a {action.type.__name__}, got {value!r}") from exc
@@ -210,7 +226,7 @@ def _emit(text: str, cfg: dict[str, Any]) -> None:
         try:
             with open(output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in a config-file path
             raise ConfigError(f"cannot write output file {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
@@ -310,13 +326,12 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
     family = cfg["family"]
     branch = cfg["branch"]
     rep = build_representation(p, family, branch)
-    report = verify_nc_algebra(
-        rep,
-        expect_theta=cfg.get("expect_theta"),
-        expect_eta=cfg.get("expect_eta"),
-        expect_diag=cfg.get("expect_diag"),
-        tol=tol,
-    )
+    # A config file may give these as numeric strings, as the flags do.
+    expect = {
+        key: None if cfg.get(key) is None else float(cfg[key])
+        for key in ("expect_theta", "expect_eta", "expect_diag")
+    }
+    report = verify_nc_algebra(rep, **expect, tol=tol)
     checks = list(report.checks)
     meta = dict(report.meta)
 

@@ -125,18 +125,32 @@ class CompositeSystem:
 
 def com_canonical(system: CompositeSystem) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Mass-weighted coordinates and total momenta (xc1, xc2, pc1, pc2)."""
+    return _com_sum(system, lambda part: (x1(part.id), x2(part.id), p1(part.id), p2(part.id)))
+
+
+def _com_sum(
+    system: CompositeSystem, forms_for_particle
+) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
+    """Mass-weighted sum of each particle's two coordinate forms, plain sum of its momenta.
+
+    One pass into four running coefficient dicts, linear in N, where chained
+    ``acc = acc + w * form`` copies a growing dict per particle.  Terms and
+    constants are added in that sum's order and zero products dropped as it
+    drops them, so every coefficient is bit-identical to it.
+    """
     M = system.total_mass
-    xc1 = LinearForm()
-    xc2 = LinearForm()
-    pc1 = LinearForm()
-    pc2 = LinearForm()
+    terms = ({}, {}, {}, {})
+    constants = [0.0, 0.0, 0.0, 0.0]
     for part in system.particles:
         w = part.mass / M
-        xc1 = xc1 + w * x1(part.id)
-        xc2 = xc2 + w * x2(part.id)
-        pc1 = pc1 + p1(part.id)
-        pc2 = pc2 + p2(part.id)
-    return xc1, xc2, pc1, pc2
+        for i, (form, scale) in enumerate(zip(forms_for_particle(part), (w, w, 1.0, 1.0))):
+            acc = terms[i]
+            for var, coeff in form.terms.items():
+                scaled = scale * coeff
+                if scaled != 0.0:
+                    acc[var] = acc.get(var, 0.0) + scaled
+            constants[i] += scale * form.constant
+    return tuple(LinearForm(t, c) for t, c in zip(terms, constants))
 
 
 def effective_params(system: CompositeSystem) -> tuple[float, float]:
@@ -211,24 +225,6 @@ def _substitute_com(
     )
 
 
-def _direct_sum(
-    system: CompositeSystem, rep_for_particle
-) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
-    M = system.total_mass
-    X1c = LinearForm()
-    X2c = LinearForm()
-    P1c = LinearForm()
-    P2c = LinearForm()
-    for part in system.particles:
-        rep = rep_for_particle(part)
-        w = part.mass / M
-        X1c = X1c + w * rep.X1
-        X2c = X2c + w * rep.X2
-        P1c = P1c + rep.P1
-        P2c = P2c + rep.P2
-    return X1c, X2c, P1c, P2c
-
-
 def com_rep_direct(
     system: CompositeSystem, branch: str = "minus"
 ) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
@@ -238,8 +234,8 @@ def com_rep_direct(
     across particles is not representable here on purpose.
     """
     branch_sign(branch)
-    return _direct_sum(
-        system, lambda part: build_branch_rep(part.params, branch, particle_id=part.id)
+    return _com_sum(
+        system, lambda part: build_branch_rep(part.params, branch, particle_id=part.id).forms()
     )
 
 
@@ -247,8 +243,8 @@ def com_simple_direct(
     system: CompositeSystem,
 ) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Direct route through per-particle simple representations."""
-    return _direct_sum(
-        system, lambda part: build_simple_rep(part.params, particle_id=part.id)
+    return _com_sum(
+        system, lambda part: build_simple_rep(part.params, particle_id=part.id).forms()
     )
 
 

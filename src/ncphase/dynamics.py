@@ -79,15 +79,22 @@ class QuadraticHamiltonian:
     g: float = 0.0
     omega: float = 0.0
 
+    def energies(self, states: np.ndarray) -> np.ndarray:
+        """H of every row of an (n, 4) array of states."""
+        Z = np.asarray(states, dtype=float)
+        return 0.5 * np.einsum("ni,ij,nj->n", Z, self.quad, Z) + Z @ self.linear + self.const
+
     def value(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(0.5 * z @ self.quad @ z + self.linear @ z + self.const)
+        return float(self.energies([z])[0])
 
     def drift(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) of dz/dt = A z + b."""
         return _J @ self.quad, _J @ self.linear
 
 
+# Finite inputs can still overflow (omega = 1e200): numpy stays silent and
+# the finiteness check at the end raises ConfigError instead of nan rows.
+@np.errstate(all="ignore")
 def build_hamiltonian(
     kind: str,
     rep: Representation,
@@ -129,6 +136,10 @@ def build_hamiltonian(
             quad += mass * omega * omega * np.outer(r, r)
             linear += mass * omega * omega * c0 * r
             const += 0.5 * mass * omega * omega * c0 * c0
+    if not (np.isfinite(quad).all() and np.isfinite(linear).all() and math.isfinite(const)):
+        raise ConfigError(
+            f"the {kind} Hamiltonian overflows for mass = {mass}, g = {g}, omega = {omega}"
+        )
     return QuadraticHamiltonian(
         kind=kind, rep=rep, quad=quad, linear=linear, const=const, g=g, omega=omega
     )
@@ -191,10 +202,14 @@ def evolve(h: QuadraticHamiltonian, initial: Sequence[float], t_end: float, dt: 
     prop = expm(aug)
     E, f = prop[:4, :4], prop[:4, 4]
 
+    # states[k + 1] = E @ states[k] + f, written in place: the same
+    # arithmetic without two temporaries per step.  zip yields the row views
+    # one at a time, so no list of n views is held.
     states = np.empty((n + 1, 4))
     states[0] = z0
-    for k in range(n):
-        states[k + 1] = E @ states[k] + f
+    for prev, row in zip(states, states[1:]):
+        np.matmul(E, prev, out=row)
+        row += f
     times = np.arange(n + 1) * dt
 
     pid = h.rep.particle_id
@@ -206,7 +221,7 @@ def evolve(h: QuadraticHamiltonian, initial: Sequence[float], t_end: float, dt: 
 
 def energy_drift(h: QuadraticHamiltonian, traj: Trajectory) -> float:
     """Max |H(t) - H(0)| along the trajectory, relative to max(1, |H(0)|)."""
-    energies = np.array([h.value(z) for z in traj.canonical_states])
+    energies = h.energies(traj.canonical_states)
     scale = max(1.0, abs(energies[0]))
     return float(np.max(np.abs(energies - energies[0])) / scale)
 

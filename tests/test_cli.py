@@ -14,6 +14,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ncphase
 from ncphase import NCParams, build_hamiltonian, build_representation, evolve
@@ -396,8 +398,14 @@ def test_console_script_entry_point():
          "ConfigError"),
         (["simulate", "--wep", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2", "--nc-v1", "nan"],
          "ConfigError"),
+        # finite inputs whose Hamiltonian overflows
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "harmonic", "--omega", "1e200",
+          "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--g", "1e308",
+          "--mass", "10", "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_input_exits_2(capsys, argv, error):
     rc, data = run_json(capsys, *argv)
     assert rc == 2
@@ -436,6 +444,33 @@ def test_config_value_the_flag_would_reject_exits_2(capsys, tmp_path, config):
     assert data["error"]["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["verify"], {"theta": 0.5, "eta": 0.5, "tol": None}),
+        (["verify"], {"theta": 0.5, "eta": 0.5, "hbar": None}),
+        (["verify"], {"theta": 0.5, "eta": 0.5, "mass": None}),
+        (["simulate", "--theta", "0.1", "--eta", "0.1"], {"dt": None}),
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "gravity"], {"g": None}),
+    ],
+)
+def test_config_null_for_an_option_that_needs_a_value_exits_2(capsys, tmp_path, argv, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    rc, data = run_json(capsys, *argv, "--config", str(cfg))
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert "null" in data["error"]["message"]
+
+
+def test_config_null_for_an_option_without_a_default_is_unset(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"theta": 0.5, "eta": 0.5, "format": None, "expect_theta": None}))
+    rc, data = run_json(capsys, "verify", "--config", str(cfg))
+    assert rc == 0
+    assert data["overall"] is True
+
+
 def _option_dests(command):
     parser = build_parser()
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -467,6 +502,55 @@ def test_com_config_rejects_mass(capsys, tmp_path):
     rc, data = run_json(capsys, "com", "--config", str(cfg))
     assert rc == 2
     assert data["error"]["type"] == "ConfigError"
+
+
+# Each command's config is valid as it stands; the fuzz below replaces one
+# option with a value of any JSON type.  Numbers stay small and are rounded to
+# 1e-3 so that no replaced t_end, dt or --random makes a long run.
+FUZZ_BASES = {
+    "verify": {"theta": 0.5, "eta": 0.5, "limit_scales": "1e-2,1e-4", "random": 3},
+    "repr": {"theta": 0.5, "eta": 0.5},
+    "com": {"masses": [1, 2, 3], "gamma": 0.3, "alpha": 0.2},
+    "simulate": {"theta": 0.1, "eta": 0.1, "kind": "gravity", "t_end": 0.05, "dt": 0.01,
+                 "masses": "1,2", "gamma": 0.01, "alpha": 0.01},
+}
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 30)
+    | st.floats(-30.0, 30.0).map(lambda x: round(x, 3))
+    | st.text(alphabet="0123456789.,-+e abfijlnsx\x00", max_size=8)
+)
+_json_values = _json_scalars | st.lists(_json_scalars, max_size=3) | st.dictionaries(
+    st.text(max_size=3), _json_scalars, max_size=2
+)
+
+
+def _parses(out: str) -> bool:
+    try:
+        json.loads(out)
+        return True
+    except ValueError:
+        rows = list(csv.reader(io.StringIO(out)))
+        return len(rows) > 1 and len({len(row) for row in rows}) == 1
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_fuzz_exits_0_1_or_2_with_parseable_output(capsys, monkeypatch, tmp_path, command, data):
+    monkeypatch.chdir(tmp_path)  # a fuzzed --output lands here
+    config = dict(FUZZ_BASES[command])
+    config[data.draw(st.sampled_from(sorted(_option_dests(command))), label="key")] = data.draw(
+        _json_values, label="value"
+    )
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    rc = main([command, "--config", "run.json"])
+    captured = capsys.readouterr()
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    to_file = isinstance(config.get("output"), str) and config["output"] != "" and rc != 2
+    assert _parses(captured.out) or (to_file and captured.out == ""), captured.out
 
 
 # --- start-up --------------------------------------------------------------------

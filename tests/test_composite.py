@@ -16,6 +16,7 @@ from ncphase import (
     DomainError,
     MassConditions,
     NCParams,
+    LinearForm,
     Particle,
     com_canonical,
     com_rep_algebraic,
@@ -26,9 +27,12 @@ from ncphase import (
     compare_com_simple,
     effective_params,
     form_distance,
+    build_representation,
     form_equal,
     p1,
+    p2,
     x1,
+    x2,
 )
 
 SEED = int(os.environ.get("NCPS_SEED", "20260814"))
@@ -311,3 +315,37 @@ def test_momentum_coordinate_coefficient_matches_closed_form(family, branch):
         "plus": math.sqrt(theta * eta / (2.0 * (1.0 + s))) * ((1.0 + s) / theta),
     }[branch or family]
     assert report.meta["momentum_coordinate_coeff"] == want
+
+
+def _chained_sum(system, forms_for_particle):
+    # The plain reference: one LinearForm + per particle and form.
+    M = system.total_mass
+    acc = [LinearForm()] * 4
+    for part in system.particles:
+        X1, X2, P1, P2 = forms_for_particle(part)
+        w = part.mass / M
+        acc = [acc[0] + w * X1, acc[1] + w * X2, acc[2] + P1, acc[3] + P2]
+    return acc
+
+
+@pytest.mark.parametrize("is_conditioned", [True, False])
+def test_one_pass_sums_equal_chained_form_addition(is_conditioned):
+    rng = np.random.default_rng(SEED)
+    masses = 10 ** rng.uniform(-1.0, 2.0, size=50)
+    if is_conditioned:
+        system = conditioned(masses)
+    else:
+        system = CompositeSystem.from_params(
+            masses, rng.uniform(0.001, 0.05, size=50), rng.uniform(-0.05, 0.05, size=50)
+        )
+    cases = [
+        (com_canonical(system), lambda part: (x1(part.id), x2(part.id), p1(part.id), p2(part.id))),
+        (com_rep_direct(system, "minus"),
+         lambda part: build_representation(part.params, "branch", "minus", part.id).forms()),
+        (com_simple_direct(system),
+         lambda part: build_representation(part.params, "simple", None, part.id).forms()),
+    ]
+    for got, forms_for_particle in cases:
+        for g, w in zip(got, _chained_sum(system, forms_for_particle), strict=True):
+            assert form_equal(g, w, tol=0.0)
+            assert list(g.terms) == list(w.terms)

@@ -9,6 +9,7 @@ noncommutative structure enters.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +118,68 @@ def test_energy_conservation_long_run():
     h = build_hamiltonian("harmonic", rep, omega=0.7)
     traj = evolve(h, [1.0, -0.5, 0.25, 0.75], t_end=100.0, dt=0.05)
     assert energy_drift(h, traj) < 1e-10
+
+
+# --- batched energies ----------------------------------------------------------------
+
+ENERGY_CASES = [
+    (kind, family, branch, mass)
+    for kind in ("free", "uniform_gravity", "harmonic")
+    for family, branch in (("branch", "minus"), ("simple", None))
+    for mass in (0.1, 1.0, 7.0)
+]
+
+
+def _sampled_states(kind, family, branch, mass):
+    extra = {"uniform_gravity": {"g": 9.8}, "harmonic": {"omega": 0.7}}.get(kind, {})
+    rep = build_representation(NCParams(0.3, 0.2, mass=mass), family, branch)
+    h = build_hamiltonian(kind, rep, **extra)
+    traj = evolve(h, [1.0, -0.5, 0.25, 0.75], t_end=20.0, dt=0.02)
+    return h, traj.canonical_states[::50]
+
+
+def _exact_energy(h, z) -> Fraction:
+    zf = [Fraction(v) for v in z]
+    quad = sum(Fraction(h.quad[i, j]) * zf[i] * zf[j] for i in range(4) for j in range(4))
+    return quad / 2 + sum(Fraction(h.linear[i]) * zf[i] for i in range(4)) + Fraction(h.const)
+
+
+@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
+def test_energies_match_exact_rational_evaluation(kind, family, branch, mass):
+    h, states = _sampled_states(kind, family, branch, mass)
+    got = h.energies(states)
+    eps = np.finfo(float).eps
+    for z, e in zip(states, got):
+        a = np.abs(z)
+        magnitude = 0.5 * a @ np.abs(h.quad) @ a + np.abs(h.linear) @ a + abs(h.const)
+        assert abs(Fraction(float(e)) - _exact_energy(h, z)) <= Fraction(8 * eps * magnitude)
+
+
+@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
+def test_value_is_the_one_row_energies(kind, family, branch, mass):
+    h, states = _sampled_states(kind, family, branch, mass)
+    for z in states:
+        assert h.value(z) == h.energies(z[None])[0]
+
+
+@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
+def test_evolve_is_bitwise_the_plain_recurrence(kind, family, branch, mass):
+    from scipy.linalg import expm
+
+    h, _ = _sampled_states(kind, family, branch, mass)
+    z0, t_end, dt = [0.3, -1.25, 2.0, 0.5], 40.0, 0.02
+    traj = evolve(h, z0, t_end, dt)
+    A, b = h.drift()
+    aug = np.zeros((5, 5))
+    aug[:4, :4] = A * dt
+    aug[:4, 4] = b * dt
+    prop = expm(aug)
+    E, f = prop[:4, :4], prop[:4, 4]
+    ref = np.empty((2001, 4))
+    ref[0] = z0
+    for k in range(2000):
+        ref[k + 1] = E @ ref[k] + f
+    assert traj.canonical_states.tobytes() == ref.tobytes()
 
 
 def test_step_validation():

@@ -47,6 +47,8 @@ from .representation import (
 TOOL = "ncphase"
 DEFAULT_SEED = 20260814
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "p1", "p2", "X1", "X2", "P1", "P2")
+#: Largest `verify --random` batch: at about 0.2 ms a draw, under half a minute.
+MAX_RANDOM = 10**5
 #: Options holding a comma list, which a config file may give as a JSON array.
 _LIST_OPTIONS = ("masses", "thetas", "etas", "limit_scales", "limit_tols")
 
@@ -374,6 +376,8 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
         n = int(cfg["random"])
         if n <= 0:
             raise ConfigError(f"--random must be a positive batch size, got {n}")
+        if n > MAX_RANDOM:
+            raise ConfigError(f"--random asks for {n} draws, more than the cap of {MAX_RANDOM}")
         seed = _seed()
         meta["seed"] = seed
         batch = random_param_batch(n, seed)

@@ -150,8 +150,8 @@ class Trajectory:
     """Sampled states and noncommutative observables at uniform times."""
 
     times: np.ndarray
-    canonical_states: np.ndarray  # shape (n, 4), columns x1 x2 p1 p2
-    nc_observables: np.ndarray  # shape (n, 4), columns X1 X2 P1 P2
+    canonical_states: np.ndarray  # shape (n, 4) or (m, n, 4), columns x1 x2 p1 p2
+    nc_observables: np.ndarray  # shape (n, 4) or (m, n, 4), columns X1 X2 P1 P2
 
     def __len__(self) -> int:
         return len(self.times)
@@ -177,17 +177,36 @@ def _step_count(t_end: float, dt: float) -> int:
     return int(n)
 
 
-def evolve(h: QuadraticHamiltonian, initial: Sequence[float], t_end: float, dt: float) -> Trajectory:
+def evolve(
+    h: QuadraticHamiltonian | Sequence[QuadraticHamiltonian],
+    initial: Sequence[float],
+    t_end: float,
+    dt: float,
+) -> Trajectory:
     """Propagate with the exact one-step exponential of the affine drift.
+
+    ``h`` is one Hamiltonian with a (4,) initial state, or a sequence of m
+    Hamiltonians with an (m, 4) array of initial states, one row each; then
+    the state and observable arrays of the trajectory have a leading axis of
+    length m, and ``times`` is shared.  All m systems advance in one step
+    loop.
 
     The drift is time-independent, so a single exponential of the augmented
     5x5 matrix is reused for every step.  The trajectory covers t = 0 to
     n*dt where n*dt is t_end (or the first multiple of dt past it when
     t_end is not a multiple).
     """
+    single = isinstance(h, QuadraticHamiltonian)
+    hs = [h] if single else list(h)
     z0 = np.asarray(initial, dtype=float)
-    if z0.shape != (4,):
-        raise ConfigError(f"initial state must have 4 components (x1, x2, p1, p2), got shape {z0.shape}")
+    if not hs:
+        raise ConfigError("evolve needs at least one Hamiltonian")
+    shape = (4,) if single else (len(hs), 4)
+    if z0.shape != shape:
+        raise ConfigError(
+            f"initial state must have shape {shape}, one (x1, x2, p1, p2) row per "
+            f"Hamiltonian, got shape {z0.shape}"
+        )
     if not np.isfinite(z0).all():
         raise ConfigError(f"initial state must be finite, got {z0.tolist()}")
     n = _step_count(t_end, dt)
@@ -195,28 +214,49 @@ def evolve(h: QuadraticHamiltonian, initial: Sequence[float], t_end: float, dt: 
     # the rest of the package, and only integration needs it.
     from scipy.linalg import expm
 
-    A, b = h.drift()
-    aug = np.zeros((5, 5))
-    aug[:4, :4] = A * dt
-    aug[:4, 4] = b * dt
-    prop = expm(aug)
-    E, f = prop[:4, :4], prop[:4, 4]
+    m = len(hs)
+    # The top four rows [E | f] of each exponential; its last row is e5 only
+    # up to rounding, so it is dropped rather than multiplied through.
+    props = np.empty((m, 4, 5))
+    # A finite drift can still overflow expm or the states (omega = 1e100):
+    # numpy stays silent and the finiteness checks raise ConfigError instead
+    # of returning nan rows.
+    with np.errstate(all="ignore"):
+        for prop, hi in zip(props, hs):
+            A, b = hi.drift()
+            aug = np.zeros((5, 5))
+            aug[:4, :4] = A * dt
+            aug[:4, 4] = b * dt
+            prop[:] = expm(aug)[:4]
+        if not np.isfinite(props).all():
+            raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
 
-    # states[k + 1] = E @ states[k] + f, written in place: the same
-    # arithmetic without two temporaries per step.  zip yields the row views
-    # one at a time, so no list of n views is held.
-    states = np.empty((n + 1, 4))
-    states[0] = z0
-    for prev, row in zip(states, states[1:]):
-        np.matmul(E, prev, out=row)
-        row += f
+        # Each state carries a constant 1 in a fifth slot that no step
+        # writes, so one product [E | f] @ (s, 1) is the whole affine step
+        # E @ s + f, summed in the same order.  zip yields the row views one
+        # at a time, so no list of n views is held; a positional out parses
+        # faster than out=.
+        states = np.empty((n + 1, m, 5, 1))
+        states[:, :, 4] = 1.0
+        states[0, :, :4, 0] = z0
+        matmul = np.matmul
+        for prev, row in zip(states, states[1:, :, :4]):
+            matmul(props, prev, row)
+        if not np.isfinite(states[-1]).all():
+            raise ConfigError(f"the trajectory overflows before t = {n * dt}")
+
+    # One contiguous (n + 1, 4) block per system.
+    canonical = np.ascontiguousarray(states[:, :, :4, 0].transpose(1, 0, 2))
+    del states
+    coeffs = np.stack(
+        [[_form_vector(f_, hi.rep.particle_id) for f_ in hi.rep.forms()] for hi in hs]
+    )
+    offsets = np.array([[f_.constant for f_ in hi.rep.forms()] for hi in hs])
+    observables = canonical @ coeffs.transpose(0, 2, 1) + offsets[:, None, :]
     times = np.arange(n + 1) * dt
-
-    pid = h.rep.particle_id
-    coeff_matrix = np.stack([_form_vector(f_, pid) for f_ in h.rep.forms()])
-    offsets = np.array([f_.constant for f_ in h.rep.forms()])
-    observables = states @ coeff_matrix.T + offsets
-    return Trajectory(times=times, canonical_states=states, nc_observables=observables)
+    if single:
+        return Trajectory(times=times, canonical_states=canonical[0], nc_observables=observables[0])
+    return Trajectory(times=times, canonical_states=canonical, nc_observables=observables)
 
 
 def energy_drift(h: QuadraticHamiltonian, traj: Trajectory) -> float:
@@ -268,13 +308,17 @@ def wep_trajectories(
     t_end: float,
     dt: float,
 ) -> list[tuple[QuadraticHamiltonian, Trajectory]]:
-    """Evolve identical noncommutative initial data under uniform gravity."""
-    out = []
-    for rep in reps:
-        h = build_hamiltonian("uniform_gravity", rep, g=g)
-        z0 = nc_initial_state(h, nc_data)
-        out.append((h, evolve(h, z0, t_end, dt)))
-    return out
+    """Evolve identical noncommutative initial data under uniform gravity.
+
+    All masses are stepped together in one :func:`evolve` call; each pair
+    holds its mass's Hamiltonian and its own slice of that trajectory.
+    """
+    hs = [build_hamiltonian("uniform_gravity", rep, g=g) for rep in reps]
+    traj = evolve(hs, [nc_initial_state(h, nc_data) for h in hs], t_end, dt)
+    return [
+        (h, Trajectory(traj.times, traj.canonical_states[i], traj.nc_observables[i]))
+        for i, h in enumerate(hs)
+    ]
 
 
 def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -> float:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import ncphase
 from ncphase import NCParams, build_hamiltonian, build_representation, evolve
-from ncphase.cli import build_parser, main
+from ncphase.cli import MAX_RANDOM, build_parser, main
 
 REPORT_KEYS = {"tool", "version", "command", "config", "checks", "overall", "meta", "kind"}
 CHECK_KEYS = {"name", "expected", "measured", "tol", "pass"}
@@ -403,6 +403,14 @@ def test_console_script_entry_point():
           "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--g", "1e308",
           "--mass", "10", "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
+        # finite Hamiltonians whose one-step propagator overflows
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "harmonic", "--omega", "1e100",
+          "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--g", "1e300",
+          "--p1", "1e10", "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
+        # a finite propagator whose trajectory overflows
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--p1", "1e307", "--t-end", "100",
+          "--dt", "1"], "ConfigError"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -420,6 +428,23 @@ def test_runaway_step_count_exits_2(capsys):
     assert rc == 2
     assert data["error"]["type"] == "StepError"
     assert "1000000000000 steps" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("flag,config", [(["--random", "1000000000"], None), ([], {"random": 1e308})])
+def test_random_batch_over_the_cap_exits_2_before_drawing(capsys, monkeypatch, tmp_path, flag, config):
+    def no_draws(n, seed):
+        raise AssertionError(f"drew a batch of {n}")
+
+    monkeypatch.setattr(ncphase.cli, "random_param_batch", no_draws)
+    argv = ["verify", "--theta", "0.5", "--eta", "0.5", *flag]
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "run.json")]
+    rc, data = run_json(capsys, *argv)
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    count = flag[1] if flag else str(int(1e308))
+    assert f"{count} draws, more than the cap of {MAX_RANDOM}" in data["error"]["message"]
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):

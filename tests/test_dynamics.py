@@ -182,6 +182,81 @@ def test_evolve_is_bitwise_the_plain_recurrence(kind, family, branch, mass):
     assert traj.canonical_states.tobytes() == ref.tobytes()
 
 
+# --- several systems in one step loop -------------------------------------------------
+
+
+#: (kind, family, branch, mass) of the stacked systems.  The heavy mass under
+#: gravity has an expm whose last row is not exactly (0, 0, 0, 0, 1).
+STACKED_SYSTEMS = [
+    ("uniform_gravity", "simple", None, 20.0),
+    ("harmonic", "branch", "minus", 0.1),
+    ("uniform_gravity", "branch", "minus", 7.0),
+    ("free", "simple", None, 1.0),
+    ("harmonic", "simple", None, 2.5),
+]
+
+
+def _mixed_hamiltonians(m):
+    return [
+        build_hamiltonian(kind, build_representation(NCParams(0.3, 0.2, mass=mass), family, branch),
+                          g=9.8, omega=0.7)
+        for kind, family, branch, mass in STACKED_SYSTEMS[:m]
+    ]
+
+
+def _plain_recurrence(h, z0, n, dt):
+    from scipy.linalg import expm
+
+    A, b = h.drift()
+    aug = np.zeros((5, 5))
+    aug[:4, :4] = A * dt
+    aug[:4, 4] = b * dt
+    prop = expm(aug)
+    E, f = prop[:4, :4], prop[:4, 4]
+    ref = np.empty((n + 1, 4))
+    ref[0] = z0
+    for k in range(n):
+        ref[k + 1] = E @ ref[k] + f
+    return ref
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_stacked_evolve_is_bitwise_each_single_evolve(m):
+    hs = _mixed_hamiltonians(m)
+    z0 = np.array([[0.3, -1.25, 2.0, 0.5], [1.0, 0.0, -3.0, 0.25], [0.0, 2.0, 0.5, -1.0],
+                   [-0.5, 0.75, 4.0, 1.5], [2.0, -2.0, 0.0, 0.125]])[:m]
+    traj = evolve(hs, z0, 40.0, 0.02)
+    assert traj.times.shape == (2001,)
+    assert traj.canonical_states.shape == traj.nc_observables.shape == (m, 2001, 4)
+    for i, h in enumerate(hs):
+        one = evolve(h, z0[i], 40.0, 0.02)
+        assert traj.times.tobytes() == one.times.tobytes()
+        assert traj.canonical_states[i].tobytes() == one.canonical_states.tobytes()
+        assert traj.nc_observables[i].tobytes() == one.nc_observables.tobytes()
+        assert one.canonical_states.tobytes() == _plain_recurrence(h, z0[i], 2000, 0.02).tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_wep_trajectories_are_one_contiguous_block_per_mass(m):
+    c = MassConditions(gamma=0.05, alpha=0.05)
+    reps = [build_representation(params_from_conditions(c, 1.5**i), "simple") for i in range(m)]
+    runs = wep_trajectories(reps, (0.2, 0.1, 1.0, 0.0), g=1.0, t_end=0.5, dt=0.05)
+    assert [h.rep for h, _ in runs] == reps
+    for _, traj in runs:
+        assert len(traj) == 11
+        assert traj.canonical_states.shape == traj.nc_observables.shape == (11, 4)
+        assert traj.canonical_states.flags.c_contiguous
+
+
+def test_stacked_evolve_needs_one_initial_row_per_hamiltonian():
+    hs = _mixed_hamiltonians(3)
+    for bad in (np.zeros((2, 4)), np.zeros((4, 4)), np.zeros(4), np.zeros((3, 3)), np.zeros((1, 3, 4))):
+        with pytest.raises(ConfigError, match=r"shape \(3, 4\)"):
+            evolve(hs, bad, 1.0, 0.1)
+    with pytest.raises(ConfigError):
+        evolve([], np.zeros((0, 4)), 1.0, 0.1)
+
+
 def test_step_validation():
     h = build_hamiltonian("free", IDENTITY)
     with pytest.raises(StepError):
@@ -279,3 +354,13 @@ def test_wep_trajectories_share_initial_observables():
     assert np.allclose(first, [0.2, 0.1], atol=1e-12)
     assert np.allclose(second, [0.2, 0.1], atol=1e-12)
     assert coordinate_spread(runs) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_propagator_or_trajectory_rejected():
+    h = build_hamiltonian("harmonic", IDENTITY, omega=1e100)
+    with pytest.raises(ConfigError, match="propagator overflows"):
+        evolve(h, [1.0, 0.0, 0.0, 0.0], t_end=0.02, dt=0.01)
+    h = build_hamiltonian("free", IDENTITY)
+    with pytest.raises(ConfigError, match="trajectory overflows"):
+        evolve([h, h], [[0.0] * 4, [0.0, 0.0, 1e307, 0.0]], t_end=100.0, dt=1.0)

@@ -21,31 +21,46 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, DomainError
 
 #: Recognised canonical variable kinds: two coordinates and two momenta.
 KINDS = ("x1", "x2", "p1", "p2")
+_COMPONENT = {"x1": 1, "x2": 2, "p1": 1, "p2": 2}
+_PAIR_KINDS = {1: ("x1", "p1"), 2: ("x2", "p2")}
 
 
-@dataclass(frozen=True)
-class CanonicalVar:
-    """One canonical variable (coordinate or momentum component) of one particle."""
-
+class _VarFields(NamedTuple):
     particle_id: int
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown canonical variable kind {self.kind!r}; expected one of {KINDS}")
-        if self.particle_id < 0:
-            raise ConfigError(f"particle_id must be nonnegative, got {self.particle_id}")
+
+class CanonicalVar(_VarFields):
+    """One canonical variable (coordinate or momentum component) of one particle.
+
+    A validated ``(particle_id, kind)`` tuple: it hashes and compares in C,
+    and equals the plain tuple of its fields.  ``_make`` and ``_replace``
+    validate too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, particle_id: int, kind: str) -> "CanonicalVar":
+        if kind not in KINDS:
+            raise ConfigError(f"unknown canonical variable kind {kind!r}; expected one of {KINDS}")
+        if particle_id < 0:
+            raise ConfigError(f"particle_id must be nonnegative, got {particle_id}")
+        return super().__new__(cls, particle_id, kind)
+
+    @classmethod
+    def _make(cls, iterable) -> "CanonicalVar":
+        return cls(*iterable)
 
     @property
     def component(self) -> int:
         """Spatial component index, 1 or 2."""
-        return int(self.kind[1])
+        return _COMPONENT[self.kind]
 
     @property
     def is_coordinate(self) -> bool:
@@ -77,11 +92,23 @@ class LinearForm:
             for var, coeff in terms.items():
                 if not isinstance(var, CanonicalVar):
                     raise TypeError(f"term keys must be CanonicalVar, got {type(var).__name__}")
-                c = float(coeff)
-                if c != 0.0:
-                    clean[var] = c
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "constant", float(constant))
+                clean[var] = float(coeff)
+        self._fill(clean, float(constant))
+
+    @classmethod
+    def _trusted(cls, terms: Mapping[CanonicalVar, float], constant: float) -> "LinearForm":
+        """A form built without the key check; exact zeros are dropped.
+
+        The caller guarantees ``CanonicalVar`` keys and Python ``float``
+        values and constant, as arithmetic on existing forms does.
+        """
+        form = object.__new__(cls)
+        form._fill(terms, constant)
+        return form
+
+    def _fill(self, terms: Mapping[CanonicalVar, float], constant: float) -> None:
+        object.__setattr__(self, "_terms", {v: c for v, c in terms.items() if c != 0.0})
+        object.__setattr__(self, "constant", constant)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LinearForm is immutable")
@@ -104,15 +131,15 @@ class LinearForm:
             merged = dict(self._terms)
             for var, coeff in other._terms.items():
                 merged[var] = merged.get(var, 0.0) + coeff
-            return LinearForm(merged, self.constant + other.constant)
+            return LinearForm._trusted(merged, self.constant + other.constant)
         if isinstance(other, (int, float)):
-            return LinearForm(self._terms, self.constant + other)
+            return LinearForm._trusted(self._terms, float(self.constant + other))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LinearForm({v: -c for v, c in self._terms.items()}, -self.constant)
+        return LinearForm._trusted({v: -c for v, c in self._terms.items()}, -self.constant)
 
     def __sub__(self, other):
         if isinstance(other, (LinearForm, int, float)):
@@ -127,7 +154,7 @@ class LinearForm:
     def __mul__(self, scale):
         if isinstance(scale, (int, float)):
             s = float(scale)
-            return LinearForm({v: s * c for v, c in self._terms.items()}, s * self.constant)
+            return LinearForm._trusted({v: s * c for v, c in self._terms.items()}, s * self.constant)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -195,14 +222,16 @@ def commutator(a: LinearForm, b: LinearForm, hbar: float = 1.0) -> CommutatorRes
     if not 0 < hbar < math.inf:
         raise DomainError(f"hbar must be positive and finite, got {hbar}")
 
-    pairs = {(v.particle_id, v.component) for v in a._terms}
-    pairs |= {(v.particle_id, v.component) for v in b._terms}
+    ta, tb = a._terms, b._terms
+    pairs = {(pid, _COMPONENT[kind]) for pid, kind in ta}
+    pairs |= {(pid, _COMPONENT[kind]) for pid, kind in tb}
     products = []
     for pid, comp in pairs:
-        xv = CanonicalVar(pid, f"x{comp}")
-        pv = CanonicalVar(pid, f"p{comp}")
-        products.append(a.coefficient(xv) * b.coefficient(pv))
-        products.append(-(a.coefficient(pv) * b.coefficient(xv)))
+        xkind, pkind = _PAIR_KINDS[comp]
+        # Keys equal their plain tuples, so no CanonicalVar is built here.
+        xv, pv = (pid, xkind), (pid, pkind)
+        products.append(ta.get(xv, 0.0) * tb.get(pv, 0.0))
+        products.append(-(ta.get(pv, 0.0) * tb.get(xv, 0.0)))
     try:
         scalar = math.fsum(products)
     except (OverflowError, ValueError):
@@ -216,9 +245,10 @@ def form_distance(a: LinearForm, b: LinearForm) -> float:
     """Sup-norm distance between two forms over coefficients and constants."""
     if not isinstance(a, LinearForm) or not isinstance(b, LinearForm):
         raise TypeError("form_distance expects two LinearForm operands")
+    ta, tb = a._terms, b._terms
     dist = abs(a.constant - b.constant)
-    for var in a._terms.keys() | b._terms.keys():
-        dist = max(dist, abs(a.coefficient(var) - b.coefficient(var)))
+    for var in ta.keys() | tb.keys():
+        dist = max(dist, abs(ta.get(var, 0.0) - tb.get(var, 0.0)))
     return dist
 
 

@@ -26,7 +26,7 @@ import io
 import json
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from . import __version__
 from .composite import CompositeSystem, compare_com_reps, compare_com_simple, effective_params
@@ -52,8 +52,22 @@ MAX_RANDOM = 10**5
 #: Options holding a comma list, which a config file may give as a JSON array.
 _LIST_OPTIONS = ("masses", "thetas", "etas", "limit_scales", "limit_tols")
 
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like any other bad input: a JSON error and exit 2.
+
+    The usage text and the error line still go to stderr as argparse writes
+    them; subcommand parsers inherit the class.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=TOOL, description=__doc__.splitlines()[0])
+    parser = _Parser(prog=TOOL, description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -173,7 +187,7 @@ def _resolve_config(parser: argparse.ArgumentParser, command: str, argv: list[st
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8, a NUL in the path
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -269,7 +283,7 @@ def _emit_report(command: str, cfg: dict[str, Any], report: CheckReport, extra_m
     return 0 if report.overall else 1
 
 
-def _error_payload(command: str, exc: NCPhaseError) -> str:
+def _error_payload(command: str | None, exc: NCPhaseError) -> str:
     return json.dumps(
         {
             "tool": TOOL,
@@ -588,15 +602,16 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = None  # stays None in the report of a usage error
     try:
-        cfg = _resolve_config(parser, args.command, argv)
-        return _COMMANDS[args.command](cfg)
+        command = parser.parse_args(argv).command
+        cfg = _resolve_config(parser, command, argv)
+        return _COMMANDS[command](cfg)
     except SingularMapError as exc:
-        sys.stdout.write(_error_payload(args.command, exc) + "\n")
+        sys.stdout.write(_error_payload(command, exc) + "\n")
         return 1
     except NCPhaseError as exc:
-        sys.stdout.write(_error_payload(args.command, exc) + "\n")
+        sys.stdout.write(_error_payload(command, exc) + "\n")
         return 2
 
 

@@ -81,6 +81,10 @@ class CompositeSystem:
         hbars = {p.params.hbar for p in self.particles}
         if len(hbars) != 1:
             raise ConfigError(f"all particles must share one hbar, got {sorted(hbars)}")
+        try:
+            self.total_mass  # fsum raises rather than return inf
+        except OverflowError as exc:
+            raise DomainError("the total mass overflows the float range") from exc
 
     @property
     def hbar(self) -> float:
@@ -169,7 +173,10 @@ def effective_params(system: CompositeSystem) -> tuple[float, float]:
         M += fm
         num += fm * fm * Fraction(part.params.theta)
         eta_sum += Fraction(part.params.eta)
-    return float(num / (M * M)), float(eta_sum)
+    try:
+        return float(num / (M * M)), float(eta_sum)
+    except OverflowError as exc:  # only the eta sum can leave the float range
+        raise DomainError("eta_eff, the sum of the particles' eta, overflows the float range") from exc
 
 
 def com_params(system: CompositeSystem) -> NCParams:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import LinearForm, check_tolerance, commutator, form_distance, p1, p2, x1, x2
+from .algebra import KINDS, CanonicalVar, LinearForm, check_tolerance, commutator, form_distance, p1, p2, x1, x2
 from .errors import ConfigError, DegenerateError, DomainError
 from .reports import CheckRecord, CheckReport
 
@@ -169,6 +169,31 @@ def primed_params(p: NCParams, branch: str) -> tuple[float, float]:
     return (2.0 / p.eta) * (1.0 + s), (2.0 / p.theta) * (1.0 + s)
 
 
+def _shift_map(particle_id: int, prefactor: float, coord_shift: float, mom_shift: float) -> dict[str, LinearForm]:
+    """X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2), P2 = k*(p2 - m*x1).
+
+    k is the prefactor, c and m the coordinate and momentum shifts.  Each
+    coefficient and constant is rounded as that chained ``LinearForm``
+    expression rounds it: a zero shift drops its term before k scales it,
+    and the constant k*(0.0 + -(c*0.0)) is nan for an infinite shift.
+    """
+    k, c, m = float(prefactor), float(coord_shift), float(mom_shift)
+    x1v, x2v, p1v, p2v = (CanonicalVar(particle_id, kind) for kind in KINDS)
+
+    def form(own: CanonicalVar, partner: CanonicalVar, shift: float, zero: float) -> LinearForm:
+        terms = {own: k}
+        if shift != 0.0:
+            terms[partner] = k * (0.0 + shift)
+        return LinearForm._trusted(terms, k * (0.0 + zero))
+
+    return {
+        "X1": form(x1v, p2v, -c, -(c * 0.0)),
+        "X2": form(x2v, p1v, c, c * 0.0),
+        "P1": form(p1v, x2v, m, m * 0.0),
+        "P2": form(p2v, x1v, -m, -(m * 0.0)),
+    }
+
+
 def build_epsilon_rep(
     p: NCParams,
     theta_prime: float,
@@ -185,16 +210,12 @@ def build_epsilon_rep(
     eps^2*eta'.
     """
     eps = epsilon_factor(theta_prime, eta_prime)
-    i = particle_id
     return Representation(
-        X1=eps * (x1(i) - 0.5 * theta_prime * p2(i)),
-        X2=eps * (x2(i) + 0.5 * theta_prime * p1(i)),
-        P1=eps * (p1(i) + 0.5 * eta_prime * x2(i)),
-        P2=eps * (p2(i) - 0.5 * eta_prime * x1(i)),
+        **_shift_map(particle_id, eps, 0.5 * theta_prime, 0.5 * eta_prime),
         family="epsilon_general",
         params=p,
         branch=None,
-        particle_id=i,
+        particle_id=particle_id,
     )
 
 
@@ -217,7 +238,6 @@ def build_branch_rep(p: NCParams, branch: str, particle_id: int = 0) -> Represen
             f"theta*eta = {product} exceeds 1; sqrt(1 - theta*eta) is not real"
         )
     s = math.sqrt(1.0 - product)
-    i = particle_id
     if sign < 0:
         prefactor = math.sqrt((1.0 + s) / 2.0)
         coord_shift = p.theta / (1.0 + s)
@@ -239,14 +259,11 @@ def build_branch_rep(p: NCParams, branch: str, particle_id: int = 0) -> Represen
         coord_shift = (1.0 + s) / p.eta
         mom_shift = (1.0 + s) / p.theta
     return Representation(
-        X1=prefactor * (x1(i) - coord_shift * p2(i)),
-        X2=prefactor * (x2(i) + coord_shift * p1(i)),
-        P1=prefactor * (p1(i) + mom_shift * x2(i)),
-        P2=prefactor * (p2(i) - mom_shift * x1(i)),
+        **_shift_map(particle_id, prefactor, coord_shift, mom_shift),
         family="branch",
         params=p,
         branch=branch,
-        particle_id=i,
+        particle_id=particle_id,
     )
 
 
@@ -258,16 +275,12 @@ def build_simple_rep(p: NCParams, particle_id: int = 0) -> Representation:
     hbar_eff = hbar*(1 + theta*eta/4) instead of hbar.  No restriction on
     theta*eta.
     """
-    i = particle_id
     return Representation(
-        X1=x1(i) - 0.5 * p.theta * p2(i),
-        X2=x2(i) + 0.5 * p.theta * p1(i),
-        P1=p1(i) + 0.5 * p.eta * x2(i),
-        P2=p2(i) - 0.5 * p.eta * x1(i),
+        **_shift_map(particle_id, 1.0, 0.5 * p.theta, 0.5 * p.eta),
         family="simple",
         params=p,
         branch=None,
-        particle_id=i,
+        particle_id=particle_id,
     )
 
 

@@ -196,6 +196,17 @@ def test_variable_factories_agree():
         CanonicalVar(-1, "x1")
 
 
+def test_numpy_scalars_become_python_floats():
+    # A numpy scalar must not reach a coefficient: its repr differs in reports.
+    np = pytest.importorskip("numpy")
+    half = np.float64(0.5)
+    forms = [half * x1(), x1() * half, x1() + half, half + x1(), x1() - half, half - x1(), x1() / half,
+             -(x1() + half), LinearForm({CanonicalVar(0, "x1"): half}, half)]
+    for f in forms:
+        assert all(type(c) is float for c in f.terms.values())
+        assert type(f.constant) is float
+
+
 @given(linear_forms(), linear_forms(), linear_forms())
 def test_addition_associates_to_tolerance(a, b, c):
     assert form_equal((a + b) + c, a + (b + c), tol=1e-14 * 30.0)
@@ -247,3 +258,81 @@ def test_opposite_infinite_products_give_nan():
     a = LinearForm({CanonicalVar(0, "x1"): math.inf, CanonicalVar(0, "p1"): math.inf})
     b = x1() + p1()
     assert math.isnan(commutator(a, b).scalar)
+
+
+# --- canonical variables ---------------------------------------------------
+
+
+def test_canonical_var_validates_its_fields():
+    with pytest.raises(ConfigError, match="particle_id must be nonnegative"):
+        CanonicalVar(-1, "x1")
+    with pytest.raises(ConfigError, match="unknown canonical variable kind"):
+        CanonicalVar(0, "q1")
+    with pytest.raises(ConfigError, match="unknown canonical variable kind"):
+        CanonicalVar(particle_id=-1, kind="q1")  # the kind is checked first
+
+
+def test_canonical_var_accessors():
+    v = CanonicalVar(3, "p2")
+    assert (v.particle_id, v.kind) == (3, "p2")
+    assert v.component == 2
+    assert v.is_coordinate is False
+    assert v.conjugate == CanonicalVar(3, "x2")
+    assert type(v.conjugate) is CanonicalVar
+    assert CanonicalVar(0, "x1").is_coordinate is True
+    assert CanonicalVar(0, "x1").conjugate.kind == "p1"
+    assert str(v) == "p2[3]"
+
+
+def test_canonical_var_is_its_field_tuple():
+    # A key hashes and compares as its plain (particle_id, kind) tuple, so
+    # dict order and lookups match the tuple's.
+    v = CanonicalVar(3, "p2")
+    assert hash(v) == hash((3, "p2"))
+    assert v == (3, "p2")
+    assert {(3, "p2"): 1.0}[v] == 1.0
+    assert v != (3, "x2")
+
+
+def test_plain_tuple_keys_are_rejected():
+    with pytest.raises(TypeError, match="term keys must be CanonicalVar"):
+        LinearForm({(0, "x1"): 1.0})
+
+
+def test_tuple_api_validates_too():
+    v = CanonicalVar(3, "p2")
+    with pytest.raises(ConfigError):
+        v._replace(kind="q1")
+    with pytest.raises(ConfigError):
+        CanonicalVar._make((-2, "x1"))
+    w = v._replace(particle_id=1)
+    assert type(w) is CanonicalVar and w == CanonicalVar(1, "p2")
+
+
+# --- commutator edge semantics ---------------------------------------------
+
+
+def test_infinite_coefficient_against_a_missing_variable_gives_nan():
+    # The absent partner coefficient is 0.0, and inf * 0.0 is nan.
+    a = LinearForm({CanonicalVar(0, "x1"): math.inf})
+    assert math.isnan(commutator(a, x2()).scalar)
+    assert math.isnan(commutator(x2(), a).scalar)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (x1(), x2()),
+        (-x1(), x2()),
+        (p2(), -x1()),
+        (-x1(), -x1()),
+        (-x1(), p1(1)),
+        (-2.0 * x1() - p2(), x1() + p2() - p1(1)),
+        (LinearForm(), LinearForm()),
+        (LinearForm(constant=-3.0), -x1()),
+    ],
+)
+def test_all_zero_products_give_positive_zero(a, b):
+    for r in (commutator(a, b).scalar, commutator(b, a).scalar):
+        assert r == 0.0
+        assert math.copysign(1.0, r) == 1.0

@@ -411,6 +411,9 @@ def test_console_script_entry_point():
         # a finite propagator whose trajectory overflows
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--p1", "1e307", "--t-end", "100",
           "--dt", "1"], "ConfigError"),
+        # finite masses whose total, or etas whose sum, overflows
+        (["com", "--masses", "1e308,1e308", "--gamma", "0.3", "--alpha", "0.2"], "DomainError"),
+        (["com", "--masses", "1,2", "--thetas", "1,1", "--etas", "1e308,1e308"], "DomainError"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -445,6 +448,33 @@ def test_random_batch_over_the_cap_exits_2_before_drawing(capsys, monkeypatch, t
     assert data["error"]["type"] == "ConfigError"
     count = flag[1] if flag else str(int(1e308))
     assert f"{count} draws, more than the cap of {MAX_RANDOM}" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("name,content", [("missing.json", None), (".", None), ("nul\x00.json", None),
+                                          ("latin1.json", b'{"theta": "\xe9"}')])
+def test_unreadable_config_exits_2(capsys, monkeypatch, tmp_path, name, content):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
+    rc, data = run_json(capsys, "verify", "--theta", "0.5", "--eta", "0.5", "--config", name)
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--bogus"], ["verify", "--theta"], ["com", "--branch", "sideways"],
+     ["repr", "--theta", "0.5", "--eta", "0.5", "--nope"]],
+)
+def test_usage_error_exits_2_with_a_json_report(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "usage: ncphase" in captured.err
+    data = json.loads(captured.out)
+    assert data["command"] is None
+    assert data["error"]["type"] == "ConfigError"
+    assert data["error"]["message"].startswith("ncphase")
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
@@ -496,10 +526,14 @@ def test_config_null_for_an_option_without_a_default_is_unset(capsys, tmp_path):
     assert data["overall"] is True
 
 
-def _option_dests(command):
+def _command_actions(command):
     parser = build_parser()
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in commands.choices[command]._actions if a.dest != "help"}
+    return [a for a in commands.choices[command]._actions if a.dest != "help"]
+
+
+def _option_dests(command):
+    return {a.dest for a in _command_actions(command)}
 
 
 @pytest.mark.parametrize(
@@ -576,6 +610,51 @@ def test_config_fuzz_exits_0_1_or_2_with_parseable_output(capsys, monkeypatch, t
     assert "Traceback" not in captured.err
     to_file = isinstance(config.get("output"), str) and config["output"] != "" and rc != 2
     assert _parses(captured.out) or (to_file and captured.out == ""), captured.out
+
+
+def _base_argv(command):
+    argv = [command]
+    for key, value in FUZZ_BASES[command].items():
+        argv += ["--" + key.replace("_", "-"), ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    return argv
+
+
+# Flag values.  Digits other than 0 come only from the bounded numbers, so
+# no fuzzed --t-end, --dt, --random or --masses makes a long run; the
+# extremes below are refused by the step and batch caps before any work.
+_argv_values = (
+    st.integers(-3, 30).map(str)
+    | st.floats(-30.0, 30.0).map(lambda x: repr(round(x, 3)))
+    | st.text(alphabet="0.,-+e abfijlnsx=\x00", max_size=6)
+    | st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e308,1e308", "1,2", "0.5,0.25,2", "--"])
+)
+_unknown_flags = st.sampled_from(["--bogus", "-x", "--the", "--ma", "--theta=0.2", "-", "verify", "--help-me"])
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_argv_fuzz_exits_0_1_or_2_with_parseable_output(capsys, monkeypatch, tmp_path, command, data):
+    monkeypatch.chdir(tmp_path)  # a fuzzed --output or --config lands here
+    flags = sorted(flag for a in _command_actions(command) for flag in a.option_strings)
+    argv = _base_argv(command) if data.draw(st.booleans(), label="base") else [command]
+    extra = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(flags), _argv_values).map(list)
+            | st.tuples(_unknown_flags, _argv_values).map(list)
+            | st.sampled_from(flags).map(lambda flag: [flag]),
+            min_size=1,
+            max_size=4,
+        ),
+        label="extra",
+    )
+    argv += [token for group in extra for token in group]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in captured.err
+    to_file = "--output" in argv and rc != 2
+    assert _parses(captured.out) or (to_file and captured.out == ""), (argv, captured.out)
 
 
 # --- start-up --------------------------------------------------------------------

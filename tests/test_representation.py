@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncphase import (
     CanonicalVar,
@@ -460,3 +462,88 @@ def test_random_closure_spot_check():
         assert verify_nc_algebra(build_branch_rep(p, "minus")).overall
         if product > 0:
             assert verify_nc_algebra(build_branch_rep(p, "plus")).overall
+
+
+# --- builders against the operator expressions they replaced ----------------
+
+
+def _operator_forms(p, family, branch, i):
+    """The four forms as chained ``LinearForm`` operators: the builders' reference."""
+    if family == "simple":
+        return (
+            x1(i) - 0.5 * p.theta * p2(i),
+            x2(i) + 0.5 * p.theta * p1(i),
+            p1(i) + 0.5 * p.eta * x2(i),
+            p2(i) - 0.5 * p.eta * x1(i),
+        )
+    if family == "epsilon_general":
+        tp, ep = primed_params(p, branch)
+        return _scaled_shift_operators(i, epsilon_factor(tp, ep), 0.5 * tp, 0.5 * ep)
+    s = math.sqrt(1.0 - p.product)
+    if branch == "minus":
+        return _scaled_shift_operators(
+            i, math.sqrt((1.0 + s) / 2.0), p.theta / (1.0 + s), p.eta / (1.0 + s)
+        )
+    return _scaled_shift_operators(
+        i, math.sqrt(p.product / (2.0 * (1.0 + s))), (1.0 + s) / p.eta, (1.0 + s) / p.theta
+    )
+
+
+def _scaled_shift_operators(i, k, c, m):
+    return (
+        k * (x1(i) - c * p2(i)),
+        k * (x2(i) + c * p1(i)),
+        k * (p1(i) + m * x2(i)),
+        k * (p2(i) - m * x1(i)),
+    )
+
+
+def _bits(form):
+    """Key order, exact coefficients and constant (with the sign of zero), value types."""
+    return (
+        [(type(v), v, type(c), float.hex(c)) for v, c in form.terms.items()],
+        type(form.constant),
+        float.hex(form.constant),
+    )
+
+
+_nc_values = st.just(0.0) | st.just(-0.0) | st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=_nc_values, eta=_nc_values, particle_id=st.integers(0, 5), as_numpy=st.booleans())
+@example(theta=0.0, eta=0.0, particle_id=0, as_numpy=False)
+@example(theta=-0.0, eta=0.5, particle_id=5, as_numpy=True)
+@example(theta=1e300, eta=5e-324, particle_id=2, as_numpy=False)  # plus-branch shift overflows to inf
+def test_builders_match_their_operator_expressions_bit_for_bit(theta, eta, particle_id, as_numpy):
+    if as_numpy:
+        theta, eta = np.float64(theta), np.float64(eta)
+    p = NCParams(theta, eta)
+    for family, branch in [("branch", "minus"), ("branch", "plus"), ("simple", None),
+                           ("epsilon_general", "minus"), ("epsilon_general", "plus")]:
+        try:
+            rep = build_representation(p, family, branch, particle_id)
+        except (DomainError, DegenerateError):
+            continue
+        for got, want in zip(rep.forms(), _operator_forms(p, family, branch, particle_id)):
+            assert _bits(got) == _bits(want)
+            assert all(type(c) is float for c in got.terms.values())
+            assert type(got.constant) is float
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta_prime=st.floats(), eta_prime=st.floats(), particle_id=st.integers(0, 5))
+@example(theta_prime=math.inf, eta_prime=0.0, particle_id=0)  # nan scale, zero momentum shift
+@example(theta_prime=1e308, eta_prime=1e308, particle_id=1)  # zero scale, finite shifts
+def test_epsilon_builder_matches_its_operator_expression_for_any_auxiliary_pair(
+    theta_prime, eta_prime, particle_id
+):
+    try:
+        rep = build_epsilon_rep(NCParams(0.1, 0.2), theta_prime, eta_prime, particle_id)
+    except DomainError:
+        return
+    want = _scaled_shift_operators(
+        particle_id, epsilon_factor(theta_prime, eta_prime), 0.5 * theta_prime, 0.5 * eta_prime
+    )
+    for got, ref in zip(rep.forms(), want):
+        assert _bits(got) == _bits(ref)

@@ -24,12 +24,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Any, NoReturn, Sequence
 
 from . import __version__
-from .composite import CompositeSystem, compare_com_reps, compare_com_simple, effective_params
+from .composite import CompositeSystem, compare_com_reps, compare_com_simple
 from .errors import ConfigError, NCPhaseError, SingularMapError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -232,10 +233,6 @@ def _resolve_particle_params(cfg: dict[str, Any]) -> NCParams:
     raise ConfigError("need either --theta/--eta or --gamma/--alpha")
 
 
-def _config_echo(cfg: dict[str, Any]) -> dict[str, Any]:
-    return {k: v for k, v in cfg.items() if k != "config" or v is not None}
-
-
 def _emit(text: str, cfg: dict[str, Any]) -> None:
     output = cfg.get("output")
     if output:
@@ -271,29 +268,19 @@ def _emit_report(command: str, cfg: dict[str, Any], report: CheckReport, extra_m
     payload = report.to_dict()
     if extra_meta:
         payload["meta"].update(extra_meta)
-    payload.update(
-        {
-            "tool": TOOL,
-            "version": __version__,
-            "command": command,
-            "config": _config_echo(cfg),
-        }
-    )
-    _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
+    _emit(_envelope(command, cfg, **payload), cfg)
     return 0 if report.overall else 1
 
 
-def _error_payload(command: str | None, exc: NCPhaseError) -> str:
-    return json.dumps(
-        {
-            "tool": TOOL,
-            "version": __version__,
-            "command": command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        },
-        indent=2,
-        sort_keys=True,
-    )
+def _envelope(command: str | None, cfg: dict[str, Any] | None, **body: Any) -> str:
+    """JSON text of a report: tool, version, command, resolved config and the command's keys.
+
+    An error report passes no ``cfg`` and carries no config.
+    """
+    payload = {"tool": TOOL, "version": __version__, "command": command, **body}
+    if cfg is not None:
+        payload["config"] = {k: v for k, v in cfg.items() if k != "config" or v is not None}
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _seed() -> int:
@@ -347,6 +334,9 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
         key: None if cfg.get(key) is None else float(cfg[key])
         for key in ("expect_theta", "expect_eta", "expect_diag")
     }
+    for key, value in expect.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
     report = verify_nc_algebra(rep, **expect, tol=tol)
     checks = list(report.checks)
     meta = dict(report.meta)
@@ -355,25 +345,15 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
         measured = report.record("[X1,P1]").measured
         expected = effective_planck(p) / p.hbar
         checks.append(
-            CheckRecord(
-                name="planck.diag",
-                expected=expected,
-                measured=measured,
-                tol=tol,
-                passed=abs(measured - expected) <= tol,
-                detail="diagonal commutator against hbar_eff/hbar",
+            CheckRecord.within(
+                "planck.diag", expected, measured, tol, "diagonal commutator against hbar_eff/hbar"
             )
         )
     if family == "branch" and p.eta != 0.0 and p.theta / p.eta > 0.0 and p.product != 0.0:
-        residual = branch_transform_residual(p)
         checks.append(
-            CheckRecord(
-                name="transform.residual",
-                expected=0.0,
-                measured=residual,
-                tol=tol,
-                passed=residual <= tol,
-                detail="plus branch mapped onto minus branch",
+            CheckRecord.within(
+                "transform.residual", 0.0, branch_transform_residual(p), tol,
+                "plus branch mapped onto minus branch",
             )
         )
     if cfg.get("limit_scales") is not None:
@@ -404,23 +384,14 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
                 n_plus += 1
                 worst_plus = max(worst_plus, _table_error(build_representation(q, "branch", "plus")))
         checks.append(
-            CheckRecord(
-                name="random.closure.minus",
-                expected=0.0,
-                measured=worst_minus,
-                tol=tol,
-                passed=worst_minus <= tol,
-                detail=f"worst table error over {n} draws",
+            CheckRecord.within(
+                "random.closure.minus", 0.0, worst_minus, tol, f"worst table error over {n} draws"
             )
         )
         checks.append(
-            CheckRecord(
-                name="random.closure.plus",
-                expected=0.0,
-                measured=worst_plus,
-                tol=tol,
-                passed=worst_plus <= tol,
-                detail=f"worst table error over the {n_plus} positive-product draws",
+            CheckRecord.within(
+                "random.closure.plus", 0.0, worst_plus, tol,
+                f"worst table error over the {n_plus} positive-product draws",
             )
         )
     final = CheckReport(kind=report.kind, checks=tuple(checks), meta=meta)
@@ -447,17 +418,8 @@ def _cmd_repr(cfg: dict[str, Any]) -> int:
                 writer.writerow([name, "const", repr(constants[name])])
         _emit(buf.getvalue(), cfg)
         return 0
-    payload = {
-        "tool": TOOL,
-        "version": __version__,
-        "command": "repr",
-        "config": _config_echo(cfg),
-        "forms": forms,
-        "constants": constants,
-        "table": {c.name: c.measured for c in report.checks},
-        "overall": report.overall,
-    }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
+    table = {c.name: c.measured for c in report.checks}
+    _emit(_envelope("repr", cfg, forms=forms, constants=constants, table=table, overall=report.overall), cfg)
     return 0
 
 
@@ -500,13 +462,8 @@ def _cmd_com(cfg: dict[str, Any]) -> int:
             else c
             for c in checks
         )
-    theta_eff, eta_eff = effective_params(system)
-    extra = {
-        "conditions_used": conditioned,
-        "masses": masses,
-        "theta_eff": theta_eff,
-        "eta_eff": eta_eff,
-    }
+    # The comparison's meta already holds theta_eff and eta_eff.
+    extra = {"conditions_used": conditioned, "masses": masses}
     final = CheckReport(kind=report.kind, checks=checks, meta=report.meta)
     return _emit_report("com", cfg, final, extra_meta=extra)
 
@@ -526,16 +483,8 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
     traj = evolve(h, initial, float(cfg["t_end"]), float(cfg["dt"]))
     table = np.column_stack((traj.times, traj.canonical_states, traj.nc_observables))
     if cfg.get("format") == "json":
-        payload = {
-            "tool": TOOL,
-            "version": __version__,
-            "command": "simulate",
-            "config": _config_echo(cfg),
-            "columns": list(TRAJECTORY_COLUMNS),
-            "rows": table.tolist(),
-            "energy_drift": energy_drift(h, traj),
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
+        body = {"columns": list(TRAJECTORY_COLUMNS), "rows": table.tolist()}
+        _emit(_envelope("simulate", cfg, **body, energy_drift=energy_drift(h, traj)), cfg)
         return 0
     # One row at a time: float reprs never need CSV quoting, and a list of
     # the whole table would cost more memory than the text it becomes.
@@ -573,21 +522,15 @@ def _cmd_simulate_wep(cfg: dict[str, Any]) -> int:
         params, cfg["family"], cfg["branch"], float(cfg["g"]), nc_data,
         float(cfg["t_end"]), float(cfg["dt"]),
     )
-    payload = {
-        "tool": TOOL,
-        "version": __version__,
-        "command": "simulate",
-        "config": _config_echo(cfg),
-        "summary": {
-            "deviation_max": coordinate_spread(runs),
-            "conditions_used": conditioned,
-            "masses": masses,
-            "family": cfg["family"],
-            "branch": cfg["branch"],
-            "energy_drift_max": max(energy_drift(h, traj) for h, traj in runs),
-        },
+    summary = {
+        "deviation_max": coordinate_spread(runs),
+        "conditions_used": conditioned,
+        "masses": masses,
+        "family": cfg["family"],
+        "branch": cfg["branch"],
+        "energy_drift_max": max(energy_drift(h, traj) for h, traj in runs),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True), cfg)
+    _emit(_envelope("simulate", cfg, summary=summary), cfg)
     return 0
 
 
@@ -607,12 +550,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         command = parser.parse_args(argv).command
         cfg = _resolve_config(parser, command, argv)
         return _COMMANDS[command](cfg)
-    except SingularMapError as exc:
-        sys.stdout.write(_error_payload(command, exc) + "\n")
-        return 1
     except NCPhaseError as exc:
-        sys.stdout.write(_error_payload(command, exc) + "\n")
-        return 2
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        sys.stdout.write(_envelope(command, None, error=error) + "\n")
+        return 1 if isinstance(exc, SingularMapError) else 2
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from .representation import (
     MassConditions,
     NCParams,
     Representation,
-    branch_sign,
     build_branch_rep,
     build_representation,
     build_simple_rep,
@@ -190,26 +189,15 @@ def com_rep_algebraic(system: CompositeSystem, branch: str = "minus") -> Represe
     The resulting forms are expanded in the per-particle basis so they can
     be compared term-by-term with the direct route.
     """
-    p = com_params(system)
-    branch_sign(branch)
-    template = build_branch_rep(p, branch, particle_id=0)
-    return _substitute_com(template, system, p, "branch", branch)
+    return _substitute_com(build_branch_rep(com_params(system), branch), system)
 
 
 def com_simple_algebraic(system: CompositeSystem) -> Representation:
     """Simple (unscaled shift) construction applied to (xc, pc)."""
-    p = com_params(system)
-    template = build_simple_rep(p, particle_id=0)
-    return _substitute_com(template, system, p, "simple", None)
+    return _substitute_com(build_simple_rep(com_params(system)), system)
 
 
-def _substitute_com(
-    template: Representation,
-    system: CompositeSystem,
-    p: NCParams,
-    family: str,
-    branch: str | None,
-) -> Representation:
+def _substitute_com(template: Representation, system: CompositeSystem) -> Representation:
     # Rewrite a single-particle template over (x1[0]..p2[0]) in terms of the
     # centre-of-mass forms of the system.
     xc1, xc2, pc1, pc2 = com_canonical(system)
@@ -220,16 +208,7 @@ def _substitute_com(
         for var, coeff in form.terms.items():
             acc = acc + coeff * basis[var.kind]
         out.append(acc)
-    return Representation(
-        X1=out[0],
-        X2=out[1],
-        P1=out[2],
-        P2=out[3],
-        family=family,
-        params=p,
-        branch=branch,
-        particle_id=None,
-    )
+    return replace(template, **dict(zip(template.form_names(), out)), particle_id=None)
 
 
 def com_rep_direct(
@@ -240,7 +219,6 @@ def com_rep_direct(
     Every particle uses the same branch; mixing branches (or families)
     across particles is not representable here on purpose.
     """
-    branch_sign(branch)
     return _com_sum(
         system, lambda part: build_branch_rep(part.params, branch, particle_id=part.id).forms()
     )
@@ -261,18 +239,10 @@ def _compare_routes(
     direct: tuple[LinearForm, ...],
     tol: float,
 ) -> CheckReport:
-    checks = []
-    for name, alg_form, dir_form in zip(algebraic.form_names(), algebraic.forms(), direct):
-        dist = form_distance(alg_form, dir_form)
-        checks.append(
-            CheckRecord(
-                name=f"routes.{name}",
-                expected=0.0,
-                measured=dist,
-                tol=tol,
-                passed=dist <= tol,
-            )
-        )
+    checks = [
+        CheckRecord.within(f"routes.{name}", 0.0, form_distance(alg_form, dir_form), tol)
+        for name, alg_form, dir_form in zip(algebraic.form_names(), algebraic.forms(), direct)
+    ]
     # Both routes must reproduce their commutator tables regardless of
     # whether they agree with each other.  The routes only share a diagonal
     # for the simple family when every particle carries the same parameter

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import CanonicalVar, LinearForm
+from .algebra import KINDS, LinearForm
 from .errors import ConfigError, SingularMapError, StepError
 from .representation import (
     MassConditions,
@@ -38,9 +38,6 @@ from .representation import (
 )
 
 HAMILTONIAN_KINDS = ("free", "uniform_gravity", "harmonic")
-
-#: Canonical state ordering used throughout this module.
-STATE_ORDER = ("x1", "x2", "p1", "p2")
 
 #: Most steps one trajectory may take; more would allocate an unbounded table.
 MAX_STEPS = 10**6
@@ -63,7 +60,7 @@ def _form_vector(form: LinearForm, particle_id: int) -> np.ndarray:
                 f"dynamics needs single-particle forms; found variable {var} "
                 f"outside particle {particle_id}"
             )
-        vec[STATE_ORDER.index(var.kind)] = coeff
+        vec[KINDS.index(var.kind)] = coeff
     return vec
 
 

@@ -21,6 +21,11 @@ class CheckRecord:
     passed: bool
     detail: str = ""
 
+    @classmethod
+    def within(cls, name: str, expected: float, measured: float, tol: float, detail: str = "") -> "CheckRecord":
+        """A record that passes when ``|measured - expected| <= tol``; NaN never passes."""
+        return cls(name, expected, measured, tol, abs(measured - expected) <= tol, detail)
+
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {
             "name": self.name,

@@ -129,6 +129,17 @@ def branch_sign(branch: str) -> float:
     raise ConfigError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
 
 
+def _branch_root(p: NCParams, branch: str) -> tuple[float, float, float]:
+    """(sign, theta*eta, s = sqrt(1 - theta*eta)) shared by both branch constructions."""
+    sign = branch_sign(branch)
+    product = p.product
+    if product > 1.0:
+        raise DomainError(
+            f"theta*eta = {product} exceeds 1; sqrt(1 - theta*eta) is not real"
+        )
+    return sign, product, math.sqrt(1.0 - product)
+
+
 def epsilon_factor(theta_prime: float, eta_prime: float) -> float:
     """Overall scale eps = 1/sqrt(1 + theta'*eta'/4) of the scaled shift."""
     radicand = 1.0 + theta_prime * eta_prime / 4.0
@@ -153,16 +164,10 @@ def primed_params(p: NCParams, branch: str) -> tuple[float, float]:
     theta*eta, and extends continuously to theta*eta = 0.  The plus
     branch diverges there.
     """
-    sign = branch_sign(branch)
-    product = p.product
-    if product > 1.0:
-        raise DomainError(
-            f"theta*eta = {product} exceeds 1; sqrt(1 - theta*eta) is not real"
-        )
-    s = math.sqrt(1.0 - product)
+    sign, product, s = _branch_root(p, branch)
     if sign < 0:
         return 2.0 * p.theta / (1.0 + s), 2.0 * p.eta / (1.0 + s)
-    if p.theta == 0.0 or p.eta == 0.0:
+    if product == 0.0:  # theta or eta vanishes, or their product underflows
         raise DegenerateError(
             "plus-branch auxiliary parameters diverge when theta or eta vanishes"
         )
@@ -231,13 +236,7 @@ def build_branch_rep(p: NCParams, branch: str, particle_id: int = 0) -> Represen
     The plus branch has radicand (1 - s)/2, which vanishes at theta*eta = 0
     and turns negative for theta*eta < 0; both cases are rejected.
     """
-    sign = branch_sign(branch)
-    product = p.product
-    if product > 1.0:
-        raise DomainError(
-            f"theta*eta = {product} exceeds 1; sqrt(1 - theta*eta) is not real"
-        )
-    s = math.sqrt(1.0 - product)
+    sign, product, s = _branch_root(p, branch)
     if sign < 0:
         prefactor = math.sqrt((1.0 + s) / 2.0)
         coord_shift = p.theta / (1.0 + s)
@@ -272,9 +271,13 @@ def build_simple_rep(p: NCParams, particle_id: int = 0) -> Representation:
 
     X1 = x1 - theta/2 * p2, X2 = x2 + theta/2 * p1, P1 = p1 + eta/2 * x2,
     P2 = p2 - eta/2 * x1.  The diagonal commutators come out at
-    hbar_eff = hbar*(1 + theta*eta/4) instead of hbar.  No restriction on
-    theta*eta.
+    hbar_eff = hbar*(1 + theta*eta/4) instead of hbar.  Any finite
+    theta*eta is allowed; a product that overflows is rejected.
     """
+    if not math.isfinite(p.product):
+        raise DomainError(
+            f"theta*eta = {p.product} overflows; the diagonal 1 + theta*eta/4 is not finite"
+        )
     return Representation(
         **_shift_map(particle_id, 1.0, 0.5 * p.theta, 0.5 * p.eta),
         family="simple",
@@ -362,16 +365,7 @@ def verify_nc_algebra(
         "[X2,P1]": 0.0,
     }
     measured = _six_commutators(rep)
-    checks = tuple(
-        CheckRecord(
-            name=name,
-            expected=exp[name],
-            measured=measured[name],
-            tol=tol,
-            passed=abs(measured[name] - exp[name]) <= tol,
-        )
-        for name in measured
-    )
+    checks = tuple(CheckRecord.within(name, exp[name], measured[name], tol) for name in measured)
     meta = {
         "family": rep.family,
         "branch": rep.branch,
@@ -406,14 +400,8 @@ def branch_transform_duality(p: NCParams) -> dict[str, tuple[LinearForm, LinearF
             "no real scaling connects the branches for opposite-sign parameters"
         )
     minus = build_branch_rep(p, "minus")
-    plus = build_branch_rep(p, "plus")
-    ratio = math.copysign(math.sqrt(p.theta / p.eta), p.theta)
-    return {
-        "X1": (minus.X1, -ratio * plus.P2),
-        "X2": (minus.X2, ratio * plus.P1),
-        "P1": (minus.P1, (1.0 / ratio) * plus.X2),
-        "P2": (minus.P2, -(1.0 / ratio) * plus.X1),
-    }
+    mapped = _swap_map(build_branch_rep(p, "plus").forms(), p)
+    return {name: (m, t) for name, m, t in zip(minus.form_names(), minus.forms(), mapped)}
 
 
 def branch_transform_residual(p: NCParams) -> float:
@@ -428,18 +416,16 @@ def check_branch_transform(p: NCParams, tol: float = DEFAULT_TOL) -> bool:
     return branch_transform_residual(p) <= tol
 
 
-def _identity_rep_forms(particle_id: int) -> tuple[LinearForm, ...]:
-    i = particle_id
-    return (x1(i), x2(i), p1(i), p2(i))
+def _swap_map(forms: Sequence[LinearForm], p: NCParams) -> tuple[LinearForm, ...]:
+    """(X1, X2, P1, P2) -> (-r*P2, r*P1, X2/r, -X1/r), r = sign(theta)*sqrt(theta/eta).
 
-
-def _swap_map_forms(scale: float, particle_id: int) -> tuple[LinearForm, ...]:
-    # The commutative limit of the plus branch: coordinates become scaled
-    # momenta and vice versa.  The scale is sign(theta)*sqrt(theta/eta) so
-    # the target stays correct when both parameters are negative.
-    i = particle_id
-    r = scale
-    return (-r * p2(i), r * p1(i), (1.0 / r) * x2(i), -(1.0 / r) * x1(i))
+    The scale inherits the sign of theta so the map stays correct when both
+    parameters are negative.  Applied to the identity forms it gives the
+    commutative limit of the plus branch.
+    """
+    r = math.copysign(math.sqrt(p.theta / p.eta), p.theta)
+    X1, X2, P1, P2 = forms
+    return (-r * P2, r * P1, (1.0 / r) * X2, -(1.0 / r) * X1)
 
 
 def check_commutative_limit(
@@ -464,17 +450,14 @@ def check_commutative_limit(
         raise DomainError(
             f"commutative limit tracking needs theta0/eta0 > 0, got theta0 = {p0.theta}, eta0 = {p0.eta}"
         )
-    swap_scale = math.copysign(math.sqrt(p0.theta / p0.eta), p0.theta)
+    identity = (x1(), x2(), p1(), p2())
+    targets = {"minus": identity, "plus": _swap_map(identity, p0)}
     checks: list[CheckRecord] = []
     distances: dict[str, list[float | None]] = {"minus": [], "plus": []}
     for scale, tol in zip(scales, tols):
         p = NCParams(
             theta=scale * p0.theta, eta=scale * p0.eta, hbar=p0.hbar, mass=p0.mass
         )
-        targets = {
-            "minus": _identity_rep_forms(0),
-            "plus": _swap_map_forms(swap_scale, 0),
-        }
         for branch, target in targets.items():
             name = f"limit.{branch}.scale={scale:g}"
             try:
@@ -494,11 +477,7 @@ def check_commutative_limit(
                 continue
             dist = max(form_distance(f, t) for f, t in zip(rep.forms(), target))
             distances[branch].append(dist)
-            checks.append(
-                CheckRecord(
-                    name=name, expected=0.0, measured=dist, tol=tol, passed=dist <= tol
-                )
-            )
+            checks.append(CheckRecord.within(name, 0.0, dist, tol))
     for branch, seq in distances.items():
         clean = [d for d in seq if d is not None]
         monotone = all(b < a for a, b in zip(clean, clean[1:]))

@@ -414,6 +414,11 @@ def test_console_script_entry_point():
         # finite masses whose total, or etas whose sum, overflows
         (["com", "--masses", "1e308,1e308", "--gamma", "0.3", "--alpha", "0.2"], "DomainError"),
         (["com", "--masses", "1,2", "--thetas", "1,1", "--etas", "1e308,1e308"], "DomainError"),
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--expect-theta", "nan"], "ConfigError"),
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--expect-eta", "inf"], "ConfigError"),
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--expect-diag=-inf"], "ConfigError"),
+        # finite simple-family parameters whose product overflows
+        (["repr", "--theta", "1e200", "--eta", "1e200", "--family", "simple"], "DomainError"),
     ],
 )
 @pytest.mark.filterwarnings("error")

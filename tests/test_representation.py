@@ -122,6 +122,8 @@ def test_primed_params_plus_degenerate_at_zero():
         primed_params(NCParams(0.0, 0.5), "plus")
     with pytest.raises(DegenerateError):
         primed_params(NCParams(0.5, 0.0), "plus")
+    with pytest.raises(DegenerateError):
+        primed_params(NCParams(1e-310, 1e-310), "plus")
 
 
 def test_primed_params_minus_total_at_zero():
@@ -240,6 +242,14 @@ def test_simple_rep_unrestricted_product():
     # no theta*eta < 1 requirement for the unscaled shift
     rep = build_simple_rep(NCParams(3.0, 4.0))
     assert commutator(rep.X1, rep.X2).scalar == pytest.approx(3.0, abs=1e-12)
+
+
+def test_simple_rep_rejects_overflowing_product():
+    # each parameter is finite, but theta*eta and the diagonal 1 + theta*eta/4 are not
+    with pytest.raises(DomainError, match="overflows"):
+        build_simple_rep(NCParams(1e200, 1e200))
+    with pytest.raises(DomainError, match="overflows"):
+        build_representation(NCParams(-1e200, 1e200), "simple")
 
 
 def test_build_representation_dispatch():

@@ -122,10 +122,6 @@ class LinearForm:
         """Coefficient of ``var`` (0.0 when absent)."""
         return self._terms.get(var, 0.0)
 
-    @property
-    def particle_ids(self) -> frozenset[int]:
-        return frozenset(v.particle_id for v in self._terms)
-
     def __add__(self, other):
         if isinstance(other, LinearForm):
             merged = dict(self._terms)

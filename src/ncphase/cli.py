@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Any, NoReturn, Sequence
 
 from . import __version__
@@ -217,20 +218,30 @@ def _float_list(value: Any, what: str) -> list[float]:
         raise ConfigError(f"{what} contains a non-numeric entry: {value!r}") from exc
 
 
-def _resolve_particle_params(cfg: dict[str, Any]) -> NCParams:
+def _param_source(cfg: dict[str, Any], fixed: tuple[str, str] = ("theta", "eta")) -> MassConditions | None:
+    """The run's one parameter source: shared mass conditions, or None for the ``fixed`` pair.
+
+    Exactly one complete pair may be given.  A second source, even half a pair
+    beside a full one, is refused: ranking the two would drop one silently.
+    """
+    either = "--{}/--{} or --gamma/--alpha".format(*fixed)
+    given = [pair for pair in (fixed, ("gamma", "alpha")) if any(cfg.get(k) is not None for k in pair)]
+    if not given:
+        raise ConfigError(f"need either {either}")
+    if len(given) > 1:
+        raise ConfigError(f"give either {either}, not both")
+    ((a, b),) = given
+    if cfg.get(a) is None or cfg.get(b) is None:
+        raise ConfigError(f"--{a} and --{b} must be given together")
+    return MassConditions(gamma=float(cfg["gamma"]), alpha=float(cfg["alpha"])) if a == "gamma" else None
+
+
+def _particle_params(cfg: dict[str, Any], mass: float) -> NCParams:
+    conditions = _param_source(cfg)
     hbar = float(cfg["hbar"])
-    mass = float(cfg["mass"])
-    if cfg.get("theta") is not None or cfg.get("eta") is not None:
-        if cfg.get("theta") is None or cfg.get("eta") is None:
-            raise ConfigError("--theta and --eta must be given together")
-        return NCParams(theta=float(cfg["theta"]), eta=float(cfg["eta"]), hbar=hbar, mass=mass)
-    if cfg.get("gamma") is not None or cfg.get("alpha") is not None:
-        if cfg.get("gamma") is None or cfg.get("alpha") is None:
-            raise ConfigError("--gamma and --alpha must be given together")
-        return params_from_conditions(
-            MassConditions(gamma=float(cfg["gamma"]), alpha=float(cfg["alpha"])), mass, hbar
-        )
-    raise ConfigError("need either --theta/--eta or --gamma/--alpha")
+    if conditions is not None:
+        return params_from_conditions(conditions, mass, hbar)
+    return NCParams(theta=float(cfg["theta"]), eta=float(cfg["eta"]), hbar=hbar, mass=mass)
 
 
 def _emit(text: str, cfg: dict[str, Any]) -> None:
@@ -247,7 +258,7 @@ def _emit(text: str, cfg: dict[str, Any]) -> None:
             sys.stdout.write("\n")
 
 
-def _emit_report(command: str, cfg: dict[str, Any], report: CheckReport, extra_meta: dict | None = None) -> int:
+def _emit_report(command: str, cfg: dict[str, Any], report: CheckReport) -> int:
     if cfg.get("format") == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -265,10 +276,7 @@ def _emit_report(command: str, cfg: dict[str, Any], report: CheckReport, extra_m
             )
         _emit(buf.getvalue(), cfg)
         return 0 if report.overall else 1
-    payload = report.to_dict()
-    if extra_meta:
-        payload["meta"].update(extra_meta)
-    _emit(_envelope(command, cfg, **payload), cfg)
+    _emit(_envelope(command, cfg, **report.to_dict()), cfg)
     return 0 if report.overall else 1
 
 
@@ -325,7 +333,7 @@ def _table_error(rep) -> float:
 
 def _cmd_verify(cfg: dict[str, Any]) -> int:
     tol = float(cfg["tol"])
-    p = _resolve_particle_params(cfg)
+    p = _particle_params(cfg, float(cfg["mass"]))
     family = cfg["family"]
     branch = cfg["branch"]
     rep = build_representation(p, family, branch)
@@ -399,7 +407,7 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_repr(cfg: dict[str, Any]) -> int:
-    p = _resolve_particle_params(cfg)
+    p = _particle_params(cfg, float(cfg["mass"]))
     rep = build_representation(p, cfg["family"], cfg["branch"])
     report = verify_nc_algebra(rep, tol=float(cfg["tol"]))
     forms = {
@@ -427,45 +435,29 @@ def _cmd_com(cfg: dict[str, Any]) -> int:
     tol = float(cfg["tol"])
     hbar = float(cfg["hbar"])
     masses = _float_list(cfg.get("masses"), "--masses")
-    conditioned = cfg.get("gamma") is not None and cfg.get("alpha") is not None
-    if conditioned:
-        system = CompositeSystem.from_conditions(
-            MassConditions(gamma=float(cfg["gamma"]), alpha=float(cfg["alpha"])), masses, hbar
-        )
-    elif cfg.get("thetas") is not None or cfg.get("etas") is not None:
-        system = CompositeSystem.from_params(
-            masses,
-            _float_list(cfg.get("thetas"), "--thetas"),
-            _float_list(cfg.get("etas"), "--etas"),
-            hbar,
-        )
+    conditions = _param_source(cfg, ("thetas", "etas"))
+    if conditions is not None:
+        system = CompositeSystem.from_conditions(conditions, masses, hbar)
     else:
-        raise ConfigError("need either --gamma/--alpha or --thetas/--etas")
+        thetas = _float_list(cfg["thetas"], "--thetas")
+        system = CompositeSystem.from_params(masses, thetas, _float_list(cfg["etas"], "--etas"), hbar)
     if cfg["family"] == "simple":
         report = compare_com_simple(system, tol)
     else:
         report = compare_com_reps(system, cfg["branch"], tol)
     checks = report.checks
-    if not conditioned:
+    if conditions is None:
         # Without shared conditions there is no claim that the two routes
         # agree; their distances are data, not a failure.
         checks = tuple(
-            CheckRecord(
-                name=c.name,
-                expected=None,
-                measured=c.measured,
-                tol=c.tol,
-                passed=True,
-                detail="informational: no shared mass conditions",
-            )
+            replace(c, expected=None, passed=True, detail="informational: no shared mass conditions")
             if c.name.startswith("routes.")
             else c
             for c in checks
         )
     # The comparison's meta already holds theta_eff and eta_eff.
-    extra = {"conditions_used": conditioned, "masses": masses}
-    final = CheckReport(kind=report.kind, checks=checks, meta=report.meta)
-    return _emit_report("com", cfg, final, extra_meta=extra)
+    meta = {**report.meta, "conditions_used": conditions is not None, "masses": masses}
+    return _emit_report("com", cfg, CheckReport(kind=report.kind, checks=checks, meta=meta))
 
 
 def _cmd_simulate(cfg: dict[str, Any]) -> int:
@@ -475,7 +467,7 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
 
     from .dynamics import build_hamiltonian, energy_drift, evolve
 
-    p = _resolve_particle_params(cfg)
+    p = _particle_params(cfg, float(cfg["mass"]))
     rep = build_representation(p, cfg["family"], cfg["branch"])
     kind = {"gravity": "uniform_gravity"}.get(cfg["kind"], cfg["kind"])
     h = build_hamiltonian(kind, rep, g=float(cfg["g"]), omega=float(cfg["omega"]))
@@ -499,19 +491,9 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
 def _cmd_simulate_wep(cfg: dict[str, Any]) -> int:
     from .dynamics import coordinate_spread, energy_drift, wep_runs
 
-    hbar = float(cfg["hbar"])
     masses = _float_list(cfg.get("masses"), "--masses")
-    conditioned = cfg.get("gamma") is not None and cfg.get("alpha") is not None
-    if conditioned:
-        cond = MassConditions(gamma=float(cfg["gamma"]), alpha=float(cfg["alpha"]))
-        params = [params_from_conditions(cond, m, hbar) for m in masses]
-    elif cfg.get("theta") is not None and cfg.get("eta") is not None:
-        params = [
-            NCParams(theta=float(cfg["theta"]), eta=float(cfg["eta"]), hbar=hbar, mass=m)
-            for m in masses
-        ]
-    else:
-        raise ConfigError("--wep needs either --gamma/--alpha or --theta/--eta")
+    conditioned = _param_source(cfg) is not None
+    params = [_particle_params(cfg, m) for m in masses]
     nc_data = (
         float(cfg["nc_x1"]),
         float(cfg["nc_x2"]),

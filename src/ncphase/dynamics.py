@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import KINDS, LinearForm
+from .algebra import KINDS
 from .errors import ConfigError, SingularMapError, StepError
 from .representation import (
     MassConditions,
@@ -52,29 +52,20 @@ _J = np.array(
 )
 
 
-def _form_vector(form: LinearForm, particle_id: int) -> np.ndarray:
-    vec = np.zeros(4)
-    for var, coeff in form.terms.items():
-        if var.particle_id != particle_id:
-            raise ConfigError(
-                f"dynamics needs single-particle forms; found variable {var} "
-                f"outside particle {particle_id}"
-            )
-        vec[KINDS.index(var.kind)] = coeff
-    return vec
-
-
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H(z) = z.quad.z/2 + linear.z + const over (x1, x2, p1, p2)."""
+    """H(z) = z.quad.z/2 + linear.z + const over (x1, x2, p1, p2).
+
+    The rep's (X1, X2, P1, P2) at state z are ``observables @ z + offsets``.
+    """
 
     kind: str
     rep: Representation
     quad: np.ndarray
     linear: np.ndarray
     const: float
-    g: float = 0.0
-    omega: float = 0.0
+    observables: np.ndarray
+    offsets: tuple[float, float, float, float]
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         """H of every row of an (n, 4) array of states."""
@@ -112,24 +103,30 @@ def build_hamiltonian(
         raise ConfigError(f"g and omega must be finite, got g = {g}, omega = {omega}")
     mass = rep.params.mass
     pid = rep.particle_id
-    vecs = {name: _form_vector(f, pid) for name, f in zip(rep.form_names(), rep.forms())}
-    consts = {name: f.constant for name, f in zip(rep.form_names(), rep.forms())}
+    # The one read of the forms: a row per observable, a column per kind.
+    observables = np.zeros((4, 4))
+    for row, form in zip(observables, rep.forms()):
+        for var, coeff in form.terms.items():
+            if var.particle_id != pid:
+                raise ConfigError(
+                    f"dynamics needs single-particle forms; found variable {var} outside particle {pid}"
+                )
+            row[KINDS.index(var.kind)] = coeff
+    offsets = tuple(form.constant for form in rep.forms())
 
     quad = np.zeros((4, 4))
     linear = np.zeros(4)
     const = 0.0
-    for name in ("P1", "P2"):
-        r, c0 = vecs[name], consts[name]
+    for r, c0 in zip(observables[2:], offsets[2:]):  # P1, P2
         quad += np.outer(r, r) / mass
         linear += (c0 / mass) * r
         const += c0 * c0 / (2.0 * mass)
     if kind == "uniform_gravity":
-        r, c0 = vecs["X2"], consts["X2"]
+        r, c0 = observables[1], offsets[1]  # X2
         linear += mass * g * r
         const += mass * g * c0
     elif kind == "harmonic":
-        for name in ("X1", "X2"):
-            r, c0 = vecs[name], consts[name]
+        for r, c0 in zip(observables[:2], offsets[:2]):  # X1, X2
             quad += mass * omega * omega * np.outer(r, r)
             linear += mass * omega * omega * c0 * r
             const += 0.5 * mass * omega * omega * c0 * c0
@@ -138,7 +135,7 @@ def build_hamiltonian(
             f"the {kind} Hamiltonian overflows for mass = {mass}, g = {g}, omega = {omega}"
         )
     return QuadraticHamiltonian(
-        kind=kind, rep=rep, quad=quad, linear=linear, const=const, g=g, omega=omega
+        kind=kind, rep=rep, quad=quad, linear=linear, const=const, observables=observables, offsets=offsets
     )
 
 
@@ -245,10 +242,8 @@ def evolve(
     # One contiguous (n + 1, 4) block per system.
     canonical = np.ascontiguousarray(states[:, :, :4, 0].transpose(1, 0, 2))
     del states
-    coeffs = np.stack(
-        [[_form_vector(f_, hi.rep.particle_id) for f_ in hi.rep.forms()] for hi in hs]
-    )
-    offsets = np.array([[f_.constant for f_ in hi.rep.forms()] for hi in hs])
+    coeffs = np.stack([hi.observables for hi in hs])
+    offsets = np.array([hi.offsets for hi in hs])
     observables = canonical @ coeffs.transpose(0, 2, 1) + offsets[:, None, :]
     times = np.arange(n + 1) * dt
     if single:
@@ -276,15 +271,14 @@ def nc_initial_state(h: QuadraticHamiltonian, nc_data: Sequence[float]) -> np.nd
         )
     if not np.isfinite(vals).all():
         raise ConfigError(f"X1, X2, dX1/dt, dX2/dt must be finite, got {vals.tolist()}")
-    pid = h.rep.particle_id
-    r1 = _form_vector(h.rep.X1, pid)
-    r2 = _form_vector(h.rep.X2, pid)
+    r1, r2 = h.observables[:2]
     A, b = h.drift()
+    # Vector products, row by row: a (2, 4) matmul may sum in another order.
     m = np.stack([r1, r2, r1 @ A, r2 @ A])
     rhs = np.array(
         [
-            vals[0] - h.rep.X1.constant,
-            vals[1] - h.rep.X2.constant,
+            vals[0] - h.offsets[0],
+            vals[1] - h.offsets[1],
             vals[2] - r1 @ b,
             vals[3] - r2 @ b,
         ]

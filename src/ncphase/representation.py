@@ -179,10 +179,13 @@ def _shift_map(particle_id: int, prefactor: float, coord_shift: float, mom_shift
 
     k is the prefactor, c and m the coordinate and momentum shifts.  Each
     coefficient and constant is rounded as that chained ``LinearForm``
-    expression rounds it: a zero shift drops its term before k scales it,
-    and the constant k*(0.0 + -(c*0.0)) is nan for an infinite shift.
+    expression rounds it: a zero shift drops its term before k scales it.
+    Unless k, k*c and k*m are finite, and with them every constant, the map
+    is refused.
     """
     k, c, m = float(prefactor), float(coord_shift), float(mom_shift)
+    if not (-math.inf < k < math.inf and -math.inf < k * c < math.inf and -math.inf < k * m < math.inf):
+        raise DomainError(f"representation coefficients are not finite: k = {k}, k*c = {k * c}, k*m = {k * m}")
     x1v, x2v, p1v, p2v = (CanonicalVar(particle_id, kind) for kind in KINDS)
 
     def form(own: CanonicalVar, partner: CanonicalVar, shift: float, zero: float) -> LinearForm:
@@ -391,16 +394,12 @@ def branch_transform_duality(p: NCParams) -> dict[str, tuple[LinearForm, LinearF
     sign, because the plus-branch prefactor sqrt(theta*eta/(2(1-s))) stays
     positive while the minus-branch shift coefficients flip with theta.
 
-    Requires theta/eta > 0 (a real scale exists) and both branches, i.e.
-    0 < theta*eta <= 1.
+    Requires a finite scale (see :func:`_swap_scale`) and both branches,
+    i.e. 0 < theta*eta <= 1.
     """
-    if p.eta == 0.0 or p.theta / p.eta <= 0.0:
-        raise DomainError(
-            f"branch duality needs theta/eta > 0, got theta = {p.theta}, eta = {p.eta}; "
-            "no real scaling connects the branches for opposite-sign parameters"
-        )
+    r = _swap_scale(p)
     minus = build_branch_rep(p, "minus")
-    mapped = _swap_map(build_branch_rep(p, "plus").forms(), p)
+    mapped = _swap_map(build_branch_rep(p, "plus").forms(), r)
     return {name: (m, t) for name, m, t in zip(minus.form_names(), minus.forms(), mapped)}
 
 
@@ -416,14 +415,20 @@ def check_branch_transform(p: NCParams, tol: float = DEFAULT_TOL) -> bool:
     return branch_transform_residual(p) <= tol
 
 
-def _swap_map(forms: Sequence[LinearForm], p: NCParams) -> tuple[LinearForm, ...]:
-    """(X1, X2, P1, P2) -> (-r*P2, r*P1, X2/r, -X1/r), r = sign(theta)*sqrt(theta/eta).
+def _swap_scale(p: NCParams) -> float:
+    """r = sign(theta)*sqrt(theta/eta), the scale of the branch swap map.
 
-    The scale inherits the sign of theta so the map stays correct when both
-    parameters are negative.  Applied to the identity forms it gives the
-    commutative limit of the plus branch.
+    The sign keeps the map correct when both parameters are negative.  r and
+    1/r are finite exactly when 0 < theta/eta < inf; any other ratio is refused.
     """
-    r = math.copysign(math.sqrt(p.theta / p.eta), p.theta)
+    ratio = p.theta / p.eta if p.eta != 0.0 else 0.0
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"the branch swap map needs 0 < theta/eta < inf, got theta = {p.theta}, eta = {p.eta}")
+    return math.copysign(math.sqrt(ratio), p.theta)
+
+
+def _swap_map(forms: Sequence[LinearForm], r: float) -> tuple[LinearForm, ...]:
+    """(X1, X2, P1, P2) -> (-r*P2, r*P1, X2/r, -X1/r); on the identity, the plus branch's commutative limit."""
     X1, X2, P1, P2 = forms
     return (-r * P2, r * P1, (1.0 / r) * X2, -(1.0 / r) * X1)
 
@@ -446,12 +451,9 @@ def check_commutative_limit(
         )
     for tol in tols:
         check_tolerance(tol)
-    if p0.eta == 0.0 or p0.theta / p0.eta <= 0.0:
-        raise DomainError(
-            f"commutative limit tracking needs theta0/eta0 > 0, got theta0 = {p0.theta}, eta0 = {p0.eta}"
-        )
+    r = _swap_scale(p0)
     identity = (x1(), x2(), p1(), p2())
-    targets = {"minus": identity, "plus": _swap_map(identity, p0)}
+    targets = {"minus": identity, "plus": _swap_map(identity, r)}
     checks: list[CheckRecord] = []
     distances: dict[str, list[float | None]] = {"minus": [], "plus": []}
     for scale, tol in zip(scales, tols):

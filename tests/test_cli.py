@@ -159,6 +159,44 @@ def test_com_missing_parameter_source_exits_2(capsys):
     assert data["error"]["type"] == "ConfigError"
 
 
+_BOTH = ["--gamma", "0.3", "--alpha", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theta", "0.5", "--eta", "0.5", *_BOTH],
+        ["verify", "--theta", "0.5", "--eta", "0.5", "--gamma", "0.3"],
+        ["verify", "--theta", "0.5", *_BOTH],
+        ["repr", "--theta", "0.5", "--eta", "0.5", *_BOTH],
+        ["repr", "--eta", "0.5", *_BOTH],
+        ["simulate", "--theta", "0.1", "--eta", "0.1", *_BOTH, "--t-end", "0.1"],
+        ["simulate", "--theta", "0.1", "--eta", "0.1", "--alpha", "0.2", "--t-end", "0.1"],
+        ["simulate", "--wep", "--masses", "1,2", "--theta", "0.1", "--eta", "0.1", *_BOTH, "--t-end", "0.1"],
+        ["simulate", "--wep", "--masses", "1,2", "--theta", "0.1", "--eta", "0.1", "--gamma", "0.3",
+         "--t-end", "0.1"],
+        ["simulate", "--wep", "--masses", "1,2", "--theta", "0.1", *_BOTH, "--t-end", "0.1"],
+        ["com", "--masses", "1,2", "--thetas", "0.1,0.2", "--etas", "0.1,0.1", *_BOTH],
+        ["com", "--masses", "1,2", "--thetas", "0.1,0.2", "--etas", "0.1,0.1", "--gamma", "0.3"],
+        ["com", "--masses", "1,2", "--etas", "0.1,0.1", *_BOTH],
+    ],
+)
+def test_two_parameter_sources_exit_2(capsys, argv):
+    # Neither source wins: a run that names both is refused, never ranked.
+    rc, data = run_json(capsys, *argv)
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert "not both" in data["error"]["message"]
+
+
+def test_config_and_flags_giving_two_sources_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gamma": 0.3, "alpha": 0.2}))
+    rc, data = run_json(capsys, "verify", "--theta", "0.5", "--eta", "0.5", "--config", str(cfg))
+    assert rc == 2
+    assert "not both" in data["error"]["message"]
+
+
 # --- simulate ------------------------------------------------------------------
 
 
@@ -419,6 +457,17 @@ def test_console_script_entry_point():
         (["verify", "--theta", "0.5", "--eta", "0.5", "--expect-diag=-inf"], "ConfigError"),
         # finite simple-family parameters whose product overflows
         (["repr", "--theta", "1e200", "--eta", "1e200", "--family", "simple"], "DomainError"),
+        # finite parameters whose representation coefficients overflow
+        (["verify", "--theta", "1e200", "--eta=-1e200", "--family", "branch", "--branch", "minus"],
+         "DomainError"),
+        (["repr", "--theta", "1e200", "--eta=-1e200"], "DomainError"),
+        (["verify", "--theta", "5e-324", "--eta", "1", "--family", "epsilon_general", "--branch", "plus"],
+         "DomainError"),
+        (["verify", "--theta", "5e-324", "--eta", "1", "--family", "branch", "--branch", "plus"],
+         "DomainError"),
+        (["verify", "--theta", "0", "--eta", "1e308", "--family", "epsilon_general"], "DomainError"),
+        # finite parameters whose branch swap scale sqrt(theta/eta) overflows
+        (["verify", "--theta", "1e160", "--eta", "1e-160"], "DomainError"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -575,8 +624,7 @@ FUZZ_BASES = {
     "verify": {"theta": 0.5, "eta": 0.5, "limit_scales": "1e-2,1e-4", "random": 3},
     "repr": {"theta": 0.5, "eta": 0.5},
     "com": {"masses": [1, 2, 3], "gamma": 0.3, "alpha": 0.2},
-    "simulate": {"theta": 0.1, "eta": 0.1, "kind": "gravity", "t_end": 0.05, "dt": 0.01,
-                 "masses": "1,2", "gamma": 0.01, "alpha": 0.01},
+    "simulate": {"kind": "gravity", "t_end": 0.05, "dt": 0.01, "masses": "1,2", "gamma": 0.01, "alpha": 0.01},
 }
 _json_scalars = (
     st.none()
@@ -590,13 +638,38 @@ _json_values = _json_scalars | st.lists(_json_scalars, max_size=3) | st.dictiona
 )
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def _parses(out: str) -> bool:
     try:
-        json.loads(out)
+        json.loads(out, parse_constant=_no_constant)
         return True
     except ValueError:
         rows = list(csv.reader(io.StringIO(out)))
         return len(rows) > 1 and len({len(row) for row in rows}) == 1
+
+
+#: Zero, subnormal, tiny and huge parameters; their products and ratios
+#: underflow, overflow, or overflow the representation coefficients.
+_EDGE_VALUES = ("0", "5e-324", "1e-160", "1e160", "-1e200", "1e308")
+
+
+def test_edge_parameter_grid_prints_strict_json(capsys):
+    families = [["--family", family, "--branch", branch] for family, branch in
+                [("branch", "minus"), ("branch", "plus"), ("simple", "minus"),
+                 ("epsilon_general", "minus"), ("epsilon_general", "plus")]]
+    for theta in _EDGE_VALUES:
+        for eta in _EDGE_VALUES:
+            argvs = [[command, f"--theta={theta}", f"--eta={eta}", *family]
+                     for command in ("verify", "repr") for family in families]
+            argvs += [["com", "--masses", "1,2", f"--thetas={theta},{theta}", f"--etas={eta},{eta}",
+                       "--family", family] for family in ("branch", "simple")]
+            for argv in argvs:
+                rc, out = run_cli(capsys, *argv)
+                assert rc in (0, 1, 2), argv
+                json.loads(out, parse_constant=_no_constant)
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ_BASES))

@@ -58,19 +58,8 @@ class CanonicalVar(_VarFields):
         return cls(*iterable)
 
     @property
-    def component(self) -> int:
-        """Spatial component index, 1 or 2."""
-        return _COMPONENT[self.kind]
-
-    @property
     def is_coordinate(self) -> bool:
         return self.kind[0] == "x"
-
-    @property
-    def conjugate(self) -> "CanonicalVar":
-        """The canonically paired variable of the same particle and component."""
-        partner = ("p" if self.is_coordinate else "x") + self.kind[1]
-        return CanonicalVar(self.particle_id, partner)
 
     def __str__(self) -> str:
         return f"{self.kind}[{self.particle_id}]"

@@ -32,7 +32,7 @@ from typing import Any, NoReturn, Sequence
 
 from . import __version__
 from .composite import CompositeSystem, compare_com_reps, compare_com_simple
-from .errors import ConfigError, NCPhaseError, SingularMapError
+from .errors import ConfigError, DegenerateError, DomainError, NCPhaseError, SingularMapError
 from .reports import CheckRecord, CheckReport
 from .representation import (
     BRANCHES,
@@ -43,7 +43,9 @@ from .representation import (
     check_commutative_limit,
     effective_planck,
     params_from_conditions,
+    random_param_batch,
     verify_nc_algebra,
+    _swap_scale,
 )
 
 TOOL = "ncphase"
@@ -51,6 +53,9 @@ DEFAULT_SEED = 20260814
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "p1", "p2", "X1", "X2", "P1", "P2")
 #: Largest `verify --random` batch: at about 0.2 ms a draw, under half a minute.
 MAX_RANDOM = 10**5
+#: Options that only one ``simulate`` mode reads: a single trajectory, or ``--wep``.
+_TRAJECTORY_ONLY = ("mass", "kind", "omega", "x1", "x2", "p1", "p2")
+_WEP_ONLY = ("masses", "nc_x1", "nc_x2", "nc_v1", "nc_v2")
 #: Options holding a comma list, which a config file may give as a JSON array.
 _LIST_OPTIONS = ("masses", "thetas", "etas", "limit_scales", "limit_tols")
 
@@ -167,8 +172,10 @@ def _check_config_value(action: argparse.Action, key: str, value: Any) -> None:
         raise ConfigError(f"config key {key!r} needs an integer, got {value!r}")
 
 
-def _resolve_config(parser: argparse.ArgumentParser, command: str, argv: list[str]) -> dict[str, Any]:
-    """defaults <- config file <- explicit flags.
+def _resolve_config(
+    parser: argparse.ArgumentParser, command: str, argv: list[str]
+) -> tuple[dict[str, Any], set[str]]:
+    """defaults <- config file <- explicit flags, and the options a flag or config key gave.
 
     The options, their defaults and their types are those of the command's
     subparser.  Parsing the command's arguments again into a namespace
@@ -184,6 +191,7 @@ def _resolve_config(parser: argparse.ArgumentParser, command: str, argv: list[st
         argv[argv.index(command) + 1:], argparse.Namespace(**dict.fromkeys(actions, unset))
     )
     explicit = {dest: value for dest, value in vars(flags).items() if value is not unset}
+    given = {}
     path = explicit.get("config")
     if path:
         try:
@@ -198,9 +206,10 @@ def _resolve_config(parser: argparse.ArgumentParser, command: str, argv: list[st
             if norm not in actions:
                 raise ConfigError(f"config key {key!r} is not an option of `{command}`")
             _check_config_value(actions[norm], key, value)
-            resolved[norm] = value
-    resolved.update(explicit)
-    return resolved
+            given[norm] = value
+    given.update(explicit)
+    resolved.update(given)
+    return resolved, {dest for dest, value in given.items() if value is not None}
 
 
 def _float_list(value: Any, what: str) -> list[float]:
@@ -234,6 +243,20 @@ def _param_source(cfg: dict[str, Any], fixed: tuple[str, str] = ("theta", "eta")
     if cfg.get(a) is None or cfg.get(b) is None:
         raise ConfigError(f"--{a} and --{b} must be given together")
     return MassConditions(gamma=float(cfg["gamma"]), alpha=float(cfg["alpha"])) if a == "gamma" else None
+
+
+def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
+    """Refuse a given option that the run does not read, whether a flag or a config key gave it.
+
+    ``simulate --wep`` reads none of the single-trajectory options, plain
+    ``simulate`` none of the free-fall ones; running on would drop one silently.
+    """
+    if command != "simulate":
+        return
+    mode, unread = ("simulate --wep", _TRAJECTORY_ONLY) if cfg["wep"] else ("simulate", _WEP_ONLY)
+    for dest in unread:
+        if dest in given:
+            raise ConfigError(f"`{mode}` does not read --{dest.replace('_', '-')}")
 
 
 def _particle_params(cfg: dict[str, Any], mass: float) -> NCParams:
@@ -301,31 +324,6 @@ def _seed() -> int:
         raise ConfigError(f"NCPS_SEED must be an integer, got {raw!r}") from exc
 
 
-def random_param_batch(n: int, seed: int) -> list[NCParams]:
-    """n random parameter pairs with product in (-5, 1), never zero."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < n:
-        product = float(rng.uniform(-5.0, 1.0))
-        if product == 0.0:
-            continue
-        ratio = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        ta = np.sqrt(abs(product) * ratio)
-        ea = np.sqrt(abs(product) / ratio)
-        if product > 0:
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            theta, eta = sign * ta, sign * ea
-        else:
-            if rng.uniform() < 0.5:
-                theta, eta = ta, -ea
-            else:
-                theta, eta = -ta, ea
-        out.append(NCParams(theta=float(theta), eta=float(eta)))
-    return out
-
-
 def _table_error(rep) -> float:
     report = verify_nc_algebra(rep)
     return max(abs(c.measured - c.expected) for c in report.checks)
@@ -357,13 +355,18 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
                 "planck.diag", expected, measured, tol, "diagonal commutator against hbar_eff/hbar"
             )
         )
-    if family == "branch" and p.eta != 0.0 and p.theta / p.eta > 0.0 and p.product != 0.0:
-        checks.append(
-            CheckRecord.within(
+    if family == "branch" and _swap_scale(p, required=False) is not None:
+        try:
+            record = CheckRecord.within(
                 "transform.residual", 0.0, branch_transform_residual(p), tol,
                 "plus branch mapped onto minus branch",
             )
-        )
+        except (DomainError, DegenerateError) as exc:
+            # The swap map exists but the plus branch does not build.
+            record = CheckRecord(
+                "transform.residual", None, None, tol, True, f"skipped: {type(exc).__name__}: {exc}"
+            )
+        checks.append(record)
     if cfg.get("limit_scales") is not None:
         scales = _float_list(cfg["limit_scales"], "--limit-scales")
         tols = (
@@ -530,7 +533,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = None  # stays None in the report of a usage error
     try:
         command = parser.parse_args(argv).command
-        cfg = _resolve_config(parser, command, argv)
+        cfg, given = _resolve_config(parser, command, argv)
+        _refuse_unread(command, cfg, given)
         return _COMMANDS[command](cfg)
     except NCPhaseError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import CanonicalVar, LinearForm, form_distance, p1, p2, x1, x2
+from .algebra import KINDS, CanonicalVar, LinearForm, form_distance, p1, p2, x1, x2
 from .errors import ConfigError, DomainError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -128,11 +128,40 @@ class CompositeSystem:
 
 def com_canonical(system: CompositeSystem) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Mass-weighted coordinates and total momenta (xc1, xc2, pc1, pc2)."""
-    return _com_sum(system, lambda part: (x1(part.id), x2(part.id), p1(part.id), p2(part.id)))
+    return _expand_com((x1(), x2(), p1(), p2()), system)
+
+
+def _expand_com(template: Sequence[LinearForm], system: CompositeSystem) -> tuple[LinearForm, ...]:
+    """Rewrite forms over one particle's (x1, x2, p1, p2) in the per-particle basis.
+
+    Each coordinate kind spreads as sum_a (m_a/M) kind[a], each momentum kind
+    as sum_a kind[a].  Every coefficient is one product, coeff*(m_a/M) or
+    coeff*1.0, taken over the template's terms in order with the particles
+    inner, and exact zeros are dropped; the constant gains coeff*0.0 per
+    term.  That is bit for bit what chained ``acc + coeff * xc`` over the
+    mass-weighted sums xc computes, in the same term order.
+    """
+    M = system.total_mass
+    spread = {
+        kind: [(CanonicalVar(part.id, kind), part.mass / M if kind[0] == "x" else 1.0) for part in system.particles]
+        for kind in KINDS
+    }
+    out = []
+    for form in template:
+        terms = {}
+        constant = form.constant
+        for (_, kind), coeff in form.terms.items():
+            for key, w in spread[kind]:
+                scaled = coeff * w
+                if scaled != 0.0:
+                    terms[key] = scaled
+            constant += coeff * 0.0
+        out.append(LinearForm._trusted(terms, constant))
+    return tuple(out)
 
 
 def _com_sum(
-    system: CompositeSystem, forms_for_particle
+    system: CompositeSystem, rep_for_particle
 ) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Mass-weighted sum of each particle's two coordinate forms, plain sum of its momenta.
 
@@ -146,14 +175,14 @@ def _com_sum(
     constants = [0.0, 0.0, 0.0, 0.0]
     for part in system.particles:
         w = part.mass / M
-        for i, (form, scale) in enumerate(zip(forms_for_particle(part), (w, w, 1.0, 1.0))):
+        for i, (form, scale) in enumerate(zip(rep_for_particle(part).forms(), (w, w, 1.0, 1.0))):
             acc = terms[i]
             for var, coeff in form.terms.items():
                 scaled = scale * coeff
                 if scaled != 0.0:
                     acc[var] = acc.get(var, 0.0) + scaled
             constants[i] += scale * form.constant
-    return tuple(LinearForm(t, c) for t, c in zip(terms, constants))
+    return tuple(LinearForm._trusted(t, c) for t, c in zip(terms, constants))
 
 
 def effective_params(system: CompositeSystem) -> tuple[float, float]:
@@ -198,17 +227,9 @@ def com_simple_algebraic(system: CompositeSystem) -> Representation:
 
 
 def _substitute_com(template: Representation, system: CompositeSystem) -> Representation:
-    # Rewrite a single-particle template over (x1[0]..p2[0]) in terms of the
-    # centre-of-mass forms of the system.
-    xc1, xc2, pc1, pc2 = com_canonical(system)
-    basis = {"x1": xc1, "x2": xc2, "p1": pc1, "p2": pc2}
-    out = []
-    for form in template.forms():
-        acc = LinearForm(constant=form.constant)
-        for var, coeff in form.terms.items():
-            acc = acc + coeff * basis[var.kind]
-        out.append(acc)
-    return replace(template, **dict(zip(template.form_names(), out)), particle_id=None)
+    """A single-particle template rewritten over the centre-of-mass pair (xc, pc)."""
+    forms = _expand_com(template.forms(), system)
+    return replace(template, **dict(zip(template.form_names(), forms)), particle_id=None)
 
 
 def com_rep_direct(
@@ -219,18 +240,14 @@ def com_rep_direct(
     Every particle uses the same branch; mixing branches (or families)
     across particles is not representable here on purpose.
     """
-    return _com_sum(
-        system, lambda part: build_branch_rep(part.params, branch, particle_id=part.id).forms()
-    )
+    return _com_sum(system, lambda part: build_branch_rep(part.params, branch, particle_id=part.id))
 
 
 def com_simple_direct(
     system: CompositeSystem,
 ) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Direct route through per-particle simple representations."""
-    return _com_sum(
-        system, lambda part: build_simple_rep(part.params, particle_id=part.id).forms()
-    )
+    return _com_sum(system, lambda part: build_simple_rep(part.params, particle_id=part.id))
 
 
 def _compare_routes(

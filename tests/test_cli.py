@@ -62,6 +62,29 @@ def test_verify_domain_error_exits_2(capsys):
     assert "theta*eta" in data["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "theta,eta,error",
+    [("5e-324", "1", "DomainError"), ("1e-200", "1e-200", "DegenerateError")],
+)
+def test_verify_records_an_unbuildable_duality_as_skipped(capsys, theta, eta, error):
+    # The swap map exists (theta/eta > 0) and the minus branch builds, but
+    # the plus branch does not: a non-finite coefficient, an underflowing
+    # product.  The duality check is skipped, not the whole run refused.
+    rc, data = run_json(capsys, "verify", f"--theta={theta}", f"--eta={eta}")
+    assert rc == 0
+    assert data["overall"] is True
+    rec = next(c for c in data["checks"] if c["name"] == "transform.residual")
+    assert (rec["expected"], rec["measured"], rec["pass"]) == (None, None, True)
+    assert rec["detail"].startswith(f"skipped: {error}: ")
+
+
+@pytest.mark.parametrize("theta,eta", [("0.5", "-0.5"), ("0", "0.5"), ("0.5", "0")])
+def test_verify_without_a_swap_map_has_no_duality_check(capsys, theta, eta):
+    rc, data = run_json(capsys, "verify", f"--theta={theta}", f"--eta={eta}")
+    assert rc == 0
+    assert "transform.residual" not in {c["name"] for c in data["checks"]}
+
+
 def test_verify_failed_expectation_exits_1(capsys):
     rc, data = run_json(
         capsys, "verify", "--family", "simple", "--theta", "0.5", "--eta", "0.5",
@@ -297,6 +320,51 @@ def test_simulate_singular_map_exits_1(capsys):
     )
     assert rc == 1
     assert data["error"]["type"] == "SingularMapError"
+
+
+_WEP = ["simulate", "--wep", "--masses", "1,2", "--gamma", "0.01", "--alpha", "0.01", "--t-end", "0.1"]
+_TRAJECTORY = ["simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [(_WEP + [flag, value], flag) for flag, value in
+     [("--mass", "5"), ("--mass", "1"), ("--kind", "free"), ("--omega", "2"),
+      ("--x1", "1"), ("--x2", "0"), ("--p1", "1"), ("--p2", "1")]]
+    + [(_TRAJECTORY + [flag, value], flag) for flag, value in
+       [("--masses", "1,2"), ("--nc-x1", "1"), ("--nc-x2", "0"), ("--nc-v1", "7"), ("--nc-v2", "1")]],
+)
+def test_simulate_refuses_the_other_modes_options(capsys, argv, option):
+    # Each mode ignores the other's options; given one, even at its default,
+    # the run is refused rather than silently dropping it.
+    rc, data = run_json(capsys, *argv)
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert data["error"]["message"].endswith(f"does not read {option}")
+
+
+@pytest.mark.parametrize(
+    "argv,config,option",
+    [(_WEP, {"mass": 5}, "--mass"), (_WEP, {"kind": "gravity"}, "--kind"),
+     (_TRAJECTORY, {"masses": [1, 2]}, "--masses"), (_TRAJECTORY, {"nc-v1": 7}, "--nc-v1")],
+)
+def test_simulate_refuses_the_other_modes_config_keys(capsys, tmp_path, argv, config, option):
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    rc, data = run_json(capsys, *argv, "--config", str(tmp_path / "run.json"))
+    assert rc == 2
+    assert data["error"]["message"].endswith(f"does not read {option}")
+
+
+def test_simulate_mode_rule_ignores_defaults_and_nulls(capsys, tmp_path):
+    # A default is not a given option, and neither is a config null.
+    (tmp_path / "run.json").write_text(json.dumps({"masses": None}))
+    rc, _ = run_cli(capsys, *_TRAJECTORY, "--config", str(tmp_path / "run.json"))
+    assert rc == 0
+    (tmp_path / "wep.json").write_text(json.dumps({"wep": True, "masses": [1, 2]}))
+    rc, data = run_json(capsys, "simulate", "--gamma", "0.01", "--alpha", "0.01", "--t-end", "0.1",
+                        "--config", str(tmp_path / "wep.json"))
+    assert rc == 0
+    assert data["summary"]["masses"] == [1.0, 2.0]
 
 
 def test_simulate_wep_single_mass_exits_2(capsys):
@@ -624,7 +692,7 @@ FUZZ_BASES = {
     "verify": {"theta": 0.5, "eta": 0.5, "limit_scales": "1e-2,1e-4", "random": 3},
     "repr": {"theta": 0.5, "eta": 0.5},
     "com": {"masses": [1, 2, 3], "gamma": 0.3, "alpha": 0.2},
-    "simulate": {"kind": "gravity", "t_end": 0.05, "dt": 0.01, "masses": "1,2", "gamma": 0.01, "alpha": 0.01},
+    "simulate": {"kind": "gravity", "t_end": 0.05, "dt": 0.01, "gamma": 0.01, "alpha": 0.01},
 }
 _json_scalars = (
     st.none()

@@ -21,6 +21,7 @@ from ncphase import (
     com_canonical,
     com_rep_algebraic,
     com_rep_direct,
+    com_simple_algebraic,
     com_simple_direct,
     commutator,
     compare_com_reps,
@@ -34,6 +35,7 @@ from ncphase import (
     x1,
     x2,
 )
+from ncphase.composite import com_params
 
 SEED = int(os.environ.get("NCPS_SEED", "20260814"))
 
@@ -328,6 +330,24 @@ def _chained_sum(system, forms_for_particle):
     return acc
 
 
+def _canonical_forms(part):
+    return (x1(part.id), x2(part.id), p1(part.id), p2(part.id))
+
+
+def _chained_substitution(system, family, branch):
+    # The two-pass reference for an algebraic route: the chained sums give
+    # (xc, pc), then one LinearForm + per term of the single-particle template.
+    template = build_representation(com_params(system), family, branch)
+    basis = dict(zip(("x1", "x2", "p1", "p2"), _chained_sum(system, _canonical_forms)))
+    out = []
+    for form in template.forms():
+        acc = LinearForm(constant=form.constant)
+        for var, coeff in form.terms.items():
+            acc = acc + coeff * basis[var.kind]
+        out.append(acc)
+    return out
+
+
 @pytest.mark.parametrize("is_conditioned", [True, False])
 def test_one_pass_sums_equal_chained_form_addition(is_conditioned):
     rng = np.random.default_rng(SEED)
@@ -339,13 +359,18 @@ def test_one_pass_sums_equal_chained_form_addition(is_conditioned):
             masses, rng.uniform(0.001, 0.05, size=50), rng.uniform(-0.05, 0.05, size=50)
         )
     cases = [
-        (com_canonical(system), lambda part: (x1(part.id), x2(part.id), p1(part.id), p2(part.id))),
-        (com_rep_direct(system, "minus"),
-         lambda part: build_representation(part.params, "branch", "minus", part.id).forms()),
-        (com_simple_direct(system),
-         lambda part: build_representation(part.params, "simple", None, part.id).forms()),
+        (com_canonical(system), _chained_sum(system, _canonical_forms)),
+        (com_rep_direct(system, "minus"), _chained_sum(
+            system, lambda part: build_representation(part.params, "branch", "minus", part.id).forms())),
+        (com_simple_direct(system), _chained_sum(
+            system, lambda part: build_representation(part.params, "simple", None, part.id).forms())),
+        (com_rep_algebraic(system, "minus").forms(), _chained_substitution(system, "branch", "minus")),
+        (com_simple_algebraic(system).forms(), _chained_substitution(system, "simple", None)),
     ]
-    for got, forms_for_particle in cases:
-        for g, w in zip(got, _chained_sum(system, forms_for_particle), strict=True):
+    theta_eff, eta_eff = effective_params(system)
+    if theta_eff * eta_eff > 0.0:
+        cases.append((com_rep_algebraic(system, "plus").forms(), _chained_substitution(system, "branch", "plus")))
+    for got, want in cases:
+        for g, w in zip(got, want, strict=True):
             assert form_equal(g, w, tol=0.0)
             assert list(g.terms) == list(w.terms)

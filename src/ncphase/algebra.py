@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 #: Recognised canonical variable kinds: two coordinates and two momenta.
 KINDS = ("x1", "x2", "p1", "p2")
@@ -183,13 +183,12 @@ def p2(particle_id: int = 0) -> LinearForm:
 
 @dataclass(frozen=True)
 class CommutatorResult:
-    """The scalar ``c`` in ``[A, B] = i*hbar*c`` together with the hbar used."""
+    """The scalar ``c`` in ``[A, B] = i*hbar*c``."""
 
     scalar: float
-    hbar: float
 
 
-def commutator(a: LinearForm, b: LinearForm, hbar: float = 1.0) -> CommutatorResult:
+def commutator(a: LinearForm, b: LinearForm) -> CommutatorResult:
     """Commutator of two linear forms under the canonical algebra.
 
     Returns the real scalar ``c`` with ``[A, B] = i*hbar*c``.  The result is
@@ -204,8 +203,6 @@ def commutator(a: LinearForm, b: LinearForm, hbar: float = 1.0) -> CommutatorRes
     """
     if not isinstance(a, LinearForm) or not isinstance(b, LinearForm):
         raise TypeError("commutator expects two LinearForm operands; nested commutators are scalars and cannot be commuted again")
-    if not 0 < hbar < math.inf:
-        raise DomainError(f"hbar must be positive and finite, got {hbar}")
 
     ta, tb = a._terms, b._terms
     pairs = {(pid, _COMPONENT[kind]) for pid, kind in ta}
@@ -223,7 +220,7 @@ def commutator(a: LinearForm, b: LinearForm, hbar: float = 1.0) -> CommutatorRes
         # fsum raises on inf - inf and on partial sums beyond the float
         # range; the plain sum gives nan or inf there instead.
         scalar = sum(products)
-    return CommutatorResult(scalar=scalar, hbar=float(hbar))
+    return CommutatorResult(scalar=scalar)
 
 
 def form_distance(a: LinearForm, b: LinearForm) -> float:

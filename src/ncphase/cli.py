@@ -215,15 +215,13 @@ def _resolve_config(
 def _float_list(value: Any, what: str) -> list[float]:
     if value is None:
         raise ConfigError(f"missing {what}")
-    if isinstance(value, str):
-        items = [s for s in value.split(",") if s.strip() != ""]
-    elif isinstance(value, (list, tuple)):
-        items = list(value)
-    else:
-        raise ConfigError(f"{what} must be a comma list or JSON array, got {value!r}")
+    # A flag gives a comma list; a config file a string or a JSON array.
+    items = [s for s in value.split(",") if s.strip() != ""] if isinstance(value, str) else value
     try:
+        if any(isinstance(s, bool) for s in items):
+            raise TypeError("a JSON boolean is not a number")
         return [float(s) for s in items]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} contains a non-numeric entry: {value!r}") from exc
 
 
@@ -281,25 +279,25 @@ def _emit(text: str, cfg: dict[str, Any]) -> None:
             sys.stdout.write("\n")
 
 
+def _csv_table(header: Sequence[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _emit_report(command: str, cfg: dict[str, Any], report: CheckReport) -> int:
     if cfg.get("format") == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "expected", "measured", "tol", "pass", "detail"])
-        for c in sorted(report.checks, key=lambda c: c.name):
-            writer.writerow(
-                [
-                    c.name,
-                    "" if c.expected is None else repr(c.expected),
-                    "" if c.measured is None else repr(c.measured),
-                    repr(c.tol),
-                    str(c.passed).lower(),
-                    c.detail,
-                ]
-            )
-        _emit(buf.getvalue(), cfg)
-        return 0 if report.overall else 1
-    _emit(_envelope(command, cfg, **report.to_dict()), cfg)
+        rows = (
+            (c.name, "" if c.expected is None else repr(c.expected), "" if c.measured is None else repr(c.measured),
+             repr(c.tol), str(c.passed).lower(), c.detail)
+            for c in sorted(report.checks, key=lambda c: c.name)
+        )
+        text = _csv_table(("name", "expected", "measured", "tol", "pass", "detail"), rows)
+    else:
+        text = _envelope(command, cfg, **report.to_dict())
+    _emit(text, cfg)
     return 0 if report.overall else 1
 
 
@@ -419,15 +417,12 @@ def _cmd_repr(cfg: dict[str, Any]) -> int:
     }
     constants = {name: form.constant for name, form in zip(rep.form_names(), rep.forms())}
     if cfg.get("format") == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["form", "term", "coefficient"])
+        rows = []
         for name in rep.form_names():
-            for term, coeff in sorted(forms[name].items()):
-                writer.writerow([name, term, repr(coeff)])
+            rows += [(name, term, repr(coeff)) for term, coeff in sorted(forms[name].items())]
             if constants[name] != 0.0:
-                writer.writerow([name, "const", repr(constants[name])])
-        _emit(buf.getvalue(), cfg)
+                rows.append((name, "const", repr(constants[name])))
+        _emit(_csv_table(("form", "term", "coefficient"), rows), cfg)
         return 0
     table = {c.name: c.measured for c in report.checks}
     _emit(_envelope("repr", cfg, forms=forms, constants=constants, table=table, overall=report.overall), cfg)
@@ -532,14 +527,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     command = None  # stays None in the report of a usage error
     try:
-        command = parser.parse_args(argv).command
-        cfg, given = _resolve_config(parser, command, argv)
-        _refuse_unread(command, cfg, given)
-        return _COMMANDS[command](cfg)
-    except NCPhaseError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        sys.stdout.write(_envelope(command, None, error=error) + "\n")
-        return 1 if isinstance(exc, SingularMapError) else 2
+        try:
+            command = parser.parse_args(argv).command
+            cfg, given = _resolve_config(parser, command, argv)
+            _refuse_unread(command, cfg, given)
+            return _COMMANDS[command](cfg)
+        except NCPhaseError as exc:
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            sys.stdout.write(_envelope(command, None, error=error) + "\n")
+            return 1 if isinstance(exc, SingularMapError) else 2
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout and the report is lost: exit 2, as for an
+        # unwritable --output.  With the descriptor on devnull, the
+        # interpreter's own flush at exit stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

@@ -161,26 +161,26 @@ def _expand_com(template: Sequence[LinearForm], system: CompositeSystem) -> tupl
 
 
 def _com_sum(
-    system: CompositeSystem, rep_for_particle
+    system: CompositeSystem, family: str, branch: str | None = None
 ) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Mass-weighted sum of each particle's two coordinate forms, plain sum of its momenta.
 
-    One pass into four running coefficient dicts, linear in N, where chained
-    ``acc = acc + w * form`` copies a growing dict per particle.  Terms and
-    constants are added in that sum's order and zero products dropped as it
-    drops them, so every coefficient is bit-identical to it.
+    One pass into four coefficient dicts, linear in N, where chained
+    ``acc = acc + w * form`` copies a growing dict per particle.  Particle ids
+    are unique and each particle's forms hold only its own variables, so each
+    coefficient is written once; exact zeros are dropped and constants added
+    in that sum's order, so every coefficient is bit-identical to it.
     """
     M = system.total_mass
     terms = ({}, {}, {}, {})
     constants = [0.0, 0.0, 0.0, 0.0]
     for part in system.particles:
         w = part.mass / M
-        for i, (form, scale) in enumerate(zip(rep_for_particle(part).forms(), (w, w, 1.0, 1.0))):
+        rep = build_representation(part.params, family, branch, part.id)
+        for i, (form, scale) in enumerate(zip(rep.forms(), (w, w, 1.0, 1.0))):
             acc = terms[i]
             for var, coeff in form.terms.items():
-                scaled = scale * coeff
-                if scaled != 0.0:
-                    acc[var] = acc.get(var, 0.0) + scaled
+                acc[var] = scale * coeff
             constants[i] += scale * form.constant
     return tuple(LinearForm._trusted(t, c) for t, c in zip(terms, constants))
 
@@ -240,14 +240,14 @@ def com_rep_direct(
     Every particle uses the same branch; mixing branches (or families)
     across particles is not representable here on purpose.
     """
-    return _com_sum(system, lambda part: build_branch_rep(part.params, branch, particle_id=part.id))
+    return _com_sum(system, "branch", branch)
 
 
 def com_simple_direct(
     system: CompositeSystem,
 ) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Direct route through per-particle simple representations."""
-    return _com_sum(system, lambda part: build_simple_rep(part.params, particle_id=part.id))
+    return _com_sum(system, "simple")
 
 
 def _compare_routes(

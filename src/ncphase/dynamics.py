@@ -97,8 +97,6 @@ def build_hamiltonian(
     """
     if kind not in HAMILTONIAN_KINDS:
         raise ConfigError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
-    if rep.particle_id is None:
-        raise ConfigError("dynamics expects a single-particle representation")
     if not (math.isfinite(g) and math.isfinite(omega)):
         raise ConfigError(f"g and omega must be finite, got g = {g}, omega = {omega}")
     mass = rep.params.mass

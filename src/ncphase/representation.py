@@ -146,23 +146,16 @@ class Representation:
         return (self.params.theta, self.params.eta, diag)
 
 
-def branch_sign(branch: str) -> float:
-    if branch == "plus":
-        return 1.0
-    if branch == "minus":
-        return -1.0
-    raise ConfigError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-
-
-def _branch_root(p: NCParams, branch: str) -> tuple[float, float, float]:
-    """(sign, theta*eta, s = sqrt(1 - theta*eta)) shared by both branch constructions."""
-    sign = branch_sign(branch)
+def _branch_root(p: NCParams, branch: str) -> tuple[bool, float, float]:
+    """(minus, theta*eta, s = sqrt(1 - theta*eta)) shared by both branch constructions."""
+    if branch not in BRANCHES:
+        raise ConfigError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
     product = p.product
     if product > 1.0:
         raise DomainError(
             f"theta*eta = {product} exceeds 1; sqrt(1 - theta*eta) is not real"
         )
-    return sign, product, math.sqrt(1.0 - product)
+    return branch == "minus", product, math.sqrt(1.0 - product)
 
 
 def epsilon_factor(theta_prime: float, eta_prime: float) -> float:
@@ -189,8 +182,8 @@ def primed_params(p: NCParams, branch: str) -> tuple[float, float]:
     theta*eta, and extends continuously to theta*eta = 0.  The plus
     branch diverges there.
     """
-    sign, product, s = _branch_root(p, branch)
-    if sign < 0:
+    minus, product, s = _branch_root(p, branch)
+    if minus:
         return 2.0 * p.theta / (1.0 + s), 2.0 * p.eta / (1.0 + s)
     if product == 0.0:  # theta or eta vanishes, or their product underflows
         raise DegenerateError(
@@ -264,8 +257,8 @@ def build_branch_rep(p: NCParams, branch: str, particle_id: int = 0) -> Represen
     The plus branch has radicand (1 - s)/2, which vanishes at theta*eta = 0
     and turns negative for theta*eta < 0; both cases are rejected.
     """
-    sign, product, s = _branch_root(p, branch)
-    if sign < 0:
+    minus, product, s = _branch_root(p, branch)
+    if minus:
         prefactor = math.sqrt((1.0 + s) / 2.0)
         coord_shift = p.theta / (1.0 + s)
         mom_shift = p.eta / (1.0 + s)
@@ -357,15 +350,14 @@ def params_from_conditions(c: MassConditions, mass: float, hbar: float = 1.0) ->
 
 
 def _six_commutators(rep: Representation) -> dict[str, float]:
-    hbar = rep.params.hbar
     X1f, X2f, P1f, P2f = rep.forms()
     return {
-        "[X1,X2]": commutator(X1f, X2f, hbar).scalar,
-        "[P1,P2]": commutator(P1f, P2f, hbar).scalar,
-        "[X1,P1]": commutator(X1f, P1f, hbar).scalar,
-        "[X2,P2]": commutator(X2f, P2f, hbar).scalar,
-        "[X1,P2]": commutator(X1f, P2f, hbar).scalar,
-        "[X2,P1]": commutator(X2f, P1f, hbar).scalar,
+        "[X1,X2]": commutator(X1f, X2f).scalar,
+        "[P1,P2]": commutator(P1f, P2f).scalar,
+        "[X1,P1]": commutator(X1f, P1f).scalar,
+        "[X2,P2]": commutator(X2f, P2f).scalar,
+        "[X1,P2]": commutator(X1f, P2f).scalar,
+        "[X2,P1]": commutator(X2f, P1f).scalar,
     }
 
 
@@ -445,14 +437,14 @@ def _swap_scale(p: NCParams, required: bool = True) -> float | None:
 
     The sign keeps the map correct when both parameters are negative.  r and
     1/r are finite exactly when 0 < theta/eta < inf; any other ratio is
-    refused, except that with ``required=False`` a ratio that is not
-    positive (the parameters differ in sign, or one vanishes) gives None:
-    such parameters have no swap map.
+    refused, or with ``required=False`` gives None: the parameters differ in
+    sign, one vanishes, or their ratio underflows or overflows, and such
+    parameters have no swap map.
     """
     ratio = p.theta / p.eta if p.eta != 0.0 else 0.0
     if 0.0 < ratio < math.inf:
         return math.copysign(math.sqrt(ratio), p.theta)
-    if required or ratio == math.inf:
+    if required:
         raise DomainError(f"the branch swap map needs 0 < theta/eta < inf, got theta = {p.theta}, eta = {p.eta}")
     return None
 
@@ -551,12 +543,12 @@ def kinematic_invariance(
     (max minus min over masses) of each rescaled coefficient group is
     compared against ``tol``.
     """
+    check_tolerance(tol)
     if len(reps_by_mass) < 2:
         raise ConfigError("need at least two masses to compare invariance")
-    names = ("X1", "X2", "P1", "P2")
     groups: dict[str, list[float]] = {}
     for mass, rep in reps_by_mass:
-        for name, form in zip(names, rep.forms()):
+        for name, form in zip(rep.form_names(), rep.forms()):
             coordinate_like = name.startswith("X")
             for var, coeff in form.terms.items():
                 if var.is_coordinate:

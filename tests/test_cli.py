@@ -85,6 +85,23 @@ def test_verify_without_a_swap_map_has_no_duality_check(capsys, theta, eta):
     assert "transform.residual" not in {c["name"] for c in data["checks"]}
 
 
+@pytest.mark.parametrize("theta,eta", [("1e160", "1e-160"), ("1e308", "5e-324")])
+def test_verify_with_an_overflowing_swap_ratio_has_no_duality_check(capsys, theta, eta):
+    # theta/eta overflows, as 1e-200/1e200 underflows: no swap map, so no
+    # duality record, and the commutator table alone decides the exit code.
+    rc, data = run_json(capsys, "verify", f"--theta={theta}", f"--eta={eta}")
+    assert rc != 2
+    assert rc == (0 if data["overall"] else 1)
+    assert "transform.residual" not in {c["name"] for c in data["checks"]}
+
+
+def test_verify_random_batch_of_zero_exits_2(capsys):
+    rc, data = run_json(capsys, "verify", "--theta", "0.5", "--eta", "0.5", "--random", "0")
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert "positive batch size" in data["error"]["message"]
+
+
 def test_verify_failed_expectation_exits_1(capsys):
     rc, data = run_json(
         capsys, "verify", "--family", "simple", "--theta", "0.5", "--eta", "0.5",
@@ -432,6 +449,25 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert data["config"]["tol"] == 1e-10
 
 
+def test_config_file_holding_an_array_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps([{"theta": 0.5, "eta": 0.5}]))
+    rc, data = run_json(capsys, "verify", "--config", str(cfg))
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert "JSON object" in data["error"]["message"]
+
+
+@pytest.mark.parametrize("masses", [[True, 2], [1, False], [10**400, 2]], ids=["true", "false", "huge_int"])
+def test_config_list_entry_that_is_no_float_exits_2(capsys, tmp_path, masses):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"masses": masses, "gamma": 0.3, "alpha": 0.2}))
+    rc, data = run_json(capsys, "com", "--config", str(cfg))
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert "--masses" in data["error"]["message"]
+
+
 def test_config_file_unknown_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"thetaa": 0.5}))
@@ -534,8 +570,9 @@ def test_console_script_entry_point():
         (["verify", "--theta", "5e-324", "--eta", "1", "--family", "branch", "--branch", "plus"],
          "DomainError"),
         (["verify", "--theta", "0", "--eta", "1e308", "--family", "epsilon_general"], "DomainError"),
-        # finite parameters whose branch swap scale sqrt(theta/eta) overflows
-        (["verify", "--theta", "1e160", "--eta", "1e-160"], "DomainError"),
+        # finite parameters whose branch swap scale sqrt(theta/eta) overflows,
+        # in the one check that needs the swap map
+        (["verify", "--theta", "1e160", "--eta", "1e-160", "--limit-scales", "0.5"], "DomainError"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -801,6 +838,30 @@ def test_argv_fuzz_exits_0_1_or_2_with_parseable_output(capsys, monkeypatch, tmp
     assert "Traceback" not in captured.err
     to_file = "--output" in argv and rc != 2
     assert _parses(captured.out) or (to_file and captured.out == ""), (argv, captured.out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theta", "0.5", "--eta", "0.5"],
+        ["simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "10", "--dt", "0.01", "--format", "csv"],
+    ],
+)
+def test_closed_stdout_exits_2_without_a_traceback(argv):
+    # The reader is gone before the child writes: every write or flush fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(ncphase.__file__).resolve().parent.parent)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncphase.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 # --- start-up --------------------------------------------------------------------

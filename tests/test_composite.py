@@ -66,6 +66,13 @@ def test_particle_mass_must_match_params():
         Particle(id=0, mass=-1.0, params=NCParams(0.1, 0.1, mass=-1.0))
 
 
+def test_particle_refuses_a_negative_id_or_mass():
+    with pytest.raises(ConfigError, match="particle id must be nonnegative"):
+        Particle(id=-1, mass=1.0, params=NCParams(0.1, 0.1))
+    with pytest.raises(DomainError, match="mass must be positive"):
+        Particle(id=0, mass=-1.0, params=NCParams(0.1, 0.1))
+
+
 def test_system_needs_particles_and_unique_ids():
     with pytest.raises(ConfigError):
         CompositeSystem(particles=())

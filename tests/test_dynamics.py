@@ -8,6 +8,7 @@ noncommutative structure enters.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ import pytest
 from ncphase import (
     CanonicalVar,
     ConfigError,
+    LinearForm,
     MassConditions,
     NCParams,
     SingularMapError,
@@ -75,6 +77,13 @@ def test_com_representation_rejected():
     rep = com_rep_algebraic(sys_, "minus")
     with pytest.raises(ConfigError):
         build_hamiltonian("free", rep)
+
+
+def test_form_on_another_particle_rejected():
+    rep = build_representation(NCParams(0.1, 0.1), "branch")
+    stray = dataclasses.replace(rep, X1=rep.X1 + LinearForm({CanonicalVar(1, "x1"): 0.5}))
+    with pytest.raises(ConfigError, match=r"found variable x1\[1\] outside particle 0"):
+        build_hamiltonian("free", stray)
 
 
 # --- integrator against closed forms ---------------------------------------------
@@ -275,6 +284,8 @@ def test_step_count_covers_t_end():
     traj = evolve(h, [0.0] * 4, t_end=0.3, dt=0.1)
     assert len(traj) == 4
     assert traj.times[-1] == pytest.approx(0.3, abs=1e-12)
+    # 1.0/0.3 rounds to 3 steps, which stop short of t_end: one more covers it
+    assert _step_count(1.0, 0.3) == 4
 
 
 def test_step_count_is_capped():

@@ -1,0 +1,56 @@
+"""Exact stdout and exit code of fixed CLI invocations, against ``golden_cli.json``.
+
+The invocations are the numpy-free README examples plus a JSON ``repr``, an
+``epsilon_general`` plus-branch ``verify`` and a refused ``verify``.  A
+change that alters one of these outputs on purpose regenerates the fixture
+with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says so.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from ncphase.cli import main
+
+FIXTURE = Path(__file__).with_name("golden_cli.json")
+
+INVOCATIONS = (
+    ["verify", "--theta", "0.5", "--eta", "0.5", "--family", "branch", "--branch", "minus"],
+    ["verify", "--gamma", "0.3", "--alpha", "0.2", "--mass", "2.0", "--family", "simple"],
+    ["verify", "--theta", "0.5", "--eta", "0.5", "--limit-scales", "1e-2,1e-4,1e-6"],
+    ["repr", "--theta", "0.5", "--eta", "0.5", "--branch", "minus", "--format", "csv"],
+    ["com", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2"],
+    ["com", "--masses", "1,2", "--thetas", "0.3,0.1", "--etas", "0.2,0.5"],
+    ["repr", "--theta", "0.5", "--eta", "0.5"],
+    ["verify", "--theta", "0.5", "--eta", "0.5", "--family", "epsilon_general", "--branch", "plus"],
+    ["verify", "--theta", "1.5", "--eta", "1.5"],
+)
+
+
+def run(argv: list[str]) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": buf.getvalue()}
+
+
+def fixture() -> list[dict]:
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_fixture_covers_exactly_the_invocations():
+    assert [case["argv"] for case in fixture()] == list(INVOCATIONS)
+
+
+@pytest.mark.parametrize("index", range(len(INVOCATIONS)), ids=[" ".join(argv) for argv in INVOCATIONS])
+def test_output_matches_the_fixture(index):
+    assert run(INVOCATIONS[index]) == fixture()[index]
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps([run(list(argv)) for argv in INVOCATIONS], indent=1) + "\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -376,17 +377,52 @@ def test_commutative_limit_asymmetric_ratio():
         lambda tol: verify_nc_algebra(build_branch_rep(NCParams(0.5, 0.5), "minus"), tol=tol),
         lambda tol: check_branch_transform(NCParams(0.5, 0.5), tol=tol),
         lambda tol: check_commutative_limit([1e-2, 1e-4], NCParams(0.5, 0.5), [1e-2, tol]),
+        # Unchecked, a negative or nan tol would fail every coefficient group and inf pass every one.
+        lambda tol: kinematic_invariance(
+            [(m, build_representation(params_from_conditions(MassConditions(0.3, 0.2), m), "branch"))
+             for m in (1.0, 2.0)],
+            tol,
+        ),
+        lambda tol: mass_invariance_report(MassConditions(0.3, 0.2), [1.0, 2.0], tol=tol),
     ],
-    ids=["form_equal", "verify_nc_algebra", "check_branch_transform", "check_commutative_limit"],
+    ids=["form_equal", "verify_nc_algebra", "check_branch_transform", "check_commutative_limit",
+         "kinematic_invariance", "mass_invariance_report"],
 )
 def test_tolerance_outside_zero_to_inf_rejected(check, tol):
     with pytest.raises(ConfigError):
         check(tol)
 
 
+def test_commutative_limit_needs_one_tolerance_per_scale():
+    with pytest.raises(ConfigError, match="one tolerance per scale"):
+        check_commutative_limit([1e-2, 1e-4], NCParams(0.5, 0.5), [1e-2])
+
+
 def test_commutative_limit_needs_positive_ratio():
     with pytest.raises(DomainError):
         check_commutative_limit((1e-2,), NCParams(-0.5, 0.5), (1e-2,))
+
+
+# --- unknown names ---------------------------------------------------------------
+
+
+def test_representation_refuses_an_unknown_family_or_branch():
+    rep = build_branch_rep(NCParams(0.5, 0.5), "minus")
+    with pytest.raises(ConfigError, match="unknown family 'bogus'"):
+        dataclasses.replace(rep, family="bogus")
+    with pytest.raises(ConfigError, match="unknown branch 'sideways'"):
+        dataclasses.replace(rep, branch="sideways")
+
+
+@pytest.mark.parametrize("build", [build_branch_rep, primed_params])
+def test_unknown_branch_refused(build):
+    with pytest.raises(ConfigError, match="unknown branch 'sideways'"):
+        build(NCParams(0.5, 0.5), "sideways")
+
+
+def test_build_representation_refuses_an_unknown_family():
+    with pytest.raises(ConfigError, match="unknown family 'bogus'"):
+        build_representation(NCParams(0.5, 0.5), "bogus")
 
 
 # --- mass conditions ------------------------------------------------------------
@@ -455,6 +491,12 @@ def test_momentum_x_part_scales_linearly_in_mass():
     base = coeffs[1.0]
     for m, v in coeffs.items():
         assert v == pytest.approx(m * base, rel=1e-12)
+
+
+def test_kinematic_invariance_needs_two_masses():
+    rep = build_representation(params_from_conditions(MassConditions(0.3, 0.2), 2.0), "branch")
+    with pytest.raises(ConfigError, match="at least two masses"):
+        kinematic_invariance([(2.0, rep)])
 
 
 # --- randomized closure ---------------------------------------------------------

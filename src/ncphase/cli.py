@@ -72,6 +72,12 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise ConfigError(f"{self.prog}: {message}")
 
+    def _print_message(self, message: str, file=None) -> None:
+        """As argparse's, but a failed write to stdout (--help, --version) reaches main, which exits 2."""
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=TOOL, description=__doc__.splitlines()[0])

@@ -39,6 +39,8 @@ from .representation import (
     MassConditions,
     NCParams,
     Representation,
+    _shift_coeffs,
+    _shift_map,
     build_branch_rep,
     build_representation,
     build_simple_rep,
@@ -137,9 +139,9 @@ def _expand_com(template: Sequence[LinearForm], system: CompositeSystem) -> tupl
     Each coordinate kind spreads as sum_a (m_a/M) kind[a], each momentum kind
     as sum_a kind[a].  Every coefficient is one product, coeff*(m_a/M) or
     coeff*1.0, taken over the template's terms in order with the particles
-    inner, and exact zeros are dropped; the constant gains coeff*0.0 per
-    term.  That is bit for bit what chained ``acc + coeff * xc`` over the
-    mass-weighted sums xc computes, in the same term order.
+    inner, and exact zeros are dropped.  For a template with finite
+    coefficients and constant 0.0, as every one here, that is bit for bit
+    what chained ``acc + coeff * xc`` over the mass-weighted sums xc computes.
     """
     M = system.total_mass
     spread = {
@@ -149,14 +151,10 @@ def _expand_com(template: Sequence[LinearForm], system: CompositeSystem) -> tupl
     out = []
     for form in template:
         terms = {}
-        constant = form.constant
         for (_, kind), coeff in form.terms.items():
             for key, w in spread[kind]:
-                scaled = coeff * w
-                if scaled != 0.0:
-                    terms[key] = scaled
-            constant += coeff * 0.0
-        out.append(LinearForm._trusted(terms, constant))
+                terms[key] = coeff * w
+        out.append(LinearForm._trusted(terms, form.constant))
     return tuple(out)
 
 
@@ -166,23 +164,22 @@ def _com_sum(
     """Mass-weighted sum of each particle's two coordinate forms, plain sum of its momenta.
 
     One pass into four coefficient dicts, linear in N, where chained
-    ``acc = acc + w * form`` copies a growing dict per particle.  Particle ids
-    are unique and each particle's forms hold only its own variables, so each
-    coefficient is written once; exact zeros are dropped and constants added
-    in that sum's order, so every coefficient is bit-identical to it.
+    ``acc = acc + w * form`` copies a growing dict per particle.  Each
+    particle's forms come from its shift triple (``branch`` defaulting to
+    minus) and hold only its own variables, so each coefficient is written
+    once; exact zeros are dropped and every constant is 0.0, bit-identical
+    to that sum.
     """
     M = system.total_mass
+    branch = branch or "minus"
     terms = ({}, {}, {}, {})
-    constants = [0.0, 0.0, 0.0, 0.0]
     for part in system.particles:
         w = part.mass / M
-        rep = build_representation(part.params, family, branch, part.id)
-        for i, (form, scale) in enumerate(zip(rep.forms(), (w, w, 1.0, 1.0))):
-            acc = terms[i]
+        forms = _shift_map(part.id, *_shift_coeffs(part.params, family, branch)).values()
+        for acc, form, scale in zip(terms, forms, (w, w, 1.0, 1.0)):
             for var, coeff in form.terms.items():
                 acc[var] = scale * coeff
-            constants[i] += scale * form.constant
-    return tuple(LinearForm._trusted(t, c) for t, c in zip(terms, constants))
+    return tuple(LinearForm._trusted(t, 0.0) for t in terms)
 
 
 def effective_params(system: CompositeSystem) -> tuple[float, float]:

@@ -106,9 +106,8 @@ def build_hamiltonian(
     for row, form in zip(observables, rep.forms()):
         for var, coeff in form.terms.items():
             if var.particle_id != pid:
-                raise ConfigError(
-                    f"dynamics needs single-particle forms; found variable {var} outside particle {pid}"
-                )
+                where = "in a centre-of-mass representation" if pid is None else f"outside particle {pid}"
+                raise ConfigError(f"dynamics needs single-particle forms; found variable {var} {where}")
             row[KINDS.index(var.kind)] = coeff
     offsets = tuple(form.constant for form in rep.forms())
 

@@ -192,32 +192,80 @@ def primed_params(p: NCParams, branch: str) -> tuple[float, float]:
     return (2.0 / p.eta) * (1.0 + s), (2.0 / p.theta) * (1.0 + s)
 
 
-def _shift_map(particle_id: int, prefactor: float, coord_shift: float, mom_shift: float) -> dict[str, LinearForm]:
+def _shift_coeffs(p: NCParams, family: str, branch: str | None) -> tuple[float, float, float]:
+    """(k, c, m) of a family's shift map: the one home of each family's closed form.
+
+    branch: with s = sqrt(1 - theta*eta) the prefactor is
+    sqrt(theta*eta/(2*(1 -+ s))) and the shift coefficients are
+    (1 -+ s)/eta for coordinates and (1 -+ s)/theta for momenta (upper sign:
+    minus branch).  The minus-branch radicand is rewritten exactly as
+    (1 + s)/2 and its shifts as theta/(1 + s), eta/(1 + s), which stay finite
+    and correct through theta*eta = 0 (where the map degenerates gracefully
+    to the identity).  The plus branch has radicand (1 - s)/2, which vanishes
+    at theta*eta = 0 and turns negative for theta*eta < 0; both cases are
+    rejected.  simple: (1, theta/2, eta/2).  epsilon_general: the scaled
+    shift of the branch's :func:`primed_params`.
+    """
+    if family == "branch":
+        minus, product, s = _branch_root(p, branch)
+        if minus:
+            return math.sqrt((1.0 + s) / 2.0), p.theta / (1.0 + s), p.eta / (1.0 + s)
+        if product == 0.0:
+            raise DegenerateError(
+                "plus branch is undefined at theta*eta = 0: its prefactor vanishes "
+                "while the shift coefficients diverge"
+            )
+        if product < 0.0:
+            raise DomainError(
+                f"plus branch needs theta*eta > 0; the radicand (1 - s)/2 is negative "
+                f"for theta*eta = {product}"
+            )
+        # 1 - s rewritten as product/(1 + s): exact, and immune to the
+        # catastrophic cancellation of 1 - sqrt(1 - q) for small q.
+        return math.sqrt(product / (2.0 * (1.0 + s))), (1.0 + s) / p.eta, (1.0 + s) / p.theta
+    if family == "simple":
+        if not math.isfinite(p.product):
+            raise DomainError(
+                f"theta*eta = {p.product} overflows; the diagonal 1 + theta*eta/4 is not finite"
+            )
+        return 1.0, 0.5 * p.theta, 0.5 * p.eta
+    if family == "epsilon_general":
+        return _epsilon_coeffs(*primed_params(p, branch))
+    raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
+def _epsilon_coeffs(theta_prime: float, eta_prime: float) -> tuple[float, float, float]:
+    """(eps, theta'/2, eta'/2): the scaled shift of explicit auxiliary parameters."""
+    return epsilon_factor(theta_prime, eta_prime), 0.5 * theta_prime, 0.5 * eta_prime
+
+
+def _shift_map(particle_id: int, k: float, c: float, m: float) -> dict[str, LinearForm]:
     """X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2), P2 = k*(p2 - m*x1).
 
     k is the prefactor, c and m the coordinate and momentum shifts.  Each
-    coefficient and constant is rounded as that chained ``LinearForm``
-    expression rounds it: a zero shift drops its term before k scales it.
-    Unless k, k*c and k*m are finite, and with them every constant, the map
-    is refused.
+    coefficient is the one product k or k*(+-shift) and every constant is
+    0.0, as the chained ``LinearForm`` expression rounds them; a zero shift
+    drops its term.  Unless k, k*c and k*m are finite the map is refused.
     """
-    k, c, m = float(prefactor), float(coord_shift), float(mom_shift)
+    k, c, m = float(k), float(c), float(m)  # a numpy scalar parameter stays out of the forms
     if not (-math.inf < k < math.inf and -math.inf < k * c < math.inf and -math.inf < k * m < math.inf):
         raise DomainError(f"representation coefficients are not finite: k = {k}, k*c = {k * c}, k*m = {k * m}")
     x1v, x2v, p1v, p2v = (CanonicalVar(particle_id, kind) for kind in KINDS)
-
-    def form(own: CanonicalVar, partner: CanonicalVar, shift: float, zero: float) -> LinearForm:
-        terms = {own: k}
-        if shift != 0.0:
-            terms[partner] = k * (0.0 + shift)
-        return LinearForm._trusted(terms, k * (0.0 + zero))
-
     return {
-        "X1": form(x1v, p2v, -c, -(c * 0.0)),
-        "X2": form(x2v, p1v, c, c * 0.0),
-        "P1": form(p1v, x2v, m, m * 0.0),
-        "P2": form(p2v, x1v, -m, -(m * 0.0)),
+        "X1": LinearForm._trusted({x1v: k, p2v: k * -c}, 0.0),
+        "X2": LinearForm._trusted({x2v: k, p1v: k * c}, 0.0),
+        "P1": LinearForm._trusted({p1v: k, x2v: k * m}, 0.0),
+        "P2": LinearForm._trusted({p2v: k, x1v: k * -m}, 0.0),
     }
+
+
+def _shift_rep(
+    p: NCParams, family: str, branch: str | None, particle_id: int, coeffs: tuple[float, float, float] | None = None
+) -> Representation:
+    """The representation of a shift triple, by default the family's own; only the branch family records its branch."""
+    forms = _shift_map(particle_id, *(_shift_coeffs(p, family, branch) if coeffs is None else coeffs))
+    branch = branch if family == "branch" else None
+    return Representation(**forms, family=family, params=p, branch=branch, particle_id=particle_id)
 
 
 def build_epsilon_rep(
@@ -235,56 +283,12 @@ def build_epsilon_rep(
     The coordinate and momentum tables then read eps^2*theta' and
     eps^2*eta'.
     """
-    eps = epsilon_factor(theta_prime, eta_prime)
-    return Representation(
-        **_shift_map(particle_id, eps, 0.5 * theta_prime, 0.5 * eta_prime),
-        family="epsilon_general",
-        params=p,
-        branch=None,
-        particle_id=particle_id,
-    )
+    return _shift_rep(p, "epsilon_general", None, particle_id, _epsilon_coeffs(theta_prime, eta_prime))
 
 
 def build_branch_rep(p: NCParams, branch: str, particle_id: int = 0) -> Representation:
-    """Closed-form representation for a target (theta, eta), either branch.
-
-    With s = sqrt(1 - theta*eta) the prefactor is sqrt(theta*eta/(2*(1 -+ s)))
-    and the shift coefficients are (1 -+ s)/eta for coordinates and
-    (1 -+ s)/theta for momenta (upper sign: minus branch).  The minus-branch
-    radicand is rewritten exactly as (1 + s)/2 and its shifts as
-    theta/(1 + s), eta/(1 + s), which stay finite and correct through
-    theta*eta = 0 (where the map degenerates gracefully to the identity).
-    The plus branch has radicand (1 - s)/2, which vanishes at theta*eta = 0
-    and turns negative for theta*eta < 0; both cases are rejected.
-    """
-    minus, product, s = _branch_root(p, branch)
-    if minus:
-        prefactor = math.sqrt((1.0 + s) / 2.0)
-        coord_shift = p.theta / (1.0 + s)
-        mom_shift = p.eta / (1.0 + s)
-    else:
-        if product == 0.0:
-            raise DegenerateError(
-                "plus branch is undefined at theta*eta = 0: its prefactor vanishes "
-                "while the shift coefficients diverge"
-            )
-        if product < 0.0:
-            raise DomainError(
-                f"plus branch needs theta*eta > 0; the radicand (1 - s)/2 is negative "
-                f"for theta*eta = {product}"
-            )
-        # 1 - s rewritten as product/(1 + s): exact, and immune to the
-        # catastrophic cancellation of 1 - sqrt(1 - q) for small q.
-        prefactor = math.sqrt(product / (2.0 * (1.0 + s)))
-        coord_shift = (1.0 + s) / p.eta
-        mom_shift = (1.0 + s) / p.theta
-    return Representation(
-        **_shift_map(particle_id, prefactor, coord_shift, mom_shift),
-        family="branch",
-        params=p,
-        branch=branch,
-        particle_id=particle_id,
-    )
+    """Closed-form representation for a target (theta, eta), either branch (see :func:`_shift_coeffs`)."""
+    return _shift_rep(p, "branch", branch, particle_id)
 
 
 def build_simple_rep(p: NCParams, particle_id: int = 0) -> Representation:
@@ -295,17 +299,7 @@ def build_simple_rep(p: NCParams, particle_id: int = 0) -> Representation:
     hbar_eff = hbar*(1 + theta*eta/4) instead of hbar.  Any finite
     theta*eta is allowed; a product that overflows is rejected.
     """
-    if not math.isfinite(p.product):
-        raise DomainError(
-            f"theta*eta = {p.product} overflows; the diagonal 1 + theta*eta/4 is not finite"
-        )
-    return Representation(
-        **_shift_map(particle_id, 1.0, 0.5 * p.theta, 0.5 * p.eta),
-        family="simple",
-        params=p,
-        branch=None,
-        particle_id=particle_id,
-    )
+    return _shift_rep(p, "simple", None, particle_id)
 
 
 def build_representation(
@@ -315,14 +309,7 @@ def build_representation(
     particle_id: int = 0,
 ) -> Representation:
     """Dispatch on family name; ``branch`` defaults to the physical minus."""
-    if family == "branch":
-        return build_branch_rep(p, branch or "minus", particle_id)
-    if family == "simple":
-        return build_simple_rep(p, particle_id)
-    if family == "epsilon_general":
-        tp, ep = primed_params(p, branch or "minus")
-        return build_epsilon_rep(p, tp, ep, particle_id)
-    raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return _shift_rep(p, family, branch or "minus", particle_id)
 
 
 def effective_planck(p: NCParams) -> float:

@@ -845,6 +845,8 @@ def test_argv_fuzz_exits_0_1_or_2_with_parseable_output(capsys, monkeypatch, tmp
     [
         ["verify", "--theta", "0.5", "--eta", "0.5"],
         ["simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "10", "--dt", "0.01", "--format", "csv"],
+        ["--version"],
+        ["verify", "--help"],
     ],
 )
 def test_closed_stdout_exits_2_without_a_traceback(argv):
@@ -862,6 +864,14 @@ def test_closed_stdout_exits_2_without_a_traceback(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["verify", "--help"]])
+def test_version_and_help_exit_0_on_an_open_stdout(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(("ncphase ", "usage: ncphase verify"))
 
 
 # --- start-up --------------------------------------------------------------------

@@ -75,7 +75,7 @@ def test_com_representation_rejected():
 
     sys_ = CompositeSystem.from_params([1.0, 2.0], [0.1, 0.1], [0.1, 0.1])
     rep = com_rep_algebraic(sys_, "minus")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"found variable x1\[0\] in a centre-of-mass representation"):
         build_hamiltonian("free", rep)
 
 

@@ -40,7 +40,9 @@ from ncphase.representation import build_branch_rep
 FIXTURE = Path(__file__).with_name("golden_composite.json")
 
 SIZES = (1, 2, 3, 10, 57)
-CASES = (("branch", "minus"), ("branch", "plus"), ("simple", None), ("epsilon_general", "minus"), ("epsilon_general", "plus"))
+CASES = (
+    ("branch", "minus"), ("branch", "plus"), ("simple", None), ("epsilon_general", "minus"), ("epsilon_general", "plus")
+)
 
 
 def _canon(value):
@@ -62,6 +64,10 @@ def _forms(forms) -> list:
 
 def _rep(rep) -> list:
     return [rep.family, rep.branch, rep.particle_id, list(rep.form_names()), _forms(rep.forms())]
+
+
+def _report(report) -> list:
+    return _canon(report.to_dict())
 
 
 def _digest(fn, encode) -> str:
@@ -106,10 +112,6 @@ def _composite_items():
         yield f"{label}: com_simple_algebraic", lambda s=system: com_simple_algebraic(s), _rep
         yield f"{label}: com_simple_direct", lambda s=system: com_simple_direct(s), _forms
         yield f"{label}: compare_com_simple", lambda s=system: compare_com_simple(s), _report
-
-
-def _report(report) -> list:
-    return _canon(report.to_dict())
 
 
 def _builder_items():

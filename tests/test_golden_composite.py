@@ -5,7 +5,10 @@ the ``float.hex`` of every coefficient and constant of each form, the
 ``to_dict()`` of a comparison report with every float as ``float.hex``, or
 the ``(type, message)`` of a refusal.  The systems are seeded: N in
 {1, 2, 3, 10, 57}, under shared mass conditions and with fixed per-particle
-parameters, with signed theta and eta.  The builder entries cover all five
+parameters, with signed theta and eta.  Extreme systems add masses from
+1e-300 to 1e300 and one of 5e-324, theta and eta from +-1e-300 to +-1e300,
+a -0.0 parameter, and one N = 300 system; many of them hit a refusal, whose
+order is pinned too.  The builder entries cover all five
 family/branch cases over seeded parameters and particle ids, plus the
 refusals of out-of-domain parameters and unknown names.  A change that
 alters one of these outputs on purpose regenerates the fixture with
@@ -34,12 +37,14 @@ from ncphase import (
     com_simple_direct,
     compare_com_reps,
     compare_com_simple,
+    effective_params,
 )
 from ncphase.representation import build_branch_rep
 
 FIXTURE = Path(__file__).with_name("golden_composite.json")
 
 SIZES = (1, 2, 3, 10, 57)
+EXTREME_SIZES = (1, 2, 3, 10, 300)
 CASES = (
     ("branch", "minus"), ("branch", "plus"), ("simple", None), ("epsilon_general", "minus"), ("epsilon_general", "plus")
 )
@@ -102,8 +107,53 @@ def _systems():
         )
 
 
+def _log_uniform(rng, lo: float, hi: float) -> float:
+    return 10.0 ** rng.uniform(lo, hi)
+
+
+def _extreme_systems():
+    """(label, system) pairs at the edges of the float range; the N = 300 size has only the conditioned pair."""
+    rng = random.Random(20173)
+    for n in EXTREME_SIZES:
+        masses = [_log_uniform(rng, -300.0, 300.0) for _ in range(n)]
+        for sign in (1.0, -1.0):
+            conditions = MassConditions(gamma=rng.uniform(0.05, 0.9), alpha=sign * rng.uniform(0.05, 0.9))
+            yield f"N={n} extreme conditioned gamma*alpha{'>' if sign > 0 else '<'}0", (
+                CompositeSystem.from_conditions(conditions, masses)
+            )
+        if n == 300:
+            continue
+        yield f"N={n} extreme fixed", CompositeSystem.from_params(
+            masses,
+            [rng.choice((1.0, -1.0)) * _log_uniform(rng, -300.0, 300.0) for _ in range(n)],
+            [rng.choice((1.0, -1.0)) * _log_uniform(rng, -300.0, 300.0) for _ in range(n)],
+        )
+        # theta_a*eta_a stays in (-1, 1): every per-particle branch exists
+        scales = [_log_uniform(rng, -300.0, 300.0) for _ in range(n)]
+        same = [rng.choice((1.0, -1.0)) for _ in range(n)]
+        yield f"N={n} extreme small-product same-sign", CompositeSystem.from_params(
+            masses,
+            [s * scale * rng.uniform(0.01, 0.9) for s, scale in zip(same, scales)],
+            [s / scale * rng.uniform(0.01, 0.9) for s, scale in zip(same, scales)],
+        )
+        yield f"N={n} extreme small-product mixed-sign", CompositeSystem.from_params(
+            masses,
+            [scale * rng.uniform(-0.9, 0.9) for scale in scales],
+            [rng.uniform(-0.9, 0.9) / scale for scale in scales],
+        )
+    masses = [5e-324, 1.0, 1e300, 1e-300]
+    yield "N=4 subnormal mass", CompositeSystem.from_params(masses, [0.4, -0.3, 1e-300, 1e300], [0.2, 0.5, 1e300, -1e-300])
+    yield "N=4 subnormal mass, one theta", CompositeSystem.from_params(masses, [0.3] * 4, [0.2] * 4)
+    yield "N=3 negative zero", CompositeSystem.from_params([1.0, 2.0, 3.0], [-0.0, 0.3, 0.1], [0.2, -0.0, -0.0])
+    yield "N=1 negative zero", CompositeSystem.from_params([1.0], [-0.0], [-0.0])
+    yield "N=2 eta sum overflows", CompositeSystem.from_params([1.0, 2.0], [1e-300, 1e-300], [1.5e308, 1.5e308])
+    # the eta sum is finite, but a partial sum of the direct [P1,P2] products can overflow
+    yield "N=3 eta partial sums overflow", CompositeSystem.from_params([1.0] * 3, [1e-320] * 3, [1.5e308, 1.5e308, -1.5e308])
+
+
 def _composite_items():
-    for label, system in _systems():
+    for label, system in (*_systems(), *_extreme_systems()):
+        yield f"{label}: effective_params", lambda s=system: effective_params(s), _canon
         yield f"{label}: com_canonical", lambda s=system: com_canonical(s), _forms
         for branch in ("minus", "plus"):
             yield f"{label}: com_rep_algebraic[{branch}]", lambda s=system, b=branch: com_rep_algebraic(s, b), _rep

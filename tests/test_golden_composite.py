@@ -149,6 +149,8 @@ def _extreme_systems():
     yield "N=2 eta sum overflows", CompositeSystem.from_params([1.0, 2.0], [1e-300, 1e-300], [1.5e308, 1.5e308])
     # the eta sum is finite, but a partial sum of the direct [P1,P2] products can overflow
     yield "N=3 eta partial sums overflow", CompositeSystem.from_params([1.0] * 3, [1e-320] * 3, [1.5e308, 1.5e308, -1.5e308])
+    etas = [7.02585033487277e307, -6.790944134483094e307, -8.537755114543653e307, -1.606404012435376e308, 1.671209083695957e308]
+    yield "N=5 eta partial sums overflow", CompositeSystem.from_params([1.0, 0.6, 1.9, 0.7, 1.2], [1e-320] * 5, etas)
 
 
 def _composite_items():

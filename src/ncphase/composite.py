@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from itertools import chain
+from operator import mul, neg, sub
 from typing import Sequence
 
-from .algebra import KINDS, CanonicalVar, LinearForm, form_distance, p1, p2, x1, x2
+from .algebra import _PAIR_KINDS, KINDS, CanonicalVar, LinearForm, p1, p2, x1, x2
 from .errors import ConfigError, DomainError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -39,14 +40,18 @@ from .representation import (
     MassConditions,
     NCParams,
     Representation,
+    _commutator_checks,
+    _commutator_scalar,
     _shift_coeffs,
-    _shift_map,
+    _shift_terms,
     build_branch_rep,
-    build_representation,
     build_simple_rep,
     params_from_conditions,
-    verify_nc_algebra,
 )
+
+#: One centre-of-mass form: each kind it uses, in its term order, mapped to
+#: one coefficient per particle in particle order.  The constant is 0.0.
+_Columns = dict[str, list[float]]
 
 
 @dataclass(frozen=True)
@@ -130,83 +135,147 @@ class CompositeSystem:
 
 def com_canonical(system: CompositeSystem) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Mass-weighted coordinates and total momenta (xc1, xc2, pc1, pc2)."""
-    return _expand_com((x1(), x2(), p1(), p2()), system)
+    return _forms(_expand((x1(), x2(), p1(), p2()), system), system, by_kind=True)
 
 
-def _expand_com(template: Sequence[LinearForm], system: CompositeSystem) -> tuple[LinearForm, ...]:
-    """Rewrite forms over one particle's (x1, x2, p1, p2) in the per-particle basis.
+def _expand(template: Sequence[LinearForm], system: CompositeSystem) -> tuple[_Columns, ...]:
+    """Forms over one particle's (x1, x2, p1, p2), rewritten over the centre-of-mass pair (xc, pc).
 
     Each coordinate kind spreads as sum_a (m_a/M) kind[a], each momentum kind
-    as sum_a kind[a].  Every coefficient is one product, coeff*(m_a/M) or
-    coeff*1.0, taken over the template's terms in order with the particles
-    inner, and exact zeros are dropped.  For a template with finite
-    coefficients and constant 0.0, as every one here, that is bit for bit
-    what chained ``acc + coeff * xc`` over the mass-weighted sums xc computes.
+    as sum_a kind[a]: a coefficient becomes the column coeff*(m_a/M), or coeff
+    repeated.  The template's constants are all 0.0.
     """
     M = system.total_mass
-    spread = {
-        kind: [(CanonicalVar(part.id, kind), part.mass / M if kind[0] == "x" else 1.0) for part in system.particles]
-        for kind in KINDS
-    }
+    weights = [part.mass / M for part in system.particles]
+    n = len(weights)
+    return tuple(
+        {
+            kind: [coeff * w for w in weights] if kind[0] == "x" else [coeff] * n
+            for (_, kind), coeff in form.terms.items()
+        }
+        for form in template
+    )
+
+
+def _shift_columns(system: CompositeSystem, family: str, branch: str | None) -> tuple[_Columns, ...]:
+    """The direct route: each particle's shift map, coordinates weighted by m_a/M, momenta as they are.
+
+    The particles are read in order, so the first one whose shift map is
+    refused raises, as a per-particle build would.
+    """
+    M = system.total_mass
+    rows = [_shift_terms(*_shift_coeffs(part.params, family, branch)) for part in system.particles]
+    k, k_mc, k_c, k_m, k_mm = (list(col) for col in zip(*rows))
+    w = [part.mass / M for part in system.particles]
+    wk = list(map(mul, w, k))
+    return (
+        {"x1": wk, "p2": list(map(mul, w, k_mc))},
+        {"x2": wk, "p1": list(map(mul, w, k_c))},
+        {"p1": k, "x2": k_m},
+        {"p2": k, "x1": k_mm},
+    )
+
+
+def _forms(columns: Sequence[_Columns], system: CompositeSystem, by_kind: bool) -> tuple[LinearForm, ...]:
+    """The ``LinearForm`` of each column form, without its exact zeros.
+
+    Keys run kind-major (all particles of one kind, then the next kind) when
+    ``by_kind``, as the algebraic routes order them, else particle-major, as
+    the direct routes do.
+    """
+    ids = [part.id for part in system.particles]
+    keys = {kind: [CanonicalVar(pid, kind) for pid in ids] for kind in KINDS}
     out = []
-    for form in template:
-        terms = {}
-        for (_, kind), coeff in form.terms.items():
-            for key, w in spread[kind]:
-                terms[key] = coeff * w
-        out.append(LinearForm._trusted(terms, form.constant))
+    for cols in columns:
+        pairs = [zip(keys[kind], col) for kind, col in cols.items()]
+        terms = dict(chain.from_iterable(pairs if by_kind else zip(*pairs)))
+        out.append(LinearForm._trusted(terms, 0.0))
     return tuple(out)
 
 
-def _com_sum(
-    system: CompositeSystem, family: str, branch: str | None = None
-) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
-    """Mass-weighted sum of each particle's two coordinate forms, plain sum of its momenta.
+def _column_commutator(a: _Columns, b: _Columns) -> float:
+    """``commutator(a, b).scalar`` of two column forms over the same particles.
 
-    One pass into four coefficient dicts, linear in N, where chained
-    ``acc = acc + w * form`` copies a growing dict per particle.  Each
-    particle's forms come from its shift triple (``branch`` defaulting to
-    minus) and hold only its own variables, so each coefficient is written
-    once; exact zeros are dropped and every constant is 0.0, bit-identical
-    to that sum.
+    The same signed products, summed by the same ``math.fsum``, which rounds
+    their exact sum once whatever their order.  The caller makes sure no
+    partial sum can leave the float range (see :func:`_fits_fsum`).
     """
-    M = system.total_mass
-    branch = branch or "minus"
-    terms = ({}, {}, {}, {})
-    for part in system.particles:
-        w = part.mass / M
-        forms = _shift_map(part.id, *_shift_coeffs(part.params, family, branch)).values()
-        for acc, form, scale in zip(terms, forms, (w, w, 1.0, 1.0)):
-            for var, coeff in form.terms.items():
-                acc[var] = scale * coeff
-    return tuple(LinearForm._trusted(t, 0.0) for t in terms)
+    products = []
+    for xkind, pkind in _PAIR_KINDS.values():
+        if xkind in a and pkind in b:
+            products.append(map(mul, a[xkind], b[pkind]))
+        if pkind in a and xkind in b:
+            products.append(map(neg, map(mul, a[pkind], b[xkind])))
+    return math.fsum(chain.from_iterable(products))
+
+
+def _fits_fsum(columns: Sequence[_Columns], n: int) -> bool:
+    """Whether no sum of products of these coefficients can overflow, in any order.
+
+    A commutator sums at most 4n products, each at most the largest
+    coefficient squared.  Below 2**1022 in all, ``math.fsum`` neither
+    overflows nor falls back, so its result does not depend on the order of
+    the products.
+    """
+    bound = max(map(abs, chain.from_iterable(col for cols in columns for col in cols.values())), default=0.0)
+    return 4 * n * bound * bound < 2.0**1022
+
+
+def _distance(a: _Columns, b: _Columns) -> float:
+    """``form_distance`` of two column forms: the largest coefficient difference, 0.0 for a missing kind."""
+    dist = 0.0
+    for kind in a.keys() | b.keys():
+        if kind in a and kind in b:
+            diffs = map(sub, a[kind], b[kind])
+        else:
+            diffs = a[kind] if kind in a else b[kind]
+        dist = max(dist, max(map(abs, diffs)))
+    return dist
 
 
 def effective_params(system: CompositeSystem) -> tuple[float, float]:
     """(theta_eff, eta_eff) seen by the centre of mass.
 
     The mass-weighted sums are accumulated exactly over the stored double
-    values (rational arithmetic) and rounded once, so the identities
-    theta_eff = gamma/M and eta_eff = alpha*M under shared mass conditions
-    survive at the last-ulp level.
+    values and rounded once, so the identities theta_eff = gamma/M and
+    eta_eff = alpha*M under shared mass conditions survive at the last-ulp
+    level.  Every double is an integer over a power of two, so each sum is
+    an integer over the largest denominator, and one integer true division,
+    which Python rounds correctly, gives the float.
     """
-    M = Fraction(0)
-    num = Fraction(0)
-    eta_sum = Fraction(0)
-    for part in system.particles:
-        fm = Fraction(part.mass)
-        M += fm
-        num += fm * fm * Fraction(part.params.theta)
-        eta_sum += Fraction(part.params.eta)
+    masses = [part.mass.as_integer_ratio() for part in system.particles]
+    thetas = [part.params.theta.as_integer_ratio() for part in system.particles]
+    M, M_den = _dyadic_sum(masses)
+    num, num_den = _dyadic_sum([(m * m * t, d * d * td) for (m, d), (t, td) in zip(masses, thetas)])
+    eta, eta_den = _dyadic_sum([part.params.eta.as_integer_ratio() for part in system.particles])
     try:
-        return float(num / (M * M)), float(eta_sum)
+        return (num * M_den * M_den) / (num_den * M * M), eta / eta_den
     except OverflowError as exc:  # only the eta sum can leave the float range
         raise DomainError("eta_eff, the sum of the particles' eta, overflows the float range") from exc
+
+
+def _dyadic_sum(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """Exact sum of (numerator, power-of-two denominator) pairs, as one such pair."""
+    den = max(d for _, d in ratios)
+    top = den.bit_length()
+    return sum(n << (top - d.bit_length()) for n, d in ratios), den
 
 
 def com_params(system: CompositeSystem) -> NCParams:
     theta_eff, eta_eff = effective_params(system)
     return NCParams(theta=theta_eff, eta=eta_eff, hbar=system.hbar, mass=system.total_mass)
+
+
+def _template(system: CompositeSystem, family: str, branch: str | None) -> Representation:
+    """The single-particle construction of the effective pair, which the algebraic route expands."""
+    p = com_params(system)
+    return build_simple_rep(p) if family == "simple" else build_branch_rep(p, branch)
+
+
+def _algebraic(system: CompositeSystem, family: str, branch: str | None) -> Representation:
+    template = _template(system, family, branch)
+    forms = _forms(_expand(template.forms(), system), system, by_kind=True)
+    return replace(template, **dict(zip(template.form_names(), forms)), particle_id=None)
 
 
 def com_rep_algebraic(system: CompositeSystem, branch: str = "minus") -> Representation:
@@ -215,18 +284,12 @@ def com_rep_algebraic(system: CompositeSystem, branch: str = "minus") -> Represe
     The resulting forms are expanded in the per-particle basis so they can
     be compared term-by-term with the direct route.
     """
-    return _substitute_com(build_branch_rep(com_params(system), branch), system)
+    return _algebraic(system, "branch", branch)
 
 
 def com_simple_algebraic(system: CompositeSystem) -> Representation:
     """Simple (unscaled shift) construction applied to (xc, pc)."""
-    return _substitute_com(build_simple_rep(com_params(system)), system)
-
-
-def _substitute_com(template: Representation, system: CompositeSystem) -> Representation:
-    """A single-particle template rewritten over the centre-of-mass pair (xc, pc)."""
-    forms = _expand_com(template.forms(), system)
-    return replace(template, **dict(zip(template.form_names(), forms)), particle_id=None)
+    return _algebraic(system, "simple", None)
 
 
 def com_rep_direct(
@@ -237,25 +300,23 @@ def com_rep_direct(
     Every particle uses the same branch; mixing branches (or families)
     across particles is not representable here on purpose.
     """
-    return _com_sum(system, "branch", branch)
+    return _forms(_shift_columns(system, "branch", branch), system, by_kind=False)
 
 
 def com_simple_direct(
     system: CompositeSystem,
 ) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Direct route through per-particle simple representations."""
-    return _com_sum(system, "simple")
+    return _forms(_shift_columns(system, "simple", None), system, by_kind=False)
 
 
-def _compare_routes(
-    system: CompositeSystem,
-    algebraic: Representation,
-    direct: tuple[LinearForm, ...],
-    tol: float,
-) -> CheckReport:
+def _compare(system: CompositeSystem, family: str, branch: str | None, tol: float) -> CheckReport:
+    """Coefficient-wise comparison of a family's two routes, over their columns."""
+    template = _template(system, family, branch)
+    routes = {"algebraic": _expand(template.forms(), system), "direct": _shift_columns(system, family, branch)}
     checks = [
-        CheckRecord.within(f"routes.{name}", 0.0, form_distance(alg_form, dir_form), tol)
-        for name, alg_form, dir_form in zip(algebraic.form_names(), algebraic.forms(), direct)
+        CheckRecord.within(f"routes.{name}", 0.0, _distance(alg, dir_), tol)
+        for name, alg, dir_ in zip(template.form_names(), *routes.values())
     ]
     # Both routes must reproduce their commutator tables regardless of
     # whether they agree with each other.  The routes only share a diagonal
@@ -263,27 +324,24 @@ def _compare_routes(
     # product: the algebraic route is built from the effective pair, so its
     # diagonal is 1 + theta_eff*eta_eff/4, while summing per-particle forms
     # gives the mass-weighted mean of the individual products instead.
-    p = algebraic.params
+    p = template.params
     M = p.mass
-    diag_direct = None
-    if algebraic.family == "simple":
-        diag_direct = 1.0 + math.fsum(
-            (part.mass / M) * part.params.product for part in system.particles
-        ) / 4.0
-    direct_rep = Representation(
-        *direct, family=algebraic.family, params=p, branch=algebraic.branch, particle_id=None
-    )
-    for label, rep, diag in (("algebraic", algebraic, None), ("direct", direct_rep, diag_direct)):
-        table = verify_nc_algebra(rep, expect_diag=diag, tol=tol)
-        checks.extend(replace(c, name=f"table.{label}.{c.name}") for c in table.checks)
+    theta, eta, diag = template.expected_table()
+    diags = {"algebraic": diag, "direct": diag}
+    if family == "simple":
+        diags["direct"] = 1.0 + math.fsum((part.mass / M) * part.params.product for part in system.particles) / 4.0
+    n = len(system.particles)
+    for label, columns in routes.items():
+        operands, commute = columns, _column_commutator
+        if not _fits_fsum(columns, n):  # keep the forms' own product order, on which a fallback sum depends
+            operands, commute = _forms(columns, system, by_kind=label == "algebraic"), _commutator_scalar
+        checks += _commutator_checks(operands, commute, (theta, eta, diags[label]), tol, f"table.{label}.")
     # Coefficient of xc2 inside P1c for the algebraic route; grows linearly
     # with the total mass under shared conditions.
-    coeff = build_representation(p, algebraic.family, algebraic.branch).P1.coefficient(
-        CanonicalVar(0, "x2")
-    )
+    coeff = template.P1.coefficient(CanonicalVar(0, "x2"))
     meta = {
-        "family": algebraic.family,
-        "branch": algebraic.branch,
+        "family": family,
+        "branch": template.branch,
         "theta_eff": p.theta,
         "eta_eff": p.eta,
         "total_mass": M,
@@ -299,13 +357,9 @@ def compare_com_reps(
     system: CompositeSystem, branch: str = "minus", tol: float = DEFAULT_TOL
 ) -> CheckReport:
     """Coefficient-wise comparison of the two branch-family routes."""
-    algebraic = com_rep_algebraic(system, branch)
-    direct = com_rep_direct(system, branch)
-    return _compare_routes(system, algebraic, direct, tol)
+    return _compare(system, "branch", branch, tol)
 
 
 def compare_com_simple(system: CompositeSystem, tol: float = DEFAULT_TOL) -> CheckReport:
     """Coefficient-wise comparison of the two simple-family routes."""
-    algebraic = com_simple_algebraic(system)
-    direct = com_simple_direct(system)
-    return _compare_routes(system, algebraic, direct, tol)
+    return _compare(system, "simple", None, tol)

@@ -239,6 +239,18 @@ def _epsilon_coeffs(theta_prime: float, eta_prime: float) -> tuple[float, float,
     return epsilon_factor(theta_prime, eta_prime), 0.5 * theta_prime, 0.5 * eta_prime
 
 
+def _shift_terms(k: float, c: float, m: float) -> tuple[float, float, float, float, float]:
+    """(k, k*-c, k*c, k*m, k*-m): every coefficient of the shift map, refused unless finite.
+
+    A numpy scalar parameter is converted, so it stays out of the forms.
+    """
+    k, c, m = float(k), float(c), float(m)
+    kc, km = k * c, k * m
+    if not (-math.inf < k < math.inf and -math.inf < kc < math.inf and -math.inf < km < math.inf):
+        raise DomainError(f"representation coefficients are not finite: k = {k}, k*c = {kc}, k*m = {km}")
+    return k, -kc, kc, km, -km
+
+
 def _shift_map(particle_id: int, k: float, c: float, m: float) -> dict[str, LinearForm]:
     """X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2), P2 = k*(p2 - m*x1).
 
@@ -247,15 +259,13 @@ def _shift_map(particle_id: int, k: float, c: float, m: float) -> dict[str, Line
     0.0, as the chained ``LinearForm`` expression rounds them; a zero shift
     drops its term.  Unless k, k*c and k*m are finite the map is refused.
     """
-    k, c, m = float(k), float(c), float(m)  # a numpy scalar parameter stays out of the forms
-    if not (-math.inf < k < math.inf and -math.inf < k * c < math.inf and -math.inf < k * m < math.inf):
-        raise DomainError(f"representation coefficients are not finite: k = {k}, k*c = {k * c}, k*m = {k * m}")
+    k, k_mc, k_c, k_m, k_mm = _shift_terms(k, c, m)
     x1v, x2v, p1v, p2v = (CanonicalVar(particle_id, kind) for kind in KINDS)
     return {
-        "X1": LinearForm._trusted({x1v: k, p2v: k * -c}, 0.0),
-        "X2": LinearForm._trusted({x2v: k, p1v: k * c}, 0.0),
-        "P1": LinearForm._trusted({p1v: k, x2v: k * m}, 0.0),
-        "P2": LinearForm._trusted({p2v: k, x1v: k * -m}, 0.0),
+        "X1": LinearForm._trusted({x1v: k, p2v: k_mc}, 0.0),
+        "X2": LinearForm._trusted({x2v: k, p1v: k_c}, 0.0),
+        "P1": LinearForm._trusted({p1v: k, x2v: k_m}, 0.0),
+        "P2": LinearForm._trusted({p2v: k, x1v: k_mm}, 0.0),
     }
 
 
@@ -336,16 +346,30 @@ def params_from_conditions(c: MassConditions, mass: float, hbar: float = 1.0) ->
 # verification
 
 
-def _six_commutators(rep: Representation) -> dict[str, float]:
-    X1f, X2f, P1f, P2f = rep.forms()
-    return {
-        "[X1,X2]": commutator(X1f, X2f).scalar,
-        "[P1,P2]": commutator(P1f, P2f).scalar,
-        "[X1,P1]": commutator(X1f, P1f).scalar,
-        "[X2,P2]": commutator(X2f, P2f).scalar,
-        "[X1,P2]": commutator(X1f, P2f).scalar,
-        "[X2,P1]": commutator(X2f, P1f).scalar,
-    }
+def _commutator_scalar(a: LinearForm, b: LinearForm) -> float:
+    return commutator(a, b).scalar
+
+
+def _commutator_checks(
+    operands, commute, expected: tuple[float, float, float], tol: float, prefix: str = ""
+) -> list[CheckRecord]:
+    """The six independent commutators of four operands (X1, X2, P1, P2), checked against their table.
+
+    ``commute(a, b)`` gives the scalar of [a, b]; ``expected`` is the
+    (coordinate, momentum, diagonal) table, and the off-diagonal
+    coordinate-momentum entries are expected to vanish.
+    """
+    check_tolerance(tol)
+    theta, eta, diag = expected
+    X1, X2, P1, P2 = operands
+    return [
+        CheckRecord.within(prefix + "[X1,X2]", theta, commute(X1, X2), tol),
+        CheckRecord.within(prefix + "[P1,P2]", eta, commute(P1, P2), tol),
+        CheckRecord.within(prefix + "[X1,P1]", diag, commute(X1, P1), tol),
+        CheckRecord.within(prefix + "[X2,P2]", diag, commute(X2, P2), tol),
+        CheckRecord.within(prefix + "[X1,P2]", 0.0, commute(X1, P2), tol),
+        CheckRecord.within(prefix + "[X2,P1]", 0.0, commute(X2, P1), tol),
+    ]
 
 
 def verify_nc_algebra(
@@ -361,18 +385,13 @@ def verify_nc_algebra(
     off-diagonal coordinate-momentum commutators are always expected to
     vanish.
     """
-    check_tolerance(tol)
     table_theta, table_eta, table_diag = rep.expected_table()
-    exp = {
-        "[X1,X2]": table_theta if expect_theta is None else expect_theta,
-        "[P1,P2]": table_eta if expect_eta is None else expect_eta,
-        "[X1,P1]": table_diag if expect_diag is None else expect_diag,
-        "[X2,P2]": table_diag if expect_diag is None else expect_diag,
-        "[X1,P2]": 0.0,
-        "[X2,P1]": 0.0,
-    }
-    measured = _six_commutators(rep)
-    checks = tuple(CheckRecord.within(name, exp[name], measured[name], tol) for name in measured)
+    expected = (
+        table_theta if expect_theta is None else expect_theta,
+        table_eta if expect_eta is None else expect_eta,
+        table_diag if expect_diag is None else expect_diag,
+    )
+    checks = tuple(_commutator_checks(rep.forms(), _commutator_scalar, expected, tol))
     meta = {
         "family": rep.family,
         "branch": rep.branch,

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncphase import (
     CanonicalVar,
@@ -35,7 +37,7 @@ from ncphase import (
     x1,
     x2,
 )
-from ncphase.composite import com_params
+from ncphase.composite import _column_commutator, _distance, com_params
 
 SEED = int(os.environ.get("NCPS_SEED", "20260814"))
 
@@ -149,6 +151,13 @@ def test_effective_params_single_particle():
     assert effective_params(sys_) == (0.25, 0.125)
 
 
+def _fraction_effective_params(masses, thetas, etas):
+    # independent exact-rational recomputation
+    M = sum(Fraction(m) for m in masses)
+    theta = float(sum(Fraction(m) ** 2 * Fraction(t) for m, t in zip(masses, thetas)) / M**2)
+    return theta, float(sum(Fraction(e) for e in etas))
+
+
 def test_effective_params_match_slow_fraction_oracle():
     rng = np.random.default_rng(SEED)
     for _ in range(50):
@@ -157,13 +166,26 @@ def test_effective_params_match_slow_fraction_oracle():
         thetas = [float(t) for t in rng.uniform(-0.5, 0.5, size=n)]
         etas = [float(e) for e in rng.uniform(-0.5, 0.5, size=n)]
         sys_ = CompositeSystem.from_params(masses, thetas, etas)
-        te, ee = effective_params(sys_)
-        # independent exact-rational recomputation
-        M = sum(Fraction(m) for m in masses)
-        want_t = float(sum(Fraction(m) ** 2 * Fraction(t) for m, t in zip(masses, thetas)) / M**2)
-        want_e = float(sum(Fraction(e) for e in etas))
-        assert te == want_t
-        assert ee == want_e
+        assert effective_params(sys_) == _fraction_effective_params(masses, thetas, etas)
+    # extreme magnitudes: masses from the least subnormal to 1e300, signed
+    # parameters from 1e-300 to 1e300, and an exact zero
+    for _ in range(50):
+        n = int(rng.integers(1, 8))
+        masses = [float(m) for m in 10.0 ** rng.uniform(-300.0, 300.0, size=n)]
+        masses[0] = float(rng.choice([5e-324, masses[0], 1e300]))
+        thetas = [float(t) for t in rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300.0, 300.0, size=n)]
+        etas = [float(e) for e in rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300.0, 300.0, size=n)]
+        etas[-1] = float(rng.choice([-0.0, etas[-1]]))
+        sys_ = CompositeSystem.from_params(masses, thetas, etas)
+        assert effective_params(sys_) == _fraction_effective_params(masses, thetas, etas)
+
+
+def test_overflowing_eta_sum_is_refused():
+    etas = [1.5e308, 1.5e308]
+    with pytest.raises(OverflowError):
+        _fraction_effective_params([1.0, 2.0], [0.1, 0.1], etas)
+    with pytest.raises(DomainError, match="eta_eff, the sum of the particles' eta, overflows the float range"):
+        effective_params(CompositeSystem.from_params([1.0, 2.0], [0.1, 0.1], etas))
 
 
 def test_conditioned_effective_params_depend_only_on_total_mass():
@@ -223,6 +245,24 @@ def test_direct_route_table_matches_effective_params_randomly():
         assert commutator(X1c, P1c).scalar == pytest.approx(1.0, abs=1e-12)
         assert commutator(X2c, P2c).scalar == pytest.approx(1.0, abs=1e-12)
         assert commutator(X1c, P2c).scalar == pytest.approx(0.0, abs=1e-12)
+
+
+def test_direct_route_refuses_a_none_branch_like_the_algebraic_route():
+    sys_ = conditioned([1.0, 2.0])
+    for route in (com_rep_direct, com_rep_algebraic, compare_com_reps):
+        with pytest.raises(ConfigError, match="unknown branch None"):
+            route(sys_, None)
+
+
+#: Conditioned N = 1000 systems that once missed the 1e-12 [P1,P2] check:
+#: numpy seeds 1-3, masses log-uniform in [0.1, 100], alpha*M ~ 3e3.
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_large_conditioned_systems_pass_every_check(seed):
+    rng = np.random.default_rng(seed)
+    masses = np.exp(rng.uniform(math.log(0.1), math.log(100.0), 1000))
+    report = compare_com_reps(conditioned(masses.tolist()), "minus", 1e-12)
+    assert report.overall
+    assert 2.5e3 < report.meta["eta_eff"] < 3.1e3
 
 
 def test_algebraic_route_rejects_large_effective_product():
@@ -381,3 +421,44 @@ def test_one_pass_sums_equal_chained_form_addition(is_conditioned):
         for g, w in zip(got, want, strict=True):
             assert form_equal(g, w, tol=0.0)
             assert list(g.terms) == list(w.terms)
+
+
+# --- column primitives ------------------------------------------------------------
+
+#: Coefficients with exact zeros of both signs, subnormals and wide magnitudes,
+#: small enough that no commutator sum can overflow.
+column_coeffs = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0]),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_subnormal=True),
+)
+
+
+@st.composite
+def column_forms(draw, ids):
+    """A form over some of ``ids`` with some kinds: its coefficient per (particle, kind), zeros kept."""
+    kinds = draw(st.lists(st.sampled_from(["x1", "x2", "p1", "p2"]), unique=True, max_size=4))
+    own = draw(st.lists(st.sampled_from(ids), unique=True, min_size=1))
+    return {(pid, kind): draw(column_coeffs) for kind in kinds for pid in own}
+
+
+def _as_columns(coeffs, ids):
+    kinds = dict.fromkeys(kind for _, kind in coeffs)
+    return {kind: [coeffs.get((pid, kind), 0.0) for pid in ids] for kind in kinds}
+
+
+def _as_form(coeffs):
+    return LinearForm({CanonicalVar(pid, kind): c for (pid, kind), c in coeffs.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_primitives_equal_the_form_primitives_bit_for_bit(data):
+    # Two forms over random, possibly disjoint particle sets and kind sets;
+    # the columns run over the union of their particles and hold the zeros.
+    ids = data.draw(st.lists(st.integers(0, 50), unique=True, min_size=1, max_size=6))
+    a, b = data.draw(column_forms(ids)), data.draw(column_forms(ids))
+    ca, cb = _as_columns(a, ids), _as_columns(b, ids)
+    fa, fb = _as_form(a), _as_form(b)
+    assert _column_commutator(ca, cb) == commutator(fa, fb).scalar
+    assert _column_commutator(cb, ca) == commutator(fb, fa).scalar
+    assert _distance(ca, cb) == form_distance(fa, fb)

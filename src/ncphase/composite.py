@@ -27,7 +27,9 @@ differ, which is the whole point of the conditions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 from operator import mul, neg, sub
 from typing import Sequence
@@ -73,42 +75,65 @@ class Particle:
             )
 
 
-@dataclass(frozen=True)
 class CompositeSystem:
-    particles: tuple[Particle, ...]
-    conditions: MassConditions | None = None
+    """Particles stored as columns, in particle order.
 
-    def __post_init__(self) -> None:
-        if not self.particles:
+    ``ids``, ``masses``, ``thetas`` and ``etas`` are tuples with one entry per
+    particle; ``hbar`` is the shared one as passed, and ``total_mass`` is the
+    ``math.fsum`` of the masses, computed once.  ``CompositeSystem(particles)``
+    reads the columns from validated particles.  ``from_conditions`` and
+    ``from_params`` check the columns in bulk and build no particle;
+    ``particles`` is built from the columns on first access and cached.
+    """
+
+    def __init__(self, particles: Sequence[Particle], conditions: MassConditions | None = None) -> None:
+        particles = tuple(particles)
+        if not particles:
             raise ConfigError("a composite system needs at least one particle")
-        ids = [p.id for p in self.particles]
+        ids = [p.id for p in particles]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"particle ids must be unique, got {ids}")
-        hbars = {p.params.hbar for p in self.particles}
+        hbars = {p.params.hbar for p in particles}
         if len(hbars) != 1:
             raise ConfigError(f"all particles must share one hbar, got {sorted(hbars)}")
+        thetas = [p.params.theta for p in particles]
+        etas = [p.params.eta for p in particles]
+        self._set_columns(ids, [p.mass for p in particles], thetas, etas, particles[0].params.hbar, conditions)
+        self.particles = particles  # fills the cache of the ``particles`` property
+
+    def _set_columns(self, ids, masses, thetas, etas, hbar, conditions) -> None:
+        self.ids, self.masses, self.thetas, self.etas = tuple(ids), tuple(masses), tuple(thetas), tuple(etas)
+        self.hbar, self.conditions = hbar, conditions
         try:
-            self.total_mass  # fsum raises rather than return inf
+            self.total_mass = math.fsum(self.masses)  # fsum raises rather than return inf
         except OverflowError as exc:
             raise DomainError("the total mass overflows the float range") from exc
 
-    @property
-    def hbar(self) -> float:
-        return self.particles[0].params.hbar
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(p.mass for p in self.particles)
+    @cached_property
+    def particles(self) -> tuple[Particle, ...]:
+        return tuple(
+            Particle(id=i, mass=m, params=NCParams(theta=t, eta=e, hbar=self.hbar, mass=m))
+            for i, m, t, e in zip(self.ids, self.masses, self.thetas, self.etas)
+        )
 
     @classmethod
     def from_conditions(
         cls, conditions: MassConditions, masses: Sequence[float], hbar: float = 1.0
     ) -> "CompositeSystem":
-        particles = tuple(
-            Particle(id=i, mass=float(m), params=params_from_conditions(conditions, float(m), hbar))
-            for i, m in enumerate(masses)
-        )
-        return cls(particles=particles, conditions=conditions)
+        def columns():
+            ms = [float(m) for m in masses]
+            return ms, [conditions.gamma / m for m in ms], [conditions.alpha * m for m in ms]
+
+        def chain():
+            return tuple(
+                Particle(id=i, mass=float(m), params=params_from_conditions(conditions, float(m), hbar))
+                for i, m in enumerate(masses)
+            )
+
+        return cls._build(columns, chain, hbar, conditions)
 
     @classmethod
     def from_params(
@@ -122,15 +147,47 @@ class CompositeSystem:
             raise ConfigError(
                 f"masses/thetas/etas must have equal lengths, got {len(masses)}/{len(thetas)}/{len(etas)}"
             )
-        particles = tuple(
-            Particle(
-                id=i,
-                mass=float(m),
-                params=NCParams(theta=float(t), eta=float(e), hbar=hbar, mass=float(m)),
+
+        def columns():
+            return [float(m) for m in masses], [float(t) for t in thetas], [float(e) for e in etas]
+
+        def chain():
+            return tuple(
+                Particle(id=i, mass=float(m), params=NCParams(theta=float(t), eta=float(e), hbar=hbar, mass=float(m)))
+                for i, (m, t, e) in enumerate(zip(masses, thetas, etas))
             )
-            for i, (m, t, e) in enumerate(zip(masses, thetas, etas))
-        )
-        return cls(particles=particles, conditions=None)
+
+        return cls._build(columns, chain, hbar, None)
+
+    @classmethod
+    def _build(cls, columns, chain, hbar, conditions: MassConditions | None) -> "CompositeSystem":
+        """The system of the (masses, thetas, etas) ``columns()`` if a bulk check passes, else of ``chain()``.
+
+        ``chain()`` builds the particles one by one, each validated, and so
+        raises the first refusal with its own type and message.  The bulk
+        check is never looser.  A float sum is finite only if every term is,
+        since a NaN or an infinity spreads through it; hbar must be an int or
+        float in (0, largest float].  Anything else goes through the chain: a
+        finite sum that overflows, an int hbar that ``math.isfinite`` in
+        ``NCParams`` cannot convert, another hbar type, no masses (``min``
+        raises) or a column that cannot be computed.
+        """
+        try:
+            masses, thetas, etas = columns()
+            accepted = (
+                isinstance(hbar, (int, float))
+                and 0 < hbar <= sys.float_info.max
+                and min(masses) > 0.0
+                and math.isfinite(sum(masses) + sum(thetas) + sum(etas))
+                and (conditions is None or conditions.product < 1.0)
+            )
+        except (TypeError, ValueError, ArithmeticError):
+            accepted = False
+        if not accepted:
+            return cls(chain(), conditions)
+        system = cls.__new__(cls)
+        system._set_columns(range(len(masses)), masses, thetas, etas, hbar, conditions)
+        return system
 
 
 def com_canonical(system: CompositeSystem) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
@@ -146,7 +203,7 @@ def _expand(template: Sequence[LinearForm], system: CompositeSystem) -> tuple[_C
     repeated.  The template's constants are all 0.0.
     """
     M = system.total_mass
-    weights = [part.mass / M for part in system.particles]
+    weights = [m / M for m in system.masses]
     n = len(weights)
     return tuple(
         {
@@ -164,9 +221,9 @@ def _shift_columns(system: CompositeSystem, family: str, branch: str | None) -> 
     refused raises, as a per-particle build would.
     """
     M = system.total_mass
-    rows = [_shift_terms(*_shift_coeffs(part.params, family, branch)) for part in system.particles]
+    rows = [_shift_terms(*_shift_coeffs(t, e, family, branch)) for t, e in zip(system.thetas, system.etas)]
     k, k_mc, k_c, k_m, k_mm = (list(col) for col in zip(*rows))
-    w = [part.mass / M for part in system.particles]
+    w = [m / M for m in system.masses]
     wk = list(map(mul, w, k))
     return (
         {"x1": wk, "p2": list(map(mul, w, k_mc))},
@@ -183,8 +240,7 @@ def _forms(columns: Sequence[_Columns], system: CompositeSystem, by_kind: bool) 
     ``by_kind``, as the algebraic routes order them, else particle-major, as
     the direct routes do.
     """
-    ids = [part.id for part in system.particles]
-    keys = {kind: [CanonicalVar(pid, kind) for pid in ids] for kind in KINDS}
+    keys = {kind: [CanonicalVar(pid, kind) for pid in system.ids] for kind in KINDS}
     out = []
     for cols in columns:
         pairs = [zip(keys[kind], col) for kind, col in cols.items()]
@@ -243,11 +299,11 @@ def effective_params(system: CompositeSystem) -> tuple[float, float]:
     an integer over the largest denominator, and one integer true division,
     which Python rounds correctly, gives the float.
     """
-    masses = [part.mass.as_integer_ratio() for part in system.particles]
-    thetas = [part.params.theta.as_integer_ratio() for part in system.particles]
+    masses = [m.as_integer_ratio() for m in system.masses]
+    thetas = [t.as_integer_ratio() for t in system.thetas]
     M, M_den = _dyadic_sum(masses)
     num, num_den = _dyadic_sum([(m * m * t, d * d * td) for (m, d), (t, td) in zip(masses, thetas)])
-    eta, eta_den = _dyadic_sum([part.params.eta.as_integer_ratio() for part in system.particles])
+    eta, eta_den = _dyadic_sum([e.as_integer_ratio() for e in system.etas])
     try:
         return (num * M_den * M_den) / (num_den * M * M), eta / eta_den
     except OverflowError as exc:  # only the eta sum can leave the float range
@@ -329,8 +385,9 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
     theta, eta, diag = template.expected_table()
     diags = {"algebraic": diag, "direct": diag}
     if family == "simple":
-        diags["direct"] = 1.0 + math.fsum((part.mass / M) * part.params.product for part in system.particles) / 4.0
-    n = len(system.particles)
+        products = map(mul, system.thetas, system.etas)
+        diags["direct"] = 1.0 + math.fsum(map(mul, (m / M for m in system.masses), products)) / 4.0
+    n = len(system)
     for label, columns in routes.items():
         operands, commute = columns, _column_commutator
         if not _fits_fsum(columns, n):  # keep the forms' own product order, on which a fallback sum depends

@@ -146,11 +146,11 @@ class Representation:
         return (self.params.theta, self.params.eta, diag)
 
 
-def _branch_root(p: NCParams, branch: str) -> tuple[bool, float, float]:
+def _branch_root(theta: float, eta: float, branch: str) -> tuple[bool, float, float]:
     """(minus, theta*eta, s = sqrt(1 - theta*eta)) shared by both branch constructions."""
     if branch not in BRANCHES:
         raise ConfigError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-    product = p.product
+    product = theta * eta
     if product > 1.0:
         raise DomainError(
             f"theta*eta = {product} exceeds 1; sqrt(1 - theta*eta) is not real"
@@ -182,17 +182,22 @@ def primed_params(p: NCParams, branch: str) -> tuple[float, float]:
     theta*eta, and extends continuously to theta*eta = 0.  The plus
     branch diverges there.
     """
-    minus, product, s = _branch_root(p, branch)
+    return _primed_params(p.theta, p.eta, branch)
+
+
+def _primed_params(theta: float, eta: float, branch: str) -> tuple[float, float]:
+    """:func:`primed_params` of the bare (theta, eta) floats."""
+    minus, product, s = _branch_root(theta, eta, branch)
     if minus:
-        return 2.0 * p.theta / (1.0 + s), 2.0 * p.eta / (1.0 + s)
+        return 2.0 * theta / (1.0 + s), 2.0 * eta / (1.0 + s)
     if product == 0.0:  # theta or eta vanishes, or their product underflows
         raise DegenerateError(
             "plus-branch auxiliary parameters diverge when theta or eta vanishes"
         )
-    return (2.0 / p.eta) * (1.0 + s), (2.0 / p.theta) * (1.0 + s)
+    return (2.0 / eta) * (1.0 + s), (2.0 / theta) * (1.0 + s)
 
 
-def _shift_coeffs(p: NCParams, family: str, branch: str | None) -> tuple[float, float, float]:
+def _shift_coeffs(theta: float, eta: float, family: str, branch: str | None) -> tuple[float, float, float]:
     """(k, c, m) of a family's shift map: the one home of each family's closed form.
 
     branch: with s = sqrt(1 - theta*eta) the prefactor is
@@ -207,9 +212,9 @@ def _shift_coeffs(p: NCParams, family: str, branch: str | None) -> tuple[float, 
     shift of the branch's :func:`primed_params`.
     """
     if family == "branch":
-        minus, product, s = _branch_root(p, branch)
+        minus, product, s = _branch_root(theta, eta, branch)
         if minus:
-            return math.sqrt((1.0 + s) / 2.0), p.theta / (1.0 + s), p.eta / (1.0 + s)
+            return math.sqrt((1.0 + s) / 2.0), theta / (1.0 + s), eta / (1.0 + s)
         if product == 0.0:
             raise DegenerateError(
                 "plus branch is undefined at theta*eta = 0: its prefactor vanishes "
@@ -222,15 +227,15 @@ def _shift_coeffs(p: NCParams, family: str, branch: str | None) -> tuple[float, 
             )
         # 1 - s rewritten as product/(1 + s): exact, and immune to the
         # catastrophic cancellation of 1 - sqrt(1 - q) for small q.
-        return math.sqrt(product / (2.0 * (1.0 + s))), (1.0 + s) / p.eta, (1.0 + s) / p.theta
+        return math.sqrt(product / (2.0 * (1.0 + s))), (1.0 + s) / eta, (1.0 + s) / theta
     if family == "simple":
-        if not math.isfinite(p.product):
+        if not math.isfinite(theta * eta):
             raise DomainError(
-                f"theta*eta = {p.product} overflows; the diagonal 1 + theta*eta/4 is not finite"
+                f"theta*eta = {theta * eta} overflows; the diagonal 1 + theta*eta/4 is not finite"
             )
-        return 1.0, 0.5 * p.theta, 0.5 * p.eta
+        return 1.0, 0.5 * theta, 0.5 * eta
     if family == "epsilon_general":
-        return _epsilon_coeffs(*primed_params(p, branch))
+        return _epsilon_coeffs(*_primed_params(theta, eta, branch))
     raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -273,7 +278,7 @@ def _shift_rep(
     p: NCParams, family: str, branch: str | None, particle_id: int, coeffs: tuple[float, float, float] | None = None
 ) -> Representation:
     """The representation of a shift triple, by default the family's own; only the branch family records its branch."""
-    forms = _shift_map(particle_id, *(_shift_coeffs(p, family, branch) if coeffs is None else coeffs))
+    forms = _shift_map(particle_id, *(_shift_coeffs(p.theta, p.eta, family, branch) if coeffs is None else coeffs))
     branch = branch if family == "branch" else None
     return Representation(**forms, family=family, params=p, branch=branch, particle_id=particle_id)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncphase import (
@@ -34,6 +34,7 @@ from ncphase import (
     form_equal,
     p1,
     p2,
+    params_from_conditions,
     x1,
     x2,
 )
@@ -93,6 +94,121 @@ def test_system_rejects_mixed_hbar():
 def test_from_params_length_check():
     with pytest.raises(ConfigError):
         CompositeSystem.from_params([1.0, 2.0], [0.1], [0.1, 0.1])
+
+
+# --- the bulk build against the per-particle chain --------------------------------
+
+#: Masses the chain refuses, or that break it through gamma/m, alpha*m or the
+#: total mass: NaN, infinities, zeros of both signs, a negative, 1e-10 and
+#: 1e10 (theta or eta overflows under constants of 1e300) and 1e308.
+BAD_MASSES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5, 1e-10, 1e10, 1e308]
+#: Parameters that are not finite, and 1e308, whose sum with another overflows.
+BAD_PARAMS = [math.nan, math.inf, -math.inf, 1e308]
+#: Good hbars (a float, an int) half of the time, else ones the chain
+#: refuses: an int zero or negative, NaN, zero, negative, infinite.
+HBARS = st.one_of(st.sampled_from([1.0, 0.5, 2]), st.sampled_from([0, -1, math.nan, 0.0, -1.0, math.inf]))
+#: gamma*alpha in (-1, 1) half of the time, else >= 1 or NaN, or 1e300
+#: against 1e-301: a small product while theta = gamma/m or eta = alpha*m
+#: overflows.
+CONDITIONS = st.one_of(
+    st.builds(MassConditions, gamma=st.sampled_from([0.3, -0.2]), alpha=st.sampled_from([0.2, -0.1])),
+    st.builds(
+        MassConditions,
+        gamma=st.sampled_from([0.3, 1e300, 1e-301, math.nan]),
+        alpha=st.sampled_from([5.0, 1e300, 1e-301, math.nan]),
+    ),
+)
+
+
+@st.composite
+def columns(draw, bads, n):
+    """n good values per column, with up to two cells made bad: in the first, middle or last row."""
+    cols = [draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)) for _ in bads]
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        c = draw(st.integers(0, len(bads) - 1))
+        cols[c][draw(st.sampled_from([0, n // 2, n - 1]))] = draw(st.sampled_from(bads[c]))
+    return cols
+
+
+def _outcome(build):
+    """What ``build()`` gives (particles, total mass, length), or the type and message it raises."""
+    try:
+        system = build()
+    except Exception as exc:  # every refusal must match, whatever its type
+        return type(exc), str(exc)
+    return system.particles, system.total_mass, len(system)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CONDITIONS, st.integers(0, 5).flatmap(lambda n: columns([BAD_MASSES], n).map(lambda cols: cols[0])), HBARS)
+@example(MassConditions(0.3, 0.2), [], 1.0)
+@example(MassConditions(0.3, 0.2), [1e308, 1e308], 1.0)
+@example(MassConditions(1e300, 1e-301), [1.0, 1e-10], 1.0)
+@example(MassConditions(1e-301, 1e300), [1e10, 1.0], 1.0)
+@example(MassConditions(0.3, 0.2), [1.0, 2.0], 2)
+@example(MassConditions(0.3, 0.2), [math.nan, -1.5, 2.0], 1.0)
+@example(MassConditions(0.3, 0.2), [1.0, -1.5, 2.0], 1.0)
+@example(MassConditions(0.3, 0.2), [1.0, 2.0, -0.0], 1.0)
+def test_from_conditions_refuses_like_the_per_particle_chain(conditions, masses, hbar):
+    def chain():
+        particles = tuple(
+            Particle(id=i, mass=float(m), params=params_from_conditions(conditions, float(m), hbar))
+            for i, m in enumerate(masses)
+        )
+        return CompositeSystem(particles=particles, conditions=conditions)
+
+    assert _outcome(lambda: CompositeSystem.from_conditions(conditions, masses, hbar)) == _outcome(chain)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: columns([BAD_MASSES, BAD_PARAMS, BAD_PARAMS], n)), HBARS)
+@example([[], [], []], 1.0)
+@example([[1e308, 1e308], [0.1, 0.2], [0.1, 0.2]], 1.0)
+@example([[1.0, 2.0], [0.1, 0.2], [0.1, 1e308]], 1.0)
+@example([[1.0, 2.0], [0.1, 0.2], [0.1, 0.2]], 0)
+@example([[1.0, 2.0], [0.1, 0.2], [0.1, 0.2]], 2)
+def test_from_params_refuses_like_the_per_particle_chain(cols, hbar):
+    masses, thetas, etas = cols
+
+    def chain():
+        particles = tuple(
+            Particle(id=i, mass=float(m), params=NCParams(theta=float(t), eta=float(e), hbar=hbar, mass=float(m)))
+            for i, (m, t, e) in enumerate(zip(masses, thetas, etas))
+        )
+        return CompositeSystem(particles=particles)
+
+    assert _outcome(lambda: CompositeSystem.from_params(masses, thetas, etas, hbar)) == _outcome(chain)
+
+
+def test_general_constructor_keeps_the_particle_ids_in_order(monkeypatch):
+    masses, thetas, etas = [1.0, 2.0, 4.0], [1e200, 2e200, 3e200], [1e-201, 2e-201, 1e-201]
+    particles = tuple(
+        Particle(id=pid, mass=m, params=NCParams(theta=t, eta=e, mass=m))
+        for pid, m, t, e in zip((4, 9, 2), masses, thetas, etas)
+    )
+    system = CompositeSystem(particles=particles)
+    assert len(system) == 3
+    assert system.particles is system.particles == particles
+    coordinates = [CanonicalVar(pid, "x1") for pid in (4, 9, 2)]
+    assert list(com_canonical(system)[0].terms) == coordinates
+    assert list(com_rep_direct(system)[0].terms) == [
+        key for pid in (4, 9, 2) for key in (CanonicalVar(pid, "x1"), CanonicalVar(pid, "p2"))
+    ]
+    # Coefficients near 1e200 send both routes' tables through the forms,
+    # whose keys must carry the given ids in the given order.
+    seen = []
+
+    def spy(a, b):
+        seen.append(list(dict.fromkeys(var.particle_id for var in (*a.terms, *b.terms))))
+        return commutator(a, b).scalar
+
+    monkeypatch.setattr("ncphase.composite._commutator_scalar", spy)
+    report = compare_com_reps(system)
+    assert len(seen) == 12 and all(ids == [4, 9, 2] for ids in seen)
+    bulk = CompositeSystem.from_params(masses, thetas, etas)
+    assert "particles" not in vars(bulk)  # built on first access only
+    assert report.to_dict() == compare_com_reps(bulk).to_dict()
+    assert bulk.particles is bulk.particles
 
 
 # --- centre-of-mass canonical pair ---------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from operator import mul, neg, sub
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import _PAIR_KINDS, KINDS, CanonicalVar, LinearForm, p1, p2, x1, x2
 from .errors import ConfigError, DomainError
@@ -44,6 +44,7 @@ from .representation import (
     Representation,
     _commutator_checks,
     _commutator_scalar,
+    _require_positive_mass,
     _shift_coeffs,
     _shift_terms,
     build_branch_rep,
@@ -67,8 +68,7 @@ class Particle:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ConfigError(f"particle id must be nonnegative, got {self.id}")
-        if not self.mass > 0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        _require_positive_mass(self.mass)
         if self.params.mass != self.mass:
             raise ConfigError(
                 f"particle {self.id}: params.mass = {self.params.mass} disagrees with mass = {self.mass}"
@@ -101,7 +101,15 @@ class CompositeSystem:
         self._set_columns(ids, [p.mass for p in particles], thetas, etas, particles[0].params.hbar, conditions)
         self.particles = particles  # fills the cache of the ``particles`` property
 
-    def _set_columns(self, ids, masses, thetas, etas, hbar, conditions) -> None:
+    def _set_columns(
+        self,
+        ids: Iterable[int],
+        masses: Iterable[float],
+        thetas: Iterable[float],
+        etas: Iterable[float],
+        hbar: float,
+        conditions: MassConditions | None,
+    ) -> None:
         self.ids, self.masses, self.thetas, self.etas = tuple(ids), tuple(masses), tuple(thetas), tuple(etas)
         self.hbar, self.conditions = hbar, conditions
         try:
@@ -160,7 +168,13 @@ class CompositeSystem:
         return cls._build(columns, chain, hbar, None)
 
     @classmethod
-    def _build(cls, columns, chain, hbar, conditions: MassConditions | None) -> "CompositeSystem":
+    def _build(
+        cls,
+        columns: Callable[[], tuple[list[float], list[float], list[float]]],
+        chain: Callable[[], tuple[Particle, ...]],
+        hbar: float,
+        conditions: MassConditions | None,
+    ) -> "CompositeSystem":
         """The system of the (masses, thetas, etas) ``columns()`` if a bulk check passes, else of ``chain()``.
 
         ``chain()`` builds the particles one by one, each validated, and so
@@ -385,8 +399,8 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
     theta, eta, diag = template.expected_table()
     diags = {"algebraic": diag, "direct": diag}
     if family == "simple":
-        products = map(mul, system.thetas, system.etas)
-        diags["direct"] = 1.0 + math.fsum(map(mul, (m / M for m in system.masses), products)) / 4.0
+        weighted = ((m / M) * (t * e) for m, t, e in zip(system.masses, system.thetas, system.etas))
+        diags["direct"] = 1.0 + math.fsum(weighted) / 4.0
     n = len(system)
     for label, columns in routes.items():
         operands, commute = columns, _column_commutator

@@ -44,6 +44,12 @@ BRANCHES = ("plus", "minus")
 DEFAULT_TOL = 1e-12
 
 
+def _require_positive_mass(mass: float) -> None:
+    """Refuse a mass that is not positive, NaN included: the one home of that message."""
+    if not mass > 0:
+        raise DomainError(f"mass must be positive, got {mass}")
+
+
 @dataclass(frozen=True)
 class NCParams:
     """Noncommutativity parameters for one particle.
@@ -64,8 +70,7 @@ class NCParams:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.hbar > 0:
             raise DomainError(f"hbar must be positive, got {self.hbar}")
-        if not self.mass > 0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        _require_positive_mass(self.mass)
 
     @property
     def product(self) -> float:
@@ -338,8 +343,7 @@ def params_from_conditions(c: MassConditions, mass: float, hbar: float = 1.0) ->
     The product theta*eta = alpha*gamma is then the same for every mass,
     which is what makes the resulting kinematics mass-independent.
     """
-    if not mass > 0:
-        raise DomainError(f"mass must be positive, got {mass}")
+    _require_positive_mass(mass)
     if c.product >= 1.0:
         raise DomainError(
             f"alpha*gamma = {c.product} must stay below 1 so that theta*eta < 1 for every mass"

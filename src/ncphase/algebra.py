@@ -197,8 +197,9 @@ def commutator(a: LinearForm, b: LinearForm) -> CommutatorResult:
     rather than a silent zero.
 
     Both signed products of every (particle, component) pair are summed
-    exactly with ``math.fsum`` and rounded once.  Correct rounding is
-    symmetric under negation, so antisymmetry holds bit for bit:
+    exactly and rounded once (:func:`_exact_sum`), so the scalar does not
+    depend on the order of the products.  Correct rounding is symmetric
+    under negation, so antisymmetry holds bit for bit:
     ``commutator(a, b).scalar == -commutator(b, a).scalar``.
     """
     if not isinstance(a, LinearForm) or not isinstance(b, LinearForm):
@@ -214,13 +215,35 @@ def commutator(a: LinearForm, b: LinearForm) -> CommutatorResult:
         xv, pv = (pid, xkind), (pid, pkind)
         products.append(ta.get(xv, 0.0) * tb.get(pv, 0.0))
         products.append(-(ta.get(pv, 0.0) * tb.get(xv, 0.0)))
+    return CommutatorResult(scalar=_exact_sum(products))
+
+
+def _exact_sum(values: list[float]) -> float:
+    """The exact sum of ``values``, rounded once: the same in every order.
+
+    ``math.fsum`` raises when a partial sum leaves the float range or inf
+    meets -inf.  Finite values are then summed as integers over a power of
+    two, and a sum beyond the float range reads inf with its sign; else the
+    non-finite values alone decide: nan if a nan or both infinities occur.
+    """
     try:
-        scalar = math.fsum(products)
+        return math.fsum(values)
     except (OverflowError, ValueError):
-        # fsum raises on inf - inf and on partial sums beyond the float
-        # range; the plain sum gives nan or inf there instead.
-        scalar = sum(products)
-    return CommutatorResult(scalar=scalar)
+        special = [v for v in values if not math.isfinite(v)]
+    if special:
+        return sum(special)
+    num, den = _dyadic_sum([v.as_integer_ratio() for v in values])
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _dyadic_sum(ratios: list[tuple[int, int]]) -> tuple[int, int]:
+    """Exact sum of (numerator, power-of-two denominator) pairs, as one such pair."""
+    den = max(d for _, d in ratios)
+    top = den.bit_length()
+    return sum(n << (top - d.bit_length()) for n, d in ratios), den
 
 
 def form_distance(a: LinearForm, b: LinearForm) -> float:

@@ -34,7 +34,7 @@ from itertools import chain
 from operator import mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
-from .algebra import _PAIR_KINDS, KINDS, CanonicalVar, LinearForm, p1, p2, x1, x2
+from .algebra import _PAIR_KINDS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum, p1, p2, x1, x2
 from .errors import ConfigError, DomainError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -43,7 +43,6 @@ from .representation import (
     NCParams,
     Representation,
     _commutator_checks,
-    _commutator_scalar,
     _require_positive_mass,
     _shift_coeffs,
     _shift_terms,
@@ -266,29 +265,15 @@ def _forms(columns: Sequence[_Columns], system: CompositeSystem, by_kind: bool) 
 def _column_commutator(a: _Columns, b: _Columns) -> float:
     """``commutator(a, b).scalar`` of two column forms over the same particles.
 
-    The same signed products, summed by the same ``math.fsum``, which rounds
-    their exact sum once whatever their order.  The caller makes sure no
-    partial sum can leave the float range (see :func:`_fits_fsum`).
+    The same signed products, summed exactly by the same :func:`_exact_sum`.
     """
     products = []
     for xkind, pkind in _PAIR_KINDS.values():
         if xkind in a and pkind in b:
-            products.append(map(mul, a[xkind], b[pkind]))
+            products += map(mul, a[xkind], b[pkind])
         if pkind in a and xkind in b:
-            products.append(map(neg, map(mul, a[pkind], b[xkind])))
-    return math.fsum(chain.from_iterable(products))
-
-
-def _fits_fsum(columns: Sequence[_Columns], n: int) -> bool:
-    """Whether no sum of products of these coefficients can overflow, in any order.
-
-    A commutator sums at most 4n products, each at most the largest
-    coefficient squared.  Below 2**1022 in all, ``math.fsum`` neither
-    overflows nor falls back, so its result does not depend on the order of
-    the products.
-    """
-    bound = max(map(abs, chain.from_iterable(col for cols in columns for col in cols.values())), default=0.0)
-    return 4 * n * bound * bound < 2.0**1022
+            products += map(neg, map(mul, a[pkind], b[xkind]))
+    return _exact_sum(products)
 
 
 def _distance(a: _Columns, b: _Columns) -> float:
@@ -317,18 +302,10 @@ def effective_params(system: CompositeSystem) -> tuple[float, float]:
     thetas = [t.as_integer_ratio() for t in system.thetas]
     M, M_den = _dyadic_sum(masses)
     num, num_den = _dyadic_sum([(m * m * t, d * d * td) for (m, d), (t, td) in zip(masses, thetas)])
-    eta, eta_den = _dyadic_sum([e.as_integer_ratio() for e in system.etas])
-    try:
-        return (num * M_den * M_den) / (num_den * M * M), eta / eta_den
-    except OverflowError as exc:  # only the eta sum can leave the float range
-        raise DomainError("eta_eff, the sum of the particles' eta, overflows the float range") from exc
-
-
-def _dyadic_sum(ratios: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """Exact sum of (numerator, power-of-two denominator) pairs, as one such pair."""
-    den = max(d for _, d in ratios)
-    top = den.bit_length()
-    return sum(n << (top - d.bit_length()) for n, d in ratios), den
+    eta_eff = _exact_sum(list(system.etas))
+    if not math.isfinite(eta_eff):  # theta_eff is at most the largest |theta_a|
+        raise DomainError("eta_eff, the sum of the particles' eta, overflows the float range")
+    return (num * M_den * M_den) / (num_den * M * M), eta_eff
 
 
 def com_params(system: CompositeSystem) -> NCParams:
@@ -401,15 +378,13 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
     if family == "simple":
         weighted = ((m / M) * (t * e) for m, t, e in zip(system.masses, system.thetas, system.etas))
         diags["direct"] = 1.0 + math.fsum(weighted) / 4.0
-    n = len(system)
     for label, columns in routes.items():
-        operands, commute = columns, _column_commutator
-        if not _fits_fsum(columns, n):  # keep the forms' own product order, on which a fallback sum depends
-            operands, commute = _forms(columns, system, by_kind=label == "algebraic"), _commutator_scalar
-        checks += _commutator_checks(operands, commute, (theta, eta, diags[label]), tol, f"table.{label}.")
+        checks += _commutator_checks(columns, _column_commutator, (theta, eta, diags[label]), tol, f"table.{label}.")
     # Coefficient of xc2 inside P1c for the algebraic route; grows linearly
     # with the total mass under shared conditions.
     coeff = template.P1.coefficient(CanonicalVar(0, "x2"))
+    if not math.isfinite(coeff / M):
+        raise DomainError("the momentum-coordinate coefficient over the total mass overflows the float range")
     meta = {
         "family": family,
         "branch": template.branch,

@@ -9,6 +9,9 @@ package, so agreement is meaningful.
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from ncphase import (
     x1,
     x2,
 )
+from ncphase.algebra import _exact_sum
 
 
 def oracle_commutator(a: LinearForm, b: LinearForm) -> float:
@@ -242,6 +246,38 @@ def test_opposite_infinite_products_give_nan():
     a = LinearForm({CanonicalVar(0, "x1"): math.inf, CanonicalVar(0, "p1"): math.inf})
     b = x1() + p1()
     assert math.isnan(commutator(a, b).scalar)
+
+
+_huge = st.sampled_from([1.5e308, -1.5e308, sys.float_info.max, -sys.float_info.max])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | _huge, max_size=6))
+def test_exact_sum_is_order_free_and_correctly_rounded(values):
+    # The oracle is the exact rational sum, rounded once; beyond the float
+    # range it reads inf with its sign.
+    exact = sum(map(Fraction, values))
+    try:
+        want = float(exact)
+    except OverflowError:
+        want = math.inf if exact > 0 else -math.inf
+    got = {_exact_sum(list(order)).hex() for order in permutations(values)}
+    assert len(got) == 1
+    assert float.fromhex(got.pop()) == want
+
+
+@pytest.mark.parametrize(
+    "values,want",
+    [
+        ([1e308, 1e308, -math.inf], -math.inf),
+        ([1e308, math.inf, 1e308], math.inf),
+        ([math.inf, -1e308, -math.inf], math.nan),
+        ([1.5e308, math.nan, 1.5e308], math.nan),
+    ],
+)
+def test_exact_sum_of_non_finite_values_is_order_free(values, want):
+    got = {_exact_sum(list(order)).hex() for order in permutations(values)}
+    assert got == {want.hex()}
 
 
 # --- canonical variables ---------------------------------------------------

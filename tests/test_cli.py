@@ -775,6 +775,19 @@ def test_edge_parameter_grid_prints_strict_json(capsys):
                 rc, out = run_cli(capsys, *argv)
                 assert rc in (0, 1, 2), argv
                 json.loads(out, parse_constant=_no_constant)
+    # Partial sums of the direct [P1,P2] overflow in one particle order and
+    # not in the other; both read the exact sum.
+    for family in ("branch", "simple"):
+        runs = []
+        for etas in ("1.5e308,1.5e308,-1.5e308", "-1.5e308,1.5e308,1.5e308"):
+            rc, out = run_cli(capsys, "com", "--masses", "1,1,1", "--thetas", "0,0,0", f"--etas={etas}", "--family", family)
+            runs.append((rc, [check["measured"] for check in json.loads(out, parse_constant=_no_constant)["checks"]]))
+        assert runs[0] == runs[1], family
+    # A coefficient over a tiny total mass overflows: a refusal, not Infinity.
+    for family in ("branch", "simple"):
+        rc, out = run_cli(capsys, "com", "--masses", "1e-300,1e-300", "--thetas=0,0", "--etas=1e308,0.3", "--family", family)
+        assert rc == 2, family
+        json.loads(out, parse_constant=_no_constant)
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ_BASES))

@@ -180,7 +180,7 @@ def test_from_params_refuses_like_the_per_particle_chain(cols, hbar):
     assert _outcome(lambda: CompositeSystem.from_params(masses, thetas, etas, hbar)) == _outcome(chain)
 
 
-def test_general_constructor_keeps_the_particle_ids_in_order(monkeypatch):
+def test_general_constructor_keeps_the_particle_ids_in_order():
     masses, thetas, etas = [1.0, 2.0, 4.0], [1e200, 2e200, 3e200], [1e-201, 2e-201, 1e-201]
     particles = tuple(
         Particle(id=pid, mass=m, params=NCParams(theta=t, eta=e, mass=m))
@@ -194,17 +194,7 @@ def test_general_constructor_keeps_the_particle_ids_in_order(monkeypatch):
     assert list(com_rep_direct(system)[0].terms) == [
         key for pid in (4, 9, 2) for key in (CanonicalVar(pid, "x1"), CanonicalVar(pid, "p2"))
     ]
-    # Coefficients near 1e200 send both routes' tables through the forms,
-    # whose keys must carry the given ids in the given order.
-    seen = []
-
-    def spy(a, b):
-        seen.append(list(dict.fromkeys(var.particle_id for var in (*a.terms, *b.terms))))
-        return commutator(a, b).scalar
-
-    monkeypatch.setattr("ncphase.composite._commutator_scalar", spy)
     report = compare_com_reps(system)
-    assert len(seen) == 12 and all(ids == [4, 9, 2] for ids in seen)
     bulk = CompositeSystem.from_params(masses, thetas, etas)
     assert "particles" not in vars(bulk)  # built on first access only
     assert report.to_dict() == compare_com_reps(bulk).to_dict()
@@ -539,11 +529,11 @@ def test_one_pass_sums_equal_chained_form_addition(is_conditioned):
 
 # --- column primitives ------------------------------------------------------------
 
-#: Coefficients with exact zeros of both signs, subnormals and wide magnitudes,
-#: small enough that no commutator sum can overflow.
+#: Coefficients with exact zeros of both signs, subnormals and any finite
+#: magnitude, with products and sums that overflow.
 column_coeffs = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0]),
-    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 1.5e308, -1.5e308, 1e200, -1e200]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
 )
 
 
@@ -573,6 +563,6 @@ def test_column_primitives_equal_the_form_primitives_bit_for_bit(data):
     a, b = data.draw(column_forms(ids)), data.draw(column_forms(ids))
     ca, cb = _as_columns(a, ids), _as_columns(b, ids)
     fa, fb = _as_form(a), _as_form(b)
-    assert _column_commutator(ca, cb) == commutator(fa, fb).scalar
-    assert _column_commutator(cb, ca) == commutator(fb, fa).scalar
+    assert _column_commutator(ca, cb).hex() == commutator(fa, fb).scalar.hex()
+    assert _column_commutator(cb, ca).hex() == commutator(fb, fa).scalar.hex()
     assert _distance(ca, cb) == form_distance(fa, fb)

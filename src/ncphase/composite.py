@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
-from .algebra import _PAIR_KINDS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum, p1, p2, x1, x2
+from .algebra import _PAIR_KINDS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum
 from .errors import ConfigError, DomainError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -43,11 +43,10 @@ from .representation import (
     NCParams,
     Representation,
     _commutator_checks,
+    _diagonal,
     _require_positive_mass,
     _shift_coeffs,
     _shift_terms,
-    build_branch_rep,
-    build_simple_rep,
     params_from_conditions,
 )
 
@@ -204,46 +203,39 @@ class CompositeSystem:
 
 
 def com_canonical(system: CompositeSystem) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
-    """Mass-weighted coordinates and total momenta (xc1, xc2, pc1, pc2)."""
-    return _forms(_expand((x1(), x2(), p1(), p2()), system), system, by_kind=True)
+    """Mass-weighted coordinates and total momenta (xc1, xc2, pc1, pc2): the algebraic route of the identity row."""
+    return _forms(_route_columns(system, [(1.0, 0.0, 0.0, 0.0, 0.0)] * len(system), direct=False), system, by_kind=True)
 
 
-def _expand(template: Sequence[LinearForm], system: CompositeSystem) -> tuple[_Columns, ...]:
-    """Forms over one particle's (x1, x2, p1, p2), rewritten over the centre-of-mass pair (xc, pc).
+def _route_columns(system: CompositeSystem, rows: Sequence[tuple[float, ...]], direct: bool) -> tuple[_Columns, ...]:
+    """The column forms X1, X2, P1, P2 of one shift row (k, k*-c, k*c, k*m, k*-m) per particle.
 
-    Each coordinate kind spreads as sum_a (m_a/M) kind[a], each momentum kind
-    as sum_a kind[a]: a coefficient becomes the column coeff*(m_a/M), or coeff
-    repeated.  The template's constants are all 0.0.
+    Both routes weight by m_a/M and differ only in where.  The direct route
+    mass-averages each particle's own map, so m_a/M weights the coordinate
+    forms X1 and X2.  The algebraic route applies one map to
+    (xc, pc) = (sum_a (m_a/M) x^(a), sum_a p^(a)), so its rows all repeat the
+    effective pair's row and m_a/M weights the coordinate kinds x1 and x2.
     """
     M = system.total_mass
-    weights = [m / M for m in system.masses]
-    n = len(weights)
-    return tuple(
-        {
-            kind: [coeff * w for w in weights] if kind[0] == "x" else [coeff] * n
-            for (_, kind), coeff in form.terms.items()
-        }
-        for form in template
-    )
-
-
-def _shift_columns(system: CompositeSystem, family: str, branch: str | None) -> tuple[_Columns, ...]:
-    """The direct route: each particle's shift map, coordinates weighted by m_a/M, momenta as they are.
-
-    The particles are read in order, so the first one whose shift map is
-    refused raises, as a per-particle build would.
-    """
-    M = system.total_mass
-    rows = [_shift_terms(*_shift_coeffs(t, e, family, branch)) for t, e in zip(system.thetas, system.etas)]
-    k, k_mc, k_c, k_m, k_mm = (list(col) for col in zip(*rows))
     w = [m / M for m in system.masses]
+    k, k_mc, k_c, k_m, k_mm = (list(col) for col in zip(*rows))
     wk = list(map(mul, w, k))
+
+    def weighted(col: list[float], weigh: bool) -> list[float]:
+        return list(map(mul, w, col)) if weigh else col
+
     return (
-        {"x1": wk, "p2": list(map(mul, w, k_mc))},
-        {"x2": wk, "p1": list(map(mul, w, k_c))},
-        {"p1": k, "x2": k_m},
-        {"p2": k, "x1": k_mm},
+        {"x1": wk, "p2": weighted(k_mc, direct)},
+        {"x2": wk, "p1": weighted(k_c, direct)},
+        {"p1": k, "x2": weighted(k_m, not direct)},
+        {"p2": k, "x1": weighted(k_mm, not direct)},
     )
+
+
+def _direct(system: CompositeSystem, family: str, branch: str | None) -> tuple[_Columns, ...]:
+    """The direct route: each particle's own shift row, read in particle order, so the first refused map raises."""
+    rows = [_shift_terms(*_shift_coeffs(t, e, family, branch)) for t, e in zip(system.thetas, system.etas)]
+    return _route_columns(system, rows, direct=True)
 
 
 def _forms(columns: Sequence[_Columns], system: CompositeSystem, by_kind: bool) -> tuple[LinearForm, ...]:
@@ -313,16 +305,11 @@ def com_params(system: CompositeSystem) -> NCParams:
     return NCParams(theta=theta_eff, eta=eta_eff, hbar=system.hbar, mass=system.total_mass)
 
 
-def _template(system: CompositeSystem, family: str, branch: str | None) -> Representation:
-    """The single-particle construction of the effective pair, which the algebraic route expands."""
-    p = com_params(system)
-    return build_simple_rep(p) if family == "simple" else build_branch_rep(p, branch)
-
-
 def _algebraic(system: CompositeSystem, family: str, branch: str | None) -> Representation:
-    template = _template(system, family, branch)
-    forms = _forms(_expand(template.forms(), system), system, by_kind=True)
-    return replace(template, **dict(zip(template.form_names(), forms)), particle_id=None)
+    p = com_params(system)
+    rows = [_shift_terms(*_shift_coeffs(p.theta, p.eta, family, branch))] * len(system)
+    forms = _forms(_route_columns(system, rows, direct=False), system, by_kind=True)
+    return Representation(*forms, family, p, branch if family == "branch" else None, particle_id=None)
 
 
 def com_rep_algebraic(system: CompositeSystem, branch: str = "minus") -> Representation:
@@ -347,23 +334,25 @@ def com_rep_direct(
     Every particle uses the same branch; mixing branches (or families)
     across particles is not representable here on purpose.
     """
-    return _forms(_shift_columns(system, "branch", branch), system, by_kind=False)
+    return _forms(_direct(system, "branch", branch), system, by_kind=False)
 
 
 def com_simple_direct(
     system: CompositeSystem,
 ) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Direct route through per-particle simple representations."""
-    return _forms(_shift_columns(system, "simple", None), system, by_kind=False)
+    return _forms(_direct(system, "simple", None), system, by_kind=False)
 
 
 def _compare(system: CompositeSystem, family: str, branch: str | None, tol: float) -> CheckReport:
     """Coefficient-wise comparison of a family's two routes, over their columns."""
-    template = _template(system, family, branch)
-    routes = {"algebraic": _expand(template.forms(), system), "direct": _shift_columns(system, family, branch)}
+    p = com_params(system)
+    row = _shift_terms(*_shift_coeffs(p.theta, p.eta, family, branch))
+    algebraic = _route_columns(system, [row] * len(system), direct=False)
+    routes = {"algebraic": algebraic, "direct": _direct(system, family, branch)}
     checks = [
         CheckRecord.within(f"routes.{name}", 0.0, _distance(alg, dir_), tol)
-        for name, alg, dir_ in zip(template.form_names(), *routes.values())
+        for name, alg, dir_ in zip(Representation.form_names(), *routes.values())
     ]
     # Both routes must reproduce their commutator tables regardless of
     # whether they agree with each other.  The routes only share a diagonal
@@ -371,23 +360,22 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
     # product: the algebraic route is built from the effective pair, so its
     # diagonal is 1 + theta_eff*eta_eff/4, while summing per-particle forms
     # gives the mass-weighted mean of the individual products instead.
-    p = template.params
     M = p.mass
-    theta, eta, diag = template.expected_table()
-    diags = {"algebraic": diag, "direct": diag}
+    products = {"algebraic": p.product, "direct": p.product}
     if family == "simple":
-        weighted = ((m / M) * (t * e) for m, t, e in zip(system.masses, system.thetas, system.etas))
-        diags["direct"] = 1.0 + math.fsum(weighted) / 4.0
+        products["direct"] = math.fsum((m / M) * (t * e) for m, t, e in zip(system.masses, system.thetas, system.etas))
     for label, columns in routes.items():
-        checks += _commutator_checks(columns, _column_commutator, (theta, eta, diags[label]), tol, f"table.{label}.")
-    # Coefficient of xc2 inside P1c for the algebraic route; grows linearly
-    # with the total mass under shared conditions.
-    coeff = template.P1.coefficient(CanonicalVar(0, "x2"))
+        table = (p.theta, p.eta, _diagonal(family, products[label]))
+        checks += _commutator_checks(columns, _column_commutator, table, tol, f"table.{label}.")
+    # Coefficient of xc2 inside P1c for the algebraic route, k*m of the
+    # effective row; grows linearly with the total mass under shared
+    # conditions.  An exact zero reads +0.0, as an absent term does.
+    coeff = row[3] + 0.0
     if not math.isfinite(coeff / M):
         raise DomainError("the momentum-coordinate coefficient over the total mass overflows the float range")
     meta = {
         "family": family,
-        "branch": template.branch,
+        "branch": branch if family == "branch" else None,
         "theta_eff": p.theta,
         "eta_eff": p.eta,
         "total_mass": M,

@@ -249,10 +249,18 @@ def evolve(
 
 
 def energy_drift(h: QuadraticHamiltonian, traj: Trajectory) -> float:
-    """Max |H(t) - H(0)| along the trajectory, relative to max(1, |H(0)|)."""
-    energies = h.energies(traj.canonical_states)
-    scale = max(1.0, abs(energies[0]))
-    return float(np.max(np.abs(energies - energies[0])) / scale)
+    """Max |H(t) - H(0)| along the trajectory, relative to max(1, |H(0)|).
+
+    A finite trajectory can still overflow H or H(t) - H(0) (p1 = 1e200):
+    numpy stays silent and the drift, then not finite, raises ConfigError.
+    """
+    with np.errstate(all="ignore"):
+        energies = h.energies(traj.canonical_states)
+        scale = max(1.0, abs(energies[0]))
+        drift = float(np.max(np.abs(energies - energies[0])) / scale)
+    if not math.isfinite(drift):
+        raise ConfigError("the energy H, or its drift H(t) - H(0), overflows the float range along the trajectory")
+    return drift
 
 
 def nc_initial_state(h: QuadraticHamiltonian, nc_data: Sequence[float]) -> np.ndarray:

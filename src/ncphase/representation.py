@@ -66,8 +66,11 @@ class NCParams:
 
     def __post_init__(self) -> None:
         for name in ("theta", "eta", "hbar", "mass"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            # stored as float, so a numpy scalar's overflow warnings stay out of the builders
+            object.__setattr__(self, name, float(value))
         if not self.hbar > 0:
             raise DomainError(f"hbar must be positive, got {self.hbar}")
         _require_positive_mass(self.mass)
@@ -142,13 +145,18 @@ class Representation:
     def forms(self) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
         return (self.X1, self.X2, self.P1, self.P2)
 
-    def form_names(self) -> tuple[str, str, str, str]:
+    @staticmethod
+    def form_names() -> tuple[str, str, str, str]:
         return ("X1", "X2", "P1", "P2")
 
     def expected_table(self) -> tuple[float, float, float]:
         """Expected (coordinate, momentum, diagonal) commutator scalars."""
-        diag = 1.0 + self.params.product / 4.0 if self.family == "simple" else 1.0
-        return (self.params.theta, self.params.eta, diag)
+        return (self.params.theta, self.params.eta, _diagonal(self.family, self.params.product))
+
+
+def _diagonal(family: str, product: float) -> float:
+    """The [Xi, Pi] table entry: 1 + theta*eta/4 for the simple family, else 1."""
+    return 1.0 + product / 4.0 if family == "simple" else 1.0
 
 
 def _branch_root(theta: float, eta: float, branch: str) -> tuple[bool, float, float]:
@@ -334,7 +342,7 @@ def build_representation(
 
 def effective_planck(p: NCParams) -> float:
     """hbar_eff = hbar*(1 + theta*eta/4): the simple family's diagonal scale."""
-    return p.hbar * (1.0 + p.product / 4.0)
+    return p.hbar * _diagonal("simple", p.product)
 
 
 def params_from_conditions(c: MassConditions, mass: float, hbar: float = 1.0) -> NCParams:
@@ -482,6 +490,8 @@ def check_commutative_limit(
     is compared against the matching entry of ``tols``.  Branch failures at
     a degenerate scale (e.g. exactly zero) are recorded, not raised.
     """
+    if len(scales) == 0:
+        raise ConfigError("need at least one scale to track the commutative limit")
     if len(scales) != len(tols):
         raise ConfigError(
             f"need one tolerance per scale, got {len(scales)} scales and {len(tols)} tolerances"

@@ -33,6 +33,10 @@ from ncphase import (
 from ncphase.algebra import _exact_sum
 
 
+#: The pure-Python layers raise no numpy warning, even from numpy inputs.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def oracle_commutator(a: LinearForm, b: LinearForm) -> float:
     """Brute-force sum of coeff_a(u) * coeff_b(v) * sigma(u, v) over all pairs."""
     total = 0.0

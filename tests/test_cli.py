@@ -532,6 +532,9 @@ def test_console_script_entry_point():
         (["com", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2", "--tol", "inf"], "ConfigError"),
         (["verify", "--theta", "0.5", "--eta", "0.5", "--limit-scales", "1e-2,1e-4",
           "--limit-tols", "1e-2,inf"], "ConfigError"),
+        # a limit track over no scales
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--limit-scales", ""], "ConfigError"),
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--limit-scales", ",,"], "ConfigError"),
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--g", "nan"], "ConfigError"),
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "harmonic", "--omega", "inf"],
          "ConfigError"),
@@ -545,6 +548,10 @@ def test_console_script_entry_point():
           "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--g", "1e308",
           "--mass", "10", "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
+        (["simulate", "--theta", "0.1", "--eta", "0.1", "--p1", "1e200", "--format", "json",
+          "--t-end", "0.02"], "ConfigError"),
+        (["simulate", "--wep", "--masses", "1,2", "--gamma", "0.1", "--alpha", "0.1", "--t-end", "0.02",
+          "--nc-v1", "1e160"], "ConfigError"),
         # finite Hamiltonians whose one-step propagator overflows
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "harmonic", "--omega", "1e100",
           "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),

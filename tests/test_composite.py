@@ -40,6 +40,9 @@ from ncphase import (
 )
 from ncphase.composite import _column_commutator, _distance, com_params
 
+#: The pure-Python layers raise no numpy warning, even from numpy inputs.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SEED = int(os.environ.get("NCPS_SEED", "20260814"))
 
 COND = MassConditions(gamma=0.3, alpha=0.2)
@@ -470,6 +473,16 @@ def test_momentum_coordinate_coefficient_matches_closed_form(family, branch):
     assert report.meta["momentum_coordinate_coeff"] == want
 
 
+def test_momentum_coordinate_coefficient_of_an_underflowing_shift_reads_positive_zero():
+    # eta_eff = -5e-324 gives each family a momentum shift k*m of -0.0, which
+    # P1c drops like any zero term: the coefficient reads +0.0.
+    system = CompositeSystem.from_params([1.0, 2.0], [0.1, 0.2], [-5e-324, 0.0])
+    assert effective_params(system)[1] == -5e-324
+    for report in (compare_com_reps(system, "minus"), compare_com_simple(system)):
+        assert report.meta["momentum_coordinate_coeff"].hex() == (0.0).hex()
+        assert report.meta["momentum_coordinate_coeff_over_mass"].hex() == (0.0).hex()
+
+
 def _chained_sum(system, forms_for_particle):
     # The plain reference: one LinearForm + per particle and form.
     M = system.total_mass
@@ -499,16 +512,21 @@ def _chained_substitution(system, family, branch):
     return out
 
 
-@pytest.mark.parametrize("is_conditioned", [True, False])
-def test_one_pass_sums_equal_chained_form_addition(is_conditioned):
+@pytest.mark.parametrize("params", [True, False, "thetas", "etas"])
+def test_one_pass_sums_equal_chained_form_addition(params):
+    # True: shared mass conditions.  False: fixed parameters.  "thetas" or
+    # "etas": fixed parameters with that one all 0.0, so an effective
+    # parameter vanishes and the routes' shift rows hold zero columns, which
+    # the forms must drop as the chained single-particle forms never hold them.
     rng = np.random.default_rng(SEED)
     masses = 10 ** rng.uniform(-1.0, 2.0, size=50)
-    if is_conditioned:
+    if params is True:
         system = conditioned(masses)
     else:
-        system = CompositeSystem.from_params(
-            masses, rng.uniform(0.001, 0.05, size=50), rng.uniform(-0.05, 0.05, size=50)
-        )
+        columns = {"thetas": rng.uniform(0.001, 0.05, size=50), "etas": rng.uniform(-0.05, 0.05, size=50)}
+        if params:
+            columns[params] = [0.0] * 50
+        system = CompositeSystem.from_params(masses, columns["thetas"], columns["etas"])
     cases = [
         (com_canonical(system), _chained_sum(system, _canonical_forms)),
         (com_rep_direct(system, "minus"), _chained_sum(
@@ -525,6 +543,10 @@ def test_one_pass_sums_equal_chained_form_addition(is_conditioned):
         for g, w in zip(got, want, strict=True):
             assert form_equal(g, w, tol=0.0)
             assert list(g.terms) == list(w.terms)
+    if params == "etas":
+        # no xc2 term inside P1c: the coefficient reads +0.0, as an absent term does
+        for report in (compare_com_reps(system, "minus"), compare_com_simple(system)):
+            assert report.meta["momentum_coordinate_coeff"].hex() == (0.0).hex()
 
 
 # --- column primitives ------------------------------------------------------------

@@ -40,6 +40,9 @@ from ncphase import (
     x2,
 )
 
+#: The pure-Python layers raise no numpy warning, even from numpy inputs.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # Frozen reference values, recomputed with 50-digit arithmetic (mpmath)
 # before being pinned here.  The matched auxiliary pair for theta = eta = 0.5
 # on the minus branch is 4 - 2*sqrt(3); its plus twin is 4 + 2*sqrt(3); the
@@ -398,6 +401,12 @@ def test_commutative_limit_needs_one_tolerance_per_scale():
         check_commutative_limit([1e-2, 1e-4], NCParams(0.5, 0.5), [1e-2])
 
 
+def test_commutative_limit_needs_a_scale():
+    # an empty track would pass both monotone checks over no distances
+    with pytest.raises(ConfigError, match="at least one scale"):
+        check_commutative_limit([], NCParams(0.5, 0.5), [])
+
+
 def test_commutative_limit_needs_positive_ratio():
     with pytest.raises(DomainError):
         check_commutative_limit((1e-2,), NCParams(-0.5, 0.5), (1e-2,))
@@ -449,6 +458,17 @@ def test_nc_params_validation():
         NCParams(0.1, 0.1, hbar=0.0)
     with pytest.raises(DomainError):
         NCParams(0.1, 0.1, mass=-1.0)
+    # a value math.isfinite cannot read keeps its own error type
+    with pytest.raises(TypeError):
+        NCParams("0.1", 0.1)
+    with pytest.raises(OverflowError):
+        NCParams(10**400, 0.1)
+
+
+def test_nc_params_store_floats():
+    p = NCParams(np.float64(1e200), np.float64(1e200), hbar=1, mass=np.float32(2.0))
+    assert all(type(v) is float for v in (p.theta, p.eta, p.hbar, p.mass))
+    assert p.product == math.inf  # a float product overflows without a numpy warning
 
 
 @pytest.mark.parametrize("family,branch", [("branch", "minus"), ("simple", None)])

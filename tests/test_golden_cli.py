@@ -1,7 +1,8 @@
 """Exact stdout and exit code of fixed CLI invocations, against ``golden_cli.json``.
 
-The invocations are the numpy-free README examples plus a JSON ``repr``, an
-``epsilon_general`` plus-branch ``verify`` and a refused ``verify``.  A
+The invocations are the README examples plus a JSON ``repr``, an
+``epsilon_general`` plus-branch ``verify``, a refused ``verify`` and a
+fixed-parameter ``simulate --wep`` whose spread is nonzero.  A
 change that alters one of these outputs on purpose regenerates the fixture
 with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says so.
 """
@@ -29,6 +30,12 @@ INVOCATIONS = (
     ["repr", "--theta", "0.5", "--eta", "0.5"],
     ["verify", "--theta", "0.5", "--eta", "0.5", "--family", "epsilon_general", "--branch", "plus"],
     ["verify", "--theta", "1.5", "--eta", "1.5"],
+    ["simulate", "--kind", "free", "--theta", "0.2", "--eta", "0.1", "--p1", "1.0", "--t-end", "1.0",
+     "--dt", "0.25", "--format", "csv"],
+    ["simulate", "--wep", "--masses", "1,2,5", "--gamma", "0.3", "--alpha", "0.2", "--g", "9.8",
+     "--t-end", "5", "--dt", "0.01"],
+    ["simulate", "--wep", "--masses", "1,2,5", "--theta", "0.3", "--eta", "0.2", "--g", "9.8",
+     "--t-end", "5", "--dt", "0.01"],
 )
 
 

@@ -493,21 +493,20 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_simulate_wep(cfg: dict[str, Any]) -> int:
-    from .dynamics import coordinate_spread, energy_drift, wep_runs
+    from .dynamics import coordinate_spread, energy_drift, wep_trajectories
 
     masses = _float_list(cfg.get("masses"), "--masses")
     conditioned = _param_source(cfg) is not None
+    # Every mass's parameters are checked before any representation is built.
     params = [_particle_params(cfg, m) for m in masses]
+    reps = [build_representation(q, cfg["family"], cfg["branch"]) for q in params]
     nc_data = (
         float(cfg["nc_x1"]),
         float(cfg["nc_x2"]),
         float(cfg["nc_v1"]),
         float(cfg["nc_v2"]),
     )
-    runs = wep_runs(
-        params, cfg["family"], cfg["branch"], float(cfg["g"]), nc_data,
-        float(cfg["t_end"]), float(cfg["dt"]),
-    )
+    runs = wep_trajectories(reps, nc_data, float(cfg["g"]), float(cfg["t_end"]), float(cfg["dt"]))
     summary = {
         "deviation_max": coordinate_spread(runs),
         "conditions_used": conditioned,

@@ -4,10 +4,11 @@ A Hamiltonian given in the noncommutative observables (X, P) of a
 representation becomes, after substituting the linear forms, an ordinary
 quadratic Hamiltonian
 
-    H(z) = z.Q.z/2 + L.z + c,    z = (x1, x2, p1, p2),
+    H(z) = z.Q.z/2 + L.z,    z = (x1, x2, p1, p2),
 
-over the canonical variables.  Hamilton's equations are then the linear
-system dz/dt = J(Qz + L) with the standard symplectic J, which this module
+over the canonical variables.  The forms must be linear: a constant in one
+is refused.  Hamilton's equations are then the linear system
+dz/dt = J(Qz + L) with the standard symplectic J, which this module
 integrates with the exact matrix exponential of the augmented drift over
 one fixed step, so the only error sources are rounding and the exponential
 itself.
@@ -54,23 +55,21 @@ _J = np.array(
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H(z) = z.quad.z/2 + linear.z + const over (x1, x2, p1, p2).
+    """H(z) = z.quad.z/2 + linear.z over (x1, x2, p1, p2).
 
-    The rep's (X1, X2, P1, P2) at state z are ``observables @ z + offsets``.
+    The rep's (X1, X2, P1, P2) at state z are ``observables @ z``.
     """
 
     kind: str
     rep: Representation
     quad: np.ndarray
     linear: np.ndarray
-    const: float
     observables: np.ndarray
-    offsets: tuple[float, float, float, float]
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         """H of every row of an (n, 4) array of states."""
         Z = np.asarray(states, dtype=float)
-        return 0.5 * np.einsum("ni,ij,nj->n", Z, self.quad, Z) + Z @ self.linear + self.const
+        return 0.5 * np.einsum("ni,ij,nj->n", Z, self.quad, Z) + Z @ self.linear
 
     def value(self, z: np.ndarray) -> float:
         return float(self.energies([z])[0])
@@ -103,37 +102,29 @@ def build_hamiltonian(
     pid = rep.particle_id
     # The one read of the forms: a row per observable, a column per kind.
     observables = np.zeros((4, 4))
-    for row, form in zip(observables, rep.forms()):
+    for row, name, form in zip(observables, rep.form_names(), rep.forms()):
+        if form.constant != 0.0:
+            raise ConfigError(f"dynamics needs linear forms; {name} has the constant {form.constant}")
         for var, coeff in form.terms.items():
             if var.particle_id != pid:
                 where = "in a centre-of-mass representation" if pid is None else f"outside particle {pid}"
                 raise ConfigError(f"dynamics needs single-particle forms; found variable {var} {where}")
             row[KINDS.index(var.kind)] = coeff
-    offsets = tuple(form.constant for form in rep.forms())
 
     quad = np.zeros((4, 4))
     linear = np.zeros(4)
-    const = 0.0
-    for r, c0 in zip(observables[2:], offsets[2:]):  # P1, P2
+    for r in observables[2:]:  # P1, P2
         quad += np.outer(r, r) / mass
-        linear += (c0 / mass) * r
-        const += c0 * c0 / (2.0 * mass)
     if kind == "uniform_gravity":
-        r, c0 = observables[1], offsets[1]  # X2
-        linear += mass * g * r
-        const += mass * g * c0
+        linear += mass * g * observables[1]  # X2
     elif kind == "harmonic":
-        for r, c0 in zip(observables[:2], offsets[:2]):  # X1, X2
+        for r in observables[:2]:  # X1, X2
             quad += mass * omega * omega * np.outer(r, r)
-            linear += mass * omega * omega * c0 * r
-            const += 0.5 * mass * omega * omega * c0 * c0
-    if not (np.isfinite(quad).all() and np.isfinite(linear).all() and math.isfinite(const)):
+    if not (np.isfinite(quad).all() and np.isfinite(linear).all()):
         raise ConfigError(
             f"the {kind} Hamiltonian overflows for mass = {mass}, g = {g}, omega = {omega}"
         )
-    return QuadraticHamiltonian(
-        kind=kind, rep=rep, quad=quad, linear=linear, const=const, observables=observables, offsets=offsets
-    )
+    return QuadraticHamiltonian(kind=kind, rep=rep, quad=quad, linear=linear, observables=observables)
 
 
 @dataclass(frozen=True)
@@ -240,8 +231,7 @@ def evolve(
     canonical = np.ascontiguousarray(states[:, :, :4, 0].transpose(1, 0, 2))
     del states
     coeffs = np.stack([hi.observables for hi in hs])
-    offsets = np.array([hi.offsets for hi in hs])
-    observables = canonical @ coeffs.transpose(0, 2, 1) + offsets[:, None, :]
+    observables = canonical @ coeffs.transpose(0, 2, 1)
     times = np.arange(n + 1) * dt
     if single:
         return Trajectory(times=times, canonical_states=canonical[0], nc_observables=observables[0])
@@ -280,14 +270,7 @@ def nc_initial_state(h: QuadraticHamiltonian, nc_data: Sequence[float]) -> np.nd
     A, b = h.drift()
     # Vector products, row by row: a (2, 4) matmul may sum in another order.
     m = np.stack([r1, r2, r1 @ A, r2 @ A])
-    rhs = np.array(
-        [
-            vals[0] - h.offsets[0],
-            vals[1] - h.offsets[1],
-            vals[2] - r1 @ b,
-            vals[3] - r2 @ b,
-        ]
-    )
+    rhs = np.array([vals[0], vals[1], vals[2] - r1 @ b, vals[3] - r2 @ b])
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularMapError(
@@ -304,11 +287,16 @@ def wep_trajectories(
     t_end: float,
     dt: float,
 ) -> list[tuple[QuadraticHamiltonian, Trajectory]]:
-    """Evolve identical noncommutative initial data under uniform gravity.
+    """Free fall of one representation per mass from the same (X1, X2, dX1/dt, dX2/dt).
 
-    All masses are stepped together in one :func:`evolve` call; each pair
-    holds its mass's Hamiltonian and its own slice of that trajectory.
+    All masses are stepped together in one :func:`evolve` call under uniform
+    gravity ``g``; each pair holds its mass's Hamiltonian and its own slice
+    of that trajectory.
     """
+    if len(reps) < 2:
+        raise ConfigError(
+            f"need at least two masses to compare free fall, got {[rep.params.mass for rep in reps]}"
+        )
     hs = [build_hamiltonian("uniform_gravity", rep, g=g) for rep in reps]
     traj = evolve(hs, [nc_initial_state(h, nc_data) for h in hs], t_end, dt)
     return [
@@ -321,29 +309,6 @@ def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -
     """Largest pointwise spread of the noncommutative coordinates across runs."""
     coords = np.stack([traj.nc_observables[:, :2] for _, traj in runs])
     return float(np.max(coords.max(axis=0) - coords.min(axis=0)))
-
-
-def wep_runs(
-    params: Sequence[NCParams],
-    family: str,
-    branch: str | None,
-    g: float,
-    nc_data: Sequence[float],
-    t_end: float,
-    dt: float,
-) -> list[tuple[QuadraticHamiltonian, Trajectory]]:
-    """Free fall of one representation per mass from the same initial data.
-
-    ``params`` holds one parameter set per mass; each is built into a
-    ``family``/``branch`` representation and launched from the same
-    (X1, X2, dX1/dt, dX2/dt) under uniform gravity ``g``.
-    """
-    if len(params) < 2:
-        raise ConfigError(
-            f"need at least two masses to compare free fall, got {[q.mass for q in params]}"
-        )
-    reps = [build_representation(q, family, branch) for q in params]
-    return wep_trajectories(reps, nc_data, g, t_end, dt)
 
 
 def wep_deviation(
@@ -365,7 +330,8 @@ def wep_deviation(
     of the conditioned kinematics makes this vanish to rounding.
     """
     params = [params_from_conditions(c, m, hbar) for m in masses]
-    return coordinate_spread(wep_runs(params, family, branch, g, nc_data, t_end, dt))
+    reps = [build_representation(q, family, branch) for q in params]
+    return coordinate_spread(wep_trajectories(reps, nc_data, g, t_end, dt))
 
 
 def wep_deviation_fixed(
@@ -387,4 +353,5 @@ def wep_deviation_fixed(
     and equal initial data no longer yields equal coordinate histories.
     """
     params = [NCParams(theta=theta, eta=eta, hbar=hbar, mass=m) for m in masses]
-    return coordinate_spread(wep_runs(params, family, branch, g, nc_data, t_end, dt))
+    reps = [build_representation(q, family, branch) for q in params]
+    return coordinate_spread(wep_trajectories(reps, nc_data, g, t_end, dt))

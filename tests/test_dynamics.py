@@ -21,6 +21,7 @@ from ncphase import (
     LinearForm,
     MassConditions,
     NCParams,
+    Representation,
     SingularMapError,
     StepError,
     build_hamiltonian,
@@ -28,9 +29,13 @@ from ncphase import (
     energy_drift,
     evolve,
     nc_initial_state,
+    p1,
+    p2,
     params_from_conditions,
     wep_deviation,
     wep_deviation_fixed,
+    x1,
+    x2,
 )
 from ncphase.dynamics import MAX_STEPS, _step_count, coordinate_spread, wep_trajectories
 
@@ -48,7 +53,6 @@ def test_free_identity_hamiltonian_is_pure_kinetic():
     h = build_hamiltonian("free", IDENTITY)
     assert h.value([0.0, 0.0, 1.0, 0.0]) == 0.5
     assert h.value([3.0, -2.0, 0.0, 0.0]) == 0.0
-    assert h.const == 0.0
 
 
 def test_gravity_identity_hamiltonian():
@@ -84,6 +88,20 @@ def test_form_on_another_particle_rejected():
     stray = dataclasses.replace(rep, X1=rep.X1 + LinearForm({CanonicalVar(1, "x1"): 0.5}))
     with pytest.raises(ConfigError, match=r"found variable x1\[1\] outside particle 0"):
         build_hamiltonian("free", stray)
+
+
+def test_form_with_a_constant_rejected():
+    # Dynamics reads linear forms only; an affine X1 would shift every read-out.
+    shifted = Representation(x1() + 0.5, x2(), p1(), p2(), "simple", NCParams(0.0, 0.0))
+    with pytest.raises(ConfigError, match=r"needs linear forms; X1 has the constant 0.5"):
+        build_hamiltonian("free", shifted)
+
+
+def test_form_with_a_negative_zero_constant_accepted():
+    signed = Representation(LinearForm(x1().terms, -0.0), x2(), p1(), p2(), "simple", NCParams(0.0, 0.0))
+    h = build_hamiltonian("harmonic", signed)
+    ref = build_hamiltonian("harmonic", IDENTITY)
+    assert np.array_equal(h.quad, ref.quad) and np.array_equal(h.observables, ref.observables)
 
 
 # --- integrator against closed forms ---------------------------------------------
@@ -150,7 +168,7 @@ def _sampled_states(kind, family, branch, mass):
 def _exact_energy(h, z) -> Fraction:
     zf = [Fraction(v) for v in z]
     quad = sum(Fraction(h.quad[i, j]) * zf[i] * zf[j] for i in range(4) for j in range(4))
-    return quad / 2 + sum(Fraction(h.linear[i]) * zf[i] for i in range(4)) + Fraction(h.const)
+    return quad / 2 + sum(Fraction(h.linear[i]) * zf[i] for i in range(4))
 
 
 @pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
@@ -160,7 +178,7 @@ def test_energies_match_exact_rational_evaluation(kind, family, branch, mass):
     eps = np.finfo(float).eps
     for z, e in zip(states, got):
         a = np.abs(z)
-        magnitude = 0.5 * a @ np.abs(h.quad) @ a + np.abs(h.linear) @ a + abs(h.const)
+        magnitude = 0.5 * a @ np.abs(h.quad) @ a + np.abs(h.linear) @ a
         assert abs(Fraction(float(e)) - _exact_energy(h, z)) <= Fraction(8 * eps * magnitude)
 
 
@@ -354,6 +372,12 @@ def test_wep_equal_masses_trivially_agree():
 def test_wep_needs_two_masses():
     with pytest.raises(ConfigError):
         wep_deviation(MassConditions(0.01, 0.01), (1.0,))
+
+
+def test_wep_trajectories_need_two_masses():
+    rep = build_representation(NCParams(0.01, 0.01, mass=3.0), "branch", "minus")
+    with pytest.raises(ConfigError, match=r"at least two masses to compare free fall, got \[3\.0\]"):
+        wep_trajectories([rep], (0.0, 0.0, 1.0, 0.0), g=1.0, t_end=0.1, dt=0.05)
 
 
 def test_wep_trajectories_share_initial_observables():

@@ -84,10 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, tol: bool = True) -> None:
         p.add_argument("--config", type=str, help="JSON file with option values; flags override")
         p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
-        p.add_argument("--tol", type=float, default=1e-12, help="check tolerance (default 1e-12)")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-12, help="check tolerance (default 1e-12)")
         p.add_argument("--output", type=str, help="write the report/trajectory to this path")
         p.add_argument("--format", choices=("json", "csv"), help="output format")
 
@@ -127,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--branch", choices=BRANCHES, default="minus")
 
     ps = sub.add_parser("simulate", help="integrate a quadratic Hamiltonian")
-    add_common(ps)
+    add_common(ps, tol=False)  # a simulate run checks nothing against a tolerance
     add_params(ps)
     ps.add_argument("--kind", choices=("free", "uniform_gravity", "gravity", "harmonic"), default="free")
     ps.add_argument("--g", type=float, default=1.0, help="gravitational acceleration")
@@ -252,9 +253,12 @@ def _param_source(cfg: dict[str, Any], fixed: tuple[str, str] = ("theta", "eta")
 def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
     """Refuse a given option that the run does not read, whether a flag or a config key gave it.
 
-    ``simulate --wep`` reads none of the single-trajectory options, plain
-    ``simulate`` none of the free-fall ones; running on would drop one silently.
+    ``verify`` reads --limit-tols only beside --limit-scales.  ``simulate
+    --wep`` reads none of the single-trajectory options, plain ``simulate``
+    none of the free-fall ones.  Running on would drop the option silently.
     """
+    if command == "verify" and "limit_tols" in given and "limit_scales" not in given:
+        raise ConfigError("`verify` does not read --limit-tols without --limit-scales")
     if command != "simulate":
         return
     mode, unread = ("simulate --wep", _TRAJECTORY_ONLY) if cfg["wep"] else ("simulate", _WEP_ONLY)
@@ -423,11 +427,9 @@ def _cmd_repr(cfg: dict[str, Any]) -> int:
     }
     constants = {name: form.constant for name, form in zip(rep.form_names(), rep.forms())}
     if cfg.get("format") == "csv":
-        rows = []
-        for name in rep.form_names():
-            rows += [(name, term, repr(coeff)) for term, coeff in sorted(forms[name].items())]
-            if constants[name] != 0.0:
-                rows.append((name, "const", repr(constants[name])))
+        rows = [
+            (name, term, repr(coeff)) for name in rep.form_names() for term, coeff in sorted(forms[name].items())
+        ]
         _emit(_csv_table(("form", "term", "coefficient"), rows), cfg)
         return 0
     table = {c.name: c.measured for c in report.checks}

@@ -384,6 +384,29 @@ def test_simulate_mode_rule_ignores_defaults_and_nulls(capsys, tmp_path):
     assert data["summary"]["masses"] == [1.0, 2.0]
 
 
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["simulate", "--gamma", "0.01", "--alpha", "0.01", "--t-end", "0.05", "--format", "json",
+          "--tol", "nan"], None),
+        (_WEP[:-1] + ["0.05", "--tol", "inf"], None),
+        (_WEP[:-1] + ["0.05"], {"tol": 1e400}),
+    ],
+    ids=["flag-nan", "wep-flag-inf", "wep-config-overflow"],
+)
+def test_simulate_has_no_tol_option(capsys, tmp_path, argv, config):
+    # Nothing in a simulate run is checked against a tolerance, so --tol is
+    # not an option of it; a non-finite one never reaches the config echo.
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "run.json")]
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 2
+    data = json.loads(out, parse_constant=_no_constant)
+    assert data["error"]["type"] == "ConfigError"
+    assert "tol" in data["error"]["message"]
+
+
 def test_simulate_wep_single_mass_exits_2(capsys):
     rc, data = run_json(
         capsys, "simulate", "--wep", "--masses", "1", "--gamma", "0.01", "--alpha", "0.01"
@@ -532,6 +555,9 @@ def test_console_script_entry_point():
         (["com", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2", "--tol", "inf"], "ConfigError"),
         (["verify", "--theta", "0.5", "--eta", "0.5", "--limit-scales", "1e-2,1e-4",
           "--limit-tols", "1e-2,inf"], "ConfigError"),
+        # limit tolerances without the scales they belong to
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--limit-tols", "nan,abc"], "ConfigError"),
+        (["verify", "--theta", "0.5", "--eta", "0.5", "--limit-tols", "1e-3"], "ConfigError"),
         # a limit track over no scales
         (["verify", "--theta", "0.5", "--eta", "0.5", "--limit-scales", ""], "ConfigError"),
         (["verify", "--theta", "0.5", "--eta", "0.5", "--limit-scales", ",,"], "ConfigError"),
@@ -663,6 +689,17 @@ def test_config_value_the_flag_would_reject_exits_2(capsys, tmp_path, config):
     rc, data = run_json(capsys, "verify", "--config", str(cfg))
     assert rc == 2
     assert data["error"]["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("value", ["yes", 1])
+def test_config_store_true_option_needs_a_boolean(capsys, tmp_path, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"wep": value}))
+    rc, data = run_json(capsys, "simulate", "--masses", "1,2", "--gamma", "0.01", "--alpha", "0.01",
+                        "--config", str(cfg))
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert "needs true or false" in data["error"]["message"]
 
 
 @pytest.mark.parametrize(

@@ -425,13 +425,13 @@ def _cmd_repr(cfg: dict[str, Any]) -> int:
         name: {str(var): coeff for var, coeff in form.terms.items()}
         for name, form in zip(rep.form_names(), rep.forms())
     }
-    constants = {name: form.constant for name, form in zip(rep.form_names(), rep.forms())}
     if cfg.get("format") == "csv":
-        rows = [
-            (name, term, repr(coeff)) for name in rep.form_names() for term, coeff in sorted(forms[name].items())
-        ]
+        rows = []
+        for name in rep.form_names():
+            rows += [(name, term, repr(coeff)) for term, coeff in sorted(forms[name].items())]
         _emit(_csv_table(("form", "term", "coefficient"), rows), cfg)
         return 0
+    constants = {name: form.constant for name, form in zip(rep.form_names(), rep.forms())}
     table = {c.name: c.measured for c in report.checks}
     _emit(_envelope("repr", cfg, forms=forms, constants=constants, table=table, overall=report.overall), cfg)
     return 0

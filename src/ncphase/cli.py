@@ -479,10 +479,13 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
     h = build_hamiltonian(kind, rep, g=float(cfg["g"]), omega=float(cfg["omega"]))
     initial = (float(cfg["x1"]), float(cfg["x2"]), float(cfg["p1"]), float(cfg["p2"]))
     traj = evolve(h, initial, float(cfg["t_end"]), float(cfg["dt"]))
+    # Read in either format, so that an energy the float range cannot hold
+    # is refused whether or not the report prints it.
+    drift = energy_drift(h, traj)
     table = np.column_stack((traj.times, traj.canonical_states, traj.nc_observables))
     if cfg.get("format") == "json":
         body = {"columns": list(TRAJECTORY_COLUMNS), "rows": table.tolist()}
-        _emit(_envelope("simulate", cfg, **body, energy_drift=energy_drift(h, traj)), cfg)
+        _emit(_envelope("simulate", cfg, **body, energy_drift=drift), cfg)
         return 0
     # One row at a time: float reprs never need CSV quoting, and a list of
     # the whole table would cost more memory than the text it becomes.

@@ -407,6 +407,14 @@ def test_simulate_has_no_tol_option(capsys, tmp_path, argv, config):
     assert "tol" in data["error"]["message"]
 
 
+@pytest.mark.parametrize("fmt", [["--format", "csv"], []])
+def test_simulate_csv_refuses_an_overflowing_energy(capsys, fmt):
+    # As the JSON report does, although the CSV table prints no energy.
+    rc, data = run_json(capsys, *_TRAJECTORY, "--p1", "1e200", *fmt)
+    assert rc == 2
+    assert "energy" in data["error"]["message"]
+
+
 def test_simulate_wep_single_mass_exits_2(capsys):
     rc, data = run_json(
         capsys, "simulate", "--wep", "--masses", "1", "--gamma", "0.01", "--alpha", "0.01"
@@ -935,7 +943,9 @@ def test_version_and_help_exit_0_on_an_open_stdout(argv, capsys):
 
 
 def test_start_up_imports_only_what_the_command_needs():
-    # A fresh interpreter, since this one has loaded numpy and scipy already.
+    # A fresh interpreter, since this one may have loaded numpy and scipy
+    # already.  Integrating needs numpy alone: scipy would cost a simulate
+    # child more than the rest of its start-up.
     script = textwrap.dedent(
         """
         import json, sys
@@ -947,6 +957,10 @@ def test_start_up_imports_only_what_the_command_needs():
         facts = {"cli": loaded()}
         import ncphase.dynamics
         facts["dynamics"] = loaded()
+        rep = ncphase.build_representation(ncphase.NCParams(0.1, 0.1), "branch", "minus")
+        h = ncphase.build_hamiltonian("harmonic", rep, omega=2.0)
+        ncphase.evolve(h, [1.0, 0.0, 0.0, 1.0], 0.1, 0.01)
+        facts["evolve"] = loaded()
         facts["lazy_name"] = ncphase.evolve is ncphase.dynamics.evolve
         names = {}
         exec("from ncphase import *", names)
@@ -961,5 +975,5 @@ def test_start_up_imports_only_what_the_command_needs():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "cli": [], "dynamics": ["numpy"], "lazy_name": True, "unbound": [],
+        "cli": [], "dynamics": ["numpy"], "evolve": ["numpy"], "lazy_name": True, "unbound": [],
     }

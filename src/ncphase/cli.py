@@ -54,7 +54,7 @@ TRAJECTORY_COLUMNS = ("t", "x1", "x2", "p1", "p2", "X1", "X2", "P1", "P2")
 #: Largest `verify --random` batch: at about 0.2 ms a draw, under half a minute.
 MAX_RANDOM = 10**5
 #: Options that only one ``simulate`` mode reads: a single trajectory, or ``--wep``.
-_TRAJECTORY_ONLY = ("mass", "kind", "omega", "x1", "x2", "p1", "p2")
+_TRAJECTORY_ONLY = ("mass", "kind", "omega", "x1", "x2", "p1", "p2", "format")
 _WEP_ONLY = ("masses", "nc_x1", "nc_x2", "nc_v1", "nc_v2")
 #: Options holding a comma list, which a config file may give as a JSON array.
 _LIST_OPTIONS = ("masses", "thetas", "etas", "limit_scales", "limit_tols")
@@ -254,8 +254,9 @@ def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
     """Refuse a given option that the run does not read, whether a flag or a config key gave it.
 
     ``verify`` reads --limit-tols only beside --limit-scales.  ``simulate
-    --wep`` reads none of the single-trajectory options, plain ``simulate``
-    none of the free-fall ones.  Running on would drop the option silently.
+    --wep`` reads none of the single-trajectory options, --format among them
+    (its summary is always JSON), plain ``simulate`` none of the free-fall
+    ones.  Running on would drop the option silently.
     """
     if command == "verify" and "limit_tols" in given and "limit_scales" not in given:
         raise ConfigError("`verify` does not read --limit-tols without --limit-scales")

@@ -347,7 +347,7 @@ _TRAJECTORY = ["simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "0.1"]
     "argv,option",
     [(_WEP + [flag, value], flag) for flag, value in
      [("--mass", "5"), ("--mass", "1"), ("--kind", "free"), ("--omega", "2"),
-      ("--x1", "1"), ("--x2", "0"), ("--p1", "1"), ("--p2", "1")]]
+      ("--x1", "1"), ("--x2", "0"), ("--p1", "1"), ("--p2", "1"), ("--format", "csv")]]
     + [(_TRAJECTORY + [flag, value], flag) for flag, value in
        [("--masses", "1,2"), ("--nc-x1", "1"), ("--nc-x2", "0"), ("--nc-v1", "7"), ("--nc-v2", "1")]],
 )
@@ -362,7 +362,7 @@ def test_simulate_refuses_the_other_modes_options(capsys, argv, option):
 
 @pytest.mark.parametrize(
     "argv,config,option",
-    [(_WEP, {"mass": 5}, "--mass"), (_WEP, {"kind": "gravity"}, "--kind"),
+    [(_WEP, {"mass": 5}, "--mass"), (_WEP, {"kind": "gravity"}, "--kind"), (_WEP, {"format": "csv"}, "--format"),
      (_TRAJECTORY, {"masses": [1, 2]}, "--masses"), (_TRAJECTORY, {"nc-v1": 7}, "--nc-v1")],
 )
 def test_simulate_refuses_the_other_modes_config_keys(capsys, tmp_path, argv, config, option):

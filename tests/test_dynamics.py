@@ -333,6 +333,26 @@ def test_stacked_expm_is_bitwise_each_single_call():
         assert dynamics.expm(aug[None])[0].tobytes() == got.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_expm_out_of_range_slices_are_nan():
+    big = np.zeros((5, 5))
+    big[:4, 4] = 1e307  # nilpotent: the exact exponential I + A is finite
+    stack = np.stack([_drift_draws(1)[0], big, 10.0 * big, np.full((5, 5), 1e60), big])
+    stack[4, 0, 0] = np.nan
+    got = dynamics.expm(stack)
+    assert got[0].tobytes() == dynamics.expm(stack[:1])[0].tobytes()
+    assert np.array_equal(got[1], np.eye(5) + big)
+    # A 1-norm past the float range, a sixth power past it, a NaN entry.
+    assert not np.isfinite(got[2:]).all(axis=(1, 2)).any()
+
+
+@pytest.mark.filterwarnings("error")
+def test_drift_overflowing_at_dt_is_a_propagator_overflow():
+    h = build_hamiltonian("harmonic", IDENTITY, omega=1e100)
+    with pytest.raises(ConfigError, match="propagator overflows"):
+        evolve(h, [1.0, 0.0, 0.0, 0.0], t_end=1e300, dt=1e300)
+
+
 def _criterion_9_drifts(count=16, seed=2005):
     """Energy drift of every mass of ``count`` free falls at 1000 steps of dt = 0.01."""
     rng = np.random.default_rng(seed)

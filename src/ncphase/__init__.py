@@ -6,7 +6,6 @@ from .algebra import (
     LinearForm,
     commutator,
     form_distance,
-    form_equal,
     p1,
     p2,
     variable,
@@ -17,10 +16,6 @@ from .composite import (
     CompositeSystem,
     Particle,
     com_canonical,
-    com_rep_algebraic,
-    com_rep_direct,
-    com_simple_algebraic,
-    com_simple_direct,
     compare_com_reps,
     compare_com_simple,
     effective_params,
@@ -43,11 +38,9 @@ from .representation import (
     build_epsilon_rep,
     build_representation,
     build_simple_rep,
-    check_branch_transform,
     check_commutative_limit,
     effective_planck,
     epsilon_factor,
-    kinematic_invariance,
     mass_invariance_report,
     params_from_conditions,
     primed_params,
@@ -81,13 +74,8 @@ __all__ = [
     "build_hamiltonian",
     "build_representation",
     "build_simple_rep",
-    "check_branch_transform",
     "check_commutative_limit",
     "com_canonical",
-    "com_rep_algebraic",
-    "com_rep_direct",
-    "com_simple_algebraic",
-    "com_simple_direct",
     "commutator",
     "compare_com_reps",
     "compare_com_simple",
@@ -97,8 +85,6 @@ __all__ = [
     "epsilon_factor",
     "evolve",
     "form_distance",
-    "form_equal",
-    "kinematic_invariance",
     "mass_invariance_report",
     "nc_initial_state",
     "p1",

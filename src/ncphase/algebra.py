@@ -12,8 +12,8 @@ themselves.  No operator-ordering ambiguity can appear at linear order, so
 double precision coefficients are exact up to ordinary rounding.
 
 Coefficients are kept in canonical sparse form: terms with an exactly zero
-coefficient are dropped, so two forms built along different routes compare
-equal whenever their coefficients match.
+coefficient are dropped, so two forms built along different routes hold the
+same terms whenever their coefficients match.
 """
 
 from __future__ import annotations
@@ -255,16 +255,6 @@ def form_distance(a: LinearForm, b: LinearForm) -> float:
     for var in ta.keys() | tb.keys():
         dist = max(dist, abs(ta.get(var, 0.0) - tb.get(var, 0.0)))
     return dist
-
-
-def form_equal(a: LinearForm, b: LinearForm, tol: float = 0.0) -> bool:
-    """Whether all coefficients and constants agree within ``tol``.
-
-    With the default ``tol=0`` this is exact comparison of the canonical
-    sparse representations.
-    """
-    check_tolerance(tol)
-    return form_distance(a, b) <= tol
 
 
 def check_tolerance(tol: float) -> None:

@@ -60,7 +60,6 @@ class QuadraticHamiltonian:
     The rep's (X1, X2, P1, P2) at state z are ``observables @ z``.
     """
 
-    kind: str
     rep: Representation
     quad: np.ndarray
     linear: np.ndarray
@@ -70,9 +69,6 @@ class QuadraticHamiltonian:
         """H of every row of an (n, 4) array of states."""
         Z = np.asarray(states, dtype=float)
         return 0.5 * np.einsum("ni,ij,nj->n", Z, self.quad, Z) + Z @ self.linear
-
-    def value(self, z: np.ndarray) -> float:
-        return float(self.energies([z])[0])
 
     def drift(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) of dz/dt = A z + b."""
@@ -124,7 +120,7 @@ def build_hamiltonian(
         raise ConfigError(
             f"the {kind} Hamiltonian overflows for mass = {mass}, g = {g}, omega = {omega}"
         )
-    return QuadraticHamiltonian(kind=kind, rep=rep, quad=quad, linear=linear, observables=observables)
+    return QuadraticHamiltonian(rep=rep, quad=quad, linear=linear, observables=observables)
 
 
 @dataclass(frozen=True)
@@ -370,8 +366,7 @@ def wep_deviation(
     of the conditioned kinematics makes this vanish to rounding.
     """
     params = [params_from_conditions(c, m, hbar) for m in masses]
-    reps = [build_representation(q, family, branch) for q in params]
-    return coordinate_spread(wep_trajectories(reps, nc_data, g, t_end, dt))
+    return _wep_spread(params, family, branch, g, nc_data, t_end, dt)
 
 
 def wep_deviation_fixed(
@@ -393,5 +388,12 @@ def wep_deviation_fixed(
     and equal initial data no longer yields equal coordinate histories.
     """
     params = [NCParams(theta=theta, eta=eta, hbar=hbar, mass=m) for m in masses]
+    return _wep_spread(params, family, branch, g, nc_data, t_end, dt)
+
+
+def _wep_spread(
+    params: Sequence[NCParams], family: str, branch: str | None, g: float, nc_data: Sequence[float], t_end: float, dt: float
+) -> float:
+    """The body of both WEP comparisons: one representation per parameter set, then their spread."""
     reps = [build_representation(q, family, branch) for q in params]
     return coordinate_spread(wep_trajectories(reps, nc_data, g, t_end, dt))

@@ -554,10 +554,7 @@ def check_commutative_limit(
 # mass invariance
 
 
-def kinematic_invariance(
-    reps_by_mass: Sequence[tuple[float, Representation]],
-    tol: float = DEFAULT_TOL,
-) -> CheckReport:
+def _kinematic_invariance(reps_by_mass: Sequence[tuple[float, Representation]], tol: float, **meta) -> CheckReport:
     """Compare kinematic structure of representations across masses.
 
     For each coordinate form X_i the coefficients on canonical coordinates
@@ -566,7 +563,8 @@ def kinematic_invariance(
     momentum form P_i the roles swap: momentum coefficients agree as-is,
     coordinate coefficients agree after division by the mass.  The spread
     (max minus min over masses) of each rescaled coefficient group is
-    compared against ``tol``.
+    compared against ``tol``.  A group that some mass lacks fails.  The
+    report's meta holds the masses and then ``meta``.
     """
     check_tolerance(tol)
     if len(reps_by_mass) < 2:
@@ -598,8 +596,7 @@ def kinematic_invariance(
                 detail="" if complete else "coefficient missing for some masses",
             )
         )
-    meta = {"masses": [m for m, _ in reps_by_mass]}
-    return CheckReport(kind="invariance", checks=tuple(checks), meta=meta)
+    return CheckReport(kind="invariance", checks=tuple(checks), meta={"masses": [m for m, _ in reps_by_mass], **meta})
 
 
 def mass_invariance_report(
@@ -615,7 +612,4 @@ def mass_invariance_report(
         (m, build_representation(params_from_conditions(c, m, hbar), family, branch))
         for m in masses
     ]
-    report = kinematic_invariance(reps, tol)
-    meta = dict(report.meta)
-    meta.update({"gamma": c.gamma, "alpha": c.alpha, "family": family, "branch": branch})
-    return CheckReport(kind=report.kind, checks=report.checks, meta=meta)
+    return _kinematic_invariance(reps, tol, gamma=c.gamma, alpha=c.alpha, family=family, branch=branch)

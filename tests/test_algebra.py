@@ -23,7 +23,6 @@ from ncphase import (
     LinearForm,
     commutator,
     form_distance,
-    form_equal,
     p1,
     p2,
     variable,
@@ -172,17 +171,17 @@ def test_affine_arithmetic():
     g = (f - 1.0) / 2.0
     assert g.coefficient(CanonicalVar(0, "x1")) == 1.0
     assert g.constant == 1.0
-    assert form_equal(1.0 - f, LinearForm({CanonicalVar(0, "x1"): -2.0}, constant=-2.0))
-    assert form_equal(-f, f * -1.0)
+    assert form_distance(1.0 - f, LinearForm({CanonicalVar(0, "x1"): -2.0}, constant=-2.0)) == 0.0
+    assert form_distance(-f, f * -1.0) == 0.0
 
 
 def test_scalar_times_form_commutes():
     f = x1() + 0.5 * p2() - 4.0
-    assert form_equal(3 * f, f * 3)
+    assert form_distance(3 * f, f * 3) == 0.0
 
 
 def test_variable_factories_agree():
-    assert form_equal(variable("x2", 5), x2(5))
+    assert form_distance(variable("x2", 5), x2(5)) == 0.0
     with pytest.raises(ConfigError):
         variable("q1")
     with pytest.raises(ConfigError):
@@ -202,29 +201,23 @@ def test_numpy_scalars_become_python_floats():
 
 @given(linear_forms(), linear_forms(), linear_forms())
 def test_addition_associates_to_tolerance(a, b, c):
-    assert form_equal((a + b) + c, a + (b + c), tol=1e-14 * 30.0)
+    assert form_distance((a + b) + c, a + (b + c)) <= 1e-14 * 30.0
 
 
 # --- comparison helpers ----------------------------------------------------
 
 
-def test_form_equal_reflexive_at_zero_tol():
-    assert form_equal(x1(), x1(), tol=0.0)
+def test_form_distance_reflexive():
+    assert form_distance(x1(), x1()) == 0.0
 
 
-def test_form_equal_absorbs_subtolerance_terms():
+def test_form_distance_is_the_subtolerance_term():
     a = x1() + 1e-16 * p2()
-    assert form_equal(a, x1(), tol=1e-12)
-    assert not form_equal(a, x1(), tol=0.0)
+    assert form_distance(a, x1()) == 1e-16
 
 
-def test_form_equal_distinguishes_basis_variables():
-    assert not form_equal(x1(), x2(), tol=1e-12)
-
-
-def test_form_equal_rejects_negative_tolerance():
-    with pytest.raises(ConfigError):
-        form_equal(x1(), x1(), tol=-1e-9)
+def test_form_distance_distinguishes_basis_variables():
+    assert form_distance(x1(), x2()) == 1.0
 
 
 def test_form_distance_includes_constants():

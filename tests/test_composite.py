@@ -21,24 +21,27 @@ from ncphase import (
     LinearForm,
     Particle,
     com_canonical,
-    com_rep_algebraic,
-    com_rep_direct,
-    com_simple_algebraic,
-    com_simple_direct,
     commutator,
     compare_com_reps,
     compare_com_simple,
     effective_params,
     form_distance,
     build_representation,
-    form_equal,
     p1,
     p2,
     params_from_conditions,
     x1,
     x2,
 )
-from ncphase.composite import _column_commutator, _distance, com_params
+from ncphase.composite import (
+    _column_commutator,
+    _distance,
+    com_params,
+    com_rep_algebraic,
+    com_rep_direct,
+    com_simple_algebraic,
+    com_simple_direct,
+)
 
 #: The pure-Python layers raise no numpy warning, even from numpy inputs.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -210,8 +213,8 @@ def test_general_constructor_keeps_the_particle_ids_in_order():
 def test_single_particle_com_is_the_particle():
     sys_ = CompositeSystem.from_params([1.5], [0.2], [0.3])
     xc1, _, pc1, _ = com_canonical(sys_)
-    assert form_equal(xc1, x1(0), tol=0.0)
-    assert form_equal(pc1, p1(0), tol=0.0)
+    assert form_distance(xc1, x1(0)) == 0.0
+    assert form_distance(pc1, p1(0)) == 0.0
 
 
 def test_equal_masses_give_half_weights():
@@ -541,7 +544,7 @@ def test_one_pass_sums_equal_chained_form_addition(params):
         cases.append((com_rep_algebraic(system, "plus").forms(), _chained_substitution(system, "branch", "plus")))
     for got, want in cases:
         for g, w in zip(got, want, strict=True):
-            assert form_equal(g, w, tol=0.0)
+            assert form_distance(g, w) == 0.0
             assert list(g.terms) == list(w.terms)
     if params == "etas":
         # no xc2 term inside P1c: the coefficient reads +0.0, as an absent term does

@@ -52,14 +52,12 @@ def identity_rep(mass=1.0):
 
 def test_free_identity_hamiltonian_is_pure_kinetic():
     h = build_hamiltonian("free", IDENTITY)
-    assert h.value([0.0, 0.0, 1.0, 0.0]) == 0.5
-    assert h.value([3.0, -2.0, 0.0, 0.0]) == 0.0
+    assert h.energies([[0.0, 0.0, 1.0, 0.0], [3.0, -2.0, 0.0, 0.0]]).tolist() == [0.5, 0.0]
 
 
 def test_gravity_identity_hamiltonian():
     h = build_hamiltonian("uniform_gravity", IDENTITY, g=9.8)
-    assert h.value([0.0, 1.0, 0.0, 0.0]) == pytest.approx(9.8)
-    assert h.value([0.0, 0.0, 0.0, 2.0]) == pytest.approx(2.0)
+    assert h.energies([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]]) == pytest.approx([9.8, 2.0])
 
 
 def test_gravity_nc_hamiltonian_couples_p1():
@@ -76,7 +74,8 @@ def test_unknown_kind_rejected():
 
 
 def test_com_representation_rejected():
-    from ncphase import CompositeSystem, com_rep_algebraic
+    from ncphase import CompositeSystem
+    from ncphase.composite import com_rep_algebraic
 
     sys_ = CompositeSystem.from_params([1.0, 2.0], [0.1, 0.1], [0.1, 0.1])
     rep = com_rep_algebraic(sys_, "minus")
@@ -184,10 +183,11 @@ def test_energies_match_exact_rational_evaluation(kind, family, branch, mass):
 
 
 @pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
-def test_value_is_the_one_row_energies(kind, family, branch, mass):
+def test_one_row_energies_equal_the_batch(kind, family, branch, mass):
+    # A row's energy does not depend on the rows batched with it.
     h, states = _sampled_states(kind, family, branch, mass)
-    for z in states:
-        assert h.value(z) == h.energies(z[None])[0]
+    for z, e in zip(states, h.energies(states)):
+        assert h.energies(z[None])[0] == e
 
 
 @pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)

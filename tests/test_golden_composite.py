@@ -31,14 +31,11 @@ from ncphase import (
     NCPhaseError,
     build_representation,
     com_canonical,
-    com_rep_algebraic,
-    com_rep_direct,
-    com_simple_algebraic,
-    com_simple_direct,
     compare_com_reps,
     compare_com_simple,
     effective_params,
 )
+from ncphase.composite import com_rep_algebraic, com_rep_direct, com_simple_algebraic, com_simple_direct
 from ncphase.representation import build_branch_rep
 
 FIXTURE = Path(__file__).with_name("golden_composite.json")

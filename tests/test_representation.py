@@ -22,14 +22,11 @@ from ncphase import (
     build_epsilon_rep,
     build_representation,
     build_simple_rep,
-    check_branch_transform,
     check_commutative_limit,
     commutator,
     effective_planck,
     epsilon_factor,
     form_distance,
-    form_equal,
-    kinematic_invariance,
     mass_invariance_report,
     p1,
     p2,
@@ -39,6 +36,7 @@ from ncphase import (
     x1,
     x2,
 )
+from ncphase.representation import DEFAULT_TOL, _kinematic_invariance, check_branch_transform
 
 #: The pure-Python layers raise no numpy warning, even from numpy inputs.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -151,8 +149,8 @@ def test_round_trip(theta, eta, branch):
 
 def test_epsilon_rep_identity_at_zero():
     rep = build_epsilon_rep(NCParams(0.0, 0.0), 0.0, 0.0)
-    assert form_equal(rep.X1, x1()) and form_equal(rep.X2, x2())
-    assert form_equal(rep.P1, p1()) and form_equal(rep.P2, p2())
+    for built, target in zip(rep.forms(), (x1(), x2(), p1(), p2())):
+        assert form_distance(built, target) == 0.0
 
 
 def test_epsilon_rep_matched_pair_table():
@@ -198,11 +196,11 @@ def test_branch_rep_coincide_at_product_one():
     minus = build_branch_rep(NCParams(1.0, 1.0), "minus")
     plus = build_branch_rep(NCParams(1.0, 1.0), "plus")
     for a, b in zip(minus.forms(), plus.forms()):
-        assert form_equal(a, b, tol=0.0)
+        assert form_distance(a, b) == 0.0
     half = build_branch_rep(NCParams(0.5, 2.0), "minus")
     half_p = build_branch_rep(NCParams(0.5, 2.0), "plus")
     for a, b in zip(half.forms(), half_p.forms()):
-        assert form_equal(a, b, tol=0.0)
+        assert form_distance(a, b) == 0.0
 
 
 def test_branch_rep_domain_errors():
@@ -217,7 +215,7 @@ def test_branch_rep_domain_errors():
 def test_branch_rep_minus_is_identity_at_zero():
     rep = build_branch_rep(NCParams(0.0, 0.0), "minus")
     for built, target in zip(rep.forms(), (x1(), x2(), p1(), p2())):
-        assert form_equal(built, target, tol=0.0)
+        assert form_distance(built, target) == 0.0
 
 
 def test_branch_rep_negative_product_matches_table():
@@ -238,8 +236,8 @@ def test_simple_rep_tables():
 
 def test_simple_rep_identity_at_zero():
     rep = build_simple_rep(NCParams(0.0, 0.0))
-    assert form_equal(rep.X1, x1(), tol=0.0)
-    assert form_equal(rep.P2, p2(), tol=0.0)
+    assert form_distance(rep.X1, x1()) == 0.0
+    assert form_distance(rep.P2, p2()) == 0.0
 
 
 def test_simple_rep_unrestricted_product():
@@ -376,19 +374,18 @@ def test_commutative_limit_asymmetric_ratio():
 @pytest.mark.parametrize(
     "check",
     [
-        lambda tol: form_equal(x1(), x1(), tol=tol),
         lambda tol: verify_nc_algebra(build_branch_rep(NCParams(0.5, 0.5), "minus"), tol=tol),
         lambda tol: check_branch_transform(NCParams(0.5, 0.5), tol=tol),
         lambda tol: check_commutative_limit([1e-2, 1e-4], NCParams(0.5, 0.5), [1e-2, tol]),
         # Unchecked, a negative or nan tol would fail every coefficient group and inf pass every one.
-        lambda tol: kinematic_invariance(
+        lambda tol: _kinematic_invariance(
             [(m, build_representation(params_from_conditions(MassConditions(0.3, 0.2), m), "branch"))
              for m in (1.0, 2.0)],
             tol,
         ),
         lambda tol: mass_invariance_report(MassConditions(0.3, 0.2), [1.0, 2.0], tol=tol),
     ],
-    ids=["form_equal", "verify_nc_algebra", "check_branch_transform", "check_commutative_limit",
+    ids=["verify_nc_algebra", "check_branch_transform", "check_commutative_limit",
          "kinematic_invariance", "mass_invariance_report"],
 )
 def test_tolerance_outside_zero_to_inf_rejected(check, tol):
@@ -494,7 +491,7 @@ def test_invariance_fails_without_conditions():
         (m, build_branch_rep(NCParams(0.5, 0.5, mass=m), "minus"))
         for m in (1.0, 2.0)
     ]
-    report = kinematic_invariance(reps)
+    report = _kinematic_invariance(reps, DEFAULT_TOL)
     assert not report.overall
     assert not report.record("X1.momentum.p2").passed
     # ... while the raw coordinate parts still agree (the rep does not
@@ -516,7 +513,7 @@ def test_momentum_x_part_scales_linearly_in_mass():
 def test_kinematic_invariance_needs_two_masses():
     rep = build_representation(params_from_conditions(MassConditions(0.3, 0.2), 2.0), "branch")
     with pytest.raises(ConfigError, match="at least two masses"):
-        kinematic_invariance([(2.0, rep)])
+        _kinematic_invariance([(2.0, rep)], DEFAULT_TOL)
 
 
 # --- randomized closure ---------------------------------------------------------

@@ -56,6 +56,8 @@ MAX_RANDOM = 10**5
 #: Options that only one ``simulate`` mode reads: a single trajectory, or ``--wep``.
 _TRAJECTORY_ONLY = ("mass", "kind", "omega", "x1", "x2", "p1", "p2", "format")
 _WEP_ONLY = ("masses", "nc_x1", "nc_x2", "nc_v1", "nc_v2")
+#: Options that a single trajectory reads only for these kinds.
+_KIND_ONLY = {"g": ("gravity", "uniform_gravity"), "omega": ("harmonic",)}
 #: Options holding a comma list, which a config file may give as a JSON array.
 _LIST_OPTIONS = ("masses", "thetas", "etas", "limit_scales", "limit_tols")
 
@@ -253,17 +255,26 @@ def _param_source(cfg: dict[str, Any], fixed: tuple[str, str] = ("theta", "eta")
 def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
     """Refuse a given option that the run does not read, whether a flag or a config key gave it.
 
-    ``verify`` reads --limit-tols only beside --limit-scales.  ``simulate
-    --wep`` reads none of the single-trajectory options, --format among them
-    (its summary is always JSON), plain ``simulate`` none of the free-fall
-    ones.  Running on would drop the option silently.
+    ``verify`` reads --limit-tols only beside --limit-scales, and only the
+    branch and epsilon_general families read --branch.  ``simulate --wep``
+    reads none of the single-trajectory options, --format among them (its
+    summary is always JSON), plain ``simulate`` none of the free-fall ones,
+    and --g or --omega only for a kind whose potential holds it.  Running on
+    would drop the option silently.
     """
     if command == "verify" and "limit_tols" in given and "limit_scales" not in given:
         raise ConfigError("`verify` does not read --limit-tols without --limit-scales")
+    if cfg["family"] == "simple" and "branch" in given:
+        raise ConfigError(f"`{command} --family simple` does not read --branch")
     if command != "simulate":
         return
-    mode, unread = ("simulate --wep", _TRAJECTORY_ONLY) if cfg["wep"] else ("simulate", _WEP_ONLY)
-    for dest in unread:
+    if cfg["wep"]:
+        unread = dict.fromkeys(_TRAJECTORY_ONLY, "simulate --wep")
+    else:
+        unread = dict.fromkeys(_WEP_ONLY, "simulate")
+        kind = cfg["kind"]
+        unread.update((dest, f"simulate --kind {kind}") for dest, kinds in _KIND_ONLY.items() if kind not in kinds)
+    for dest, mode in unread.items():
         if dest in given:
             raise ConfigError(f"`{mode}` does not read --{dest.replace('_', '-')}")
 

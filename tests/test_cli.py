@@ -349,7 +349,12 @@ _TRAJECTORY = ["simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "0.1"]
      [("--mass", "5"), ("--mass", "1"), ("--kind", "free"), ("--omega", "2"),
       ("--x1", "1"), ("--x2", "0"), ("--p1", "1"), ("--p2", "1"), ("--format", "csv")]]
     + [(_TRAJECTORY + [flag, value], flag) for flag, value in
-       [("--masses", "1,2"), ("--nc-x1", "1"), ("--nc-x2", "0"), ("--nc-v1", "7"), ("--nc-v2", "1")]],
+       [("--masses", "1,2"), ("--nc-x1", "1"), ("--nc-x2", "0"), ("--nc-v1", "7"), ("--nc-v2", "1")]]
+    # A single trajectory reads --g only under gravity and --omega only for the oscillator.
+    + [(_TRAJECTORY + kind + [flag, value], flag) for kind, flag, value in
+       [([], "--g", "9.8"), ([], "--omega", "3"), (["--kind", "free"], "--g", "1"),
+        (["--kind", "harmonic"], "--g", "1"), (["--kind", "gravity"], "--omega", "1"),
+        (["--kind", "uniform_gravity"], "--omega", "1")]],
 )
 def test_simulate_refuses_the_other_modes_options(capsys, argv, option):
     # Each mode ignores the other's options; given one, even at its default,
@@ -363,13 +368,43 @@ def test_simulate_refuses_the_other_modes_options(capsys, argv, option):
 @pytest.mark.parametrize(
     "argv,config,option",
     [(_WEP, {"mass": 5}, "--mass"), (_WEP, {"kind": "gravity"}, "--kind"), (_WEP, {"format": "csv"}, "--format"),
-     (_TRAJECTORY, {"masses": [1, 2]}, "--masses"), (_TRAJECTORY, {"nc-v1": 7}, "--nc-v1")],
+     (_TRAJECTORY, {"masses": [1, 2]}, "--masses"), (_TRAJECTORY, {"nc-v1": 7}, "--nc-v1"),
+     (_TRAJECTORY, {"g": 9.8}, "--g"), (_TRAJECTORY + ["--kind", "harmonic"], {"g": 1}, "--g"),
+     (_TRAJECTORY, {"kind": "gravity", "omega": 2}, "--omega")],
 )
 def test_simulate_refuses_the_other_modes_config_keys(capsys, tmp_path, argv, config, option):
     (tmp_path / "run.json").write_text(json.dumps(config))
     rc, data = run_json(capsys, *argv, "--config", str(tmp_path / "run.json"))
     assert rc == 2
     assert data["error"]["message"].endswith(f"does not read {option}")
+
+
+_SIMPLE_RUNS = {
+    "verify": ["verify", "--theta", "0.5", "--eta", "0.5"],
+    "repr": ["repr", "--theta", "0.5", "--eta", "0.5"],
+    "com": ["com", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2"],
+    "simulate": _TRAJECTORY,
+    "simulate-wep": _WEP,
+}
+
+
+@pytest.mark.parametrize("run", sorted(_SIMPLE_RUNS))
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_simple_family_refuses_branch(capsys, tmp_path, run, where):
+    # Only the branch and epsilon_general families read --branch; the simple
+    # family would drop it, even at its default, while echoing it in config.
+    argv = _SIMPLE_RUNS[run] + ["--family", "simple"]
+    if where == "flag":
+        argv += ["--branch", "minus"]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({"branch": "plus"}))
+        argv += ["--config", str(tmp_path / "run.json")]
+    rc, data = run_json(capsys, *argv)
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert data["error"]["message"].endswith("does not read --branch")
+    rc, _ = run_cli(capsys, *_SIMPLE_RUNS[run], "--family", "simple")
+    assert rc == 0
 
 
 def test_simulate_mode_rule_ignores_defaults_and_nulls(capsys, tmp_path):
@@ -814,9 +849,8 @@ _EDGE_VALUES = ("0", "5e-324", "1e-160", "1e160", "-1e200", "1e308")
 
 
 def test_edge_parameter_grid_prints_strict_json(capsys):
-    families = [["--family", family, "--branch", branch] for family, branch in
-                [("branch", "minus"), ("branch", "plus"), ("simple", "minus"),
-                 ("epsilon_general", "minus"), ("epsilon_general", "plus")]]
+    families = [["--family", "simple"]] + [["--family", family, "--branch", branch] for family, branch in
+                [("branch", "minus"), ("branch", "plus"), ("epsilon_general", "minus"), ("epsilon_general", "plus")]]
     for theta in _EDGE_VALUES:
         for eta in _EDGE_VALUES:
             argvs = [[command, f"--theta={theta}", f"--eta={eta}", *family]

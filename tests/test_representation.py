@@ -499,6 +499,19 @@ def test_invariance_fails_without_conditions():
     assert report.record("X1.coordinate.x1").passed
 
 
+def test_invariance_fails_a_coefficient_missing_for_some_masses():
+    # theta = gamma/m underflows to 0.0 for the heavy mass, so its coordinate
+    # forms hold no momentum term: the light mass's coefficient alone spreads
+    # 0.0, and the group still fails.
+    report = mass_invariance_report(MassConditions(1e-300, 0.2), [1.0, 1e100])
+    missing = "coefficient missing for some masses"
+    assert {rec.name: rec.detail for rec in report if not rec.passed} == {
+        "X1.momentum.p2": missing, "X2.momentum.p1": missing,
+    }
+    assert report.record("X1.momentum.p2").measured == 0.0
+    assert report.meta == {"masses": [1.0, 1e100], "gamma": 1e-300, "alpha": 0.2, "family": "branch", "branch": "minus"}
+
+
 def test_momentum_x_part_scales_linearly_in_mass():
     c = MassConditions(gamma=0.3, alpha=0.2)
     coeffs = {}

@@ -268,15 +268,13 @@ def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
         raise ConfigError(f"`{command} --family simple` does not read --branch")
     if command != "simulate":
         return
-    if cfg["wep"]:
-        unread = dict.fromkeys(_TRAJECTORY_ONLY, "simulate --wep")
-    else:
-        unread = dict.fromkeys(_WEP_ONLY, "simulate")
-        kind = cfg["kind"]
-        unread.update((dest, f"simulate --kind {kind}") for dest, kinds in _KIND_ONLY.items() if kind not in kinds)
-    for dest, mode in unread.items():
+    mode, unread = ("simulate --wep", _TRAJECTORY_ONLY) if cfg["wep"] else ("simulate", _WEP_ONLY)
+    for dest in unread:
         if dest in given:
             raise ConfigError(f"`{mode}` does not read --{dest.replace('_', '-')}")
+    for dest, kinds in _KIND_ONLY.items():
+        if dest in given and not cfg["wep"] and cfg["kind"] not in kinds:
+            raise ConfigError(f"`simulate --kind {cfg['kind']}` does not read --{dest}")
 
 
 def _particle_params(cfg: dict[str, Any], mass: float) -> NCParams:

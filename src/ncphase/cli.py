@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, tol: bool = True) -> None:
         p.add_argument("--config", type=str, help="JSON file with option values; flags override")
-        p.add_argument("--hbar", type=float, default=1.0, help="Planck constant (default 1)")
         if tol:
             p.add_argument("--tol", type=float, default=1e-12, help="check tolerance (default 1e-12)")
         p.add_argument("--output", type=str, help="write the report/trajectory to this path")
@@ -279,10 +278,9 @@ def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
 
 def _particle_params(cfg: dict[str, Any], mass: float) -> NCParams:
     conditions = _param_source(cfg)
-    hbar = float(cfg["hbar"])
     if conditions is not None:
-        return params_from_conditions(conditions, mass, hbar)
-    return NCParams(theta=float(cfg["theta"]), eta=float(cfg["eta"]), hbar=hbar, mass=mass)
+        return params_from_conditions(conditions, mass)
+    return NCParams(theta=float(cfg["theta"]), eta=float(cfg["eta"]), mass=mass)
 
 
 def _emit(text: str, cfg: dict[str, Any]) -> None:
@@ -367,12 +365,8 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
 
     if family == "simple":
         measured = report.record("[X1,P1]").measured
-        expected = effective_planck(p) / p.hbar
-        checks.append(
-            CheckRecord.within(
-                "planck.diag", expected, measured, tol, "diagonal commutator against hbar_eff/hbar"
-            )
-        )
+        detail = "diagonal commutator against hbar_eff/hbar"
+        checks.append(CheckRecord.within("planck.diag", effective_planck(p), measured, tol, detail))
     if family == "branch" and _swap_scale(p, required=False) is not None:
         try:
             record = CheckRecord.within(
@@ -449,14 +443,13 @@ def _cmd_repr(cfg: dict[str, Any]) -> int:
 
 def _cmd_com(cfg: dict[str, Any]) -> int:
     tol = float(cfg["tol"])
-    hbar = float(cfg["hbar"])
     masses = _float_list(cfg.get("masses"), "--masses")
     conditions = _param_source(cfg, ("thetas", "etas"))
     if conditions is not None:
-        system = CompositeSystem.from_conditions(conditions, masses, hbar)
+        system = CompositeSystem.from_conditions(conditions, masses)
     else:
         thetas = _float_list(cfg["thetas"], "--thetas")
-        system = CompositeSystem.from_params(masses, thetas, _float_list(cfg["etas"], "--etas"), hbar)
+        system = CompositeSystem.from_params(masses, thetas, _float_list(cfg["etas"], "--etas"))
     if cfg["family"] == "simple":
         report = compare_com_simple(system, tol)
     else:

@@ -27,7 +27,6 @@ differ, which is the whole point of the conditions.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -77,8 +76,8 @@ class CompositeSystem:
     """Particles stored as columns, in particle order.
 
     ``ids``, ``masses``, ``thetas`` and ``etas`` are tuples with one entry per
-    particle; ``hbar`` is the shared one as passed, and ``total_mass`` is the
-    ``math.fsum`` of the masses, computed once.  ``CompositeSystem(particles)``
+    particle, and ``total_mass`` is the ``math.fsum`` of the masses, computed
+    once.  ``CompositeSystem(particles)``
     reads the columns from validated particles.  ``from_conditions`` and
     ``from_params`` check the columns in bulk and build no particle;
     ``particles`` is built from the columns on first access and cached.
@@ -91,12 +90,9 @@ class CompositeSystem:
         ids = [p.id for p in particles]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"particle ids must be unique, got {ids}")
-        hbars = {p.params.hbar for p in particles}
-        if len(hbars) != 1:
-            raise ConfigError(f"all particles must share one hbar, got {sorted(hbars)}")
         thetas = [p.params.theta for p in particles]
         etas = [p.params.eta for p in particles]
-        self._set_columns(ids, [p.mass for p in particles], thetas, etas, particles[0].params.hbar, conditions)
+        self._set_columns(ids, [p.mass for p in particles], thetas, etas, conditions)
         self.particles = particles  # fills the cache of the ``particles`` property
 
     def _set_columns(
@@ -105,11 +101,10 @@ class CompositeSystem:
         masses: Iterable[float],
         thetas: Iterable[float],
         etas: Iterable[float],
-        hbar: float,
         conditions: MassConditions | None,
     ) -> None:
         self.ids, self.masses, self.thetas, self.etas = tuple(ids), tuple(masses), tuple(thetas), tuple(etas)
-        self.hbar, self.conditions = hbar, conditions
+        self.conditions = conditions
         try:
             self.total_mass = math.fsum(self.masses)  # fsum raises rather than return inf
         except OverflowError as exc:
@@ -121,25 +116,23 @@ class CompositeSystem:
     @cached_property
     def particles(self) -> tuple[Particle, ...]:
         return tuple(
-            Particle(id=i, mass=m, params=NCParams(theta=t, eta=e, hbar=self.hbar, mass=m))
+            Particle(id=i, mass=m, params=NCParams(theta=t, eta=e, mass=m))
             for i, m, t, e in zip(self.ids, self.masses, self.thetas, self.etas)
         )
 
     @classmethod
-    def from_conditions(
-        cls, conditions: MassConditions, masses: Sequence[float], hbar: float = 1.0
-    ) -> "CompositeSystem":
+    def from_conditions(cls, conditions: MassConditions, masses: Sequence[float]) -> "CompositeSystem":
         def columns():
             ms = [float(m) for m in masses]
             return ms, [conditions.gamma / m for m in ms], [conditions.alpha * m for m in ms]
 
         def chain():
             return tuple(
-                Particle(id=i, mass=float(m), params=params_from_conditions(conditions, float(m), hbar))
+                Particle(id=i, mass=float(m), params=params_from_conditions(conditions, float(m)))
                 for i, m in enumerate(masses)
             )
 
-        return cls._build(columns, chain, hbar, conditions)
+        return cls._build(columns, chain, conditions)
 
     @classmethod
     def from_params(
@@ -147,7 +140,6 @@ class CompositeSystem:
         masses: Sequence[float],
         thetas: Sequence[float],
         etas: Sequence[float],
-        hbar: float = 1.0,
     ) -> "CompositeSystem":
         if not (len(masses) == len(thetas) == len(etas)):
             raise ConfigError(
@@ -159,18 +151,17 @@ class CompositeSystem:
 
         def chain():
             return tuple(
-                Particle(id=i, mass=float(m), params=NCParams(theta=float(t), eta=float(e), hbar=hbar, mass=float(m)))
+                Particle(id=i, mass=float(m), params=NCParams(theta=float(t), eta=float(e), mass=float(m)))
                 for i, (m, t, e) in enumerate(zip(masses, thetas, etas))
             )
 
-        return cls._build(columns, chain, hbar, None)
+        return cls._build(columns, chain, None)
 
     @classmethod
     def _build(
         cls,
         columns: Callable[[], tuple[list[float], list[float], list[float]]],
         chain: Callable[[], tuple[Particle, ...]],
-        hbar: float,
         conditions: MassConditions | None,
     ) -> "CompositeSystem":
         """The system of the (masses, thetas, etas) ``columns()`` if a bulk check passes, else of ``chain()``.
@@ -178,18 +169,14 @@ class CompositeSystem:
         ``chain()`` builds the particles one by one, each validated, and so
         raises the first refusal with its own type and message.  The bulk
         check is never looser.  A float sum is finite only if every term is,
-        since a NaN or an infinity spreads through it; hbar must be an int or
-        float in (0, largest float].  Anything else goes through the chain: a
-        finite sum that overflows, an int hbar that ``math.isfinite`` in
-        ``NCParams`` cannot convert, another hbar type, no masses (``min``
+        since a NaN or an infinity spreads through it.  Anything else goes
+        through the chain: a finite sum that overflows, no masses (``min``
         raises) or a column that cannot be computed.
         """
         try:
             masses, thetas, etas = columns()
             accepted = (
-                isinstance(hbar, (int, float))
-                and 0 < hbar <= sys.float_info.max
-                and min(masses) > 0.0
+                min(masses) > 0.0
                 and math.isfinite(sum(masses) + sum(thetas) + sum(etas))
                 and (conditions is None or conditions.product < 1.0)
             )
@@ -198,7 +185,7 @@ class CompositeSystem:
         if not accepted:
             return cls(chain(), conditions)
         system = cls.__new__(cls)
-        system._set_columns(range(len(masses)), masses, thetas, etas, hbar, conditions)
+        system._set_columns(range(len(masses)), masses, thetas, etas, conditions)
         return system
 
 
@@ -302,7 +289,7 @@ def effective_params(system: CompositeSystem) -> tuple[float, float]:
 
 def com_params(system: CompositeSystem) -> NCParams:
     theta_eff, eta_eff = effective_params(system)
-    return NCParams(theta=theta_eff, eta=eta_eff, hbar=system.hbar, mass=system.total_mass)
+    return NCParams(theta=theta_eff, eta=eta_eff, mass=system.total_mass)
 
 
 def _algebraic(system: CompositeSystem, family: str, branch: str | None) -> Representation:

@@ -356,7 +356,6 @@ def wep_deviation(
     nc_data: Sequence[float] = (0.0, 0.0, 1.0, 0.0),
     t_end: float = 10.0,
     dt: float = 0.01,
-    hbar: float = 1.0,
 ) -> float:
     """Trajectory spread across masses under shared mass conditions.
 
@@ -365,7 +364,7 @@ def wep_deviation(
     pointwise spread of the noncommutative coordinates.  Mass independence
     of the conditioned kinematics makes this vanish to rounding.
     """
-    params = [params_from_conditions(c, m, hbar) for m in masses]
+    params = [params_from_conditions(c, m) for m in masses]
     return _wep_spread(params, family, branch, g, nc_data, t_end, dt)
 
 
@@ -379,7 +378,6 @@ def wep_deviation_fixed(
     nc_data: Sequence[float] = (0.0, 0.0, 1.0, 0.0),
     t_end: float = 10.0,
     dt: float = 0.01,
-    hbar: float = 1.0,
 ) -> float:
     """Same comparison with one fixed (theta, eta) shared by all masses.
 
@@ -387,7 +385,7 @@ def wep_deviation_fixed(
     conditions the noncommutative shifts enter the dynamics mass-weighted,
     and equal initial data no longer yields equal coordinate histories.
     """
-    params = [NCParams(theta=theta, eta=eta, hbar=hbar, mass=m) for m in masses]
+    params = [NCParams(theta=theta, eta=eta, mass=m) for m in masses]
     return _wep_spread(params, family, branch, g, nc_data, t_end, dt)
 
 

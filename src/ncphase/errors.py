@@ -15,7 +15,7 @@ class DomainError(NCPhaseError):
 
     Typical causes: theta*eta > 1 (the square root of 1 - theta*eta turns
     complex), a negative radicand in a branch prefactor, or a nonpositive
-    mass or hbar.
+    mass.
     """
 
 

@@ -56,23 +56,22 @@ class NCParams:
 
     ``theta`` is the coordinate-coordinate parameter, ``eta`` the
     momentum-momentum one.  Either may be negative or zero; the product
-    ``theta*eta`` governs which representations exist.
+    ``theta*eta`` governs which representations exist.  Like every scalar
+    of the package, both are coefficients of i*hbar: hbar is the unit, not
+    an input.
     """
 
     theta: float
     eta: float
-    hbar: float = 1.0
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("theta", "eta", "hbar", "mass"):
+        for name in ("theta", "eta", "mass"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
             # stored as float, so a numpy scalar's overflow warnings stay out of the builders
             object.__setattr__(self, name, float(value))
-        if not self.hbar > 0:
-            raise DomainError(f"hbar must be positive, got {self.hbar}")
         _require_positive_mass(self.mass)
 
     @property
@@ -341,11 +340,11 @@ def build_representation(
 
 
 def effective_planck(p: NCParams) -> float:
-    """hbar_eff = hbar*(1 + theta*eta/4): the simple family's diagonal scale."""
-    return p.hbar * _diagonal("simple", p.product)
+    """hbar_eff/hbar = 1 + theta*eta/4: the simple family's diagonal scale."""
+    return _diagonal("simple", p.product)
 
 
-def params_from_conditions(c: MassConditions, mass: float, hbar: float = 1.0) -> NCParams:
+def params_from_conditions(c: MassConditions, mass: float) -> NCParams:
     """Parameters theta = gamma/m, eta = alpha*m for one particle.
 
     The product theta*eta = alpha*gamma is then the same for every mass,
@@ -356,7 +355,7 @@ def params_from_conditions(c: MassConditions, mass: float, hbar: float = 1.0) ->
         raise DomainError(
             f"alpha*gamma = {c.product} must stay below 1 so that theta*eta < 1 for every mass"
         )
-    return NCParams(theta=c.gamma / mass, eta=c.alpha * mass, hbar=hbar, mass=mass)
+    return NCParams(theta=c.gamma / mass, eta=c.alpha * mass, mass=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +413,6 @@ def verify_nc_algebra(
         "branch": rep.branch,
         "theta": rep.params.theta,
         "eta": rep.params.eta,
-        "hbar": rep.params.hbar,
     }
     return CheckReport(kind="verification", checks=checks, meta=meta)
 
@@ -504,9 +502,7 @@ def check_commutative_limit(
     checks: list[CheckRecord] = []
     distances: dict[str, list[float | None]] = {"minus": [], "plus": []}
     for scale, tol in zip(scales, tols):
-        p = NCParams(
-            theta=scale * p0.theta, eta=scale * p0.eta, hbar=p0.hbar, mass=p0.mass
-        )
+        p = NCParams(theta=scale * p0.theta, eta=scale * p0.eta, mass=p0.mass)
         for branch, target in targets.items():
             name = f"limit.{branch}.scale={scale:g}"
             try:
@@ -605,11 +601,7 @@ def mass_invariance_report(
     family: str = "branch",
     branch: str | None = "minus",
     tol: float = DEFAULT_TOL,
-    hbar: float = 1.0,
 ) -> CheckReport:
     """Kinematic invariance of conditioned representations across masses."""
-    reps = [
-        (m, build_representation(params_from_conditions(c, m, hbar), family, branch))
-        for m in masses
-    ]
+    reps = [(m, build_representation(params_from_conditions(c, m), family, branch)) for m in masses]
     return _kinematic_invariance(reps, tol, gamma=c.gamma, alpha=c.alpha, family=family, branch=branch)

@@ -90,13 +90,6 @@ def test_system_needs_particles_and_unique_ids():
         CompositeSystem(particles=(p, p))
 
 
-def test_system_rejects_mixed_hbar():
-    a = Particle(id=0, mass=1.0, params=NCParams(0.1, 0.1, hbar=1.0))
-    b = Particle(id=1, mass=1.0, params=NCParams(0.1, 0.1, hbar=2.0))
-    with pytest.raises(ConfigError):
-        CompositeSystem(particles=(a, b))
-
-
 def test_from_params_length_check():
     with pytest.raises(ConfigError):
         CompositeSystem.from_params([1.0, 2.0], [0.1], [0.1, 0.1])
@@ -110,9 +103,6 @@ def test_from_params_length_check():
 BAD_MASSES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5, 1e-10, 1e10, 1e308]
 #: Parameters that are not finite, and 1e308, whose sum with another overflows.
 BAD_PARAMS = [math.nan, math.inf, -math.inf, 1e308]
-#: Good hbars (a float, an int) half of the time, else ones the chain
-#: refuses: an int zero or negative, NaN, zero, negative, infinite.
-HBARS = st.one_of(st.sampled_from([1.0, 0.5, 2]), st.sampled_from([0, -1, math.nan, 0.0, -1.0, math.inf]))
 #: gamma*alpha in (-1, 1) half of the time, else >= 1 or NaN, or 1e300
 #: against 1e-301: a small product while theta = gamma/m or eta = alpha*m
 #: overflows.
@@ -146,44 +136,43 @@ def _outcome(build):
 
 
 @settings(max_examples=80, deadline=None)
-@given(CONDITIONS, st.integers(0, 5).flatmap(lambda n: columns([BAD_MASSES], n).map(lambda cols: cols[0])), HBARS)
-@example(MassConditions(0.3, 0.2), [], 1.0)
-@example(MassConditions(0.3, 0.2), [1e308, 1e308], 1.0)
-@example(MassConditions(1e300, 1e-301), [1.0, 1e-10], 1.0)
-@example(MassConditions(1e-301, 1e300), [1e10, 1.0], 1.0)
-@example(MassConditions(0.3, 0.2), [1.0, 2.0], 2)
-@example(MassConditions(0.3, 0.2), [math.nan, -1.5, 2.0], 1.0)
-@example(MassConditions(0.3, 0.2), [1.0, -1.5, 2.0], 1.0)
-@example(MassConditions(0.3, 0.2), [1.0, 2.0, -0.0], 1.0)
-def test_from_conditions_refuses_like_the_per_particle_chain(conditions, masses, hbar):
+@given(CONDITIONS, st.integers(0, 5).flatmap(lambda n: columns([BAD_MASSES], n).map(lambda cols: cols[0])))
+@example(MassConditions(0.3, 0.2), [])
+@example(MassConditions(0.3, 0.2), [1e308, 1e308])
+@example(MassConditions(1e300, 1e-301), [1.0, 1e-10])
+@example(MassConditions(1e-301, 1e300), [1e10, 1.0])
+@example(MassConditions(0.3, 0.2), [1.0, 2.0])
+@example(MassConditions(0.3, 0.2), [math.nan, -1.5, 2.0])
+@example(MassConditions(0.3, 0.2), [1.0, -1.5, 2.0])
+@example(MassConditions(0.3, 0.2), [1.0, 2.0, -0.0])
+def test_from_conditions_refuses_like_the_per_particle_chain(conditions, masses):
     def chain():
         particles = tuple(
-            Particle(id=i, mass=float(m), params=params_from_conditions(conditions, float(m), hbar))
+            Particle(id=i, mass=float(m), params=params_from_conditions(conditions, float(m)))
             for i, m in enumerate(masses)
         )
         return CompositeSystem(particles=particles, conditions=conditions)
 
-    assert _outcome(lambda: CompositeSystem.from_conditions(conditions, masses, hbar)) == _outcome(chain)
+    assert _outcome(lambda: CompositeSystem.from_conditions(conditions, masses)) == _outcome(chain)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda n: columns([BAD_MASSES, BAD_PARAMS, BAD_PARAMS], n)), HBARS)
-@example([[], [], []], 1.0)
-@example([[1e308, 1e308], [0.1, 0.2], [0.1, 0.2]], 1.0)
-@example([[1.0, 2.0], [0.1, 0.2], [0.1, 1e308]], 1.0)
-@example([[1.0, 2.0], [0.1, 0.2], [0.1, 0.2]], 0)
-@example([[1.0, 2.0], [0.1, 0.2], [0.1, 0.2]], 2)
-def test_from_params_refuses_like_the_per_particle_chain(cols, hbar):
+@given(st.integers(0, 5).flatmap(lambda n: columns([BAD_MASSES, BAD_PARAMS, BAD_PARAMS], n)))
+@example([[], [], []])
+@example([[1e308, 1e308], [0.1, 0.2], [0.1, 0.2]])
+@example([[1.0, 2.0], [0.1, 0.2], [0.1, 1e308]])
+@example([[1.0, 2.0], [0.1, 0.2], [0.1, 0.2]])
+def test_from_params_refuses_like_the_per_particle_chain(cols):
     masses, thetas, etas = cols
 
     def chain():
         particles = tuple(
-            Particle(id=i, mass=float(m), params=NCParams(theta=float(t), eta=float(e), hbar=hbar, mass=float(m)))
+            Particle(id=i, mass=float(m), params=NCParams(theta=float(t), eta=float(e), mass=float(m)))
             for i, (m, t, e) in enumerate(zip(masses, thetas, etas))
         )
         return CompositeSystem(particles=particles)
 
-    assert _outcome(lambda: CompositeSystem.from_params(masses, thetas, etas, hbar)) == _outcome(chain)
+    assert _outcome(lambda: CompositeSystem.from_params(masses, thetas, etas)) == _outcome(chain)
 
 
 def test_general_constructor_keeps_the_particle_ids_in_order():

@@ -175,7 +175,7 @@ def _builder_items():
         NCParams(1e200, -1e200),
         NCParams(1e200, 1e200),
         NCParams(1e-200, 1e-200),
-        NCParams(-0.7, -0.4, hbar=2.5, mass=3.0),
+        NCParams(-0.7, -0.4, mass=3.0),
     ]
     for i, p in enumerate(params):
         pid = rng.randrange(0, 1000)

@@ -302,7 +302,6 @@ def test_verify_identity_rep():
 def test_effective_planck_values():
     assert effective_planck(NCParams(0.0, 0.7)) == 1.0
     assert effective_planck(NCParams(0.5, 0.5)) == 1.0625
-    assert effective_planck(NCParams(0.5, 0.5, hbar=2.0)) == 2.125
 
 
 def test_effective_planck_mass_independent_under_conditions():
@@ -452,8 +451,6 @@ def test_params_from_conditions_domain():
 
 def test_nc_params_validation():
     with pytest.raises(DomainError):
-        NCParams(0.1, 0.1, hbar=0.0)
-    with pytest.raises(DomainError):
         NCParams(0.1, 0.1, mass=-1.0)
     # a value math.isfinite cannot read keeps its own error type
     with pytest.raises(TypeError):
@@ -463,8 +460,8 @@ def test_nc_params_validation():
 
 
 def test_nc_params_store_floats():
-    p = NCParams(np.float64(1e200), np.float64(1e200), hbar=1, mass=np.float32(2.0))
-    assert all(type(v) is float for v in (p.theta, p.eta, p.hbar, p.mass))
+    p = NCParams(np.float64(1e200), np.float64(1e200), mass=np.float32(2.0))
+    assert all(type(v) is float for v in (p.theta, p.eta, p.mass))
     assert p.product == math.inf  # a float product overflows without a numpy warning
 
 

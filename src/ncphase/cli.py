@@ -263,7 +263,7 @@ def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
     """
     if command == "verify" and "limit_tols" in given and "limit_scales" not in given:
         raise ConfigError("`verify` does not read --limit-tols without --limit-scales")
-    if cfg["family"] == "simple" and "branch" in given:
+    if _read_branch(cfg) is None and "branch" in given:
         raise ConfigError(f"`{command} --family simple` does not read --branch")
     if command != "simulate":
         return
@@ -274,6 +274,11 @@ def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
     for dest, kinds in _KIND_ONLY.items():
         if dest in given and not cfg["wep"] and cfg["kind"] not in kinds:
             raise ConfigError(f"`simulate --kind {cfg['kind']}` does not read --{dest}")
+
+
+def _read_branch(cfg: dict[str, Any]) -> str | None:
+    """The branch the run reads, as its report gives it: None under --family simple, else --branch."""
+    return None if cfg["family"] == "simple" else cfg["branch"]
 
 
 def _particle_params(cfg: dict[str, Any], mass: float) -> NCParams:
@@ -361,7 +366,7 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
             raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
     report = verify_nc_algebra(rep, **expect, tol=tol)
     checks = list(report.checks)
-    meta = dict(report.meta)
+    meta = {**report.meta, "branch": _read_branch(cfg)}
 
     if family == "simple":
         measured = report.record("[X1,P1]").measured
@@ -520,7 +525,7 @@ def _cmd_simulate_wep(cfg: dict[str, Any]) -> int:
         "conditions_used": conditioned,
         "masses": masses,
         "family": cfg["family"],
-        "branch": cfg["branch"],
+        "branch": _read_branch(cfg),
         "energy_drift_max": max(energy_drift(h, traj) for h, traj in runs),
     }
     _emit(_envelope("simulate", cfg, summary=summary), cfg)

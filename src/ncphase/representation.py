@@ -604,4 +604,5 @@ def mass_invariance_report(
 ) -> CheckReport:
     """Kinematic invariance of conditioned representations across masses."""
     reps = [(m, build_representation(params_from_conditions(c, m), family, branch)) for m in masses]
-    return _kinematic_invariance(reps, tol, gamma=c.gamma, alpha=c.alpha, family=family, branch=branch)
+    read = None if family == "simple" else branch  # the simple family reads no branch
+    return _kinematic_invariance(reps, tol, gamma=c.gamma, alpha=c.alpha, family=family, branch=read)

@@ -53,6 +53,12 @@ def test_verify_clean_branch_rep(capsys):
         assert c["pass"] is True
     assert data["tool"] == "ncphase"
     assert data["config"]["theta"] == 0.5
+    assert data["meta"]["branch"] == "minus"
+    # epsilon_general reads --branch too, so its report gives it
+    rc, data = run_json(capsys, "verify", "--theta", "0.5", "--eta", "0.5", "--family", "epsilon_general",
+                        "--branch", "plus")
+    assert rc == 0
+    assert data["meta"]["branch"] == "plus"
 
 
 def test_verify_domain_error_exits_2(capsys):
@@ -309,6 +315,7 @@ def test_simulate_wep_summary(capsys):
     assert s["conditions_used"] is True
     assert s["masses"] == [1.0, 2.0]
     assert s["energy_drift_max"] <= 1e-10
+    assert s["branch"] == "minus"
 
 
 def test_simulate_wep_violated_conditions(capsys):
@@ -403,8 +410,12 @@ def test_simple_family_refuses_branch(capsys, tmp_path, run, where):
     assert rc == 2
     assert data["error"]["type"] == "ConfigError"
     assert data["error"]["message"].endswith("does not read --branch")
-    rc, _ = run_cli(capsys, *_SIMPLE_RUNS[run], "--family", "simple")
+    rc, out = run_cli(capsys, *_SIMPLE_RUNS[run], "--family", "simple")
     assert rc == 0
+    if run in ("verify", "com", "simulate-wep"):
+        # A report gives the branch the run read: none.
+        data = json.loads(out)
+        assert data.get("meta", data.get("summary"))["branch"] is None
 
 
 def test_simulate_mode_rule_ignores_defaults_and_nulls(capsys, tmp_path):

@@ -465,11 +465,12 @@ def test_nc_params_store_floats():
     assert p.product == math.inf  # a float product overflows without a numpy warning
 
 
-@pytest.mark.parametrize("family,branch", [("branch", "minus"), ("simple", None)])
+@pytest.mark.parametrize("family,branch", [("branch", "minus"), ("simple", None), ("simple", "minus")])
 def test_mass_invariance_under_conditions(family, branch):
     c = MassConditions(gamma=0.3, alpha=0.2)
     report = mass_invariance_report(c, (1.0, 2.0, 5.0), family=family, branch=branch)
     assert report.overall
+    assert report.meta["branch"] == (None if family == "simple" else branch)  # the branch the build read
     for rec in report:
         assert rec.measured <= 1e-12
 

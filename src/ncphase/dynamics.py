@@ -53,7 +53,7 @@ _J = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: compare and hash by identity
 class QuadraticHamiltonian:
     """H(z) = z.quad.z/2 + linear.z over (x1, x2, p1, p2).
 
@@ -123,7 +123,7 @@ def build_hamiltonian(
     return QuadraticHamiltonian(rep=rep, quad=quad, linear=linear, observables=observables)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: compare and hash by identity
 class Trajectory:
     """Sampled states and noncommutative observables at uniform times."""
 

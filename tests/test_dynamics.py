@@ -104,6 +104,16 @@ def test_form_with_a_negative_zero_constant_accepted():
     assert np.array_equal(h.quad, ref.quad) and np.array_equal(h.observables, ref.observables)
 
 
+def test_hamiltonian_and_trajectory_compare_and_hash_by_identity():
+    # A field-wise == over ndarray fields would raise on its ambiguous truth value.
+    h, h2 = (build_hamiltonian("free", IDENTITY) for _ in range(2))
+    traj, traj2 = (evolve(h, [0.0, 0.0, 1.0, 0.0], t_end=0.2, dt=0.1) for _ in range(2))
+    for a, b in ((h, h2), (traj, traj2)):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+        assert hash(a) == hash(a)
+
+
 # --- integrator against closed forms ---------------------------------------------
 
 

@@ -541,6 +541,52 @@ def test_one_pass_sums_equal_chained_form_addition(params):
             assert report.meta["momentum_coordinate_coeff"].hex() == (0.0).hex()
 
 
+# --- centre-of-mass and relative motion -------------------------------------------
+
+
+def _com_and_relative(params_a, params_b, family, branch):
+    """(X1_c, X2_c, P1_c, P2_c) and (dX1, dX2, dP1, dP2) of two particles' own representations."""
+    a, b = (build_representation(q, family, branch, pid) for pid, q in enumerate((params_a, params_b)))
+    ma, mb = params_a.mass, params_b.mass
+    M, mu = ma + mb, ma * mb / (ma + mb)
+    com = (a.X1 * (ma / M) + b.X1 * (mb / M), a.X2 * (ma / M) + b.X2 * (mb / M), a.P1 + b.P1, a.P2 + b.P2)
+    rel = (a.X1 - b.X1, a.X2 - b.X2, (a.P1 / ma - b.P1 / mb) * mu, (a.P2 / ma - b.P2 / mb) * mu)
+    return com, rel
+
+
+_MOTION_CASES = [("branch", "minus"), ("branch", "plus"), ("simple", None), ("epsilon_general", "minus"),
+                 ("epsilon_general", "plus")]
+
+
+@pytest.mark.parametrize(
+    "family,branch,gamma,alpha",
+    [(f, b, g, a) for f, b in _MOTION_CASES for g, a in [(0.3, 0.2), (0.5, -0.4), (0.9, 0.9)]
+     if b != "plus" or g * a > 0],  # the plus branch needs theta*eta = gamma*alpha > 0
+)
+@pytest.mark.parametrize("masses", [(1e-3, 1e3), (1.0, 3.0), (0.7, 40.0), (2.5, 2.5)])
+def test_conditions_make_com_and_relative_motion_independent(family, branch, gamma, alpha, masses):
+    # The paper's third claim: under theta_a*m_a = gamma and eta_a/m_a = alpha
+    # every commutator between the centre-of-mass and the relative operators
+    # vanishes, so the two motions separate.
+    c = MassConditions(gamma, alpha)
+    com, rel = _com_and_relative(*(params_from_conditions(c, m) for m in masses), family, branch)
+    assert max(abs(commutator(u, v).scalar) for u in com for v in rel) <= 1e-15
+
+
+@pytest.mark.parametrize("family,branch", _MOTION_CASES)
+@pytest.mark.parametrize("theta,eta,masses", [(0.5, 0.5, (1.0, 3.0)), (0.3, 0.6, (2.5, 0.5)), (-0.4, -0.9, (4.0, 1.0))])
+def test_fixed_parameters_couple_com_and_relative_motion(family, branch, theta, eta, masses):
+    # Without the conditions [X1_c, dX2] = (theta_a m_a - theta_b m_b)/M and
+    # [P1_c, dP2] = mu (eta_a/m_a - eta_b/m_b), both nonzero for unequal masses.
+    pa, pb = (NCParams(theta, eta, mass=m) for m in masses)
+    (X1c, _, P1c, _), (_, dX2, _, dP2) = _com_and_relative(pa, pb, family, branch)
+    M, mu = pa.mass + pb.mass, pa.mass * pb.mass / (pa.mass + pb.mass)
+    coupling = ((pa.theta * pa.mass - pb.theta * pb.mass) / M, mu * (pa.eta / pa.mass - pb.eta / pb.mass))
+    assert min(abs(v) for v in coupling) >= 0.15
+    assert commutator(X1c, dX2).scalar == pytest.approx(coupling[0], abs=1e-12)
+    assert commutator(P1c, dP2).scalar == pytest.approx(coupling[1], abs=1e-12)
+
+
 # --- column primitives ------------------------------------------------------------
 
 #: Coefficients with exact zeros of both signs, subnormals and any finite

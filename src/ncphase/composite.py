@@ -77,10 +77,10 @@ class CompositeSystem:
 
     ``ids``, ``masses``, ``thetas`` and ``etas`` are tuples with one entry per
     particle, and ``total_mass`` is the ``math.fsum`` of the masses, computed
-    once.  ``CompositeSystem(particles)``
-    reads the columns from validated particles.  ``from_conditions`` and
-    ``from_params`` check the columns in bulk and build no particle;
-    ``particles`` is built from the columns on first access and cached.
+    once.  ``CompositeSystem(particles)`` reads the columns from validated
+    particles.  ``from_conditions`` and ``from_params`` check the columns in
+    bulk and build no particle; ``particles`` is built from the columns on
+    first access and cached.
     """
 
     def __init__(self, particles: Sequence[Particle], conditions: MassConditions | None = None) -> None:

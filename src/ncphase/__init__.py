@@ -14,7 +14,6 @@ from .algebra import (
 )
 from .composite import (
     CompositeSystem,
-    Particle,
     com_canonical,
     compare_com_reps,
     compare_com_simple,
@@ -62,7 +61,6 @@ __all__ = [
     "MassConditions",
     "NCParams",
     "NCPhaseError",
-    "Particle",
     "QuadraticHamiltonian",
     "Representation",
     "SingularMapError",

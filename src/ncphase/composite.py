@@ -27,7 +27,6 @@ differ, which is the whole point of the conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import mul, neg, sub
@@ -43,7 +42,6 @@ from .representation import (
     Representation,
     _commutator_checks,
     _diagonal,
-    _require_positive_mass,
     _shift_coeffs,
     _shift_terms,
     params_from_conditions,
@@ -54,56 +52,28 @@ from .representation import (
 _Columns = dict[str, list[float]]
 
 
-@dataclass(frozen=True)
-class Particle:
-    """One particle: an id for its canonical variables, a mass, parameters."""
-
-    id: int
-    mass: float
-    params: NCParams
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ConfigError(f"particle id must be nonnegative, got {self.id}")
-        _require_positive_mass(self.mass)
-        if self.params.mass != self.mass:
-            raise ConfigError(
-                f"particle {self.id}: params.mass = {self.params.mass} disagrees with mass = {self.mass}"
-            )
-
-
 class CompositeSystem:
     """Particles stored as columns, in particle order.
 
-    ``ids``, ``masses``, ``thetas`` and ``etas`` are tuples with one entry per
-    particle, and ``total_mass`` is the ``math.fsum`` of the masses, computed
-    once.  ``CompositeSystem(particles)`` reads the columns from validated
-    particles.  ``from_conditions`` and ``from_params`` check the columns in
-    bulk and build no particle; ``particles`` is built from the columns on
-    first access and cached.
+    Particle a is ``NCParams(thetas[a], etas[a], masses[a])``, and its
+    canonical variables carry id a.  ``masses``, ``thetas`` and ``etas`` are
+    tuples with one entry per particle, and ``total_mass`` is the
+    ``math.fsum`` of the masses, computed once.  ``CompositeSystem(particles)``
+    reads the columns from a sequence of ``NCParams``.  ``from_conditions``
+    and ``from_params`` check the columns in bulk and build no ``NCParams``;
+    ``particles`` is built from the columns on first access and cached.
     """
 
-    def __init__(self, particles: Sequence[Particle], conditions: MassConditions | None = None) -> None:
+    def __init__(self, particles: Sequence[NCParams], conditions: MassConditions | None = None) -> None:
         particles = tuple(particles)
         if not particles:
             raise ConfigError("a composite system needs at least one particle")
-        ids = [p.id for p in particles]
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"particle ids must be unique, got {ids}")
-        thetas = [p.params.theta for p in particles]
-        etas = [p.params.eta for p in particles]
-        self._set_columns(ids, [p.mass for p in particles], thetas, etas, conditions)
+        self._set_columns(zip(*((p.mass, p.theta, p.eta) for p in particles)), conditions)
         self.particles = particles  # fills the cache of the ``particles`` property
 
-    def _set_columns(
-        self,
-        ids: Iterable[int],
-        masses: Iterable[float],
-        thetas: Iterable[float],
-        etas: Iterable[float],
-        conditions: MassConditions | None,
-    ) -> None:
-        self.ids, self.masses, self.thetas, self.etas = tuple(ids), tuple(masses), tuple(thetas), tuple(etas)
+    def _set_columns(self, columns: Iterable[Iterable[float]], conditions: MassConditions | None) -> None:
+        """Store the (masses, thetas, etas) columns as tuples, and their total mass."""
+        self.masses, self.thetas, self.etas = map(tuple, columns)
         self.conditions = conditions
         try:
             self.total_mass = math.fsum(self.masses)  # fsum raises rather than return inf
@@ -111,14 +81,11 @@ class CompositeSystem:
             raise DomainError("the total mass overflows the float range") from exc
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.masses)
 
     @cached_property
-    def particles(self) -> tuple[Particle, ...]:
-        return tuple(
-            Particle(id=i, mass=m, params=NCParams(theta=t, eta=e, mass=m))
-            for i, m, t, e in zip(self.ids, self.masses, self.thetas, self.etas)
-        )
+    def particles(self) -> tuple[NCParams, ...]:
+        return tuple(NCParams(theta=t, eta=e, mass=m) for m, t, e in zip(self.masses, self.thetas, self.etas))
 
     @classmethod
     def from_conditions(cls, conditions: MassConditions, masses: Sequence[float]) -> "CompositeSystem":
@@ -127,20 +94,12 @@ class CompositeSystem:
             return ms, [conditions.gamma / m for m in ms], [conditions.alpha * m for m in ms]
 
         def chain():
-            return tuple(
-                Particle(id=i, mass=float(m), params=params_from_conditions(conditions, float(m)))
-                for i, m in enumerate(masses)
-            )
+            return tuple(params_from_conditions(conditions, float(m)) for m in masses)
 
         return cls._build(columns, chain, conditions)
 
     @classmethod
-    def from_params(
-        cls,
-        masses: Sequence[float],
-        thetas: Sequence[float],
-        etas: Sequence[float],
-    ) -> "CompositeSystem":
+    def from_params(cls, masses: Sequence[float], thetas: Sequence[float], etas: Sequence[float]) -> "CompositeSystem":
         if not (len(masses) == len(thetas) == len(etas)):
             raise ConfigError(
                 f"masses/thetas/etas must have equal lengths, got {len(masses)}/{len(thetas)}/{len(etas)}"
@@ -151,8 +110,7 @@ class CompositeSystem:
 
         def chain():
             return tuple(
-                Particle(id=i, mass=float(m), params=NCParams(theta=float(t), eta=float(e), mass=float(m)))
-                for i, (m, t, e) in enumerate(zip(masses, thetas, etas))
+                NCParams(theta=float(t), eta=float(e), mass=float(m)) for m, t, e in zip(masses, thetas, etas)
             )
 
         return cls._build(columns, chain, None)
@@ -161,7 +119,7 @@ class CompositeSystem:
     def _build(
         cls,
         columns: Callable[[], tuple[list[float], list[float], list[float]]],
-        chain: Callable[[], tuple[Particle, ...]],
+        chain: Callable[[], tuple[NCParams, ...]],
         conditions: MassConditions | None,
     ) -> "CompositeSystem":
         """The system of the (masses, thetas, etas) ``columns()`` if a bulk check passes, else of ``chain()``.
@@ -185,7 +143,7 @@ class CompositeSystem:
         if not accepted:
             return cls(chain(), conditions)
         system = cls.__new__(cls)
-        system._set_columns(range(len(masses)), masses, thetas, etas, conditions)
+        system._set_columns((masses, thetas, etas), conditions)
         return system
 
 
@@ -232,7 +190,7 @@ def _forms(columns: Sequence[_Columns], system: CompositeSystem, by_kind: bool) 
     ``by_kind``, as the algebraic routes order them, else particle-major, as
     the direct routes do.
     """
-    keys = {kind: [CanonicalVar(pid, kind) for pid in system.ids] for kind in KINDS}
+    keys = {kind: [CanonicalVar(pid, kind) for pid in range(len(system))] for kind in KINDS}
     out = []
     for cols in columns:
         pairs = [zip(keys[kind], col) for kind, col in cols.items()]

@@ -19,7 +19,6 @@ from ncphase import (
     MassConditions,
     NCParams,
     LinearForm,
-    Particle,
     com_canonical,
     commutator,
     compare_com_reps,
@@ -68,26 +67,9 @@ def ulps_apart(a: float, b: float, cap: int = 64) -> int:
 # --- system construction -----------------------------------------------------
 
 
-def test_particle_mass_must_match_params():
-    with pytest.raises(ConfigError):
-        Particle(id=0, mass=2.0, params=NCParams(0.1, 0.1, mass=1.0))
-    with pytest.raises(DomainError):
-        Particle(id=0, mass=-1.0, params=NCParams(0.1, 0.1, mass=-1.0))
-
-
-def test_particle_refuses_a_negative_id_or_mass():
-    with pytest.raises(ConfigError, match="particle id must be nonnegative"):
-        Particle(id=-1, mass=1.0, params=NCParams(0.1, 0.1))
-    with pytest.raises(DomainError, match="mass must be positive"):
-        Particle(id=0, mass=-1.0, params=NCParams(0.1, 0.1))
-
-
-def test_system_needs_particles_and_unique_ids():
+def test_system_needs_particles():
     with pytest.raises(ConfigError):
         CompositeSystem(particles=())
-    p = Particle(id=0, mass=1.0, params=NCParams(0.1, 0.1))
-    with pytest.raises(ConfigError):
-        CompositeSystem(particles=(p, p))
 
 
 def test_from_params_length_check():
@@ -147,10 +129,7 @@ def _outcome(build):
 @example(MassConditions(0.3, 0.2), [1.0, 2.0, -0.0])
 def test_from_conditions_refuses_like_the_per_particle_chain(conditions, masses):
     def chain():
-        particles = tuple(
-            Particle(id=i, mass=float(m), params=params_from_conditions(conditions, float(m)))
-            for i, m in enumerate(masses)
-        )
+        particles = tuple(params_from_conditions(conditions, float(m)) for m in masses)
         return CompositeSystem(particles=particles, conditions=conditions)
 
     assert _outcome(lambda: CompositeSystem.from_conditions(conditions, masses)) == _outcome(chain)
@@ -167,8 +146,7 @@ def test_from_params_refuses_like_the_per_particle_chain(cols):
 
     def chain():
         particles = tuple(
-            Particle(id=i, mass=float(m), params=NCParams(theta=float(t), eta=float(e), mass=float(m)))
-            for i, (m, t, e) in enumerate(zip(masses, thetas, etas))
+            NCParams(theta=float(t), eta=float(e), mass=float(m)) for m, t, e in zip(masses, thetas, etas)
         )
         return CompositeSystem(particles=particles)
 
@@ -177,23 +155,21 @@ def test_from_params_refuses_like_the_per_particle_chain(cols):
 
 def test_general_constructor_keeps_the_particle_ids_in_order():
     masses, thetas, etas = [1.0, 2.0, 4.0], [1e200, 2e200, 3e200], [1e-201, 2e-201, 1e-201]
-    particles = tuple(
-        Particle(id=pid, mass=m, params=NCParams(theta=t, eta=e, mass=m))
-        for pid, m, t, e in zip((4, 9, 2), masses, thetas, etas)
-    )
+    particles = tuple(NCParams(theta=t, eta=e, mass=m) for m, t, e in zip(masses, thetas, etas))
     system = CompositeSystem(particles=particles)
     assert len(system) == 3
     assert system.particles is system.particles == particles
-    coordinates = [CanonicalVar(pid, "x1") for pid in (4, 9, 2)]
+    # Particle a's canonical variables carry id a.
+    coordinates = [CanonicalVar(pid, "x1") for pid in range(3)]
     assert list(com_canonical(system)[0].terms) == coordinates
     assert list(com_rep_direct(system)[0].terms) == [
-        key for pid in (4, 9, 2) for key in (CanonicalVar(pid, "x1"), CanonicalVar(pid, "p2"))
+        key for pid in range(3) for key in (CanonicalVar(pid, "x1"), CanonicalVar(pid, "p2"))
     ]
     report = compare_com_reps(system)
     bulk = CompositeSystem.from_params(masses, thetas, etas)
     assert "particles" not in vars(bulk)  # built on first access only
     assert report.to_dict() == compare_com_reps(bulk).to_dict()
-    assert bulk.particles is bulk.particles
+    assert bulk.particles is bulk.particles == particles
 
 
 # --- centre-of-mass canonical pair ---------------------------------------------
@@ -479,15 +455,15 @@ def _chained_sum(system, forms_for_particle):
     # The plain reference: one LinearForm + per particle and form.
     M = system.total_mass
     acc = [LinearForm()] * 4
-    for part in system.particles:
-        X1, X2, P1, P2 = forms_for_particle(part)
+    for pid, part in enumerate(system.particles):
+        X1, X2, P1, P2 = forms_for_particle(pid, part)
         w = part.mass / M
         acc = [acc[0] + w * X1, acc[1] + w * X2, acc[2] + P1, acc[3] + P2]
     return acc
 
 
-def _canonical_forms(part):
-    return (x1(part.id), x2(part.id), p1(part.id), p2(part.id))
+def _canonical_forms(pid, part):
+    return (x1(pid), x2(pid), p1(pid), p2(pid))
 
 
 def _chained_substitution(system, family, branch):
@@ -522,9 +498,9 @@ def test_one_pass_sums_equal_chained_form_addition(params):
     cases = [
         (com_canonical(system), _chained_sum(system, _canonical_forms)),
         (com_rep_direct(system, "minus"), _chained_sum(
-            system, lambda part: build_representation(part.params, "branch", "minus", part.id).forms())),
+            system, lambda pid, part: build_representation(part, "branch", "minus", pid).forms())),
         (com_simple_direct(system), _chained_sum(
-            system, lambda part: build_representation(part.params, "simple", None, part.id).forms())),
+            system, lambda pid, part: build_representation(part, "simple", None, pid).forms())),
         (com_rep_algebraic(system, "minus").forms(), _chained_substitution(system, "branch", "minus")),
         (com_simple_algebraic(system).forms(), _chained_substitution(system, "simple", None)),
     ]

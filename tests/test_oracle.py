@@ -116,7 +116,7 @@ def test_effective_params_are_correctly_rounded():
         theta_eff, eta_eff = effective_params(system)
         with mpmath.workdps(50):
             M = mpmath.fsum(mpf(a.mass) for a in system.particles)
-            num = mpmath.fsum(mpf(a.mass) ** 2 * mpf(a.params.theta) for a in system.particles)
-            eta_sum = mpmath.fsum(mpf(a.params.eta) for a in system.particles)
+            num = mpmath.fsum(mpf(a.mass) ** 2 * mpf(a.theta) for a in system.particles)
+            eta_sum = mpmath.fsum(mpf(a.eta) for a in system.particles)
             for got, exact in ((theta_eff, num / M**2), (eta_eff, eta_sum)):
                 assert ulps(got, exact) <= 0.5 * (1 + 1e-20), (trial, got)

@@ -44,6 +44,7 @@ from .representation import (
     effective_planck,
     params_from_conditions,
     random_param_batch,
+    read_branch,
     verify_nc_algebra,
     _swap_scale,
 )
@@ -277,8 +278,8 @@ def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
 
 
 def _read_branch(cfg: dict[str, Any]) -> str | None:
-    """The branch the run reads, as its report gives it: None under --family simple, else --branch."""
-    return None if cfg["family"] == "simple" else cfg["branch"]
+    """The branch the run reads, as its report gives it: :func:`read_branch` of --family and --branch."""
+    return read_branch(cfg["family"], cfg["branch"])
 
 
 def _particle_params(cfg: dict[str, Any], mass: float) -> NCParams:
@@ -366,7 +367,7 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
             raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
     report = verify_nc_algebra(rep, **expect, tol=tol)
     checks = list(report.checks)
-    meta = {**report.meta, "branch": _read_branch(cfg)}
+    meta = dict(report.meta)
 
     if family == "simple":
         measured = report.record("[X1,P1]").measured

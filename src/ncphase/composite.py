@@ -45,6 +45,7 @@ from .representation import (
     _shift_coeffs,
     _shift_terms,
     params_from_conditions,
+    read_branch,
 )
 
 #: One centre-of-mass form: each kind it uses, in its term order, mapped to
@@ -254,7 +255,7 @@ def _algebraic(system: CompositeSystem, family: str, branch: str | None) -> Repr
     p = com_params(system)
     rows = [_shift_terms(*_shift_coeffs(p.theta, p.eta, family, branch))] * len(system)
     forms = _forms(_route_columns(system, rows, direct=False), system, by_kind=True)
-    return Representation(*forms, family, p, branch if family == "branch" else None, particle_id=None)
+    return Representation(*forms, family, p, read_branch(family, branch), particle_id=None)
 
 
 def com_rep_algebraic(system: CompositeSystem, branch: str = "minus") -> Representation:
@@ -320,7 +321,7 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
         raise DomainError("the momentum-coordinate coefficient over the total mass overflows the float range")
     meta = {
         "family": family,
-        "branch": branch if family == "branch" else None,
+        "branch": read_branch(family, branch),
         "theta_eff": p.theta,
         "eta_eff": p.eta,
         "total_mass": M,

@@ -286,13 +286,17 @@ def _shift_map(particle_id: int, k: float, c: float, m: float) -> dict[str, Line
     }
 
 
+def read_branch(family: str, branch: str | None) -> str | None:
+    """The branch a build of ``family`` reads, as reports give it: None for the simple family, else ``branch``."""
+    return None if family == "simple" else branch
+
+
 def _shift_rep(
     p: NCParams, family: str, branch: str | None, particle_id: int, coeffs: tuple[float, float, float] | None = None
 ) -> Representation:
-    """The representation of a shift triple, by default the family's own; only the branch family records its branch."""
+    """The representation of a shift triple, by default the family's own, recording the branch it read."""
     forms = _shift_map(particle_id, *(_shift_coeffs(p.theta, p.eta, family, branch) if coeffs is None else coeffs))
-    branch = branch if family == "branch" else None
-    return Representation(**forms, family=family, params=p, branch=branch, particle_id=particle_id)
+    return Representation(**forms, family=family, params=p, branch=read_branch(family, branch), particle_id=particle_id)
 
 
 def build_epsilon_rep(
@@ -604,5 +608,5 @@ def mass_invariance_report(
 ) -> CheckReport:
     """Kinematic invariance of conditioned representations across masses."""
     reps = [(m, build_representation(params_from_conditions(c, m), family, branch)) for m in masses]
-    read = None if family == "simple" else branch  # the simple family reads no branch
+    read = reps[0][1].branch if reps else None  # the branch the builds read, after their default
     return _kinematic_invariance(reps, tol, gamma=c.gamma, alpha=c.alpha, family=family, branch=read)

@@ -36,7 +36,7 @@ from ncphase import (
     x1,
     x2,
 )
-from ncphase.representation import DEFAULT_TOL, _kinematic_invariance, check_branch_transform
+from ncphase.representation import BRANCHES, DEFAULT_TOL, _kinematic_invariance, check_branch_transform
 
 #: The pure-Python layers raise no numpy warning, even from numpy inputs.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -473,6 +473,17 @@ def test_mass_invariance_under_conditions(family, branch):
     assert report.meta["branch"] == (None if family == "simple" else branch)  # the branch the build read
     for rec in report:
         assert rec.measured <= 1e-12
+
+
+def test_reports_give_the_branch_a_build_read():
+    # A branch of None reads the minus default, and the report says so.
+    report = mass_invariance_report(MassConditions(0.3, 0.2), [1, 2, 5], "branch", None)
+    assert report.meta["branch"] == "minus"
+    p = NCParams(0.5, 0.5)
+    for branch in BRANCHES:
+        assert verify_nc_algebra(build_representation(p, "epsilon_general", branch)).meta["branch"] == branch
+    # Explicit auxiliary parameters read no branch.
+    assert build_epsilon_rep(p, 0.5, 0.5).branch is None
 
 
 def test_simple_family_momentum_shift_is_gamma_over_2m():

@@ -165,6 +165,14 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
+def _scale_exponents(a: np.ndarray) -> np.ndarray:
+    """The s of each matrix of an (m, n, n) stack: max(0, ceil(log2(|A|_1 / theta_13)))."""
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    # frexp gives ceil(log2(x)) exactly: x = mant * 2^e with mant in [0.5, 1).
+    mant, e = np.frexp(norm / _THETA13)
+    return np.maximum(0, e - (mant == 0.5))
+
+
 @np.errstate(all="ignore")
 def expm(a: np.ndarray) -> np.ndarray:
     """exp of each matrix of an (m, n, n) stack, by Padé [13/13] scaling and squaring.
@@ -177,10 +185,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     a slice that is not finite, without a warning.
     """
     a = np.array(a, dtype=float)
-    norm = np.abs(a).sum(axis=1).max(axis=1)
-    # frexp gives ceil(log2(x)) exactly: x = mant * 2^e with mant in [0.5, 1).
-    mant, e = np.frexp(norm / _THETA13)
-    s = np.maximum(0, e - (mant == 0.5))
+    s = _scale_exponents(a)
     # The powers are taken before scaling, so that a sixth power past the
     # float range (omega = 1e100 at dt = 0.01) leaves inf in its slice.
     # Scaling by 2^-ks is exact above the subnormals, so they are still the
@@ -248,6 +253,15 @@ def evolve(
         props = np.ascontiguousarray(expm(aug)[:, :4])
         if not np.isfinite(props).all():
             raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
+        # The scaling by 2^-s is exact only above the subnormals.  An entry
+        # it rounds (the x2 shift beside the affine column of a 1e200 mass)
+        # is lost from the propagator, whose trajectory would be wrong.
+        s = _scale_exponents(aug)[:, None, None]
+        if (np.ldexp(np.ldexp(aug, -s), s) != aug).any():
+            raise ConfigError(
+                f"the one-step propagator cannot resolve its drift at dt = {dt}: "
+                f"scaling by 2^-{s.max()} rounds its smallest entries"
+            )
 
         # Each state carries a constant 1 in a fifth slot that no step
         # writes, so one product [E | f] @ (s, 1) is the whole affine step

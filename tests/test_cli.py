@@ -670,6 +670,36 @@ def test_nonfinite_input_exits_2(capsys, argv, error):
     assert data["error"]["type"] == error
 
 
+#: The gravity run of the README at a huge mass.  At 1e200 and 1e300 the
+#: affine column dwarfs the drift block, and the propagator's scaling by 2^-s
+#: rounds the x2 shift away (it read 0.0 and exited 0); at 1e100 it does not.
+#: A subnormal theta needs no scaling, so nothing is rounded.
+_HEAVY = ("--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--p1", "1", "--t-end", "0.5", "--dt", "0.1")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ([*_HEAVY, "--mass", "1e200"], 2),
+        ([*_HEAVY, "--mass", "1e300"], 2),
+        ([*_HEAVY, "--mass", "1e100"], 0),
+        (["--theta", "1e-320", "--eta", "0.1", "--kind", "free"], 0),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_simulate_refuses_a_step_the_propagator_cannot_resolve(capsys, argv, code):
+    rc, out = run_cli(capsys, "simulate", *argv)
+    assert rc == code
+    if code == 2:
+        error = json.loads(out)["error"]
+        assert error["type"] == "ConfigError"
+        assert "propagator cannot resolve its drift at dt = 0.1" in error["message"]
+    elif "--mass" in argv:
+        # the x2 offset after one step is about -t^2/2 (g = 1), not 0.0
+        x2 = float(out.splitlines()[2].split(",")[2])
+        assert abs(x2 + 0.005) < 1e-4
+
+
 def test_runaway_step_count_exits_2(capsys):
     # 10^12 steps are refused from the count alone, before any table exists
     rc, data = run_json(

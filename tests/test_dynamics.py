@@ -357,6 +357,19 @@ def test_drift_overflowing_at_dt_is_a_propagator_overflow():
         evolve(h, [1.0, 0.0, 0.0, 0.0], t_end=1e300, dt=1e300)
 
 
+@pytest.mark.filterwarnings("error")
+def test_step_whose_scaling_rounds_an_entry_is_refused():
+    # At mass 1e200 the affine column m*g*dt sets s = 659, and 2^-659 rounds
+    # the drift block's 1/m-sized entries into the subnormals.
+    rep = build_representation(NCParams(0.1, 0.1, mass=1e200), "branch", "minus")
+    h = build_hamiltonian("uniform_gravity", rep, g=1.0)
+    with pytest.raises(ConfigError, match="propagator cannot resolve its drift"):
+        evolve(h, [0.0, 0.0, 1.0, 0.0], t_end=0.5, dt=0.1)
+    rep = build_representation(NCParams(0.1, 0.1, mass=1e100), "branch", "minus")
+    h = build_hamiltonian("uniform_gravity", rep, g=1.0)
+    assert np.isfinite(evolve(h, [0.0, 0.0, 1.0, 0.0], t_end=0.5, dt=0.1).canonical_states).all()
+
+
 def _criterion_9_drifts(count=16, seed=2005):
     """Energy drift of every mass of ``count`` free falls at 1000 steps of dt = 0.01."""
     rng = np.random.default_rng(seed)

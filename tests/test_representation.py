@@ -536,6 +536,8 @@ def test_kinematic_invariance_needs_two_masses():
     rep = build_representation(params_from_conditions(MassConditions(0.3, 0.2), 2.0), "branch")
     with pytest.raises(ConfigError, match="at least two masses"):
         _kinematic_invariance([(2.0, rep)], DEFAULT_TOL)
+    with pytest.raises(ConfigError, match="at least two masses"):
+        mass_invariance_report(MassConditions(0.3, 0.2), [])
 
 
 # --- randomized closure ---------------------------------------------------------

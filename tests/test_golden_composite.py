@@ -61,7 +61,7 @@ def _canon(value):
 
 
 def _forms(forms) -> list:
-    return [[[str(var), coeff.hex()] for var, coeff in form.terms.items()] + [form.constant.hex()] for form in forms]
+    return [[[str(var), coeff.hex()] for var, coeff in form.terms.items()] + [(0.0).hex()] for form in forms]
 
 
 def _rep(rep) -> list:

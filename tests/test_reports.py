@@ -136,3 +136,10 @@ def test_pass_rule_cli_verify(capsys, monkeypatch, tol):
     checks = json.loads(capsys.readouterr().out)["checks"]
     # six table entries, the duality residual, two random batches, five built limit scales
     assert assert_pass_rule(checks) == 14
+
+
+def test_record_looks_a_check_up_by_name():
+    report = verify_nc_algebra(build_representation(NCParams(0.5, 0.5), "branch"))
+    assert report.record("[X1,P1]").name == "[X1,P1]"
+    with pytest.raises(KeyError, match="nope"):
+        report.record("nope")

@@ -6,11 +6,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 import ncphase
 from ncphase import NCParams, build_hamiltonian, build_representation, evolve
 from ncphase.cli import MAX_RANDOM, build_parser, main
+from ncphase.dynamics import _block_size
 
 REPORT_KEYS = {"tool", "version", "command", "config", "checks", "overall", "meta", "kind"}
 CHECK_KEYS = {"name", "expected", "measured", "tol", "pass"}
@@ -706,6 +709,20 @@ def test_nonfinite_input_exits_2(capsys, argv, error):
     rc, data = run_json(capsys, *argv)
     assert rc == 2
     assert data["error"]["type"] == error
+
+
+def test_trajectory_overflowing_inside_a_block_exits_2_without_a_warning(capsys):
+    # omega * dt = pi / block, so every block starts at x1 = +-1e308 and p1 = 0
+    # up to rounding, and the last row is finite; but p1 = -4e308 sin(omega t)
+    # overflows inside every block.  A row inside a block feeds no later row.
+    n = 100
+    dt = math.pi / (4.0 * _block_size(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, data = run_json(capsys, "simulate", "--kind", "harmonic", "--theta", "0", "--eta", "0",
+                            "--omega", "4", "--x1", "1e308", "--t-end", repr(n * dt), "--dt", repr(dt))
+    assert rc == 2
+    assert data["error"] == {"type": "ConfigError", "message": f"the trajectory overflows before t = {n * dt}"}
 
 
 #: The gravity run of the README at a huge mass.  At 1e200 and 1e300 the

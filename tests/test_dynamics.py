@@ -181,22 +181,42 @@ def test_one_row_energies_equal_the_batch(kind, family, branch, mass):
         assert h.energies(z[None])[0] == e
 
 
-@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
-def test_evolve_is_bitwise_the_plain_recurrence(kind, family, branch, mass):
-    h, _ = _sampled_states(kind, family, branch, mass)
-    z0, t_end, dt = [0.3, -1.25, 2.0, 0.5], 40.0, 0.02
-    traj = evolve(h, z0, t_end, dt)
+# --- evolve against a 40-digit oracle -------------------------------------------------
+
+#: Rows of a 2000-step run held against the oracle: one inside the first block,
+#: one mid-run and the last two.
+ORACLE_STEPS = (37, 1000, 1999, 2000)
+
+#: Largest error of ``evolve`` against the oracle, relative to the largest
+#: entry of the exact state.  At these rows the plain loop, one ``E @ s + f``
+#: per step, read 8.3e-15 to 1.0e-13 over ``ENERGY_CASES`` (median 4.4e-14,
+#: past this bound in 11 of 18) and 2.2e-14 to 9.2e-14 over the five stacked
+#: systems (past it in 4 of 5); blocked stepping reads at most 2.1e-14 and
+#: 2.5e-14.
+ORACLE_BOUND = 4e-14
+
+
+def _oracle_error(h, z0, dt, traj, steps):
+    """Largest error of the rows ``steps`` of ``traj`` against exp(k A dt) (z0, 1)
+    at 40 digits, each relative to the largest entry of its exact state."""
+    mpmath = pytest.importorskip("mpmath")
     A, b = h.drift()
     aug = np.zeros((5, 5))
     aug[:4, :4] = A * dt
     aug[:4, 4] = b * dt
-    prop = dynamics.expm(aug[None])[0]
-    E, f = prop[:4, :4], prop[:4, 4]
-    ref = np.empty((2001, 4))
-    ref[0] = z0
-    for k in range(2000):
-        ref[k + 1] = E @ ref[k] + f
-    assert traj.canonical_states.tobytes() == ref.tobytes()
+    with mpmath.workdps(40):
+        a, z = mpmath.matrix(aug.tolist()), mpmath.matrix([*z0, 1.0])
+        exact = np.array([[float(v) for v in (mpmath.expm(k * a) * z)[:4]] for k in steps])
+    got = traj.canonical_states[list(steps)]
+    return float((np.abs(got - exact).max(axis=1) / np.abs(exact).max(axis=1)).max())
+
+
+@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
+def test_evolve_matches_the_mpmath_oracle(kind, family, branch, mass):
+    h, _ = _sampled_states(kind, family, branch, mass)
+    z0, dt = [0.3, -1.25, 2.0, 0.5], 0.02
+    traj = evolve(h, z0, 40.0, dt)
+    assert _oracle_error(h, z0, dt, traj, ORACLE_STEPS) <= ORACLE_BOUND
 
 
 # --- several systems in one step loop -------------------------------------------------
@@ -221,20 +241,6 @@ def _mixed_hamiltonians(m):
     ]
 
 
-def _plain_recurrence(h, z0, n, dt):
-    A, b = h.drift()
-    aug = np.zeros((5, 5))
-    aug[:4, :4] = A * dt
-    aug[:4, 4] = b * dt
-    prop = dynamics.expm(aug[None])[0]
-    E, f = prop[:4, :4], prop[:4, 4]
-    ref = np.empty((n + 1, 4))
-    ref[0] = z0
-    for k in range(n):
-        ref[k + 1] = E @ ref[k] + f
-    return ref
-
-
 @pytest.mark.parametrize("m", range(1, 6))
 def test_stacked_evolve_is_bitwise_each_single_evolve(m):
     hs = _mixed_hamiltonians(m)
@@ -248,7 +254,8 @@ def test_stacked_evolve_is_bitwise_each_single_evolve(m):
         assert traj.times.tobytes() == one.times.tobytes()
         assert traj.canonical_states[i].tobytes() == one.canonical_states.tobytes()
         assert traj.nc_observables[i].tobytes() == one.nc_observables.tobytes()
-        assert one.canonical_states.tobytes() == _plain_recurrence(h, z0[i], 2000, 0.02).tobytes()
+    # The other systems were held against the oracle at smaller m.
+    assert _oracle_error(hs[-1], z0[-1], 0.02, one, (2000,)) <= ORACLE_BOUND
 
 
 @pytest.mark.parametrize("m", [2, 5])
@@ -348,6 +355,19 @@ def test_step_whose_scaling_rounds_an_entry_is_refused():
     assert np.isfinite(evolve(h, [0.0, 0.0, 1.0, 0.0], t_end=0.5, dt=0.1).canonical_states).all()
 
 
+def test_refusals_cover_every_propagator_of_the_block():
+    # Each run's one-step propagator resolves its drift and is finite; a
+    # later P_j of its 5-step block does not, or is not.
+    rep = build_representation(NCParams(0.1, 0.1, mass=1e153), "branch", "minus")
+    heavy = build_hamiltonian("uniform_gravity", rep, g=1.0)
+    fast = build_hamiltonian("harmonic", IDENTITY, omega=1e22)
+    for h, z0, dt, refusal in [(heavy, [0.0, 0.0, 1.0, 0.0], 0.1, "propagator cannot resolve its drift"),
+                               (fast, [1.0, 0.0, 0.0, 0.0], 0.01, "propagator overflows")]:
+        assert np.isfinite(evolve(h, z0, t_end=dt, dt=dt).canonical_states).all()
+        with pytest.raises(ConfigError, match=refusal):
+            evolve(h, z0, t_end=100 * dt, dt=dt)
+
+
 def _criterion_9_drifts(count=16, seed=2005):
     """Energy drift of every mass of ``count`` free falls at 1000 steps of dt = 0.01."""
     rng = np.random.default_rng(seed)
@@ -376,6 +396,16 @@ def test_criterion_9_median_drift_stays_at_the_scipy_level():
     # I + 2(V-U)^-1 U and scipy's agree to rounding noise, within 3 % either
     # way on other draws; (V-U)^-1 (V+U) raises it 1.8 to 3 times.
     assert np.median(_criterion_9_drifts()) <= 1.1 * SCIPY_CRITERION_9_MEDIAN_DRIFT
+
+
+def test_free_fall_that_missed_the_benchmark_drift_gate_keeps_it():
+    # A wep_dynamics op of perfbench seed 906: with one matmul per step its
+    # largest drift read 1.31e-10, past the 1e-10 gate; blocked, 6.4e-12.
+    masses = [1.8473270115018254, 4.151422391521431, 9.329321644474037, 20.965402731316466, 47.11469155387584]
+    reps = [build_representation(NCParams(0.011495125512568545, 0.005633575176403882, mass=m), "simple")
+            for m in masses]
+    runs = wep_trajectories(reps, (0.0, 0.0, 0.6320950571353785, -0.19028945441413678), 1.0, 10.0, 0.01)
+    assert max(energy_drift(h, traj) for h, traj in runs) <= 1e-10
 
 
 def test_step_validation():

@@ -283,30 +283,28 @@ def evolve(
         # each P_j, e5 only up to rounding, is set to e5 exactly.  P_1 ...
         # P_block stacked into one (5 * block, 5) matrix, times the state s_k,
         # give s_{k+1} ... s_{k+block}: one contiguous slice of the system's
-        # (n + 1, 5) rows.  zip yields the block views one at a time.
-        props[:, :, 4] = np.eye(5)[4]
+        # rows.  The last block may run past row n; those rows are dropped.
+        props[:, :, 4] = (0.0, 0.0, 0.0, 0.0, 1.0)
         step = props.reshape(m, 5 * block, 5)
-        states = np.empty((m, n + 1, 5))
+        blocks = -(-n // block)
+        states = np.empty((m, blocks * block + 1, 5))
         states[:, 0, :4] = z0
         states[:, 0, 4] = 1.0
-        flat = states.reshape(m, 5 * (n + 1), 1)
-        full, rest = divmod(n, block)
-        width = 5 * block * full
-        # Block i starts from row i * block and fills the block rows after it.
-        starts = flat[:, :width].reshape(m, full, 5 * block, 1)[:, :, :5].transpose(1, 0, 2, 3)
-        blocks = flat[:, 5 : 5 + width].reshape(m, full, 5 * block, 1).transpose(1, 0, 2, 3)
+        flat = states.reshape(m, -1, 1)
+        # Block i starts from row i * block and fills the rows after it; zip
+        # yields the block views one at a time.
+        starts = flat[:, :-5].reshape(m, blocks, 5 * block, 1)[:, :, :5].transpose(1, 0, 2, 3)
+        rows = flat[:, 5:].reshape(m, blocks, 5 * block, 1).transpose(1, 0, 2, 3)
         matmul = np.matmul
-        for start, rows in zip(starts, blocks):
-            matmul(step, start, rows)
-        if rest:
-            matmul(step[:, : 5 * rest], flat[:, width : width + 5], flat[:, width + 5 :])
+        for start, row in zip(starts, rows):
+            matmul(step, start, row)
         # A row inside a block feeds no later row, so every row is checked.
-        if not np.isfinite(states).all():
+        if not np.isfinite(states[:, : n + 1]).all():
             raise ConfigError(f"the trajectory overflows before t = {n * dt}")
 
     # One contiguous (n + 1, 4) block per system.
-    canonical = np.ascontiguousarray(states[:, :, :4])
-    del states, flat, starts, blocks
+    canonical = np.ascontiguousarray(states[:, : n + 1, :4])
+    del states, flat, starts, rows
     coeffs = np.stack([hi.observables for hi in hs])
     observables = canonical @ coeffs.transpose(0, 2, 1)
     times = np.arange(n + 1) * dt

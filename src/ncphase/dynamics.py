@@ -8,9 +8,9 @@ quadratic Hamiltonian
 
 over the canonical variables.  Hamilton's equations are then the linear
 system dz/dt = J(Qz + L) with the standard symplectic J, which this module
-integrates with the exact matrix exponential of the augmented drift over
-one fixed step, so the only error sources are rounding and the exponential
-itself.
+integrates with exact matrix exponentials of the augmented drift, one for
+each step count of a block, so the only error sources are rounding and the
+exponentials themselves.
 
 The weak-equivalence check evolves the *same* noncommutative initial data
 (X1, X2, dX1/dt, dX2/dt) for several masses and measures how far the
@@ -264,16 +264,16 @@ def evolve(
             A, b = hi.drift()
             row[:4, :4] = A * dt
             row[:4, 4] = b * dt
-        # j * aug for j = 1 .. block, mass-major: exponent of the j-step propagator.
-        powers = (aug[:, None] * np.arange(1.0, block + 1)[:, None, None]).reshape(-1, 5, 5)
-        props = expm(powers).reshape(m, block, 5, 5)
+        # j * aug for j = 1 .. block, mass-major: the drift of j steps, whose exponential is P_j.
+        drifts = (aug[:, None] * np.arange(1.0, block + 1)[:, None, None]).reshape(-1, 5, 5)
+        props = expm(drifts).reshape(m, block, 5, 5)
         if not np.isfinite(props[:, :, :4]).all():
             raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
         # The scaling by 2^-s is exact only above the subnormals.  An entry
         # it rounds (the x2 shift beside the affine column of a 1e200 mass)
         # is lost from the propagator, whose trajectory would be wrong.
-        s = _scale_exponents(powers)[:, None, None]
-        if (np.ldexp(np.ldexp(powers, -s), s) != powers).any():
+        s = _scale_exponents(drifts)[:, None, None]
+        if (np.ldexp(np.ldexp(drifts, -s), s) != drifts).any():
             raise ConfigError(
                 f"the one-step propagator cannot resolve its drift at dt = {dt}: "
                 f"scaling by 2^-{s.max()} rounds its smallest entries"

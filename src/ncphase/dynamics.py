@@ -208,13 +208,13 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _block_size(n: int) -> int:
-    """Steps per block of an n-step run: sqrt(n)/2 rounded, at least 1 and at most 64.
+    """Steps per block of an n-step run: isqrt(n) // 2, at least 1 and at most 64.
 
     Each step of a block costs one more exponential, once per run, and each
     block costs one matmul; a block of about sqrt(n) balances the two.  Half
     of that keeps runs of 10 to 100 steps as fast as one matmul per step.
     """
-    return max(1, min(64, round(math.sqrt(n) / 2)))
+    return max(1, min(64, math.isqrt(n) // 2))
 
 
 def evolve(
@@ -284,17 +284,17 @@ def evolve(
         # P_block stacked into one (5 * block, 5) matrix, times the state s_k,
         # give s_{k+1} ... s_{k+block}: one contiguous slice of the system's
         # rows.  The last block may run past row n; those rows are dropped.
-        props[:, :, 4] = (0.0, 0.0, 0.0, 0.0, 1.0)
+        props[:, :, 4, :4] = 0.0
+        props[:, :, 4, 4] = 1.0
         step = props.reshape(m, 5 * block, 5)
         blocks = -(-n // block)
         states = np.empty((m, blocks * block + 1, 5))
         states[:, 0, :4] = z0
         states[:, 0, 4] = 1.0
-        flat = states.reshape(m, -1, 1)
         # Block i starts from row i * block and fills the rows after it; zip
         # yields the block views one at a time.
-        starts = flat[:, :-5].reshape(m, blocks, 5 * block, 1)[:, :, :5].transpose(1, 0, 2, 3)
-        rows = flat[:, 5:].reshape(m, blocks, 5 * block, 1).transpose(1, 0, 2, 3)
+        starts = states[:, :-1:block, :, None].transpose(1, 0, 2, 3)
+        rows = states[:, 1:].reshape(m, blocks, 5 * block, 1).transpose(1, 0, 2, 3)
         matmul = np.matmul
         for start, row in zip(starts, rows):
             matmul(step, start, row)
@@ -304,7 +304,7 @@ def evolve(
 
     # One contiguous (n + 1, 4) block per system.
     canonical = np.ascontiguousarray(states[:, : n + 1, :4])
-    del states, flat, starts, rows
+    del states, starts, rows
     coeffs = np.stack([hi.observables for hi in hs])
     observables = canonical @ coeffs.transpose(0, 2, 1)
     times = np.arange(n + 1) * dt

@@ -210,9 +210,11 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _block_size(n: int) -> int:
     """Steps per block of an n-step run: isqrt(n) // 2, at least 1 and at most 64.
 
-    Each step of a block costs one more exponential, once per run, and each
-    block costs one matmul; a block of about sqrt(n) balances the two.  Half
-    of that keeps runs of 10 to 100 steps as fast as one matmul per step.
+    Each step of a block costs one more exponential per mass, once per run,
+    and each block costs one matmul; a block of about sqrt(n) balances the
+    two.  Half of that, tuned on the free-fall benchmark, spends fewer
+    exponentials on runs of tens of steps, and a run of fewer than 16 steps
+    takes one step per block.
     """
     return max(1, min(64, math.isqrt(n) // 2))
 
@@ -264,7 +266,7 @@ def evolve(
             A, b = hi.drift()
             row[:4, :4] = A * dt
             row[:4, 4] = b * dt
-        # j * aug for j = 1 .. block, mass-major: the drift of j steps, whose exponential is P_j.
+        # j * aug for j = 1 .. block, mass-major: P_j is the exponential of the j-th.
         drifts = (aug[:, None] * np.arange(1.0, block + 1)[:, None, None]).reshape(-1, 5, 5)
         props = expm(drifts).reshape(m, block, 5, 5)
         if not np.isfinite(props[:, :, :4]).all():

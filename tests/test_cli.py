@@ -722,7 +722,8 @@ def test_trajectory_overflowing_inside_a_block_exits_2_without_a_warning(capsys)
         rc, data = run_json(capsys, "simulate", "--kind", "harmonic", "--theta", "0", "--eta", "0",
                             "--omega", "4", "--x1", "1e308", "--t-end", repr(n * dt), "--dt", repr(dt))
     assert rc == 2
-    assert data["error"] == {"type": "ConfigError", "message": f"the trajectory overflows before t = {n * dt}"}
+    assert data["error"] == {"type": "ConfigError",
+                             "message": f"the trajectory overflows before t = {n * dt}"}
 
 
 #: The gravity run of the README at a huge mass.  At 1e200 and 1e300 the

@@ -1,8 +1,11 @@
 """Exact stdout and exit code of fixed CLI invocations, against ``golden_cli.json``.
 
 The invocations are the README examples plus a JSON ``repr``, an
-``epsilon_general`` plus-branch ``verify``, a refused ``verify`` and a
-fixed-parameter ``simulate --wep`` whose spread is nonzero.  A
+``epsilon_general`` plus-branch ``verify``, a refused ``verify``, a
+fixed-parameter ``simulate --wep`` whose spread is nonzero, a
+``simple``-family ``simulate --wep`` and a single-mass ``simulate`` of the
+harmonic and gravity kinds, so every Hamiltonian kind and both families
+reach the free-fall setup.  A
 change that alters one of these outputs on purpose regenerates the fixture
 with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says so.
 """
@@ -36,6 +39,12 @@ INVOCATIONS = (
      "--t-end", "5", "--dt", "0.01"],
     ["simulate", "--wep", "--masses", "1,2,5", "--theta", "0.3", "--eta", "0.2", "--g", "9.8",
      "--t-end", "5", "--dt", "0.01"],
+    ["simulate", "--wep", "--family", "simple", "--masses", "1,2,5", "--gamma", "0.3", "--alpha", "0.2",
+     "--g", "9.8", "--nc-x1", "0.5", "--nc-x2", "-0.25", "--nc-v2", "0.3", "--t-end", "5", "--dt", "0.01"],
+    ["simulate", "--kind", "harmonic", "--theta", "0.2", "--eta", "0.1", "--mass", "2", "--omega", "1.5",
+     "--x1", "1", "--p2", "0.5", "--t-end", "1", "--dt", "0.25", "--format", "csv"],
+    ["simulate", "--kind", "gravity", "--family", "simple", "--gamma", "0.3", "--alpha", "0.2", "--mass", "3",
+     "--g", "9.8", "--x2", "2", "--p1", "1", "--t-end", "1", "--dt", "0.25", "--format", "csv"],
 )
 
 

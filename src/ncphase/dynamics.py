@@ -76,12 +76,14 @@ class QuadraticHamiltonian:
 
     def drift(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) of dz/dt = A z + b."""
-        return _J @ self.quad, _J @ self.linear
+        return _drift(self.quad, self.linear)
 
 
-# Finite inputs can still overflow (omega = 1e200): numpy stays silent and
-# the finiteness check at the end raises ConfigError instead of nan rows.
-@np.errstate(all="ignore")
+def _drift(quad: np.ndarray, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) of dz/dt = A z + b for a (..., 4, 4) quad and a (..., 4) linear term."""
+    return _J @ quad, (_J @ linear[..., None])[..., 0]
+
+
 def build_hamiltonian(
     kind: str,
     rep: Representation,
@@ -93,36 +95,64 @@ def build_hamiltonian(
     free:            H = (P1^2 + P2^2)/(2m)
     uniform_gravity: H = (P1^2 + P2^2)/(2m) + m*g*X2
     harmonic:        H = (P1^2 + P2^2)/(2m) + m*omega^2*(X1^2 + X2^2)/2
+
+    This is the one-rep case of the stacked setup :func:`_build_hamiltonians`.
+    """
+    return _build_hamiltonians(kind, [rep], g, omega)[0]
+
+
+# Finite inputs can still overflow (omega = 1e200): numpy stays silent and
+# the finiteness check at the end raises ConfigError instead of nan rows.
+@np.errstate(all="ignore")
+def _build_hamiltonians(
+    kind: str, reps: Sequence[Representation], g: float, omega: float
+) -> list[QuadraticHamiltonian]:
+    """The :func:`build_hamiltonian` of each rep, built as (m, ...) stacks.
+
+    Each Hamiltonian's arrays are its slices of the stacks.  The overflow
+    refusal names the first mass that overflows.
     """
     if kind not in HAMILTONIAN_KINDS:
         raise ConfigError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
     if not (math.isfinite(g) and math.isfinite(omega)):
         raise ConfigError(f"g and omega must be finite, got g = {g}, omega = {omega}")
-    mass = rep.params.mass
-    pid = rep.particle_id
-    # The one read of the forms: a row per observable, a column per kind.
-    observables = np.zeros((4, 4))
-    for row, form in zip(observables, rep.forms()):
-        for var, coeff in form.terms.items():
-            if var.particle_id != pid:
-                where = "in a centre-of-mass representation" if pid is None else f"outside particle {pid}"
-                raise ConfigError(f"dynamics needs single-particle forms; found variable {var} {where}")
-            row[KINDS.index(var.kind)] = coeff
+    # The one read of the forms: per rep, a row per observable, a column per
+    # kind, filled as lists of floats and converted once.
+    rows = []
+    for rep in reps:
+        pid = rep.particle_id
+        for form in rep.forms():
+            row = [0.0] * 4
+            for var, coeff in form.terms.items():
+                if var.particle_id != pid:
+                    where = "in a centre-of-mass representation" if pid is None else f"outside particle {pid}"
+                    raise ConfigError(f"dynamics needs single-particle forms; found variable {var} {where}")
+                row[KINDS.index(var.kind)] = coeff
+            rows.append(row)
+    observables = np.array(rows).reshape(len(reps), 4, 4)
 
-    quad = np.zeros((4, 4))
-    linear = np.zeros(4)
-    for r in observables[2:]:  # P1, P2
-        quad += np.outer(r, r) / mass
+    mass = np.array([rep.params.mass for rep in reps])
+    X1, X2, P1, P2 = observables.transpose(1, 0, 2)  # (m, 4) rows of each observable
+    # Summed onto zeros: += turns a -0.0 term into +0.0.
+    quad = np.zeros((len(reps), 4, 4))
+    linear = np.zeros((len(reps), 4))
+    for r in (P1, P2):
+        quad += r[:, :, None] * r[:, None, :] / mass[:, None, None]
     if kind == "uniform_gravity":
-        linear += mass * g * observables[1]  # X2
+        linear += (mass * g)[:, None] * X2
     elif kind == "harmonic":
-        for r in observables[:2]:  # X1, X2
-            quad += mass * omega * omega * np.outer(r, r)
-    if not (np.isfinite(quad).all() and np.isfinite(linear).all()):
+        for r in (X1, X2):
+            quad += (mass * omega * omega)[:, None, None] * (r[:, :, None] * r[:, None, :])
+    finite = np.isfinite(quad).all(axis=(1, 2)) & np.isfinite(linear).all(axis=1)
+    if not finite.all():
+        first = reps[int(np.argmin(finite))].params.mass
         raise ConfigError(
-            f"the {kind} Hamiltonian overflows for mass = {mass}, g = {g}, omega = {omega}"
+            f"the {kind} Hamiltonian overflows for mass = {first}, g = {g}, omega = {omega}"
         )
-    return QuadraticHamiltonian(rep=rep, quad=quad, linear=linear, observables=observables)
+    return [
+        QuadraticHamiltonian(rep=rep, quad=q, linear=lin, observables=obs)
+        for rep, q, lin, obs in zip(reps, quad, linear, observables)
+    ]
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: compare and hash by identity
@@ -261,11 +291,10 @@ def evolve(
     # numpy stays silent and the finiteness checks raise ConfigError instead
     # of returning nan rows.
     with np.errstate(all="ignore"):
+        A, b = _drift(np.array([hi.quad for hi in hs]), np.array([hi.linear for hi in hs]))
         aug = np.zeros((m, 5, 5))
-        for row, hi in zip(aug, hs):
-            A, b = hi.drift()
-            row[:4, :4] = A * dt
-            row[:4, 4] = b * dt
+        aug[:, :4, :4] = A * dt
+        aug[:, :4, 4] = b * dt
         # j * aug for j = 1 .. block, mass-major: P_j is the exponential of the j-th.
         drifts = (aug[:, None] * np.arange(1.0, block + 1)[:, None, None]).reshape(-1, 5, 5)
         props = expm(drifts).reshape(m, block, 5, 5)
@@ -307,7 +336,7 @@ def evolve(
     # One contiguous (n + 1, 4) block per system.
     canonical = np.ascontiguousarray(states[:, : n + 1, :4])
     del states, starts, rows
-    coeffs = np.stack([hi.observables for hi in hs])
+    coeffs = np.array([hi.observables for hi in hs])
     observables = canonical @ coeffs.transpose(0, 2, 1)
     times = np.arange(n + 1) * dt
     if single:
@@ -335,6 +364,20 @@ def nc_initial_state(h: QuadraticHamiltonian, nc_data: Sequence[float]) -> np.nd
 
     The map z -> (X1, X2, dX1/dt, dX2/dt) is affine because the observables
     are linear and the drift is affine; it is inverted with a dense solve.
+    This is the one-Hamiltonian case of the stacked :func:`_initial_states`.
+    """
+    return _initial_states([h], nc_data)[0]
+
+
+# A finite Hamiltonian can still overflow its map (theta = 1e147): numpy
+# stays silent and the map, then not finite, is refused as singular.
+@np.errstate(all="ignore")
+def _initial_states(hs: Sequence[QuadraticHamiltonian], nc_data: Sequence[float]) -> np.ndarray:
+    """The :func:`nc_initial_state` of each of m Hamiltonians, as an (m, 4) array.
+
+    The m maps are one (m, 4, 4) stack, checked by one stacked condition
+    number and inverted by one stacked solve; the singular-map refusal
+    names the first mass whose map is singular.
     """
     vals = np.asarray(nc_data, dtype=float)
     if vals.shape != (4,):
@@ -343,18 +386,25 @@ def nc_initial_state(h: QuadraticHamiltonian, nc_data: Sequence[float]) -> np.nd
         )
     if not np.isfinite(vals).all():
         raise ConfigError(f"X1, X2, dX1/dt, dX2/dt must be finite, got {vals.tolist()}")
-    r1, r2 = h.observables[:2]
-    A, b = h.drift()
-    # Vector products, row by row: a (2, 4) matmul may sum in another order.
-    m = np.stack([r1, r2, r1 @ A, r2 @ A])
-    rhs = np.array([vals[0], vals[1], vals[2] - r1 @ b, vals[3] - r2 @ b])
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > 1e12:
+    observables = np.array([h.observables for h in hs])
+    A, b = _drift(np.array([h.quad for h in hs]), np.array([h.linear for h in hs]))
+    r1, r2 = observables[:, :1], observables[:, 1:2]
+    # Vector products, a (1, 4) row per system: a (2, 4) matmul may sum in another order.
+    maps = np.concatenate([r1, r2, r1 @ A, r2 @ A], axis=1)
+    rhs = np.tile(vals, (len(hs), 1))[..., None]
+    rhs[:, 2:] -= np.concatenate([r1 @ b[..., None], r2 @ b[..., None]], axis=1)
+    # A map that is not finite reads cond = inf without reaching LAPACK,
+    # which would print its complaint to stdout.
+    finite = np.isfinite(maps).all(axis=(1, 2))
+    cond = np.full(len(hs), np.inf)
+    cond[finite] = np.linalg.cond(maps[finite])
+    singular = ~np.isfinite(cond) | (cond > 1e12)
+    if singular.any():
         raise SingularMapError(
             "observable-to-state map is singular; the chosen representation does not "
-            f"determine a unique canonical state (condition number {cond:.3g})"
+            f"determine a unique canonical state (condition number {cond[np.argmax(singular)]:.3g})"
         )
-    return np.linalg.solve(m, rhs)
+    return np.linalg.solve(maps, rhs)[..., 0]
 
 
 def wep_trajectories(
@@ -366,16 +416,20 @@ def wep_trajectories(
 ) -> list[tuple[QuadraticHamiltonian, Trajectory]]:
     """Free fall of one representation per mass from the same (X1, X2, dX1/dt, dX2/dt).
 
-    All masses are stepped together in one :func:`evolve` call under uniform
-    gravity ``g``; each pair holds its mass's Hamiltonian and its own slice
-    of that trajectory.
+    The setup of all masses is stacked: one (m, 4, 4) observables table
+    gives every Hamiltonian under uniform gravity ``g``, and one stacked
+    solve gives every initial state.  All masses are then stepped together
+    in one :func:`evolve` call; each pair holds its mass's Hamiltonian and
+    its own slice of that trajectory.  Each mass's Hamiltonian, initial
+    state and trajectory are byte-equal to :func:`build_hamiltonian`,
+    :func:`nc_initial_state` and :func:`evolve` of that mass alone.
     """
     if len(reps) < 2:
         raise ConfigError(
             f"need at least two masses to compare free fall, got {[rep.params.mass for rep in reps]}"
         )
-    hs = [build_hamiltonian("uniform_gravity", rep, g=g) for rep in reps]
-    traj = evolve(hs, [nc_initial_state(h, nc_data) for h in hs], t_end, dt)
+    hs = _build_hamiltonians("uniform_gravity", reps, g, 0.0)
+    traj = evolve(hs, _initial_states(hs, nc_data), t_end, dt)
     return [
         (h, Trajectory(traj.times, traj.canonical_states[i], traj.nc_observables[i]))
         for i, h in enumerate(hs)

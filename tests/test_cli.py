@@ -349,6 +349,23 @@ def test_simulate_singular_map_exits_1(capsys):
     assert data["error"]["type"] == "SingularMapError"
 
 
+def test_simulate_overflowing_map_prints_only_its_report():
+    # At theta = 1e147 the second mass's observable-to-state map overflows.
+    # Its condition number reads inf without a LAPACK call, which would write
+    # to the file descriptor of stdout ahead of the report.
+    src = str(Path(ncphase.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncphase.cli", "simulate", "--wep", "--family", "simple", "--masses", "1,1e-180",
+         "--theta", "1e147", "--eta=-500", "--t-end", "0.2", "--dt", "0.1"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "SingularMapError"
+    assert error["message"].endswith("(condition number inf)")
+
+
 _WEP = ["simulate", "--wep", "--masses", "1,2", "--gamma", "0.01", "--alpha", "0.01", "--t-end", "0.1"]
 _TRAJECTORY = ["simulate", "--theta", "0.1", "--eta", "0.1", "--t-end", "0.1"]
 

@@ -515,6 +515,62 @@ def test_wep_trajectories_share_initial_observables():
     assert coordinate_spread(runs) <= 1e-9
 
 
+# --- the stacked free-fall setup ---------------------------------------------------
+
+
+@pytest.mark.parametrize("conditioned", [True, False], ids=["conditioned", "fixed"])
+@pytest.mark.parametrize("family,branch", [("branch", "minus"), ("simple", None)])
+@pytest.mark.parametrize("m", range(2, 6))
+def test_wep_setup_is_bitwise_each_single_mass_setup(m, family, branch, conditioned):
+    masses = [1.3 * 1.9**i for i in range(m)]
+    if conditioned:
+        params = [params_from_conditions(MassConditions(gamma=0.03, alpha=0.02), mass) for mass in masses]
+    else:
+        params = [NCParams(0.03, 0.02, mass=mass) for mass in masses]
+    reps = [build_representation(q, family, branch) for q in params]
+    nc_data = (0.25, -0.5, 1.0, 0.3)
+    for rep, (h, traj) in zip(reps, wep_trajectories(reps, nc_data, g=2.0, t_end=0.6, dt=0.01)):
+        one = build_hamiltonian("uniform_gravity", rep, g=2.0)
+        z0 = nc_initial_state(one, nc_data)
+        alone = evolve(one, z0, 0.6, 0.01)
+        for field in ("quad", "linear", "observables"):
+            assert getattr(h, field).tobytes() == getattr(one, field).tobytes()
+        assert traj.canonical_states[0].tobytes() == z0.tobytes()
+        assert traj.times.tobytes() == alone.times.tobytes()
+        assert traj.canonical_states.tobytes() == alone.canonical_states.tobytes()
+        assert traj.nc_observables.tobytes() == alone.nc_observables.tobytes()
+
+
+def test_stacked_overflow_names_the_first_mass_that_overflows():
+    for masses, first in (((1.0, 10.0), 10.0), ((100.0, 10.0, 1.0), 100.0)):
+        reps = [build_representation(NCParams(0.1, 0.1, mass=mass), "branch", "minus") for mass in masses]
+        with pytest.raises(ConfigError, match=rf"overflows for mass = {first}, g = 1e\+308, omega = 0\.0$"):
+            wep_trajectories(reps, (0.0, 0.0, 1.0, 0.0), g=1e308, t_end=0.1, dt=0.05)
+
+
+def _singular_message(rep):
+    with pytest.raises(SingularMapError) as info:
+        nc_initial_state(build_hamiltonian("uniform_gravity", rep, g=1.0), (0.0, 0.0, 1.0, 0.0))
+    return str(info.value)
+
+
+def test_stacked_singular_map_refusal_is_the_first_masss():
+    # Three singular maps with three condition numbers: about 2.9e16, about
+    # 2.8e32, and inf for a map whose entries overflow (theta = 1e147).
+    near = build_representation(NCParams(1.0, 1.0, mass=1.0), "branch", "minus")
+    far = build_representation(NCParams(1e8, 1e-8, mass=3.0), "branch", "minus")
+    overflowing = build_representation(NCParams(1e147, -500.0, mass=1e-180), "simple")
+    fine = build_representation(NCParams(0.1, 0.1, mass=2.0), "branch", "minus")
+    messages = {rep: _singular_message(rep) for rep in (near, far, overflowing)}
+    assert len(set(messages.values())) == 3
+    assert messages[overflowing].endswith("(condition number inf)")
+    for reps, first in (([near, far, overflowing], near), ([far, near], far),
+                        ([fine, overflowing, near], overflowing), ([fine, fine, far], far)):
+        with pytest.raises(SingularMapError) as info:
+            wep_trajectories(reps, (0.0, 0.0, 1.0, 0.0), g=1.0, t_end=0.1, dt=0.05)
+        assert str(info.value) == messages[first]
+
+
 def test_overflowing_propagator_or_trajectory_rejected():
     h = build_hamiltonian("harmonic", IDENTITY, omega=1e100)
     with pytest.raises(ConfigError, match="propagator overflows"):

@@ -541,6 +541,41 @@ def test_wep_setup_is_bitwise_each_single_mass_setup(m, family, branch, conditio
         assert traj.nc_observables.tobytes() == alone.nc_observables.tobytes()
 
 
+def _per_mass_setup(kind, rep, g, omega, nc_data):
+    """Reference: one mass's observables, quad, linear and initial state by the
+    per-mass formulas, one np.outer and one vector product at a time."""
+    mass = rep.params.mass
+    observables = np.zeros((4, 4))
+    for row, form in zip(observables, rep.forms()):
+        for var, coeff in form.terms.items():
+            row[("x1", "x2", "p1", "p2").index(var.kind)] = coeff
+    quad, linear = np.zeros((4, 4)), np.zeros(4)
+    for r in observables[2:]:
+        quad += np.outer(r, r) / mass
+    if kind == "uniform_gravity":
+        linear += mass * g * observables[1]
+    elif kind == "harmonic":
+        for r in observables[:2]:
+            quad += mass * omega * omega * np.outer(r, r)
+    A, b = dynamics._J @ quad, dynamics._J @ linear
+    r1, r2 = observables[:2]
+    rows = np.stack([r1, r2, r1 @ A, r2 @ A])
+    rhs = np.array([nc_data[0], nc_data[1], nc_data[2] - r1 @ b, nc_data[3] - r2 @ b])
+    return observables, quad, linear, np.linalg.solve(rows, rhs)
+
+
+@pytest.mark.parametrize("theta,eta,g", [(0.3, 0.2, 9.8), (-0.25, 0.0, -9.8)])
+@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
+def test_setup_is_bitwise_the_per_mass_formulas(kind, family, branch, mass, theta, eta, g):
+    # A negative g makes -0.0 products, which the sum onto zeros turns into +0.0.
+    rep = build_representation(NCParams(theta, eta, mass=mass), family, branch)
+    nc_data = (0.25, -0.5, 1.0, 0.3)
+    h = build_hamiltonian(kind, rep, g=g if kind == "uniform_gravity" else 0.0, omega=0.7)
+    expected = _per_mass_setup(kind, rep, g, 0.7, nc_data)
+    got = (h.observables, h.quad, h.linear, nc_initial_state(h, nc_data))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
 def test_stacked_overflow_names_the_first_mass_that_overflows():
     for masses, first in (((1.0, 10.0), 10.0), ((100.0, 10.0, 1.0), 100.0)):
         reps = [build_representation(NCParams(0.1, 0.1, mass=mass), "branch", "minus") for mass in masses]

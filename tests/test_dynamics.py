@@ -589,7 +589,7 @@ def _singular_message(rep):
     return str(info.value)
 
 
-def test_stacked_singular_map_refusal_is_the_first_masss():
+def test_stacked_singular_map_refusal_names_the_first_mass():
     # Three singular maps with three condition numbers: about 2.9e16, about
     # 2.8e32, and inf for a map whose entries overflow (theta = 1e147).
     near = build_representation(NCParams(1.0, 1.0, mass=1.0), "branch", "minus")

@@ -29,7 +29,8 @@ from ncphase import (
     x1,
     x2,
 )
-from ncphase.algebra import _exact_sum
+from ncphase.algebra import KINDS, _exact_sum
+from test_composite import column_coeffs
 
 
 def oracle_commutator(a: LinearForm, b: LinearForm) -> float:
@@ -49,6 +50,23 @@ def oracle_commutator(a: LinearForm, b: LinearForm) -> float:
     return total
 
 
+def pair_loop_commutator(a: LinearForm, b: LinearForm) -> float:
+    """The exhaustive pair loop: both signed products of every (particle, component) pair.
+
+    This was the package's own sum before the one-walk rewrite; an absent
+    coefficient reads 0.0, so an infinite or nan coefficient meets a 0.0 and
+    gives nan.  The package must match it bit for bit (nan matching nan).
+    """
+    ta, tb = a._terms, b._terms
+    pairs = {(pid, kind[1]) for pid, kind in ta} | {(pid, kind[1]) for pid, kind in tb}
+    products = []
+    for pid, comp in pairs:
+        xv, pv = (pid, "x" + comp), (pid, "p" + comp)
+        products.append(ta.get(xv, 0.0) * tb.get(pv, 0.0))
+        products.append(-(ta.get(pv, 0.0) * tb.get(xv, 0.0)))
+    return _exact_sum(products)
+
+
 # --- hypothesis strategies -------------------------------------------------
 
 coeffs = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -65,6 +83,18 @@ def linear_forms(draw, max_particles: int = 3):
         )
         terms[var] = draw(coeffs)
     return LinearForm(terms)
+
+
+#: Every coefficient class the sum treats apart: signed zeros, subnormals,
+#: products and sums that overflow, infinities and nan.
+special_coeffs = column_coeffs | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def special_forms(draw):
+    """A form over particles 0-3 whose coefficients may be non-finite."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(KINDS)), unique=True, max_size=8))
+    return LinearForm({CanonicalVar(pid, kind): draw(special_coeffs) for pid, kind in keys})
 
 
 # --- commutator values -----------------------------------------------------
@@ -120,6 +150,20 @@ def test_matches_oracle(a, b):
 @given(linear_forms(), linear_forms())
 def test_antisymmetry_is_exact(a, b):
     assert commutator(a, b).scalar == -commutator(b, a).scalar
+
+
+@settings(max_examples=200, deadline=None)
+@given(special_forms(), special_forms())
+def test_matches_the_pair_loop_bit_for_bit(a, b):
+    assert commutator(a, b).scalar.hex() == pair_loop_commutator(a, b).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(special_forms(), special_forms())
+def test_antisymmetry_is_bitwise_for_any_coefficient(a, b):
+    # A zero result is +0.0 both ways (test_all_zero_products_give_positive_zero).
+    ab, ba = commutator(a, b).scalar, commutator(b, a).scalar
+    assert ab.hex() == (-ba if ab != 0.0 else ba).hex()
 
 
 @settings(max_examples=200)
@@ -343,8 +387,9 @@ def test_tuple_api_validates_too():
 def test_infinite_coefficient_against_a_missing_variable_gives_nan():
     # The absent partner coefficient is 0.0, and inf * 0.0 is nan.
     a = LinearForm({CanonicalVar(0, "x1"): math.inf})
-    assert math.isnan(commutator(a, x2()).scalar)
-    assert math.isnan(commutator(x2(), a).scalar)
+    for partnerless in (x2(), p1(1)):
+        assert math.isnan(commutator(a, partnerless).scalar)
+        assert math.isnan(commutator(partnerless, a).scalar)
 
 
 @pytest.mark.parametrize(

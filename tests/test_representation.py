@@ -293,6 +293,24 @@ def test_verify_identity_rep():
     assert verify_nc_algebra(rep, 0.0, 0.0, 1.0).overall
 
 
+@pytest.mark.parametrize("family,branch", [("branch", "minus"), ("branch", "plus"), ("simple", None), ("epsilon_general", None)])
+def test_verify_takes_every_table_entry_through_the_module_commutator(monkeypatch, family, branch):
+    # The benchmark's algebra.commutator span wraps this binding, so a table
+    # entry computed past it would go uncounted.
+    import ncphase.representation as rp
+
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return commutator(a, b)
+
+    monkeypatch.setattr(rp, "commutator", counting)
+    rep = build_representation(NCParams(0.5, 0.5), family, branch)
+    report = verify_nc_algebra(rep)
+    assert len(calls) == len(report.checks) == 6
+
+
 # --- effective Planck scale ---------------------------------------------------
 
 

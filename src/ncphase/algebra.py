@@ -27,8 +27,9 @@ from .errors import ConfigError
 
 #: Recognised canonical variable kinds: two coordinates and two momenta.
 KINDS = ("x1", "x2", "p1", "p2")
-_COMPONENT = {"x1": 1, "x2": 2, "p1": 1, "p2": 2}
 _PAIR_KINDS = {1: ("x1", "p1"), 2: ("x2", "p2")}
+#: The kind each kind pairs with in the canonical bracket.
+_PARTNER = {"x1": "p1", "x2": "p2", "p1": "x1", "p2": "x2"}
 
 
 class _VarFields(NamedTuple):
@@ -56,6 +57,12 @@ class CanonicalVar(_VarFields):
     @classmethod
     def _make(cls, iterable) -> "CanonicalVar":
         return cls(*iterable)
+
+    @classmethod
+    def _particle(cls, particle_id: int) -> tuple["CanonicalVar", "CanonicalVar", "CanonicalVar", "CanonicalVar"]:
+        """The x1, x2, p1, p2 variables of one particle, ``particle_id`` validated once."""
+        new = tuple.__new__
+        return cls(particle_id, "x1"), new(cls, (particle_id, "x2")), new(cls, (particle_id, "p1")), new(cls, (particle_id, "p2"))
 
     @property
     def is_coordinate(self) -> bool:
@@ -184,26 +191,36 @@ def commutator(a: LinearForm, b: LinearForm) -> CommutatorResult:
     central, so nesting them inside further commutators is a type error
     rather than a silent zero.
 
-    Both signed products of every (particle, component) pair are summed
-    exactly and rounded once (:func:`_exact_sum`), so the scalar does not
-    depend on the order of the products.  Correct rounding is symmetric
-    under negation, so antisymmetry holds bit for bit:
+    One walk over ``a``'s terms takes each term's product with its partner
+    in ``b`` (x1 with p1, x2 with p2, same particle): ``+c_a * c_b`` for a
+    coordinate, ``-(c_a * c_b)`` for a momentum, an absent partner reading
+    0.0.  A second walk adds ``0.0 * c_b`` for each term of ``b`` whose
+    partner is absent from ``a``.  Every other pair of terms has a zero
+    bracket (another particle or component, or two coordinates or two
+    momenta), so the walks form every nonzero and every non-finite product
+    of the exhaustive sum over (particle, component) pairs: an infinite or
+    nan coefficient whose partner is absent on the other side meets 0.0
+    and gives nan, on either side.  They differ from it only in zero
+    products, and those never decide the sum.
+
+    The products are summed exactly and rounded once (:func:`_exact_sum`),
+    so the scalar does not depend on their order.  Correct rounding is
+    symmetric under negation, so antisymmetry holds bit for bit:
     ``commutator(a, b).scalar == -commutator(b, a).scalar``.
     """
     if not isinstance(a, LinearForm) or not isinstance(b, LinearForm):
         raise TypeError("commutator expects two LinearForm operands; nested commutators are scalars and cannot be commuted again")
 
     ta, tb = a._terms, b._terms
-    pairs = {(pid, _COMPONENT[kind]) for pid, kind in ta}
-    pairs |= {(pid, _COMPONENT[kind]) for pid, kind in tb}
     products = []
-    for pid, comp in pairs:
-        xkind, pkind = _PAIR_KINDS[comp]
-        # Keys equal their plain tuples, so no CanonicalVar is built here.
-        xv, pv = (pid, xkind), (pid, pkind)
-        products.append(ta.get(xv, 0.0) * tb.get(pv, 0.0))
-        products.append(-(ta.get(pv, 0.0) * tb.get(xv, 0.0)))
-    return CommutatorResult(scalar=_exact_sum(products))
+    # Keys equal their plain tuples, so no CanonicalVar is built here.
+    for (pid, kind), c in ta.items():
+        product = c * tb.get((pid, _PARTNER[kind]), 0.0)
+        products.append(product if kind[0] == "x" else -product)
+    for (pid, kind), c in tb.items():
+        if (pid, _PARTNER[kind]) not in ta:
+            products.append(0.0 * c)
+    return CommutatorResult(_exact_sum(products))
 
 
 def _exact_sum(values: list[float]) -> float:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import KINDS, CanonicalVar, LinearForm, check_tolerance, commutator, form_distance, p1, p2, x1, x2
+from .algebra import CanonicalVar, LinearForm, check_tolerance, commutator, form_distance, p1, p2, x1, x2
 from .errors import ConfigError, DegenerateError, DomainError
 from .reports import CheckRecord, CheckReport
 
@@ -276,7 +276,7 @@ def _shift_map(particle_id: int, k: float, c: float, m: float) -> dict[str, Line
     ``LinearForm`` expression rounds them; a zero shift drops its term.  Unless k, k*c and k*m are finite the map is refused.
     """
     k, k_mc, k_c, k_m, k_mm = _shift_terms(k, c, m)
-    x1v, x2v, p1v, p2v = (CanonicalVar(particle_id, kind) for kind in KINDS)
+    x1v, x2v, p1v, p2v = CanonicalVar._particle(particle_id)
     return {
         "X1": LinearForm._trusted({x1v: k, p2v: k_mc}),
         "X2": LinearForm._trusted({x2v: k, p1v: k_c}),
@@ -295,7 +295,12 @@ def _shift_rep(
 ) -> Representation:
     """The representation of a shift triple, by default the family's own, recording the branch it read."""
     forms = _shift_map(particle_id, *(_shift_coeffs(p.theta, p.eta, family, branch) if coeffs is None else coeffs))
-    return Representation(**forms, family=family, params=p, branch=read_branch(family, branch), particle_id=particle_id)
+    # Filled like the generated __init__ at half its cost (eight frozen setattr
+    # calls), with the same __post_init__ checks.
+    rep = object.__new__(Representation)
+    rep.__dict__.update(forms, family=family, params=p, branch=read_branch(family, branch), particle_id=particle_id)
+    rep.__post_init__()
+    return rep
 
 
 def build_epsilon_rep(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -46,6 +47,17 @@ def test_within_edge_cases(expected, measured, tol, passed):
     assert (rec.name, rec.tol, rec.detail) == ("c", tol, "why")
     assert rec.expected is expected and rec.measured is measured
     assert CheckRecord.within("c", expected, measured, tol).detail == ""
+
+
+def test_within_builds_the_record_the_constructor_builds():
+    rec = CheckRecord.within("c", 1.0, 1.25, 0.5, "why")
+    twin = CheckRecord("c", 1.0, 1.25, 0.5, True, "why")
+    assert type(rec) is CheckRecord
+    assert rec == twin and hash(rec) == hash(twin) and repr(rec) == repr(twin)
+    assert vars(rec) == vars(twin)
+    assert dataclasses.replace(rec, measured=2.0) == CheckRecord("c", 1.0, 2.0, 0.5, True, "why")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.passed = False  # type: ignore[misc]
 
 
 def _numeric(value) -> bool:

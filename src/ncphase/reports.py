@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckRecord:
     name: str
     expected: float | None
@@ -21,16 +21,17 @@ class CheckRecord:
     passed: bool
     detail: str = ""
 
+    def __init__(
+        self, name: str, expected: float | None, measured: float | None, tol: float, passed: bool, detail: str = ""
+    ) -> None:
+        # One update of the instance dict costs a third of the six frozen
+        # setattr calls a generated __init__ makes; verify builds six records.
+        self.__dict__.update(name=name, expected=expected, measured=measured, tol=tol, passed=passed, detail=detail)
+
     @classmethod
     def within(cls, name: str, expected: float, measured: float, tol: float, detail: str = "") -> "CheckRecord":
         """A record that passes when ``|measured - expected| <= tol``; NaN never passes."""
-        # Filled like the generated __init__, which has nothing to check, at a
-        # third of the cost of its six frozen setattr calls; verify makes six.
-        record = object.__new__(cls)
-        record.__dict__.update(
-            name=name, expected=expected, measured=measured, tol=tol, passed=abs(measured - expected) <= tol, detail=detail
-        )
-        return record
+        return cls(name, expected, measured, tol, abs(measured - expected) <= tol, detail)
 
     def to_dict(self) -> dict[str, Any]:
         d: dict[str, Any] = {

@@ -268,7 +268,7 @@ def _shift_terms(k: float, c: float, m: float) -> tuple[float, float, float, flo
     return k, -kc, kc, km, -km
 
 
-def _shift_map(particle_id: int, k: float, c: float, m: float) -> dict[str, LinearForm]:
+def _shift_map(particle_id: int, k: float, c: float, m: float) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2), P2 = k*(p2 - m*x1).
 
     k is the prefactor, c and m the coordinate and momentum shifts.  Each
@@ -277,12 +277,12 @@ def _shift_map(particle_id: int, k: float, c: float, m: float) -> dict[str, Line
     """
     k, k_mc, k_c, k_m, k_mm = _shift_terms(k, c, m)
     x1v, x2v, p1v, p2v = CanonicalVar._particle(particle_id)
-    return {
-        "X1": LinearForm._trusted({x1v: k, p2v: k_mc}),
-        "X2": LinearForm._trusted({x2v: k, p1v: k_c}),
-        "P1": LinearForm._trusted({p1v: k, x2v: k_m}),
-        "P2": LinearForm._trusted({p2v: k, x1v: k_mm}),
-    }
+    return (
+        LinearForm._trusted({x1v: k, p2v: k_mc}),
+        LinearForm._trusted({x2v: k, p1v: k_c}),
+        LinearForm._trusted({p1v: k, x2v: k_m}),
+        LinearForm._trusted({p2v: k, x1v: k_mm}),
+    )
 
 
 def read_branch(family: str, branch: str | None) -> str | None:
@@ -295,12 +295,7 @@ def _shift_rep(
 ) -> Representation:
     """The representation of a shift triple, by default the family's own, recording the branch it read."""
     forms = _shift_map(particle_id, *(_shift_coeffs(p.theta, p.eta, family, branch) if coeffs is None else coeffs))
-    # Filled like the generated __init__ at half its cost (eight frozen setattr
-    # calls), with the same __post_init__ checks.
-    rep = object.__new__(Representation)
-    rep.__dict__.update(forms, family=family, params=p, branch=read_branch(family, branch), particle_id=particle_id)
-    rep.__post_init__()
-    return rep
+    return Representation(*forms, family, p, read_branch(family, branch), particle_id)
 
 
 def build_epsilon_rep(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ncphase import (
     CanonicalVar,
+    CheckRecord,
     ConfigError,
     DegenerateError,
     DomainError,
@@ -296,20 +297,27 @@ def test_verify_identity_rep():
 
 @pytest.mark.parametrize("family,branch", [("branch", "minus"), ("branch", "plus"), ("simple", None), ("epsilon_general", None)])
 def test_verify_takes_every_table_entry_through_the_module_commutator(monkeypatch, family, branch):
-    # The benchmark's algebra.commutator span wraps this binding, so a table
-    # entry computed past it would go uncounted.
+    # The benchmark's algebra.commutator span wraps this binding and its
+    # reports.checks count wraps CheckRecord.__init__, so a table entry
+    # computed or recorded past them would go uncounted.
     import ncphase.representation as rp
 
-    calls = []
+    calls, records = [], []
+    init = CheckRecord.__init__
 
     def counting(a, b):
         calls.append((a, b))
         return commutator(a, b)
 
+    def counting_init(self, *args, **kwargs):
+        records.append(args)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(rp, "commutator", counting)
+    monkeypatch.setattr(CheckRecord, "__init__", counting_init)
     rep = build_representation(NCParams(0.5, 0.5), family, branch)
     report = verify_nc_algebra(rep)
-    assert len(calls) == len(report.checks) == 6
+    assert len(calls) == len(records) == len(report.checks) == 6
 
 
 # --- effective Planck scale ---------------------------------------------------

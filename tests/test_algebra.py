@@ -53,9 +53,9 @@ def oracle_commutator(a: LinearForm, b: LinearForm) -> float:
 def pair_loop_commutator(a: LinearForm, b: LinearForm) -> float:
     """The exhaustive pair loop: both signed products of every (particle, component) pair.
 
-    This was the package's own sum before the one-walk rewrite; an absent
-    coefficient reads 0.0, so an infinite or nan coefficient meets a 0.0 and
-    gives nan.  The package must match it bit for bit (nan matching nan).
+    The pairs are those either form touches.  An absent coefficient reads
+    0.0, so an infinite or nan coefficient meets a 0.0 and gives nan.
+    ``commutator`` must match it bit for bit (nan matching nan).
     """
     ta, tb = a._terms, b._terms
     pairs = {(pid, kind[1]) for pid, kind in ta} | {(pid, kind[1]) for pid, kind in tb}
@@ -158,7 +158,7 @@ def test_matches_the_pair_loop_bit_for_bit(a, b):
     assert commutator(a, b).scalar.hex() == pair_loop_commutator(a, b).hex()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(deadline=None)
 @given(special_forms(), special_forms())
 def test_antisymmetry_is_bitwise_for_any_coefficient(a, b):
     # A zero result is +0.0 both ways (test_all_zero_products_give_positive_zero).

@@ -18,7 +18,6 @@ from ncphase import (
     DomainError,
     MassConditions,
     NCParams,
-    Representation,
     branch_transform_residual,
     build_branch_rep,
     build_epsilon_rep,
@@ -452,16 +451,6 @@ def test_unknown_branch_refused(build):
 def test_build_representation_refuses_an_unknown_family():
     with pytest.raises(ConfigError, match="unknown family 'bogus'"):
         build_representation(NCParams(0.5, 0.5), "bogus")
-
-
-def test_builders_give_the_representation_the_constructor_gives():
-    rep = build_representation(NCParams(0.5, 0.5), "branch", "plus", particle_id=3)
-    twin = Representation(*rep.forms(), family="branch", params=NCParams(0.5, 0.5), branch="plus", particle_id=3)
-    assert type(rep) is Representation
-    assert rep == twin and hash(rep) == hash(twin) and repr(rep) == repr(twin)
-    assert vars(rep) == vars(twin)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        rep.family = "simple"  # type: ignore[misc]
 
 
 def test_builders_refuse_a_negative_particle_id():

@@ -181,6 +181,49 @@ def test_one_row_energies_equal_the_batch(kind, family, branch, mass):
         assert h.energies(z[None])[0] == e
 
 
+def _row_major_energies(h, states):
+    """The einsum pair on the states as given, a row-major array for every
+    trajectory, as ``energies`` ran it before it took a column-major copy."""
+    Z = np.asarray(states, dtype=float)
+    return 0.5 * np.einsum("ni,ij,nj->n", Z, h.quad, Z) + np.einsum("ni,i->n", Z, h.linear)
+
+
+def _assert_same_energies(got, expected):
+    # The bytes, the sign of a zero included; a NaN only as NaN, since its sign
+    # bit may differ and energy_drift refuses it whatever the sign.
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], expected[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(expected[~nan]))
+
+
+@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
+def test_energies_are_bitwise_the_row_major_sum(kind, family, branch, mass):
+    h, _ = _sampled_states(kind, family, branch, mass)
+    z0 = [1.0, -0.5, 0.25, 0.75]
+    full = evolve(h, z0, t_end=20.0, dt=0.02).canonical_states
+    one_row = evolve(h, z0, t_end=0.0, dt=0.02).canonical_states
+    assert full.flags.c_contiguous and one_row.shape == (1, 4)
+    for states in (full, full[::50], one_row):
+        expected = _row_major_energies(h, states)
+        _assert_same_energies(h.energies(states), expected)
+        _assert_same_energies(h.energies(np.asfortranarray(states)), expected)
+        _assert_same_energies(h.energies(states.tolist()), expected)
+    special = np.array([[0.0] * 4, [-0.0] * 4, [-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0],
+                        [np.nan, 1.0, 0.0, -0.0], [-0.0, -np.nan, -0.0, -0.0], [1.0, -0.0, 2.0, -0.0]])
+    _assert_same_energies(h.energies(special), _row_major_energies(h, special))
+
+
+def test_long_stacked_run_drift_is_the_row_major_drift():
+    c = MassConditions(gamma=0.05, alpha=0.05)
+    reps = [build_representation(params_from_conditions(c, mass), "branch", "minus") for mass in (1.0, 3.0, 20.0)]
+    runs = wep_trajectories(reps, (0.2, 0.1, 1.0, 0.0), g=1.0, t_end=100.0, dt=0.01)
+    for h, traj in runs:
+        assert len(traj) == 10001
+        e = _row_major_energies(h, traj.canonical_states)
+        assert energy_drift(h, traj) == float(np.max(np.abs(e - e[0])) / max(1.0, abs(e[0])))
+
+
 # --- evolve against a 40-digit oracle -------------------------------------------------
 
 #: Rows of a 2000-step run held against the oracle: one inside the first block,

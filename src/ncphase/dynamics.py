@@ -69,10 +69,10 @@ class QuadraticHamiltonian:
 
         Both terms are einsum loops, which sum each row in one order whatever
         the batch; ``Z @ linear`` is a BLAS gemv for many rows and a dot for
-        one, and the two may round a row differently.  A column-major copy lets
-        einsum run down the n contiguous rows once per (i, j) term, not a
-        strided 16-term loop per row (3x faster at 10^4 rows); each row is
-        still summed from 0.0 in i-major order, so its bytes are unchanged.
+        one, and the two may round a row differently.  On a column-major copy,
+        einsum runs down the n contiguous rows once per (i, j) term instead of
+        a strided 16-term loop per row; each row is still summed from 0.0 in
+        i-major order, so its bytes, but for a NaN's sign, are unchanged.
         """
         Z = np.asfortranarray(states, dtype=float)
         return 0.5 * np.einsum("ni,ij,nj->n", Z, self.quad, Z) + np.einsum("ni,i->n", Z, self.linear)

@@ -182,8 +182,8 @@ def test_one_row_energies_equal_the_batch(kind, family, branch, mass):
 
 
 def _row_major_energies(h, states):
-    """The einsum pair on the states as given, a row-major array for every
-    trajectory, as ``energies`` ran it before it took a column-major copy."""
+    """The reference: the same einsum pair on the states as given, which for
+    every trajectory is a row-major array."""
     Z = np.asarray(states, dtype=float)
     return 0.5 * np.einsum("ni,ij,nj->n", Z, h.quad, Z) + np.einsum("ni,i->n", Z, h.linear)
 

@@ -2,7 +2,6 @@
 
 from .algebra import (
     CanonicalVar,
-    CommutatorResult,
     LinearForm,
     commutator,
     form_distance,
@@ -52,7 +51,6 @@ __all__ = [
     "CanonicalVar",
     "CheckRecord",
     "CheckReport",
-    "CommutatorResult",
     "CompositeSystem",
     "ConfigError",
     "DegenerateError",

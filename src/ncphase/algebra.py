@@ -19,7 +19,6 @@ same terms whenever their coefficients match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -27,9 +26,10 @@ from .errors import ConfigError
 
 #: Recognised canonical variable kinds: two coordinates and two momenta.
 KINDS = ("x1", "x2", "p1", "p2")
-_PAIR_KINDS = {1: ("x1", "p1"), 2: ("x2", "p2")}
-#: The kind each kind pairs with in the canonical bracket.
-_PARTNER = {"x1": "p1", "x2": "p2", "p1": "x1", "p2": "x2"}
+#: The (coordinate, momentum) pairs of the canonical bracket.
+_PAIRS = (("x1", "p1"), ("x2", "p2"))
+#: The kind each kind pairs with, read both ways from ``_PAIRS``.
+_PARTNER = {**dict(_PAIRS), **{p: x for x, p in _PAIRS}}
 
 
 class _VarFields(NamedTuple):
@@ -176,20 +176,13 @@ def p2(particle_id: int = 0) -> LinearForm:
     return variable("p2", particle_id)
 
 
-@dataclass(frozen=True)
-class CommutatorResult:
-    """The scalar ``c`` in ``[A, B] = i*hbar*c``."""
-
-    scalar: float
-
-
-def commutator(a: LinearForm, b: LinearForm) -> CommutatorResult:
+def commutator(a: LinearForm, b: LinearForm) -> float:
     """Commutator of two linear forms under the canonical algebra.
 
-    Returns the real scalar ``c`` with ``[A, B] = i*hbar*c``.  The result is
-    deliberately *not* a ``LinearForm``: commutators of linear forms are
-    central, so nesting them inside further commutators is a type error
-    rather than a silent zero.
+    Returns the real scalar ``c`` with ``[A, B] = i*hbar*c`` as a ``float``.
+    It is deliberately *not* a ``LinearForm``: commutators of linear forms
+    are central, so the operand check makes nesting them inside further
+    commutators a type error rather than a silent zero.
 
     One walk over ``a``'s terms takes each term's product with its partner
     in ``b`` (x1 with p1, x2 with p2, same particle): ``+c_a * c_b`` for a
@@ -206,7 +199,7 @@ def commutator(a: LinearForm, b: LinearForm) -> CommutatorResult:
     The products are summed exactly and rounded once (:func:`_exact_sum`),
     so the scalar does not depend on their order.  Correct rounding is
     symmetric under negation, so antisymmetry holds bit for bit:
-    ``commutator(a, b).scalar == -commutator(b, a).scalar``.
+    ``commutator(a, b) == -commutator(b, a)``.
     """
     if not isinstance(a, LinearForm) or not isinstance(b, LinearForm):
         raise TypeError("commutator expects two LinearForm operands; nested commutators are scalars and cannot be commuted again")
@@ -220,7 +213,7 @@ def commutator(a: LinearForm, b: LinearForm) -> CommutatorResult:
     for (pid, kind), c in tb.items():
         if (pid, _PARTNER[kind]) not in ta:
             products.append(0.0 * c)
-    return CommutatorResult(_exact_sum(products))
+    return _exact_sum(products)
 
 
 def _exact_sum(values: list[float]) -> float:

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Any, NoReturn, Sequence
 
 from . import __version__
@@ -36,6 +35,7 @@ from .errors import ConfigError, DegenerateError, DomainError, NCPhaseError, Sin
 from .reports import CheckRecord, CheckReport
 from .representation import (
     BRANCHES,
+    DEFAULT_TOL,
     MassConditions,
     NCParams,
     branch_transform_residual,
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, tol: bool = True) -> None:
         p.add_argument("--config", type=str, help="JSON file with option values; flags override")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-12, help="check tolerance (default 1e-12)")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="check tolerance (default %(default)s)")
         p.add_argument("--output", type=str, help="write the report/trajectory to this path")
         p.add_argument("--format", choices=("json", "csv"), help="output format")
 
@@ -467,7 +467,7 @@ def _cmd_com(cfg: dict[str, Any]) -> int:
         # Without shared conditions there is no claim that the two routes
         # agree; their distances are data, not a failure.
         checks = tuple(
-            replace(c, expected=None, passed=True, detail="informational: no shared mass conditions")
+            CheckRecord(c.name, None, c.measured, c.tol, True, "informational: no shared mass conditions")
             if c.name.startswith("routes.")
             else c
             for c in checks

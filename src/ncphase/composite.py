@@ -32,7 +32,7 @@ from itertools import chain
 from operator import mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
-from .algebra import _PAIR_KINDS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum
+from .algebra import _PAIRS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum
 from .errors import ConfigError, DomainError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -201,12 +201,12 @@ def _forms(columns: Sequence[_Columns], system: CompositeSystem, by_kind: bool) 
 
 
 def _column_commutator(a: _Columns, b: _Columns) -> float:
-    """``commutator(a, b).scalar`` of two column forms over the same particles.
+    """``commutator(a, b)`` of two column forms over the same particles.
 
     The same signed products, summed exactly by the same :func:`_exact_sum`.
     """
     products = []
-    for xkind, pkind in _PAIR_KINDS.values():
+    for xkind, pkind in _PAIRS:
         if xkind in a and pkind in b:
             products += map(mul, a[xkind], b[pkind])
         if pkind in a and xkind in b:

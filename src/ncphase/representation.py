@@ -365,10 +365,6 @@ def params_from_conditions(c: MassConditions, mass: float) -> NCParams:
 # verification
 
 
-def _commutator_scalar(a: LinearForm, b: LinearForm) -> float:
-    return commutator(a, b).scalar
-
-
 def _commutator_checks(
     operands, commute, expected: tuple[float, float, float], tol: float, prefix: str = ""
 ) -> list[CheckRecord]:
@@ -410,7 +406,7 @@ def verify_nc_algebra(
         table_eta if expect_eta is None else expect_eta,
         table_diag if expect_diag is None else expect_diag,
     )
-    checks = tuple(_commutator_checks(rep.forms(), _commutator_scalar, expected, tol))
+    checks = tuple(_commutator_checks(rep.forms(), commutator, expected, tol))
     meta = {
         "family": rep.family,
         "branch": rep.branch,

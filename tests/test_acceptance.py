@@ -140,14 +140,14 @@ def test_criterion_05_effective_planck_scale():
     for p in random_param_batch(1000, SEED):
         rep = build_simple_rep(p)
         want = 1.0 + p.product / 4.0
-        assert commutator(rep.X1, rep.P1).scalar == want
-        assert commutator(rep.X2, rep.P2).scalar == want
+        assert commutator(rep.X1, rep.P1) == want
+        assert commutator(rep.X2, rep.P2) == want
     c = MassConditions(gamma=0.3, alpha=0.2)
     for m in (0.5, 1.0, 2.0, 10.0):
         p = params_from_conditions(c, m)
         assert effective_planck(p) == 1.015
         rep = build_simple_rep(p)
-        assert commutator(rep.X1, rep.P1).scalar == 1.015
+        assert commutator(rep.X1, rep.P1) == 1.015
     print("[PASS] criterion 5: diagonal == 1 + theta*eta/4 bitwise; h_eff == 1.015 for masses 0.5, 1, 2, 10")
 
 

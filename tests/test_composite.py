@@ -189,10 +189,10 @@ def test_equal_masses_give_half_weights():
 def test_com_pair_is_canonical_for_one_two():
     # weights 1/3 and 2/3: their float sum rounds back to exactly 1
     xc1, xc2, pc1, pc2 = com_canonical(conditioned([1.0, 2.0]))
-    assert commutator(xc1, pc1).scalar == 1.0
-    assert commutator(xc2, pc2).scalar == 1.0
-    assert commutator(xc1, pc2).scalar == 0.0
-    assert commutator(xc1, xc2).scalar == 0.0
+    assert commutator(xc1, pc1) == 1.0
+    assert commutator(xc2, pc2) == 1.0
+    assert commutator(xc1, pc2) == 0.0
+    assert commutator(xc1, xc2) == 0.0
 
 
 @pytest.mark.parametrize("masses", [[0.7, 1.3], [1.0, 2.0, 5.0], [0.2, 0.2, 0.2, 0.2]])
@@ -200,8 +200,8 @@ def test_com_pair_canonical_generic(masses):
     xc1, xc2, pc1, pc2 = com_canonical(
         CompositeSystem.from_params(masses, [0.1] * len(masses), [0.1] * len(masses))
     )
-    assert commutator(xc1, pc1).scalar == pytest.approx(1.0, abs=1e-15)
-    assert commutator(xc2, pc2).scalar == pytest.approx(1.0, abs=1e-15)
+    assert commutator(xc1, pc1) == pytest.approx(1.0, abs=1e-15)
+    assert commutator(xc2, pc2) == pytest.approx(1.0, abs=1e-15)
 
 
 # --- effective parameters --------------------------------------------------------
@@ -312,11 +312,11 @@ def test_direct_route_table_matches_effective_params_randomly():
         if not (-5.0 < te * ee < 1.0) or te * ee == 0.0:
             continue
         X1c, X2c, P1c, P2c = com_rep_direct(sys_, "minus")
-        assert commutator(X1c, X2c).scalar == pytest.approx(te, abs=1e-12)
-        assert commutator(P1c, P2c).scalar == pytest.approx(ee, abs=1e-12)
-        assert commutator(X1c, P1c).scalar == pytest.approx(1.0, abs=1e-12)
-        assert commutator(X2c, P2c).scalar == pytest.approx(1.0, abs=1e-12)
-        assert commutator(X1c, P2c).scalar == pytest.approx(0.0, abs=1e-12)
+        assert commutator(X1c, X2c) == pytest.approx(te, abs=1e-12)
+        assert commutator(P1c, P2c) == pytest.approx(ee, abs=1e-12)
+        assert commutator(X1c, P1c) == pytest.approx(1.0, abs=1e-12)
+        assert commutator(X2c, P2c) == pytest.approx(1.0, abs=1e-12)
+        assert commutator(X1c, P2c) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_direct_route_refuses_a_none_branch_like_the_algebraic_route():
@@ -543,7 +543,7 @@ def test_conditions_make_com_and_relative_motion_independent(family, branch, gam
     # vanishes, so the two motions separate.
     c = MassConditions(gamma, alpha)
     com, rel = _com_and_relative(*(params_from_conditions(c, m) for m in masses), family, branch)
-    assert max(abs(commutator(u, v).scalar) for u in com for v in rel) <= 1e-15
+    assert max(abs(commutator(u, v)) for u in com for v in rel) <= 1e-15
 
 
 @pytest.mark.parametrize("family,branch", _MOTION_CASES)
@@ -556,8 +556,8 @@ def test_fixed_parameters_couple_com_and_relative_motion(family, branch, theta, 
     M, mu = pa.mass + pb.mass, pa.mass * pb.mass / (pa.mass + pb.mass)
     coupling = ((pa.theta * pa.mass - pb.theta * pb.mass) / M, mu * (pa.eta / pa.mass - pb.eta / pb.mass))
     assert min(abs(v) for v in coupling) >= 0.15
-    assert commutator(X1c, dX2).scalar == pytest.approx(coupling[0], abs=1e-12)
-    assert commutator(P1c, dP2).scalar == pytest.approx(coupling[1], abs=1e-12)
+    assert commutator(X1c, dX2) == pytest.approx(coupling[0], abs=1e-12)
+    assert commutator(P1c, dP2) == pytest.approx(coupling[1], abs=1e-12)
 
 
 # --- column primitives ------------------------------------------------------------
@@ -596,6 +596,6 @@ def test_column_primitives_equal_the_form_primitives_bit_for_bit(data):
     a, b = data.draw(column_forms(ids)), data.draw(column_forms(ids))
     ca, cb = _as_columns(a, ids), _as_columns(b, ids)
     fa, fb = _as_form(a), _as_form(b)
-    assert _column_commutator(ca, cb).hex() == commutator(fa, fb).scalar.hex()
-    assert _column_commutator(cb, ca).hex() == commutator(fb, fa).scalar.hex()
+    assert _column_commutator(ca, cb).hex() == commutator(fa, fb).hex()
+    assert _column_commutator(cb, ca).hex() == commutator(fb, fa).hex()
     assert _distance(ca, cb) == form_distance(fa, fb)

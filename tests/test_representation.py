@@ -54,12 +54,12 @@ X1_P2_COEFF_MINUS_HALF = -0.25881904510252074  # -sin(pi/12)
 def table(rep):
     f = {n: v for n, v in zip(rep.form_names(), rep.forms())}
     return (
-        commutator(f["X1"], f["X2"]).scalar,
-        commutator(f["P1"], f["P2"]).scalar,
-        commutator(f["X1"], f["P1"]).scalar,
-        commutator(f["X2"], f["P2"]).scalar,
-        commutator(f["X1"], f["P2"]).scalar,
-        commutator(f["X2"], f["P1"]).scalar,
+        commutator(f["X1"], f["X2"]),
+        commutator(f["P1"], f["P2"]),
+        commutator(f["X1"], f["P1"]),
+        commutator(f["X2"], f["P2"]),
+        commutator(f["X1"], f["P2"]),
+        commutator(f["X2"], f["P1"]),
     )
 
 
@@ -164,7 +164,7 @@ def test_epsilon_rep_diagonal_at_two_two():
     # eps^2 * (1 + t'e'/4) = 1 algebraically; rounding eps = fl(1/sqrt(2))
     # leaves the measured diagonal one ulp under 1.
     rep = build_epsilon_rep(NCParams(1.0, 1.0), 2.0, 2.0)
-    assert commutator(rep.X1, rep.P1).scalar == pytest.approx(1.0, abs=math.ulp(1.0))
+    assert commutator(rep.X1, rep.P1) == pytest.approx(1.0, abs=math.ulp(1.0))
 
 
 def test_branch_rep_frozen_coefficients():
@@ -229,7 +229,7 @@ def test_simple_rep_tables():
     assert t[2] == 1.0625 and t[3] == 1.0625  # rescaled diagonal, exact dyadics
     assert t[4] == 0.0 and t[5] == 0.0
     rep = build_simple_rep(NCParams(0.3, 0.2))
-    assert commutator(rep.X1, rep.X2).scalar == 0.3
+    assert commutator(rep.X1, rep.X2) == 0.3
 
 
 def test_simple_rep_identity_at_zero():
@@ -241,7 +241,7 @@ def test_simple_rep_identity_at_zero():
 def test_simple_rep_unrestricted_product():
     # no theta*eta < 1 requirement for the unscaled shift
     rep = build_simple_rep(NCParams(3.0, 4.0))
-    assert commutator(rep.X1, rep.X2).scalar == pytest.approx(3.0, abs=1e-12)
+    assert commutator(rep.X1, rep.X2) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_simple_rep_rejects_overflowing_product():

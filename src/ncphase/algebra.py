@@ -61,8 +61,10 @@ class CanonicalVar(_VarFields):
     @classmethod
     def _particle(cls, particle_id: int) -> tuple["CanonicalVar", "CanonicalVar", "CanonicalVar", "CanonicalVar"]:
         """The x1, x2, p1, p2 variables of one particle, ``particle_id`` validated once."""
+        if particle_id < 0:
+            cls(particle_id, "x1")  # raises the constructor's refusal
         new = tuple.__new__
-        return cls(particle_id, "x1"), new(cls, (particle_id, "x2")), new(cls, (particle_id, "p1")), new(cls, (particle_id, "p2"))
+        return new(cls, (particle_id, "x1")), new(cls, (particle_id, "x2")), new(cls, (particle_id, "p1")), new(cls, (particle_id, "p2"))
 
     @property
     def is_coordinate(self) -> bool:

@@ -220,15 +220,23 @@ def expm(a: np.ndarray) -> np.ndarray:
     a slice that is not finite, without a warning.
     """
     a = np.array(a, dtype=float)
-    s = _scale_exponents(a)
+    return _expm(a, _scale_exponents(a))
+
+
+def _expm(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """:func:`expm` of a float stack whose exponents s = :func:`_scale_exponents` (a) are given.
+
+    The caller holds ``np.errstate(all="ignore")``.
+    """
     # The powers are taken before scaling, so that a sixth power past the
     # float range (omega = 1e100 at dt = 0.01) leaves inf in its slice.
     # Scaling by 2^-ks is exact above the subnormals, so they are still the
-    # scaled matrix's powers.
+    # scaled matrix's powers; with every s zero it is the identity and skipped.
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    a, a2, a4, a6 = (np.ldexp(p, -k * s[:, None, None]) for k, p in ((1, a), (2, a2), (4, a4), (6, a6)))
+    if s.any():
+        a, a2, a4, a6 = (np.ldexp(p, -k * s[:, None, None]) for k, p in ((1, a), (2, a2), (4, a4), (6, a6)))
     b = _PADE13
     ident = np.eye(a.shape[-1])
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
@@ -300,14 +308,18 @@ def evolve(
         aug[:, :4, 4] = b * dt
         # j * aug for j = 1 .. block, mass-major: P_j is the exponential of the j-th.
         drifts = (aug[:, None] * np.arange(1.0, block + 1)[:, None, None]).reshape(-1, 5, 5)
-        props = expm(drifts).reshape(m, block, 5, 5)
+        s = _scale_exponents(drifts)
+        props = _expm(drifts, s).reshape(m, block, 5, 5)
         if not np.isfinite(props[:, :, :4]).all():
             raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
         # The scaling by 2^-s is exact only above the subnormals.  An entry
         # it rounds (the x2 shift beside the affine column of a 1e200 mass)
-        # is lost from the propagator, whose trajectory would be wrong.
-        s = _scale_exponents(drifts)[:, None, None]
-        if (np.ldexp(np.ldexp(drifts, -s), s) != drifts).any():
+        # is lost from the propagator, whose trajectory would be wrong.  With
+        # every s zero the round trip is the identity and is skipped: only a
+        # NaN then differs from itself.
+        s = s[:, None, None]
+        trip = np.ldexp(np.ldexp(drifts, -s), s) if s.any() else drifts
+        if (trip != drifts).any():
             raise ConfigError(
                 f"the one-step propagator cannot resolve its drift at dt = {dt}: "
                 f"scaling by 2^-{s.max()} rounds its smallest entries"

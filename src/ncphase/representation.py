@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import CanonicalVar, LinearForm, check_tolerance, commutator, form_distance, p1, p2, x1, x2
+from .algebra import CanonicalVar, LinearForm, check_tolerance, commutator, form_distance
 from .errors import ConfigError, DegenerateError, DomainError
 from .reports import CheckRecord, CheckReport
 
@@ -117,7 +117,7 @@ class MassConditions:
         return self.alpha * self.gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Representation:
     """Four linear forms realising the noncommutative algebra.
 
@@ -135,11 +135,25 @@ class Representation:
     branch: str | None = None
     particle_id: int | None = 0
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.branch is not None and self.branch not in BRANCHES:
-            raise ConfigError(f"unknown branch {self.branch!r}; expected one of {BRANCHES}")
+    def __init__(
+        self,
+        X1: LinearForm,
+        X2: LinearForm,
+        P1: LinearForm,
+        P2: LinearForm,
+        family: str,
+        params: NCParams,
+        branch: str | None = None,
+        particle_id: int | None = 0,
+    ) -> None:
+        if family not in FAMILIES:
+            raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if branch is not None and branch not in BRANCHES:
+            raise ConfigError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
+        # One update of the instance dict, as CheckRecord does: every build passes here.
+        self.__dict__.update(
+            X1=X1, X2=X2, P1=P1, P2=P2, family=family, params=params, branch=branch, particle_id=particle_id
+        )
 
     def forms(self) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
         return (self.X1, self.X2, self.P1, self.P2)
@@ -268,21 +282,44 @@ def _shift_terms(k: float, c: float, m: float) -> tuple[float, float, float, flo
     return k, -kc, kc, km, -km
 
 
-def _shift_map(particle_id: int, k: float, c: float, m: float) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
-    """X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2), P2 = k*(p2 - m*x1).
+def _row_coeffs(row: tuple[float, float, float, float, float]) -> tuple[float, ...]:
+    """The eight coefficients of a shift row's forms, in the layout of :func:`_coeff_forms`.
 
-    k is the prefactor, c and m the coordinate and momentum shifts.  Each
-    coefficient is the one product k or k*(+-shift), as the chained
-    ``LinearForm`` expression rounds them; a zero shift drops its term.  Unless k, k*c and k*m are finite the map is refused.
+    The forms are X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2),
+    P2 = k*(p2 - m*x1), with prefactor k and coordinate and momentum shifts
+    c and m.  Each coefficient is the one product k or k*(+-shift), as the
+    chained ``LinearForm`` expression rounds them.
     """
-    k, k_mc, k_c, k_m, k_mm = _shift_terms(k, c, m)
+    k, k_mc, k_c, k_m, k_mm = row
+    return k, k_mc, k, k_c, k, k_m, k, k_mm
+
+
+def _coeff_forms(particle_id: int, coeffs: Sequence[float]) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
+    """X1 = a*x1 + b*p2, X2 = c*x2 + d*p1, P1 = e*p1 + f*x2, P2 = g*p2 + h*x1 of coeffs (a, ..., h).
+
+    An exact zero drops its term.
+    """
+    a, b, c, d, e, f, g, h = coeffs
     x1v, x2v, p1v, p2v = CanonicalVar._particle(particle_id)
     return (
-        LinearForm._trusted({x1v: k, p2v: k_mc}),
-        LinearForm._trusted({x2v: k, p1v: k_c}),
-        LinearForm._trusted({p1v: k, x2v: k_m}),
-        LinearForm._trusted({p2v: k, x1v: k_mm}),
+        LinearForm._trusted({x1v: a, p2v: b}),
+        LinearForm._trusted({x2v: c, p1v: d}),
+        LinearForm._trusted({p1v: e, x2v: f}),
+        LinearForm._trusted({p2v: g, x1v: h}),
     )
+
+
+def _swap_row(row: tuple[float, float, float, float, float], r: float) -> tuple[float, ...]:
+    """The swap map (X1, X2, P1, P2) -> (-r*P2, r*P1, X2/r, -X1/r) of a shift row's forms.
+
+    Returns the image's eight coefficients in the layout of
+    :func:`_coeff_forms`, each the one product the ``LinearForm``
+    expression rounds.  On the identity row (1, 0, 0, 0, 0) it is the plus
+    branch's commutative limit.
+    """
+    k, k_mc, k_c, k_m, k_mm = row
+    q = 1.0 / r
+    return -r * k_mm, -r * k, r * k_m, r * k, q * k_c, q * k, -q * k_mc, -q * k
 
 
 def read_branch(family: str, branch: str | None) -> str | None:
@@ -294,7 +331,8 @@ def _shift_rep(
     p: NCParams, family: str, branch: str | None, particle_id: int, coeffs: tuple[float, float, float] | None = None
 ) -> Representation:
     """The representation of a shift triple, by default the family's own, recording the branch it read."""
-    forms = _shift_map(particle_id, *(_shift_coeffs(p.theta, p.eta, family, branch) if coeffs is None else coeffs))
+    row = _shift_terms(*(_shift_coeffs(p.theta, p.eta, family, branch) if coeffs is None else coeffs))
+    forms = _coeff_forms(particle_id, _row_coeffs(row))
     return Representation(*forms, family, p, read_branch(family, branch), particle_id)
 
 
@@ -434,16 +472,31 @@ def branch_transform_duality(p: NCParams) -> dict[str, tuple[LinearForm, LinearF
     Requires a finite scale (see :func:`_swap_scale`) and both branches,
     i.e. 0 < theta*eta <= 1.
     """
-    r = _swap_scale(p)
-    minus = build_branch_rep(p, "minus")
-    mapped = _swap_map(build_branch_rep(p, "plus").forms(), r)
-    return {name: (m, t) for name, m, t in zip(minus.form_names(), minus.forms(), mapped)}
+    minus, mapped = _duality_coeffs(p)
+    pairs = zip(_coeff_forms(0, minus), _coeff_forms(0, mapped))
+    return dict(zip(Representation.form_names(), pairs))
 
 
 def branch_transform_residual(p: NCParams) -> float:
-    """Largest coefficient-wise mismatch of the branch duality map."""
-    pairs = branch_transform_duality(p)
-    return max(form_distance(a, b) for a, b in pairs.values())
+    """Largest coefficient-wise mismatch of the branch duality map.
+
+    Compares the eight coefficients of the two branches' shift rows
+    directly; no representation or form is built.
+    """
+    minus, mapped = _duality_coeffs(p)
+    return max(abs(a - b) for a, b in zip(minus, mapped))
+
+
+def _duality_coeffs(p: NCParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The minus branch's coefficients and the swap map's image of the plus branch's.
+
+    Refused as the builds refuse: first the swap scale, then the minus row,
+    then the plus row.
+    """
+    r = _swap_scale(p)
+    minus = _shift_terms(*_shift_coeffs(p.theta, p.eta, "branch", "minus"))
+    plus = _shift_terms(*_shift_coeffs(p.theta, p.eta, "branch", "plus"))
+    return _row_coeffs(minus), _swap_row(plus, r)
 
 
 def check_branch_transform(p: NCParams, tol: float = DEFAULT_TOL) -> bool:
@@ -469,12 +522,6 @@ def _swap_scale(p: NCParams, required: bool = True) -> float | None:
     return None
 
 
-def _swap_map(forms: Sequence[LinearForm], r: float) -> tuple[LinearForm, ...]:
-    """(X1, X2, P1, P2) -> (-r*P2, r*P1, X2/r, -X1/r); on the identity, the plus branch's commutative limit."""
-    X1, X2, P1, P2 = forms
-    return (-r * P2, r * P1, (1.0 / r) * X2, -(1.0 / r) * X1)
-
-
 def check_commutative_limit(
     scales: Sequence[float],
     p0: NCParams,
@@ -496,8 +543,8 @@ def check_commutative_limit(
     for tol in tols:
         check_tolerance(tol)
     r = _swap_scale(p0)
-    identity = (x1(), x2(), p1(), p2())
-    targets = {"minus": identity, "plus": _swap_map(identity, r)}
+    identity = _shift_terms(1.0, 0.0, 0.0)
+    targets = {"minus": _coeff_forms(0, _row_coeffs(identity)), "plus": _coeff_forms(0, _swap_row(identity, r))}
     checks: list[CheckRecord] = []
     distances: dict[str, list[float | None]] = {"minus": [], "plus": []}
     for scale, tol in zip(scales, tols):

@@ -385,6 +385,17 @@ def test_tuple_api_validates_too():
     assert type(w) is CanonicalVar and w == CanonicalVar(1, "p2")
 
 
+def test_particle_variables_are_the_constructed_ones():
+    got = CanonicalVar._particle(4)
+    assert got == tuple(CanonicalVar(4, kind) for kind in KINDS)
+    assert all(type(v) is CanonicalVar for v in got)
+    with pytest.raises(ConfigError) as direct:
+        CanonicalVar(-1, "x1")
+    with pytest.raises(ConfigError) as batch:
+        CanonicalVar._particle(-1)
+    assert str(batch.value) == str(direct.value) == "particle_id must be nonnegative, got -1"
+
+
 # --- commutator edge semantics ---------------------------------------------
 
 

@@ -18,6 +18,7 @@ from ncphase import (
     DomainError,
     MassConditions,
     NCParams,
+    Representation,
     branch_transform_residual,
     build_branch_rep,
     build_epsilon_rep,
@@ -37,7 +38,14 @@ from ncphase import (
     x1,
     x2,
 )
-from ncphase.representation import BRANCHES, DEFAULT_TOL, _kinematic_invariance, check_branch_transform
+from ncphase.representation import (
+    BRANCHES,
+    DEFAULT_TOL,
+    _kinematic_invariance,
+    _swap_scale,
+    branch_transform_duality,
+    check_branch_transform,
+)
 
 # Frozen reference values, recomputed with 50-digit arithmetic (mpmath)
 # before being pinned here.  The matched auxiliary pair for theta = eta = 0.5
@@ -359,6 +367,53 @@ def test_branch_transform_requires_positive_ratio():
         branch_transform_residual(NCParams(0.5, 0.0))
 
 
+def _form_residual(p):
+    """The residual as form arithmetic on both built branches: the reference of the row residual."""
+    r = _swap_scale(p)
+    X1, X2, P1, P2 = build_branch_rep(p, "minus").forms()
+    Y1, Y2, Q1, Q2 = build_branch_rep(p, "plus").forms()
+    return max(form_distance(a, b) for a, b in [(X1, -r * Q2), (X2, r * Q1), (P1, Y2 / r), (P2, -Y1 / r)])
+
+
+def _outcome(f, p):
+    try:
+        return float.hex(f(p))
+    except (DomainError, DegenerateError) as exc:
+        return type(exc), str(exc)
+
+
+#: Magnitudes from the subnormals to the largest float; the signs are drawn apart.
+_duality_values = st.floats(0.0, 2.0) | st.floats(0.0, 1e-300) | st.floats(0.0, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(theta=_duality_values, eta=_duality_values, sign=st.sampled_from([1.0, -1.0]), on_domain=st.booleans())
+@example(theta=1.0, eta=1.0, sign=1.0, on_domain=False)  # the branches coincide
+@example(theta=1e-160, eta=1e160, sign=-1.0, on_domain=False)  # subnormal ratio
+@example(theta=5e-324, eta=0.5, sign=1.0, on_domain=False)  # product underflows: the plus row is refused
+@example(theta=1e300, eta=5e-324, sign=1.0, on_domain=False)  # plus shift overflows
+@example(theta=1e200, eta=1e-200, sign=1.0, on_domain=True)
+@example(theta=0.5, eta=-0.5, sign=1.0, on_domain=False)  # no swap map
+@example(theta=2.0, eta=2.0, sign=1.0, on_domain=False)  # theta*eta > 1
+def test_residual_matches_the_form_residual_bit_for_bit(theta, eta, sign, on_domain):
+    if on_domain and 0.0 < theta and math.isfinite(1.0 / theta):
+        eta = eta % 1.0 / theta  # lands the draw on 0 <= theta*eta < 1
+    p = NCParams(sign * theta, sign * eta)
+    assert _outcome(branch_transform_residual, p) == _outcome(_form_residual, p)
+
+
+def test_duality_pairs_are_the_built_forms_and_their_swap():
+    p = NCParams(-0.3, -2.0)
+    r = _swap_scale(p)
+    pairs = branch_transform_duality(p)
+    Y1, Y2, Q1, Q2 = build_branch_rep(p, "plus").forms()
+    want = zip(build_branch_rep(p, "minus").forms(), (-r * Q2, r * Q1, Y2 / r, -Y1 / r))
+    assert list(pairs) == ["X1", "X2", "P1", "P2"]
+    for (minus, mapped), (ref_minus, ref_mapped) in zip(pairs.values(), want):
+        assert dict(minus.terms) == dict(ref_minus.terms)
+        assert {v: float.hex(c) for v, c in mapped.terms.items()} == {v: float.hex(c) for v, c in ref_mapped.terms.items()}
+
+
 # --- commutative limit ----------------------------------------------------------
 
 
@@ -390,6 +445,25 @@ def test_commutative_limit_zero_scale_recorded_not_raised():
 def test_commutative_limit_asymmetric_ratio():
     report = check_commutative_limit((1e-3, 1e-5), NCParams(0.9, 0.1), (1e-3, 1e-5))
     assert report.overall
+
+
+@pytest.mark.parametrize("p0", [NCParams(0.9, 0.1), NCParams(-0.3, -2.0), NCParams(1e-3, 7.0)])
+def test_commutative_limit_distances_are_the_form_distances(p0):
+    scales = (1e-1, 1e-3, 1e-6, 0.0)
+    report = check_commutative_limit(scales, p0, (1.0,) * len(scales))
+    r = _swap_scale(p0)
+    targets = {"minus": (x1(), x2(), p1(), p2()), "plus": (-r * p2(), r * p1(), x2() / r, -x1() / r)}
+    for branch, target in targets.items():
+        want = []
+        for scale in scales:
+            try:
+                rep = build_branch_rep(NCParams(scale * p0.theta, scale * p0.eta), branch)
+            except (DomainError, DegenerateError):
+                want.append(None)
+                continue
+            want.append(float.hex(max(form_distance(f, t) for f, t in zip(rep.forms(), target))))
+        got = [None if d is None else float.hex(d) for d in report.meta[f"{branch}_distances"]]
+        assert got == want
 
 
 @pytest.mark.parametrize("tol", [-1e-9, math.inf, math.nan])
@@ -451,6 +525,25 @@ def test_unknown_branch_refused(build):
 def test_build_representation_refuses_an_unknown_family():
     with pytest.raises(ConfigError, match="unknown family 'bogus'"):
         build_representation(NCParams(0.5, 0.5), "bogus")
+
+
+def test_representation_init_builds_what_the_fields_say():
+    p = NCParams(0.5, 0.5)
+    rep = build_branch_rep(p, "plus", particle_id=2)
+    fields = dict(zip(("X1", "X2", "P1", "P2"), rep.forms()), family="branch", params=p, branch="plus", particle_id=2)
+    twin = Representation(**fields)
+    assert type(rep) is Representation
+    assert rep == twin and hash(rep) == hash(twin) and repr(rep) == repr(twin)
+    assert vars(rep) == vars(twin) == fields
+    assert repr(rep).startswith("Representation(X1=LinearForm(") and repr(rep).endswith(", branch='plus', particle_id=2)")
+    assert dataclasses.replace(rep, particle_id=3) == Representation(*rep.forms(), "branch", p, "plus", 3)
+    com = Representation(*rep.forms(), "simple", p, None, particle_id=None)
+    assert (com.branch, com.particle_id) == (None, None)
+    assert Representation(*rep.forms(), "simple", p) == dataclasses.replace(com, particle_id=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.branch = "minus"  # type: ignore[misc]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rep.X1
 
 
 def test_builders_refuse_a_negative_particle_id():

@@ -391,7 +391,8 @@ _duality_values = st.floats(0.0, 2.0) | st.floats(0.0, 1e-300) | st.floats(0.0, 
 @example(theta=1.0, eta=1.0, sign=1.0, on_domain=False)  # the branches coincide
 @example(theta=1e-160, eta=1e160, sign=-1.0, on_domain=False)  # subnormal ratio
 @example(theta=5e-324, eta=0.5, sign=1.0, on_domain=False)  # product underflows: the plus row is refused
-@example(theta=1e300, eta=5e-324, sign=1.0, on_domain=False)  # plus shift overflows
+@example(theta=0.1, eta=1e-309, sign=1.0, on_domain=False)  # the plus shift (1 + s)/eta overflows
+@example(theta=1e300, eta=5e-324, sign=1.0, on_domain=False)  # the ratio overflows
 @example(theta=1e200, eta=1e-200, sign=1.0, on_domain=True)
 @example(theta=0.5, eta=-0.5, sign=1.0, on_domain=False)  # no swap map
 @example(theta=2.0, eta=2.0, sign=1.0, on_domain=False)  # theta*eta > 1

@@ -231,12 +231,11 @@ def _expm(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     # The powers are taken before scaling, so that a sixth power past the
     # float range (omega = 1e100 at dt = 0.01) leaves inf in its slice.
     # Scaling by 2^-ks is exact above the subnormals, so they are still the
-    # scaled matrix's powers; with every s zero it is the identity and skipped.
+    # scaled matrix's powers.
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    if s.any():
-        a, a2, a4, a6 = (np.ldexp(p, -k * s[:, None, None]) for k, p in ((1, a), (2, a2), (4, a4), (6, a6)))
+    a, a2, a4, a6 = (np.ldexp(p, -k * s[:, None, None]) for k, p in ((1, a), (2, a2), (4, a4), (6, a6)))
     b = _PADE13
     ident = np.eye(a.shape[-1])
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
@@ -314,12 +313,9 @@ def evolve(
             raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
         # The scaling by 2^-s is exact only above the subnormals.  An entry
         # it rounds (the x2 shift beside the affine column of a 1e200 mass)
-        # is lost from the propagator, whose trajectory would be wrong.  With
-        # every s zero the round trip is the identity and is skipped: only a
-        # NaN then differs from itself.
+        # is lost from the propagator, whose trajectory would be wrong.
         s = s[:, None, None]
-        trip = np.ldexp(np.ldexp(drifts, -s), s) if s.any() else drifts
-        if (trip != drifts).any():
+        if (np.ldexp(np.ldexp(drifts, -s), s) != drifts).any():
             raise ConfigError(
                 f"the one-step propagator cannot resolve its drift at dt = {dt}: "
                 f"scaling by 2^-{s.max()} rounds its smallest entries"

@@ -117,7 +117,7 @@ class MassConditions:
         return self.alpha * self.gamma
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Representation:
     """Four linear forms realising the noncommutative algebra.
 
@@ -135,25 +135,11 @@ class Representation:
     branch: str | None = None
     particle_id: int | None = 0
 
-    def __init__(
-        self,
-        X1: LinearForm,
-        X2: LinearForm,
-        P1: LinearForm,
-        P2: LinearForm,
-        family: str,
-        params: NCParams,
-        branch: str | None = None,
-        particle_id: int | None = 0,
-    ) -> None:
-        if family not in FAMILIES:
-            raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
-        if branch is not None and branch not in BRANCHES:
-            raise ConfigError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-        # One update of the instance dict, as CheckRecord does: every build passes here.
-        self.__dict__.update(
-            X1=X1, X2=X2, P1=P1, P2=P2, family=family, params=params, branch=branch, particle_id=particle_id
-        )
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if self.branch is not None and self.branch not in BRANCHES:
+            raise ConfigError(f"unknown branch {self.branch!r}; expected one of {BRANCHES}")
 
     def forms(self) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
         return (self.X1, self.X2, self.P1, self.P2)

@@ -390,8 +390,7 @@ def test_drift_overflowing_at_dt_is_a_propagator_overflow():
 @pytest.mark.parametrize("field,index", [("quad", (2, 2)), ("quad", (0, 3)), ("linear", 1), ("linear", 3)])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_drift_holding_nan_or_inf_is_a_propagator_overflow(value, field, index, steps):
-    # Such a drift has every scale exponent 0, so evolve skips its scaling
-    # round trip; the refusal is the propagator's, as it was with the trip.
+    # Such a drift has every scale exponent 0; the propagator it gives is not finite.
     h = build_hamiltonian("uniform_gravity", build_representation(NCParams(0.3, 0.2), "branch"), g=1.0)
     entries = getattr(h, field).copy()
     entries[index] = value
@@ -399,12 +398,6 @@ def test_drift_holding_nan_or_inf_is_a_propagator_overflow(value, field, index, 
     with pytest.raises(ConfigError) as info:
         evolve(bad, [0.0, 0.0, 1.0, 0.0], t_end=steps * 0.01, dt=0.01)
     assert str(info.value) == "the one-step propagator overflows at dt = 0.01"
-
-
-def test_scaling_by_two_to_the_zero_is_the_identity():
-    # What lets expm and evolve skip their ldexp calls when every exponent is 0.
-    x = np.array([0.0, -0.0, 5e-324, -1e-310, 1.0, -3.5, 1e308, np.inf, -np.inf, np.nan])
-    assert np.ldexp(x, np.zeros(x.shape, dtype=int)).tobytes() == x.tobytes()
 
 
 def test_step_whose_scaling_rounds_an_entry_is_refused():

@@ -18,6 +18,7 @@ same terms whenever their coefficients match.
 
 from __future__ import annotations
 
+import functools
 import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -59,8 +60,14 @@ class CanonicalVar(_VarFields):
         return cls(*iterable)
 
     @classmethod
+    @functools.lru_cache(maxsize=16, typed=True)
     def _particle(cls, particle_id: int) -> tuple["CanonicalVar", "CanonicalVar", "CanonicalVar", "CanonicalVar"]:
-        """The x1, x2, p1, p2 variables of one particle, ``particle_id`` validated once."""
+        """The x1, x2, p1, p2 variables of one particle, ``particle_id`` validated once.
+
+        The tuple is built once per id and shared by every later build on
+        that particle.  A negative id raises on every call: ``lru_cache``
+        caches no exception.
+        """
         if particle_id < 0:
             cls(particle_id, "x1")  # raises the constructor's refusal
         new = tuple.__new__
@@ -94,18 +101,24 @@ class LinearForm:
         self._fill(clean)
 
     @classmethod
-    def _trusted(cls, terms: Mapping[CanonicalVar, float]) -> "LinearForm":
+    def _trusted(cls, terms: dict[CanonicalVar, float]) -> "LinearForm":
         """A form built without the key check; exact zeros are dropped.
 
         The caller guarantees ``CanonicalVar`` keys and Python ``float``
-        values, as arithmetic on existing forms does.
+        values, as arithmetic on existing forms does.  The form takes
+        ownership of ``terms``: unless it holds an exact zero, the dict
+        itself becomes the form's terms, so the caller passes a dict it has
+        just built and never touches it again.
         """
         form = object.__new__(cls)
         form._fill(terms)
         return form
 
-    def _fill(self, terms: Mapping[CanonicalVar, float]) -> None:
-        object.__setattr__(self, "_terms", {v: c for v, c in terms.items() if c != 0.0})
+    def _fill(self, terms: dict[CanonicalVar, float]) -> None:
+        # ``in`` matches +-0.0 (0.0 == -0.0) and never nan (nan != 0.0).
+        if 0.0 in terms.values():
+            terms = {v: c for v, c in terms.items() if c != 0.0}
+        object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LinearForm is immutable")

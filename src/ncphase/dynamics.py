@@ -321,13 +321,12 @@ def evolve(
                 f"scaling by 2^-{s.max()} rounds its smallest entries"
             )
 
-        # Each state carries a constant 1 in a fifth slot, and the last row of
-        # each P_j, e5 only up to rounding, is set to e5 exactly.  P_1 ...
-        # P_block stacked into one (5 * block, 5) matrix, times the state s_k,
-        # give s_{k+1} ... s_{k+block}: one contiguous slice of the system's
-        # rows.  The last block may run past row n; those rows are dropped.
-        props[:, :, 4, :4] = 0.0
-        props[:, :, 4, 4] = 1.0
+        # Each state carries a constant 1 in a fifth slot, which the last row
+        # of each P_j keeps: the drift's last row is zero, so that row is
+        # exactly e5.  P_1 ... P_block stacked into one (5 * block, 5)
+        # matrix, times the state s_k, give s_{k+1} ... s_{k+block}: one
+        # contiguous slice of the system's rows.  The last block may run past
+        # row n; those rows are dropped.
         step = props.reshape(m, 5 * block, 5)
         blocks = -(-n // block)
         states = np.empty((m, blocks * block + 1, 5))

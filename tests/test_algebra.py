@@ -19,8 +19,11 @@ from hypothesis import strategies as st
 
 from ncphase import (
     CanonicalVar,
+    CompositeSystem,
     ConfigError,
     LinearForm,
+    NCParams,
+    build_representation,
     commutator,
     form_distance,
     p1,
@@ -30,6 +33,7 @@ from ncphase import (
     x2,
 )
 from ncphase.algebra import KINDS, _exact_sum
+from ncphase.composite import com_rep_algebraic, com_rep_direct, com_simple_algebraic, com_simple_direct
 from test_composite import column_coeffs
 
 
@@ -263,6 +267,60 @@ def test_numpy_scalars_become_python_floats():
         assert all(type(c) is float for c in f.terms.values())
 
 
+def test_no_two_forms_share_a_term_dict():
+    # A form adopts the dict it is built from, so each builder and operator
+    # must hand over a fresh one.  The forms below stay alive together, so
+    # their dicts' ids are distinct exactly when no dict is shared.
+    a = x1() + 0.5 * p2() - 2.0 * x2(1)
+    b = LinearForm({CanonicalVar(0, "x1"): -1.0, CanonicalVar(1, "p1"): 3.0})
+    zero = x1() - x1()
+    forms = [a, b, zero, x1(), x1(), variable("p1", 2), LinearForm(b.terms)]
+    forms += [a + b, b + a, a + zero, zero + a, a - b, a - zero, zero - a, -a, -zero]
+    forms += [a * 2.0, 2.0 * a, a * 1.0, a * 0.0, a / 4.0, a / 1.0, zero * 3.0]
+    p = NCParams(0.3, 0.2)
+    for family, branch in (("branch", "minus"), ("branch", "plus"), ("simple", None), ("epsilon_general", None)):
+        for particle_id in (0, 0, 3):
+            forms += build_representation(p, family, branch, particle_id=particle_id).forms()
+    system = CompositeSystem([NCParams(0.3, 0.2, mass=1.0), NCParams(0.1, 0.4, mass=2.0)])
+    forms += com_rep_algebraic(system).forms() + com_simple_algebraic(system).forms()
+    forms += com_rep_direct(system) + com_simple_direct(system)
+    assert len({id(f._terms) for f in forms}) == len(forms)
+    # The dict a caller passes to the constructor stays the caller's.
+    given_terms = {CanonicalVar(0, "x2"): 1.5}
+    f = LinearForm(given_terms)
+    given_terms[CanonicalVar(0, "x2")] = 7.0
+    assert f.terms == {CanonicalVar(0, "x2"): 1.5}
+
+
+def test_trusted_forms_drop_exact_zeros_and_keep_their_key_order():
+    xs = [CanonicalVar(0, kind) for kind in KINDS]
+    for coeffs in ([1.0, 0.0, -2.0, 4.0], [2.0, -0.0, 1.0, 3.0], [-0.0, math.nan, 0.0, math.inf],
+                   [math.nan, -1.0, 2.0, 5e-324]):
+        terms = dict(zip(reversed(xs), coeffs))
+        want = [(v, c) for v, c in terms.items() if c != 0.0]
+        form = LinearForm._trusted(dict(terms))
+        got = list(form._terms.items())
+        assert [v for v, _ in got] == [v for v, _ in want]
+        assert [c.hex() for _, c in got] == [c.hex() for _, c in want]
+    # A dict without an exact zero becomes the form's terms as it is.
+    terms = {xs[2]: math.nan, xs[0]: -1.5}
+    assert LinearForm._trusted(terms)._terms is terms
+
+
+@given(linear_forms(), linear_forms(), coeffs)
+def test_arithmetic_keeps_the_key_order_of_its_terms(a, b, s):
+    # The order the dict comprehensions and the merge produce, zeros dropped.
+    def kept(pairs):
+        return [v for v, c in pairs if c != 0.0]
+
+    merged = dict(a.terms)
+    for v, c in b.terms.items():
+        merged[v] = merged.get(v, 0.0) + c
+    assert list((a + b).terms) == kept(merged.items())
+    assert list((-a).terms) == kept(a.terms.items())
+    assert list((a * s).terms) == kept((v, s * c) for v, c in a.terms.items())
+
+
 @given(linear_forms(), linear_forms(), linear_forms())
 def test_addition_associates_to_tolerance(a, b, c):
     assert form_distance((a + b) + c, a + (b + c)) <= 1e-14 * 30.0
@@ -391,9 +449,14 @@ def test_particle_variables_are_the_constructed_ones():
     assert all(type(v) is CanonicalVar for v in got)
     with pytest.raises(ConfigError) as direct:
         CanonicalVar(-1, "x1")
-    with pytest.raises(ConfigError) as batch:
-        CanonicalVar._particle(-1)
-    assert str(batch.value) == str(direct.value) == "particle_id must be nonnegative, got -1"
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ConfigError) as batch:
+            CanonicalVar._particle(-1)
+        assert str(batch.value) == str(direct.value) == "particle_id must be nonnegative, got -1"
+    # Built once per id and shared; an id keeps its own type.
+    assert CanonicalVar._particle(4) is got
+    assert [type(v.particle_id) for v in CanonicalVar._particle(True)] == [bool] * 4
+    assert [type(v.particle_id) for v in CanonicalVar._particle(1)] == [int] * 4
 
 
 # --- commutator edge semantics ---------------------------------------------

@@ -266,7 +266,7 @@ def test_evolve_matches_the_mpmath_oracle(kind, family, branch, mass):
 
 
 #: (kind, family, branch, mass) of the stacked systems.  The heavy mass under
-#: gravity has an expm whose last row is not exactly (0, 0, 0, 0, 1).
+#: gravity has the largest affine column, m*g = 196, which sets its expm scaling.
 STACKED_SYSTEMS = [
     ("uniform_gravity", "simple", None, 20.0),
     ("harmonic", "branch", "minus", 0.1),
@@ -274,6 +274,26 @@ STACKED_SYSTEMS = [
     ("free", "simple", None, 1.0),
     ("harmonic", "simple", None, 2.5),
 ]
+
+
+@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES + STACKED_SYSTEMS)
+def test_propagator_last_row_is_exactly_e5(kind, family, branch, mass):
+    # evolve relies on it to carry the constant 1 of each state's fifth slot:
+    # the augmented drift's last row is zero, so the solve and the squarings
+    # of the Padé expm keep the last row of each P_j at (0, 0, 0, 0, 1).
+    rep = build_representation(NCParams(0.3, 0.2, mass=mass), family, branch)
+    A, b = build_hamiltonian(kind, rep, g=9.8 if kind == "uniform_gravity" else 0.0, omega=0.7).drift()
+    e5 = np.eye(5)[4]
+    for dt in (1e-3, 0.02, 0.5, 10.0):
+        aug = np.zeros((5, 5))
+        aug[:4, :4], aug[:4, 4] = A * dt, b * dt
+        for block in (1, 5, 50, 64):
+            drifts = aug * np.arange(1.0, block + 1)[:, None, None]
+            with np.errstate(all="ignore"):
+                props = dynamics._expm(drifts, dynamics._scale_exponents(drifts))
+            finite = np.isfinite(props[:, :4]).all(axis=(1, 2))
+            assert finite.any()
+            assert (props[finite, 4] == e5).all()
 
 
 def _mixed_hamiltonians(m):
@@ -357,6 +377,16 @@ def test_expm_is_no_worse_than_scipy_against_mpmath():
             exact = np.array(mpmath.expm(mpmath.matrix(aug.tolist())).tolist(), dtype=float)
         worst = max(worst, float(np.abs(got - exact).max() / np.spacing(np.abs(exact).max())))
     assert worst <= SCIPY_EXPM_WORST_ULP
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 60])
+def test_scale_exponent_at_a_power_of_two_is_its_log2(k):
+    # ceil(log2(x)) at x = |A|_1 / theta_13 = 2^k exactly is k; one ulp above it, k + 1.
+    a = np.zeros((3, 5, 5))
+    a[0, 2, 0] = dynamics._THETA13 * 2.0**k
+    a[1, 2, 0] = np.nextafter(a[0, 2, 0], np.inf)
+    a[2, 2, 0], a[2, 3, 0] = dynamics._THETA13 * 2.0 ** (k - 1), -dynamics._THETA13 * 2.0 ** (k - 1)
+    assert dynamics._scale_exponents(a).tolist() == [k, k + 1, k]
 
 
 def test_stacked_expm_is_bitwise_each_single_call():
@@ -522,6 +552,17 @@ def test_nc_initial_state_singular_at_degenerate_params():
     rep = build_representation(NCParams(1.0, 1.0), "branch", "minus")
     h = build_hamiltonian("uniform_gravity", rep, g=1.0)
     with pytest.raises(SingularMapError):
+        nc_initial_state(h, (0.0, 0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("solved,refused", [(0.99e12, 1.01e12), (1 / 0.99e12, 1 / 1.01e12)])
+def test_nc_initial_state_refuses_a_condition_number_above_1e12(solved, refused):
+    # The map of a free mass in the identity representation is
+    # diag(1, 1, 1/m, 1/m), whose condition number is m or 1/m.
+    h = build_hamiltonian("free", identity_rep(solved))
+    assert nc_initial_state(h, (0.0, 0.0, 1.0, 0.0)) == pytest.approx([0.0, 0.0, solved, 0.0], rel=1e-15)
+    h = build_hamiltonian("free", identity_rep(refused))
+    with pytest.raises(SingularMapError, match=r"\(condition number 1\.01e\+12\)$"):
         nc_initial_state(h, (0.0, 0.0, 1.0, 0.0))
 
 

@@ -64,9 +64,9 @@ class CanonicalVar(_VarFields):
     def _particle(cls, particle_id: int) -> tuple["CanonicalVar", "CanonicalVar", "CanonicalVar", "CanonicalVar"]:
         """The x1, x2, p1, p2 variables of one particle, ``particle_id`` validated once.
 
-        The tuple is built once per id and shared by every later build on
-        that particle.  A negative id raises on every call: ``lru_cache``
-        caches no exception.
+        The tuples of the 16 most recently used ids are kept, so repeated
+        builds on one particle share its four variables.  A negative id
+        raises on every call: ``lru_cache`` caches no exception.
         """
         if particle_id < 0:
             cls(particle_id, "x1")  # raises the constructor's refusal

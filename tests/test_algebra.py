@@ -298,8 +298,7 @@ def test_trusted_forms_drop_exact_zeros_and_keep_their_key_order():
                    [math.nan, -1.0, 2.0, 5e-324]):
         terms = dict(zip(reversed(xs), coeffs))
         want = [(v, c) for v, c in terms.items() if c != 0.0]
-        form = LinearForm._trusted(dict(terms))
-        got = list(form._terms.items())
+        got = list(LinearForm._trusted(dict(terms))._terms.items())
         assert [v for v, _ in got] == [v for v, _ in want]
         assert [c.hex() for _, c in got] == [c.hex() for _, c in want]
     # A dict without an exact zero becomes the form's terms as it is.

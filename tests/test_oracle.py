@@ -15,10 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from ncphase import CompositeSystem, MassConditions, NCParams, build_branch_rep
+from ncphase import CompositeSystem, MassConditions, NCParams, build_branch_rep, build_representation
 from ncphase.algebra import CanonicalVar
 from ncphase.composite import effective_params
-from ncphase.representation import primed_params
+from ncphase.dynamics import wep_trajectories
+from ncphase.representation import params_from_conditions, primed_params
 
 mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf
@@ -120,3 +121,60 @@ def test_effective_params_are_correctly_rounded():
             eta_sum = mpmath.fsum(mpf(a.eta) for a in system.particles)
             for got, exact in ((theta_eff, num / M**2), (eta_eff, eta_sum)):
                 assert ulps(got, exact) <= 0.5 * (1 + 1e-20), (trial, got)
+
+
+# --- free fall against the paper's closed form ------------------------------------
+#
+# With [X1, X2] = theta, [P1, P2] = eta, [Xi, Pi] = d (d = 1 for the branch
+# family, 1 + alpha*gamma/4 for the simple one), H = P^2/(2m) + m*g*X2 and
+# the conditions theta = gamma/m, eta = alpha*m, the velocity V = P/m obeys
+# dV1/dt = alpha*V2, dV2/dt = -alpha*V1 - d*g, and dX/dt = d*V + (gamma*g, 0).
+# So V - V* turns at rate alpha about V* = (-d*g/alpha, 0), X is its
+# integral, and no mass appears.  alpha = 0 (a parabola) is left out.
+
+#: (gamma, alpha, (X1, X2, dX1/dt, dX2/dt) at t = 0, g, t_end, dt); criterion 9's settings first.
+FREE_FALL_CASES = [
+    (0.01, 0.01, (0.0, 0.0, 1.0, 0.0), 1.0, 10.0, 0.01),
+    (0.3, 0.2, (0.0, 0.0, 1.0, 0.0), 1.0, 10.0, 0.01),
+    (0.3, 0.2, (0.2, 0.1, 1.0, -0.5), 2.0, 10.0, 0.01),
+    (-0.5, -0.4, (0.2, 0.1, 1.0, -0.5), 1.0, 10.0, 0.01),  # both negative: the plus branch exists
+    (0.3, -0.2, (0.2, 0.1, 1.0, -0.5), 1.0, 10.0, 0.01),  # alpha*gamma < 0: no plus branch
+    (1.5, 0.5, (0.0, 1.0, 0.3, 0.7), 0.5, 10.0, 0.05),
+]
+FREE_FALL_MASSES = (1e-3, 0.1, 1.0, 2.0, 50.0, 1e3)
+#: Largest |X - X_exact| over every 50th step, in units of the case's largest
+#: |X_exact|.  Measured over these cases: at most 1.9e-13 (plus branch,
+#: m = 1e3), 3.5e-14 absolute at m = 1.  Masses 1e5 and above read 8.8e-13
+#: or more: the propagator's error grows with mass, so they wait for it to
+#: be balanced and are not given a looser bound.
+FREE_FALL_BOUND = 4e-13
+
+
+def _free_fall(gamma: float, alpha: float, d, g: float, data, t: float) -> tuple:
+    """(X1, X2) at time t of the mass-free closed form, in the working precision."""
+    X10, X20, U1, U2 = map(mpf, data)
+    gamma, alpha, g, t = mpf(gamma), mpf(alpha), mpf(g), mpf(t)
+    W1, W2 = (U1 - gamma * g) / d + d * g / alpha, U2 / d  # V(0) - V*
+    s, c = mpmath.sin(alpha * t), mpmath.cos(alpha * t)
+    I1, I2 = (W1 * s + W2 * (1 - c)) / alpha, (W1 * (c - 1) + W2 * s) / alpha  # integral of V - V*
+    return X10 + d * I1 + (gamma - d * d / alpha) * g * t, X20 + d * I2
+
+
+@pytest.mark.parametrize(
+    "family,branch,gamma,alpha,data,g,t_end,dt",
+    [(family, branch, *case) for case in FREE_FALL_CASES
+     for family, branch in [("branch", "minus"), ("branch", "plus"), ("simple", None)]
+     if branch != "plus" or case[0] * case[1] > 0],  # the plus branch needs alpha*gamma > 0
+)
+def test_free_fall_matches_the_closed_form_at_every_mass(family, branch, gamma, alpha, data, g, t_end, dt):
+    c = MassConditions(gamma, alpha)
+    reps = [build_representation(params_from_conditions(c, m), family, branch) for m in FREE_FALL_MASSES]
+    runs = wep_trajectories(reps, data, g, t_end, dt)
+    samples = range(0, len(runs[0][1].times), 50)
+    with mpmath.workdps(40):
+        d = 1 + mpf(alpha) * mpf(gamma) / 4 if family == "simple" else mpf(1)
+        want = [_free_fall(gamma, alpha, d, g, data, runs[0][1].times[i]) for i in samples]
+        scale = max(abs(x) for point in want for x in point)
+        for m, (_, traj) in zip(FREE_FALL_MASSES, runs):
+            err = max(abs(mpf(traj.nc_observables[i, k]) - point[k]) for i, point in zip(samples, want) for k in (0, 1))
+            assert err <= FREE_FALL_BOUND * scale, (m, float(err / scale))

@@ -16,6 +16,7 @@ from ncphase import (
     ConfigError,
     DegenerateError,
     DomainError,
+    LinearForm,
     MassConditions,
     NCParams,
     Representation,
@@ -45,6 +46,7 @@ from ncphase.representation import (
     _swap_scale,
     branch_transform_duality,
     check_branch_transform,
+    random_param_batch,
 )
 
 # Frozen reference values, recomputed with 50-digit arithmetic (mpmath)
@@ -436,16 +438,41 @@ def test_commutative_limit_documented_scales():
 
 def test_commutative_limit_zero_scale_recorded_not_raised():
     report = check_commutative_limit((1e-2, 0.0), NCParams(0.5, 0.5), (1e-2, 1e-6))
-    rec = report.record("limit.plus.scale=0")
+    rec = report.record("limit.plus.scale=0.0")
     assert not rec.passed
     assert "DegenerateError" in rec.detail
-    assert report.record("limit.minus.scale=0").passed  # identity exactly
+    assert report.record("limit.minus.scale=0.0").passed  # identity exactly
     assert not report.record("limit.plus.monotone").passed
 
 
 def test_commutative_limit_asymmetric_ratio():
     report = check_commutative_limit((1e-3, 1e-5), NCParams(0.9, 0.1), (1e-3, 1e-5))
     assert report.overall
+
+
+def test_commutative_limit_names_scales_that_print_alike_apart():
+    # Both scales print as 0.01 under "g"; each check needs a name of its own.
+    scales = (1.000001e-2, 1e-2)
+    report = check_commutative_limit(scales, NCParams(0.5, 0.5), (1e-2, 1e-2))
+    for branch in ("minus", "plus"):
+        names = [f"limit.{branch}.scale={scale!r}" for scale in scales]
+        assert len({c.name for c in report.checks if c.name in names}) == 2
+        measured = [report.record(name).measured for name in names]
+        assert measured == report.meta[f"{branch}_distances"]
+        assert measured[0] > measured[1]
+
+
+def test_commutative_limit_and_duality_residual_build_no_form(monkeypatch):
+    def no_form(*args, **kwargs):
+        raise AssertionError("built a LinearForm")
+
+    monkeypatch.setattr(LinearForm, "__init__", no_form)
+    monkeypatch.setattr(LinearForm, "_trusted", no_form)
+    p0 = NCParams(0.4, 0.3)
+    report = check_commutative_limit([1e-2, 1e-4, 0.0], p0, [1e-2, 1e-4, 1e-6])
+    assert report.record("limit.minus.scale=0.0").passed
+    assert "DegenerateError" in report.record("limit.plus.scale=0.0").detail
+    assert branch_transform_residual(p0) <= DEFAULT_TOL
 
 
 @pytest.mark.parametrize("p0", [NCParams(0.9, 0.1), NCParams(-0.3, -2.0), NCParams(1e-3, 7.0)])
@@ -677,6 +704,30 @@ def test_random_closure_spot_check():
         assert verify_nc_algebra(build_branch_rep(p, "minus")).overall
         if product > 0:
             assert verify_nc_algebra(build_branch_rep(p, "plus")).overall
+
+
+class _ScriptedGenerator:
+    """A stand-in for numpy's generator: ``uniform`` returns scripted draws and logs its bounds."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.calls = []
+
+    def uniform(self, *bounds):
+        self.calls.append(bounds)
+        return self.draws.pop(0)
+
+
+def test_random_param_batch_skips_a_zero_product_after_one_draw(monkeypatch):
+    # A zero product, then (product, log-ratio, coin) for a positive and a negative product.
+    rng = _ScriptedGenerator([0.0, 0.25, 0.0, 0.1, -0.5, 0.0, 0.9])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)
+    batch = random_param_batch(2, seed=0)
+    product, ratio, coin = (-5.0, 1.0), (np.log(0.1), np.log(10.0)), ()
+    assert rng.calls == [product, product, ratio, coin, product, ratio, coin]
+    assert not rng.draws
+    half = math.sqrt(0.5)
+    assert [(q.theta, q.eta) for q in batch] == [(0.5, 0.5), (-half, half)]
 
 
 # --- builders against the operator expressions they replaced ----------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import chain
-from operator import mul, neg, sub
+from operator import mul, neg
 from typing import Callable, Iterable, Sequence
 
 from .algebra import _PAIRS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum
@@ -40,6 +40,7 @@ from .representation import (
     MassConditions,
     NCParams,
     Representation,
+    _coeff_distance,
     _commutator_checks,
     _diagonal,
     _shift_coeffs,
@@ -50,7 +51,7 @@ from .representation import (
 
 #: One centre-of-mass form: each kind it uses, in its term order, mapped to
 #: one coefficient per particle in particle order.
-_Columns = dict[str, list[float]]
+_Columns = dict[str, Sequence[float]]
 
 
 class CompositeSystem:
@@ -150,11 +151,11 @@ class CompositeSystem:
 
 def com_canonical(system: CompositeSystem) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Mass-weighted coordinates and total momenta (xc1, xc2, pc1, pc2): the algebraic route of the identity row."""
-    return _forms(_route_columns(system, [(1.0, 0.0, 0.0, 0.0, 0.0)] * len(system), direct=False), system, by_kind=True)
+    return _forms(_algebraic_columns(system, _shift_terms(1.0, 0.0, 0.0)), system, by_kind=True)
 
 
-def _route_columns(system: CompositeSystem, rows: Sequence[tuple[float, ...]], direct: bool) -> tuple[_Columns, ...]:
-    """The column forms X1, X2, P1, P2 of one shift row (k, k*-c, k*c, k*m, k*-m) per particle.
+def _route_columns(system: CompositeSystem, columns: Iterable[Sequence[float]], direct: bool) -> tuple[_Columns, ...]:
+    """The column forms X1, X2, P1, P2 of the shift rows' columns a, ..., h, laid out as in ``_coeff_forms``.
 
     Both routes weight by m_a/M and differ only in where.  The direct route
     mass-averages each particle's own map, so m_a/M weights the coordinate
@@ -164,24 +165,28 @@ def _route_columns(system: CompositeSystem, rows: Sequence[tuple[float, ...]], d
     """
     M = system.total_mass
     w = [m / M for m in system.masses]
-    k, k_mc, k_c, k_m, k_mm = (list(col) for col in zip(*rows))
-    wk = list(map(mul, w, k))
+    a, b, c, d, e, f, g, h = columns
 
-    def weighted(col: list[float], weigh: bool) -> list[float]:
+    def weighted(col: Sequence[float], weigh: bool = True) -> Sequence[float]:
         return list(map(mul, w, col)) if weigh else col
 
     return (
-        {"x1": wk, "p2": weighted(k_mc, direct)},
-        {"x2": wk, "p1": weighted(k_c, direct)},
-        {"p1": k, "x2": weighted(k_m, not direct)},
-        {"p2": k, "x1": weighted(k_mm, not direct)},
+        {"x1": weighted(a), "p2": weighted(b, direct)},
+        {"x2": weighted(c), "p1": weighted(d, direct)},
+        {"p1": e, "x2": weighted(f, not direct)},
+        {"p2": g, "x1": weighted(h, not direct)},
     )
+
+
+def _algebraic_columns(system: CompositeSystem, row: Sequence[float]) -> tuple[_Columns, ...]:
+    """The algebraic route: the effective pair's ``row`` repeated for every particle."""
+    return _route_columns(system, [[v] * len(system) for v in row], direct=False)
 
 
 def _direct(system: CompositeSystem, family: str, branch: str | None) -> tuple[_Columns, ...]:
     """The direct route: each particle's own shift row, read in particle order, so the first refused map raises."""
     rows = [_shift_terms(*_shift_coeffs(t, e, family, branch)) for t, e in zip(system.thetas, system.etas)]
-    return _route_columns(system, rows, direct=True)
+    return _route_columns(system, zip(*rows), direct=True)
 
 
 def _forms(columns: Sequence[_Columns], system: CompositeSystem, by_kind: bool) -> tuple[LinearForm, ...]:
@@ -214,18 +219,6 @@ def _column_commutator(a: _Columns, b: _Columns) -> float:
     return _exact_sum(products)
 
 
-def _distance(a: _Columns, b: _Columns) -> float:
-    """``form_distance`` of two column forms: the largest coefficient difference, 0.0 for a missing kind."""
-    dist = 0.0
-    for kind in a.keys() | b.keys():
-        if kind in a and kind in b:
-            diffs = map(sub, a[kind], b[kind])
-        else:
-            diffs = a[kind] if kind in a else b[kind]
-        dist = max(dist, max(map(abs, diffs)))
-    return dist
-
-
 def effective_params(system: CompositeSystem) -> tuple[float, float]:
     """(theta_eff, eta_eff) seen by the centre of mass.
 
@@ -253,8 +246,8 @@ def com_params(system: CompositeSystem) -> NCParams:
 
 def _algebraic(system: CompositeSystem, family: str, branch: str | None) -> Representation:
     p = com_params(system)
-    rows = [_shift_terms(*_shift_coeffs(p.theta, p.eta, family, branch))] * len(system)
-    forms = _forms(_route_columns(system, rows, direct=False), system, by_kind=True)
+    row = _shift_terms(*_shift_coeffs(p.theta, p.eta, family, branch))
+    forms = _forms(_algebraic_columns(system, row), system, by_kind=True)
     return Representation(*forms, family, p, read_branch(family, branch), particle_id=None)
 
 
@@ -294,10 +287,11 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
     """Coefficient-wise comparison of a family's two routes, over their columns."""
     p = com_params(system)
     row = _shift_terms(*_shift_coeffs(p.theta, p.eta, family, branch))
-    algebraic = _route_columns(system, [row] * len(system), direct=False)
-    routes = {"algebraic": algebraic, "direct": _direct(system, family, branch)}
+    routes = {"algebraic": _algebraic_columns(system, row), "direct": _direct(system, family, branch)}
+    # Both routes hold the same kinds in the same order, so a form's distance
+    # is the largest gap between its matching columns.
     checks = [
-        CheckRecord.within(f"routes.{name}", 0.0, _distance(alg, dir_), tol)
+        CheckRecord.within(f"routes.{name}", 0.0, max(map(_coeff_distance, alg.values(), dir_.values())), tol)
         for name, alg, dir_ in zip(Representation.form_names(), *routes.values())
     ]
     # Both routes must reproduce their commutator tables regardless of
@@ -313,10 +307,10 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
     for label, columns in routes.items():
         table = (p.theta, p.eta, _diagonal(family, products[label]))
         checks += _commutator_checks(columns, _column_commutator, table, tol, f"table.{label}.")
-    # Coefficient of xc2 inside P1c for the algebraic route, k*m of the
-    # effective row; grows linearly with the total mass under shared
-    # conditions.  An exact zero reads +0.0, as an absent term does.
-    coeff = row[3] + 0.0
+    # Coefficient of xc2 inside P1c for the algebraic route: slot f (P1's x2,
+    # k*m) of the effective row; grows linearly with the total mass under
+    # shared conditions.  An exact zero reads +0.0, as an absent term does.
+    coeff = row[5] + 0.0
     if not math.isfinite(coeff / M):
         raise DomainError("the momentum-coordinate coefficient over the total mass overflows the float range")
     meta = {

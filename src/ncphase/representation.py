@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .algebra import CanonicalVar, LinearForm, check_tolerance, commutator
@@ -249,28 +250,19 @@ def _epsilon_coeffs(theta_prime: float, eta_prime: float) -> tuple[float, float,
     return epsilon_factor(theta_prime, eta_prime), 0.5 * theta_prime, 0.5 * eta_prime
 
 
-def _shift_terms(k: float, c: float, m: float) -> tuple[float, float, float, float, float]:
-    """(k, k*-c, k*c, k*m, k*-m): every coefficient of the shift map, refused unless finite.
+def _shift_terms(k: float, c: float, m: float) -> tuple[float, ...]:
+    """(k, k*-c, k, k*c, k, k*m, k, k*-m): the shift map's coefficients, laid out as in :func:`_coeff_forms`.
 
-    A numpy scalar parameter is converted, so it stays out of the forms.
+    The forms are X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2),
+    P2 = k*(p2 - m*x1).  Each coefficient is the one product the chained
+    ``LinearForm`` expression rounds, refused unless finite.  A numpy scalar
+    parameter is converted, so it stays out of the forms.
     """
     k, c, m = float(k), float(c), float(m)
     kc, km = k * c, k * m
     if not (-math.inf < k < math.inf and -math.inf < kc < math.inf and -math.inf < km < math.inf):
         raise DomainError(f"representation coefficients are not finite: k = {k}, k*c = {kc}, k*m = {km}")
-    return k, -kc, kc, km, -km
-
-
-def _row_coeffs(row: tuple[float, float, float, float, float]) -> tuple[float, ...]:
-    """The eight coefficients of a shift row's forms, in the layout of :func:`_coeff_forms`.
-
-    The forms are X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2),
-    P2 = k*(p2 - m*x1), with prefactor k and coordinate and momentum shifts
-    c and m.  Each coefficient is the one product k or k*(+-shift), as the
-    chained ``LinearForm`` expression rounds them.
-    """
-    k, k_mc, k_c, k_m, k_mm = row
-    return k, k_mc, k, k_c, k, k_m, k, k_mm
+    return k, -kc, k, kc, k, km, k, -km
 
 
 def _coeff_forms(particle_id: int, coeffs: Sequence[float]) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
@@ -288,17 +280,16 @@ def _coeff_forms(particle_id: int, coeffs: Sequence[float]) -> tuple[LinearForm,
     )
 
 
-def _swap_row(row: tuple[float, float, float, float, float], r: float) -> tuple[float, ...]:
-    """The swap map (X1, X2, P1, P2) -> (-r*P2, r*P1, X2/r, -X1/r) of a shift row's forms.
+def _swap_row(row: Sequence[float], r: float) -> tuple[float, ...]:
+    """The swap map (X1, X2, P1, P2) -> (-r*P2, r*P1, X2/r, -X1/r) of a row's forms.
 
-    Returns the image's eight coefficients in the layout of
-    :func:`_coeff_forms`, each the one product the ``LinearForm``
-    expression rounds.  On the identity row (1, 0, 0, 0, 0) it is the plus
-    branch's commutative limit.
+    Both ``row`` and the image are laid out as in :func:`_coeff_forms`; each
+    image coefficient is the one product the ``LinearForm`` expression
+    rounds.  On the identity row it is the plus branch's commutative limit.
     """
-    k, k_mc, k_c, k_m, k_mm = row
+    a, b, c, d, e, f, g, h = row
     q = 1.0 / r
-    return -r * k_mm, -r * k, r * k_m, r * k, q * k_c, q * k, -q * k_mc, -q * k
+    return -r * h, -r * g, r * f, r * e, q * d, q * c, -q * b, -q * a
 
 
 def read_branch(family: str, branch: str | None) -> str | None:
@@ -311,7 +302,7 @@ def _shift_rep(
 ) -> Representation:
     """The representation of a shift triple, by default the family's own, recording the branch it read."""
     row = _shift_terms(*(_shift_coeffs(p.theta, p.eta, family, branch) if coeffs is None else coeffs))
-    forms = _coeff_forms(particle_id, _row_coeffs(row))
+    forms = _coeff_forms(particle_id, row)
     return Representation(*forms, family, p, read_branch(family, branch), particle_id)
 
 
@@ -467,7 +458,7 @@ def branch_transform_residual(p: NCParams) -> float:
 
 def _coeff_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Largest gap of two coefficient tuples laid out as in :func:`_coeff_forms`: their forms' distance."""
-    return max(abs(x - y) for x, y in zip(a, b))
+    return max(map(abs, map(sub, a, b)))
 
 
 def _duality_coeffs(p: NCParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -478,8 +469,7 @@ def _duality_coeffs(p: NCParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """
     r = _swap_scale(p)
     minus = _shift_terms(*_shift_coeffs(p.theta, p.eta, "branch", "minus"))
-    plus = _shift_terms(*_shift_coeffs(p.theta, p.eta, "branch", "plus"))
-    return _row_coeffs(minus), _swap_row(plus, r)
+    return minus, _swap_row(_shift_terms(*_shift_coeffs(p.theta, p.eta, "branch", "plus")), r)
 
 
 def check_branch_transform(p: NCParams, tol: float = DEFAULT_TOL) -> bool:
@@ -528,7 +518,7 @@ def check_commutative_limit(
         check_tolerance(tol)
     r = _swap_scale(p0)
     identity = _shift_terms(1.0, 0.0, 0.0)
-    targets = {"minus": _row_coeffs(identity), "plus": _swap_row(identity, r)}
+    targets = {"minus": identity, "plus": _swap_row(identity, r)}
     checks: list[CheckRecord] = []
     distances: dict[str, list[float | None]] = {"minus": [], "plus": []}
     for scale, tol in zip(scales, tols):
@@ -550,7 +540,7 @@ def check_commutative_limit(
                     )
                 )
                 continue
-            dist = _coeff_distance(_row_coeffs(row), target)
+            dist = _coeff_distance(row, target)
             distances[branch].append(dist)
             checks.append(CheckRecord.within(name, 0.0, dist, tol))
     for branch, seq in distances.items():

@@ -15,6 +15,7 @@ from ncphase import (
     CanonicalVar,
     CompositeSystem,
     ConfigError,
+    DegenerateError,
     DomainError,
     MassConditions,
     NCParams,
@@ -34,7 +35,6 @@ from ncphase import (
 )
 from ncphase.composite import (
     _column_commutator,
-    _distance,
     com_params,
     com_rep_algebraic,
     com_rep_direct,
@@ -598,4 +598,41 @@ def test_column_primitives_equal_the_form_primitives_bit_for_bit(data):
     fa, fb = _as_form(a), _as_form(b)
     assert _column_commutator(ca, cb).hex() == commutator(fa, fb).hex()
     assert _column_commutator(cb, ca).hex() == commutator(fb, fa).hex()
-    assert _distance(ca, cb) == form_distance(fa, fb)
+
+
+#: A magnitude across e^-5 .. e^5, of either sign.
+signed_scales = st.builds(lambda sign, x: sign * math.exp(x), st.sampled_from([1.0, -1.0]), st.floats(-5.0, 5.0))
+#: Per family: its comparison, its algebraic route and its direct route.
+ROUTE_FAMILIES = {
+    branch: (
+        lambda s, b=branch: compare_com_reps(s, b),
+        lambda s, b=branch: com_rep_algebraic(s, b),
+        lambda s, b=branch: com_rep_direct(s, b),
+    )
+    for branch in ("minus", "plus")
+}
+ROUTE_FAMILIES["simple"] = (compare_com_simple, com_simple_algebraic, com_simple_direct)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(ROUTE_FAMILIES)),
+    st.booleans(),
+    signed_scales,
+    signed_scales,
+    st.lists(st.floats(-5.0, 5.0).map(math.exp), min_size=1, max_size=8),
+)
+def test_route_distances_are_the_form_distances_of_the_routes(family, tied, u, v, masses):
+    # Under conditions (gamma, alpha) = (u, v), else every particle carries (theta, eta) = (u, v).
+    compare, algebraic, direct = ROUTE_FAMILIES[family]
+    try:
+        if tied:
+            system = CompositeSystem.from_conditions(MassConditions(gamma=u, alpha=v), masses)
+        else:
+            system = CompositeSystem.from_params(masses, [u] * len(masses), [v] * len(masses))
+        report = compare(system)
+    except (DomainError, DegenerateError):
+        return  # no such system, or no such route
+    pairs = zip(algebraic(system).forms(), direct(system))
+    for name, (alg, dir_) in zip(("X1", "X2", "P1", "P2"), pairs):
+        assert report.record(f"routes.{name}").measured.hex() == form_distance(alg, dir_).hex()

@@ -12,18 +12,27 @@ symbolic theta and eta, not sampled:
   as k^2, which holds the same fact without nested roots;
 * the branch swap map (X1, X2, P1, P2) -> (-r*P2, r*P1, X2/r, -X1/r),
   r = sign(theta)*sqrt(theta/eta), carries the plus branch's shift row onto
-  the minus branch's, coefficient by coefficient, for 0 < theta*eta <= 1.
+  the minus branch's, coefficient by coefficient, for 0 < theta*eta <= 1;
+* the eight coefficients a, ..., h of each family's shift row give its
+  commutator table exactly: (theta, eta, 1) on both branches,
+  (theta, eta, 1 + theta*eta/4) for the simple family and
+  (eps^2*theta', eps^2*eta', 1) for the scaled shift;
+* under theta_a = gamma/m_a and eta_a = alpha*m_a the algebraic and direct
+  centre-of-mass routes have equal columns, entry by entry, for N = 2 and
+  3 symbolic masses.
 
 A few float points tie each restatement to the code it restates.
 """
 
 from __future__ import annotations
 
+import mpmath
 import pytest
 import sympy as sp
 
-from ncphase import NCParams, primed_params
-from ncphase.representation import _row_coeffs, _shift_coeffs, _shift_terms, _swap_row, _swap_scale
+from ncphase import CompositeSystem, MassConditions, NCParams, commutator, primed_params
+from ncphase.composite import com_rep_algebraic, com_rep_direct, com_simple_algebraic, com_simple_direct
+from ncphase.representation import _coeff_forms, _epsilon_coeffs, _shift_coeffs, _shift_terms, _swap_row, _swap_scale
 
 THETA, ETA = sp.symbols("theta eta", real=True)
 S = sp.sqrt(1 - THETA * ETA)
@@ -33,10 +42,11 @@ PRIMED = {
     "minus": (2 * THETA / (1 + S), 2 * ETA / (1 + S)),
     "plus": (2 / ETA * (1 + S), 2 / THETA * (1 + S)),
 }
-#: (k^2, c, m) of each branch's shift map, as ``_shift_coeffs`` computes them.
+#: (k^2, c, m) of each branch's shift map and of the simple family's, as ``_shift_coeffs`` computes them.
 SHIFT = {
     "minus": ((1 + S) / 2, THETA / (1 + S), ETA / (1 + S)),
     "plus": (THETA * ETA / (2 * (1 + S)), (1 + S) / ETA, (1 + S) / THETA),
+    "simple": (1, THETA / 2, ETA / 2),
 }
 #: (theta, eta) points inside each branch's domain: minus theta*eta < 1, plus 0 < theta*eta <= 1.
 POINTS = {
@@ -78,25 +88,19 @@ def test_epsilon_shift_of_the_primed_pair_is_the_branch_shift(branch):
 
 
 def _row(k2, c, m):
-    """(k, k*-c, k*c, k*m, k*-m) of a (k^2, c, m) triple, as ``_shift_terms`` lays it out."""
+    """(k, k*-c, k, k*c, k, k*m, k, k*-m) of a (k^2, c, m) triple, as ``_shift_terms`` lays them out."""
     k = sp.sqrt(k2)
-    return (k, -k * c, k * c, k * m, -k * m)
-
-
-def _eight(row):
-    """The eight coefficients of a row's forms, as ``_row_coeffs`` lays them out."""
-    k, k_mc, k_c, k_m, k_mm = row
-    return (k, k_mc, k, k_c, k, k_m, k, k_mm)
+    return (k, -k * c, k, k * c, k, k * m, k, -k * m)
 
 
 def _swap(row, r):
     """(X1, X2, P1, P2) -> (-r*P2, r*P1, X2/r, -X1/r) on a row's forms, as ``_swap_row`` lays it out."""
-    k, k_mc, k_c, k_m, k_mm = row
-    return (-r * k_mm, -r * k, r * k_m, r * k, k_c / r, k / r, -k_mc / r, -k / r)
+    a, b, c, d, e, f, g, h = row
+    return (-r * h, -r * g, r * f, r * e, d / r, c / r, -b / r, -a / r)
 
 
 #: The minus row's coefficients, and the swap map's image of the plus row.
-MINUS_EIGHT = _eight(_row(*SHIFT["minus"]))
+MINUS_EIGHT = _row(*SHIFT["minus"])
 SWAPPED_PLUS = _swap(_row(*SHIFT["plus"]), sp.sign(THETA) * sp.sqrt(THETA / ETA))
 
 
@@ -114,7 +118,136 @@ def test_swap_map_carries_the_plus_row_onto_the_minus_row(sign):
         assert _is_zero(sp.factor((got - want).xreplace({S: s}).subs(point), deep=True))
     for theta, eta in (pt for pt in POINTS["plus"] if pt[0] * sign > 0):
         r = _swap_scale(NCParams(theta, eta))
-        minus = _row_coeffs(_shift_terms(*_shift_coeffs(theta, eta, "branch", "minus")))
+        minus = _shift_terms(*_shift_coeffs(theta, eta, "branch", "minus"))
         swapped = _swap_row(_shift_terms(*_shift_coeffs(theta, eta, "branch", "plus")), r)
         assert minus == pytest.approx([_at(e, theta, eta) for e in MINUS_EIGHT], rel=1e-15, abs=0.0)
         assert swapped == pytest.approx([_at(e, theta, eta) for e in SWAPPED_PLUS], rel=1e-15, abs=0.0)
+
+
+# --- the commutator table of the eight coefficients ---------------------------------
+
+#: The slots a, ..., h of each form, in the layout of ``_coeff_forms``:
+#: X1 = a*x1 + b*p2, X2 = c*x2 + d*p1, P1 = e*p1 + f*x2, P2 = g*p2 + h*x1.
+LAYOUT = ({"x1": 0, "p2": 1}, {"x2": 2, "p1": 3}, {"p1": 4, "x2": 5}, {"p2": 6, "x1": 7})
+#: The six independent commutators, as ``_commutator_checks`` orders them.
+PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+
+
+def _commutator(u: dict, v: dict):
+    """[u, v]/(i*hbar) of two forms given as kind -> coefficient: [xi, pj] = delta_ij, all else commutes."""
+    return sum(u.get("x" + i, 0) * v.get("p" + i, 0) - u.get("p" + i, 0) * v.get("x" + i, 0) for i in "12")
+
+
+def _table(coeffs) -> list:
+    """The six commutators of the forms of eight coefficients, in the order of ``PAIRS``."""
+    forms = [{kind: coeffs[slot] for kind, slot in form.items()} for form in LAYOUT]
+    return [_commutator(forms[i], forms[j]) for i, j in PAIRS]
+
+
+TP, EP = sp.symbols("theta_p eta_p", real=True)
+EPS2 = 1 / (1 + TP * EP / 4)
+#: Per family: its (theta, eta)-like symbols, its (k^2, c, m), its
+#: (coordinate, momentum, diagonal) table, the code's (k, c, m) at a float
+#: point, and points where the row is real.
+FAMILIES = {
+    "minus": (
+        (THETA, ETA), SHIFT["minus"], (THETA, ETA, 1),
+        lambda x, y: _shift_coeffs(x, y, "branch", "minus"), POINTS["minus"],
+    ),
+    "plus": (
+        (THETA, ETA), SHIFT["plus"], (THETA, ETA, 1),
+        lambda x, y: _shift_coeffs(x, y, "branch", "plus"), POINTS["plus"],
+    ),
+    "simple": (
+        (THETA, ETA), SHIFT["simple"], (THETA, ETA, 1 + THETA * ETA / 4),
+        lambda x, y: _shift_coeffs(x, y, "simple", None), [(0.5, 0.5), (-0.3, 2.0), (3.0, -5.0), (0.0, 0.4)],
+    ),
+    "epsilon": (
+        (TP, EP), (EPS2, TP / 2, EP / 2), (EPS2 * TP, EPS2 * EP, 1),
+        _epsilon_coeffs, [(0.5, 0.5), (1.0, -2.0), (-3.0, 1.0), (2.0, 7.0)],
+    ),
+}
+
+
+def test_table_of_the_eight_coefficients():
+    a, b, c, d, e, f, g, h = slots = sp.symbols("a:h")
+    want = [a * d - b * c, f * g - e * h, a * e - b * f, c * g - d * h, 0, 0]
+    assert [sp.expand(v) for v in _table(slots)] == want
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_row_gives_its_table(family):
+    (x, y), shift, (coordinate, momentum, diagonal), code, points = FAMILIES[family]
+    table = _table(_row(*shift))
+    want = [coordinate, momentum, diagonal, diagonal, 0, 0]
+    for got, expected in zip(table, want):
+        assert _is_zero(got - expected)
+    for px, py in points:
+        forms = _coeff_forms(0, _shift_terms(*code(px, py)))
+        measured = [commutator(forms[i], forms[j]) for i, j in PAIRS]
+        exact = [float(sp.sympify(v).subs({x: px, y: py})) for v in want]
+        assert measured == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+# --- the two centre-of-mass routes as expressions ------------------------------------
+
+GAMMA, ALPHA = sp.symbols("gamma alpha", real=True)
+#: The slots m_a/M weights on each route, as ``_route_columns`` places it:
+#: the direct route weights the X1 and X2 slots, the algebraic route the
+#: x-kind slots.
+WEIGHTED = {"direct": {0, 1, 2, 3}, "algebraic": {0, 2, 5, 7}}
+#: Per route family: its (k^2, c, m) of (theta, eta), and the code's two routes' forms.
+ROUTES = {
+    "minus": (SHIFT["minus"], lambda s: com_rep_algebraic(s, "minus").forms(), lambda s: com_rep_direct(s, "minus")),
+    "plus": (SHIFT["plus"], lambda s: com_rep_algebraic(s, "plus").forms(), lambda s: com_rep_direct(s, "plus")),
+    "simple": (SHIFT["simple"], lambda s: com_simple_algebraic(s).forms(), com_simple_direct),
+}
+
+
+#: Float masses for each symbolic particle count.
+MASS_POINTS = {2: (1.0, 3.0), 3: (0.5, 2.0, 7.0)}
+
+
+def _columns(rows, weights, route):
+    """The eight columns of one row per particle, weighted by m_a/M on the route's slots."""
+    return [
+        [w * row[j] if j in WEIGHTED[route] else row[j] for row, w in zip(rows, weights)] for j in range(8)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", ROUTES)
+def test_conditioned_routes_agree_as_expressions(family, n):
+    shift, algebraic, direct = ROUTES[family]
+    masses = sp.symbols(f"m1:{n + 1}", positive=True)
+    M = sum(masses)
+    thetas = [GAMMA / m for m in masses]
+    etas = [ALPHA * m for m in masses]
+    # effective_params: theta_eff = sum m_a^2 theta_a / M^2, eta_eff = sum eta_a.
+    theta_eff = sp.cancel(sum(m * m * t for m, t in zip(masses, thetas)) / M**2)
+    eta_eff = sp.factor(sum(etas))
+    assert _is_zero(theta_eff - GAMMA / M) and _is_zero(eta_eff - ALPHA * M)
+
+    def row(theta, eta):
+        return _row(*(sp.sympify(v).xreplace({THETA: theta, ETA: eta}) for v in shift))
+
+    weights = [m / M for m in masses]
+    routes = {
+        "algebraic": _columns([row(theta_eff, eta_eff)] * n, weights, "algebraic"),
+        "direct": _columns([row(t, e) for t, e in zip(thetas, etas)], weights, "direct"),
+    }
+    for alg, dir_ in zip(*routes.values()):
+        for u, v in zip(alg, dir_):
+            assert _is_zero(u - v)
+    # alpha*gamma > 0, so both branches exist.
+    point = MASS_POINTS[n]
+    values = {route: sp.lambdify([*masses, GAMMA, ALPHA], cols, "mpmath") for route, cols in routes.items()}
+    for cond in (MassConditions(gamma=0.3, alpha=0.2), MassConditions(gamma=-2.0, alpha=-0.1)):
+        system = CompositeSystem.from_conditions(cond, point)
+        for route, forms in (("algebraic", algebraic(system)), ("direct", direct(system))):
+            with mpmath.workdps(30):
+                exact = values[route](*point, cond.gamma, cond.alpha)
+            for form, slots in zip(forms, LAYOUT):
+                got = {(var.particle_id, var.kind): c for var, c in form.terms.items()}
+                want = {(a, kind): float(exact[j][a]) for kind, j in slots.items() for a in range(n)}
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0)

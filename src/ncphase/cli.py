@@ -66,13 +66,12 @@ _LIST_OPTIONS = ("masses", "thetas", "etas", "limit_scales", "limit_tols")
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error like any other bad input: a JSON error and exit 2.
 
-    The usage text and the error line still go to stderr as argparse writes
-    them; subcommand parsers inherit the class.
+    The usage text and the error line go to stderr as argparse writes them,
+    skipped if stderr is closed or fails; subcommand parsers inherit the class.
     """
 
     def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        self._print_message(f"{self.format_usage()}{self.prog}: error: {message}\n", sys.stderr)
         raise ConfigError(f"{self.prog}: {message}")
 
     def _print_message(self, message: str, file=None) -> None:

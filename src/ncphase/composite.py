@@ -63,7 +63,7 @@ class CompositeSystem:
     ``math.fsum`` of the masses, computed once.  ``CompositeSystem(particles)``
     reads the columns from a sequence of ``NCParams``.  ``from_conditions``
     and ``from_params`` check the columns in bulk and build no ``NCParams``;
-    ``particles`` is built from the columns on first access and cached.
+    for every constructor, ``particles`` is built on first access and cached.
     """
 
     def __init__(self, particles: Sequence[NCParams], conditions: MassConditions | None = None) -> None:
@@ -71,7 +71,6 @@ class CompositeSystem:
         if not particles:
             raise ConfigError("a composite system needs at least one particle")
         self._set_columns(zip(*((p.mass, p.theta, p.eta) for p in particles)), conditions)
-        self.particles = particles  # fills the cache of the ``particles`` property
 
     def _set_columns(self, columns: Iterable[Iterable[float]], conditions: MassConditions | None) -> None:
         """Store the (masses, thetas, etas) columns as tuples, and their total mass."""

@@ -160,11 +160,11 @@ def _build_hamiltonians(
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: compare and hash by identity
 class Trajectory:
-    """Sampled states and noncommutative observables at uniform times."""
+    """One system's sampled states and noncommutative observables at uniform times."""
 
     times: np.ndarray
-    canonical_states: np.ndarray  # shape (n, 4) or (m, n, 4), columns x1 x2 p1 p2
-    nc_observables: np.ndarray  # shape (n, 4) or (m, n, 4), columns X1 X2 P1 P2
+    canonical_states: np.ndarray  # shape (n, 4), columns x1 x2 p1 p2
+    nc_observables: np.ndarray  # shape (n, 4), columns X1 X2 P1 P2
 
     def __len__(self) -> int:
         return len(self.times)
@@ -264,13 +264,13 @@ def evolve(
     initial: Sequence[float],
     t_end: float,
     dt: float,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Propagate in blocks with the exact exponentials of the affine drift.
 
-    ``h`` is one Hamiltonian with a (4,) initial state, or a sequence of m
-    Hamiltonians with an (m, 4) array of initial states, one row each; then
-    the state and observable arrays of the trajectory have a leading axis of
-    length m, and ``times`` is shared.  All m systems advance in one loop.
+    ``h`` is one Hamiltonian with a (4,) initial state, giving one
+    :class:`Trajectory`, or a sequence of m Hamiltonians with an (m, 4)
+    array of initial states, one row each, giving a list of one trajectory
+    per Hamiltonian; all m advance in one loop and share ``times``.
 
     The drift is time-independent, so P_j = exp(j*A*dt) of the augmented
     5x5 matrix advances any state by j steps.  P_1 ... P_B come from one
@@ -345,13 +345,12 @@ def evolve(
 
     # One contiguous (n + 1, 4) block per system.
     canonical = np.ascontiguousarray(states[:, : n + 1, :4])
-    del states, starts, rows
+    del states, starts, rows  # frees the step scratch before the observables product allocates
     coeffs = np.array([hi.observables for hi in hs])
     observables = canonical @ coeffs.transpose(0, 2, 1)
     times = np.arange(n + 1) * dt
-    if single:
-        return Trajectory(times=times, canonical_states=canonical[0], nc_observables=observables[0])
-    return Trajectory(times=times, canonical_states=canonical, nc_observables=observables)
+    runs = [Trajectory(times, states, obs) for states, obs in zip(canonical, observables)]
+    return runs[0] if single else runs
 
 
 def energy_drift(h: QuadraticHamiltonian, traj: Trajectory) -> float:
@@ -430,8 +429,8 @@ def wep_trajectories(
     gives every Hamiltonian under uniform gravity ``g``, and one stacked
     solve gives every initial state.  All masses are then stepped together
     in one :func:`evolve` call; each pair holds its mass's Hamiltonian and
-    its own slice of that trajectory.  Each mass's Hamiltonian, initial
-    state and trajectory are byte-equal to :func:`build_hamiltonian`,
+    its own trajectory.  Each mass's Hamiltonian, initial state and
+    trajectory are byte-equal to :func:`build_hamiltonian`,
     :func:`nc_initial_state` and :func:`evolve` of that mass alone.
     """
     if len(reps) < 2:
@@ -439,11 +438,7 @@ def wep_trajectories(
             f"need at least two masses to compare free fall, got {[rep.params.mass for rep in reps]}"
         )
     hs = _build_hamiltonians("uniform_gravity", reps, g, 0.0)
-    traj = evolve(hs, _initial_states(hs, nc_data), t_end, dt)
-    return [
-        (h, Trajectory(traj.times, traj.canonical_states[i], traj.nc_observables[i]))
-        for i, h in enumerate(hs)
-    ]
+    return list(zip(hs, evolve(hs, _initial_states(hs, nc_data), t_end, dt)))
 
 
 def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -> float:

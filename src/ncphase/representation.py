@@ -105,6 +105,12 @@ class MassConditions:
     gamma: float
     alpha: float
 
+    def __post_init__(self) -> None:
+        for name in ("gamma", "alpha"):  # stored as float, as NCParams stores its fields
+            value = getattr(self, name)
+            math.isfinite(value)  # a non-number raises TypeError; NaN and inf are refused where used
+            object.__setattr__(self, name, float(value))
+
     @property
     def product(self) -> float:
         """alpha*gamma == theta*eta for every mass tied to these constants."""
@@ -166,7 +172,7 @@ def _branch_root(theta: float, eta: float, branch: str) -> tuple[bool, float, fl
 
 def epsilon_factor(theta_prime: float, eta_prime: float) -> float:
     """Overall scale eps = 1/sqrt(1 + theta'*eta'/4) of the scaled shift."""
-    radicand = 1.0 + theta_prime * eta_prime / 4.0
+    radicand = 1.0 + float(theta_prime) * float(eta_prime) / 4.0
     if radicand <= 0.0:
         raise DomainError(
             f"1 + theta'*eta'/4 = {radicand} is not positive; no real scale factor exists"
@@ -255,10 +261,8 @@ def _shift_terms(k: float, c: float, m: float) -> tuple[float, ...]:
 
     The forms are X1 = k*(x1 - c*p2), X2 = k*(x2 + c*p1), P1 = k*(p1 + m*x2),
     P2 = k*(p2 - m*x1).  Each coefficient is the one product the chained
-    ``LinearForm`` expression rounds, refused unless finite.  A numpy scalar
-    parameter is converted, so it stays out of the forms.
+    ``LinearForm`` expression rounds, refused unless finite.
     """
-    k, c, m = float(k), float(c), float(m)
     kc, km = k * c, k * m
     if not (-math.inf < k < math.inf and -math.inf < kc < math.inf and -math.inf < km < math.inf):
         raise DomainError(f"representation coefficients are not finite: k = {k}, k*c = {kc}, k*m = {km}")
@@ -321,7 +325,7 @@ def build_epsilon_rep(
     The coordinate and momentum tables then read eps^2*theta' and
     eps^2*eta'.
     """
-    return _shift_rep(p, "epsilon_general", None, particle_id, _epsilon_coeffs(theta_prime, eta_prime))
+    return _shift_rep(p, "epsilon_general", None, particle_id, _epsilon_coeffs(float(theta_prime), float(eta_prime)))
 
 
 def build_branch_rep(p: NCParams, branch: str, particle_id: int = 0) -> Representation:
@@ -366,6 +370,7 @@ def params_from_conditions(c: MassConditions, mass: float) -> NCParams:
         raise DomainError(
             f"alpha*gamma = {c.product} must stay below 1 so that theta*eta < 1 for every mass"
         )
+    mass = float(mass)  # a numpy scalar would warn of overflow before NCParams refuses it
     return NCParams(theta=c.gamma / mass, eta=c.alpha * mass, mass=mass)
 
 
@@ -623,6 +628,7 @@ def mass_invariance_report(
     tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Kinematic invariance of conditioned representations across masses."""
-    reps = [(m, build_representation(params_from_conditions(c, m), family, branch)) for m in masses]
+    params = (params_from_conditions(c, m) for m in masses)  # lazy: the first mass to fail, either step, is refused
+    reps = [(p.mass, build_representation(p, family, branch)) for p in params]
     read = reps[0][1].branch if reps else None  # the branch the builds read, after their default
     return _kinematic_invariance(reps, tol, gamma=c.gamma, alpha=c.alpha, family=family, branch=read)

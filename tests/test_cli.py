@@ -246,6 +246,13 @@ def test_config_and_flags_giving_two_sources_exit_2(capsys, tmp_path):
     assert "not both" in data["error"]["message"]
 
 
+@pytest.mark.parametrize("command", [["com"], ["simulate", "--wep", "--t-end", "0.1"]])
+def test_missing_masses_exits_2_naming_the_option(capsys, command):
+    rc, data = run_json(capsys, *command, *_BOTH)
+    assert rc == 2
+    assert data["error"] == {"type": "ConfigError", "message": "missing --masses"}
+
+
 # --- simulate ------------------------------------------------------------------
 
 
@@ -827,6 +834,30 @@ def test_usage_error_exits_2_with_a_json_report(capsys, argv):
     assert data["error"]["message"].startswith("ncphase")
 
 
+class _FailingStream(io.StringIO):
+    def write(self, text):
+        raise OSError("the stream is gone")
+
+
+@pytest.mark.parametrize("stderr", [None, _FailingStream()], ids=["closed", "failing"])
+def test_usage_error_without_a_working_stderr_exits_2_with_a_json_report(capsys, monkeypatch, stderr):
+    # Python sets sys.stderr to None when it starts with descriptor 2 closed.
+    monkeypatch.setattr(sys, "stderr", stderr)
+    rc, data = run_json(capsys, "verify", "--bogus")
+    assert rc == 2
+    assert data["error"] == {"type": "ConfigError", "message": "ncphase: unrecognized arguments: --bogus"}
+
+
+def test_usage_error_in_a_child_with_stderr_closed_exits_2_with_a_json_report():
+    src = str(Path(ncphase.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m ncphase.cli verify --bogus 2>&-', sys.executable],
+        stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "ConfigError"
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     out_path = tmp_path / "missing-dir" / "report.json"
     rc, data = run_json(
@@ -836,10 +867,12 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
     assert data["error"]["type"] == "ConfigError"
 
 
+# The last key of each config holds the value the flag would reject.
 @pytest.mark.parametrize(
     "config",
-    [{"theta": "abc", "eta": 0.5}, {"theta": 0.5, "eta": 0.5, "random": 2.7},
-     {"theta": 0.5, "eta": 0.5, "format": "xml"}],
+    [{"eta": 0.5, "theta": "abc"}, {"theta": 0.5, "eta": 0.5, "random": 2.7},
+     {"theta": 0.5, "eta": 0.5, "format": "xml"}, {"theta": 0.5, "eta": 0.5, "mass": True},
+     {"theta": 0.5, "eta": 0.5, "random": False}],
 )
 def test_config_value_the_flag_would_reject_exits_2(capsys, tmp_path, config):
     cfg = tmp_path / "run.json"
@@ -847,6 +880,7 @@ def test_config_value_the_flag_would_reject_exits_2(capsys, tmp_path, config):
     rc, data = run_json(capsys, "verify", "--config", str(cfg))
     assert rc == 2
     assert data["error"]["type"] == "ConfigError"
+    assert data["error"]["message"].startswith(f"config key {list(config)[-1]!r}")
 
 
 @pytest.mark.parametrize("value", ["yes", 1])
@@ -1064,19 +1098,24 @@ def test_argv_fuzz_exits_0_1_or_2_with_parseable_output(capsys, monkeypatch, tmp
 )
 def test_closed_stdout_exits_2_without_a_traceback(argv):
     # The reader is gone before the child writes: every write or flush fails.
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    # Unbuffered, the child fails at its first write.  Buffered, it fails at
+    # main's flush, and again at the interpreter's flush at exit unless main
+    # has moved the descriptor.
     src = str(Path(ncphase.__file__).resolve().parent.parent)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "ncphase.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
-        )
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert "Exception ignored" not in proc.stderr
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for buffering in ({"PYTHONUNBUFFERED": "1"}, {}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ncphase.cli", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                env=dict(env, PYTHONPATH=src, **buffering), text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, buffering
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["verify", "--help"]])

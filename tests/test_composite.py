@@ -26,6 +26,7 @@ from ncphase import (
     compare_com_simple,
     effective_params,
     form_distance,
+    mass_invariance_report,
     build_representation,
     p1,
     p2,
@@ -67,6 +68,8 @@ def ulps_apart(a: float, b: float, cap: int = 64) -> int:
 def test_system_needs_particles():
     with pytest.raises(ConfigError):
         CompositeSystem(particles=())
+    with pytest.raises(ConfigError):
+        CompositeSystem(particles=iter(()))
 
 
 def test_from_params_length_check():
@@ -150,6 +153,51 @@ def test_from_params_refuses_like_the_per_particle_chain(cols):
     assert _outcome(lambda: CompositeSystem.from_params(masses, thetas, etas)) == _outcome(chain)
 
 
+def _typed(values):
+    return [(type(v), float.hex(v)) for v in values]
+
+
+def _result(fn):
+    """What ``fn()`` returns, or the type and message it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # every refusal must match, whatever its type
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "gamma,alpha,masses",
+    [(0.3, 0.2, [1.0, 2.0, 5.0]), (1e-301, 1e300, [1e10, 1.0]), (1e300, 1e-301, [1.0, 1e-10]),
+     (0.9, 2.0, [1.0, 2.0]), (math.nan, 0.2, [1.0, 2.0])],
+)
+def test_numpy_scalars_give_what_floats_give(gamma, alpha, masses):
+    # Each number is a float from where it enters, so no numpy overflow
+    # warning, an error in this suite, comes before a refusal.
+    def run(number):
+        c = MassConditions(number(gamma), number(alpha))
+        ms = [number(m) for m in masses]
+
+        def columns():
+            system = CompositeSystem.from_conditions(c, ms)
+            return [_typed(col) for col in (system.masses, system.thetas, system.etas)]
+
+        def forms():
+            reps = [build_representation(params_from_conditions(c, m), "branch", "minus") for m in ms]
+            return [(var, *_typed([k])) for rep in reps for form in rep.forms() for var, k in form.terms.items()]
+
+        return (
+            _typed([c.gamma, c.alpha]),
+            _result(columns),
+            _result(forms),
+            _result(lambda: repr(compare_com_reps(CompositeSystem.from_conditions(c, ms)).to_dict())),
+            _result(lambda: repr(mass_invariance_report(c, ms).to_dict())),
+        )
+
+    assert run(np.float64) == run(float)
+    with pytest.raises(TypeError):
+        MassConditions("0.3", 0.2)
+
+
 def test_general_constructor_keeps_the_particle_ids_in_order():
     masses, thetas, etas = [1.0, 2.0, 4.0], [1e200, 2e200, 3e200], [1e-201, 2e-201, 1e-201]
     particles = tuple(NCParams(theta=t, eta=e, mass=m) for m, t, e in zip(masses, thetas, etas))
@@ -167,6 +215,10 @@ def test_general_constructor_keeps_the_particle_ids_in_order():
     assert "particles" not in vars(bulk)  # built on first access only
     assert report.to_dict() == compare_com_reps(bulk).to_dict()
     assert bulk.particles is bulk.particles == particles
+    one_pass = CompositeSystem(iter(particles))
+    assert (one_pass.masses, one_pass.thetas, one_pass.etas) == tuple(map(tuple, (masses, thetas, etas)))
+    assert one_pass.particles == particles
+    assert report.to_dict() == compare_com_reps(one_pass).to_dict()
 
 
 # --- centre-of-mass canonical pair ---------------------------------------------

@@ -68,6 +68,12 @@ def test_unknown_kind_rejected():
         build_hamiltonian("quartic", IDENTITY)
 
 
+@pytest.mark.parametrize("field", [{"g": math.nan}, {"omega": math.inf}])
+def test_nonfinite_g_or_omega_rejected_even_where_the_kind_ignores_it(field):
+    with pytest.raises(ConfigError, match="g and omega must be finite"):
+        build_hamiltonian("free", IDENTITY, **field)
+
+
 def test_com_representation_rejected():
     from ncphase import CompositeSystem
     from ncphase.composite import com_rep_algebraic
@@ -309,14 +315,15 @@ def test_stacked_evolve_is_bitwise_each_single_evolve(m):
     hs = _mixed_hamiltonians(m)
     z0 = np.array([[0.3, -1.25, 2.0, 0.5], [1.0, 0.0, -3.0, 0.25], [0.0, 2.0, 0.5, -1.0],
                    [-0.5, 0.75, 4.0, 1.5], [2.0, -2.0, 0.0, 0.125]])[:m]
-    traj = evolve(hs, z0, 40.0, 0.02)
-    assert traj.times.shape == (2001,)
-    assert traj.canonical_states.shape == traj.nc_observables.shape == (m, 2001, 4)
-    for i, h in enumerate(hs):
+    runs = evolve(hs, z0, 40.0, 0.02)
+    assert len(runs) == m
+    for i, (h, traj) in enumerate(zip(hs, runs)):
+        assert traj.times.shape == (2001,)
+        assert traj.canonical_states.shape == traj.nc_observables.shape == (2001, 4)
         one = evolve(h, z0[i], 40.0, 0.02)
         assert traj.times.tobytes() == one.times.tobytes()
-        assert traj.canonical_states[i].tobytes() == one.canonical_states.tobytes()
-        assert traj.nc_observables[i].tobytes() == one.nc_observables.tobytes()
+        assert traj.canonical_states.tobytes() == one.canonical_states.tobytes()
+        assert traj.nc_observables.tobytes() == one.nc_observables.tobytes()
     # The other systems were held against the oracle at smaller m.
     assert _oracle_error(hs[-1], z0[-1], 0.02, one, (2000,)) <= ORACLE_BOUND
 
@@ -397,6 +404,13 @@ def test_stacked_expm_is_bitwise_each_single_call():
     assert stacked.shape == drifts.shape
     for aug, got in zip(drifts, stacked):
         assert dynamics.expm(aug[None])[0].tobytes() == got.tobytes()
+
+
+def test_expm_of_a_nested_list_or_an_int_array_is_that_of_the_float_array():
+    ints = np.array([[[0, 40, 0], [-40, 0, 3], [0, 0, 0]], [[1, 2, 0], [0, 1, 0], [0, 0, 0]]])
+    want = dynamics.expm(ints.astype(float)).tobytes()
+    assert dynamics.expm(ints.tolist()).tobytes() == want
+    assert dynamics.expm(ints).tobytes() == want
 
 
 def test_expm_out_of_range_slices_are_not_finite():
@@ -504,8 +518,12 @@ def test_step_validation():
         evolve(h, [0.0, 0.0, 0.0, 0.0], t_end=1.0, dt=-0.1)
     with pytest.raises(StepError):
         evolve(h, [0.0, 0.0, 0.0, 0.0], t_end=-1.0, dt=0.1)
+    with pytest.raises(StepError, match="t_end and dt must be finite"):
+        evolve(h, [0.0, 0.0, 0.0, 0.0], t_end=1.0, dt=math.inf)
     with pytest.raises(ConfigError):
         evolve(h, [0.0, 0.0, 0.0], t_end=1.0, dt=0.1)
+    with pytest.raises(ConfigError, match=r"^initial state must be finite, got \[0.0, nan, 0.0, 0.0\]$"):
+        evolve(h, [0.0, math.nan, 0.0, 0.0], t_end=1.0, dt=0.1)
 
 
 def test_step_count_covers_t_end():
@@ -516,6 +534,9 @@ def test_step_count_covers_t_end():
     assert traj.times[-1] == pytest.approx(0.3, abs=1e-12)
     # 1.0/0.3 rounds to 3 steps, which stop short of t_end: one more covers it
     assert _step_count(1.0, 0.3) == 4
+    # quotients a rounding above a whole count take that count, not one more
+    assert _step_count(0.1 * 3, 0.1) == 3
+    assert _step_count(2.1, 0.3) == 7
 
 
 def test_step_count_is_capped():
@@ -571,6 +592,8 @@ def test_nc_initial_state_shape_check():
     h = build_hamiltonian("free", IDENTITY)
     with pytest.raises(ConfigError):
         nc_initial_state(h, (0.0, 0.0))
+    with pytest.raises(ConfigError, match=r"^X1, X2, dX1/dt, dX2/dt must be finite, got \[0.0, 0.0, nan, 0.0\]$"):
+        nc_initial_state(h, (0.0, 0.0, math.nan, 0.0))
 
 
 # --- free-fall universality --------------------------------------------------------

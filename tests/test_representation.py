@@ -793,18 +793,22 @@ def test_builders_match_their_operator_expressions_bit_for_bit(theta, eta, parti
 
 
 @settings(max_examples=300, deadline=None)
-@given(theta_prime=st.floats(), eta_prime=st.floats(), particle_id=st.integers(0, 5))
-@example(theta_prime=math.inf, eta_prime=0.0, particle_id=0)  # nan scale, zero momentum shift
-@example(theta_prime=1e308, eta_prime=1e308, particle_id=1)  # zero scale, finite shifts
+@given(theta_prime=st.floats(), eta_prime=st.floats(), particle_id=st.integers(0, 5), as_numpy=st.booleans())
+@example(theta_prime=math.inf, eta_prime=0.0, particle_id=0, as_numpy=False)  # nan scale, zero momentum shift
+@example(theta_prime=1e308, eta_prime=1e308, particle_id=1, as_numpy=False)  # zero scale, finite shifts
+@example(theta_prime=1e200, eta_prime=1e200, particle_id=0, as_numpy=True)  # a numpy product would warn
 def test_epsilon_builder_matches_its_operator_expression_for_any_auxiliary_pair(
-    theta_prime, eta_prime, particle_id
+    theta_prime, eta_prime, particle_id, as_numpy
 ):
+    # numpy arguments give the bits, or the refusal, of float ones, with no warning.
+    number = np.float64 if as_numpy else float
+    args = number(theta_prime), number(eta_prime)
     try:
-        rep = build_epsilon_rep(NCParams(0.1, 0.2), theta_prime, eta_prime, particle_id)
+        rep = build_epsilon_rep(NCParams(0.1, 0.2), *args, particle_id)
     except DomainError:
+        with pytest.raises(DomainError):
+            build_epsilon_rep(NCParams(0.1, 0.2), theta_prime, eta_prime, particle_id)
         return
-    want = _scaled_shift_operators(
-        particle_id, epsilon_factor(theta_prime, eta_prime), 0.5 * theta_prime, 0.5 * eta_prime
-    )
+    want = _scaled_shift_operators(particle_id, epsilon_factor(*args), 0.5 * theta_prime, 0.5 * eta_prime)
     for got, ref in zip(rep.forms(), want):
         assert _bits(got) == _bits(ref)

@@ -19,7 +19,11 @@ symbolic theta and eta, not sampled:
   (eps^2*theta', eps^2*eta', 1) for the scaled shift;
 * under theta_a = gamma/m_a and eta_a = alpha*m_a the algebraic and direct
   centre-of-mass routes have equal columns, entry by entry, for N = 2 and
-  3 symbolic masses.
+  3 symbolic masses;
+* Heisenberg's equations of free fall, derived from the table
+  [X1, X2] = theta, [P1, P2] = eta, [Xi, Pi] = d, hold no mass under the
+  conditions and do at fixed (theta, eta), and the closed form that
+  ``tests/test_oracle.py`` holds the integrator against solves them.
 
 A few float points tie each restatement to the code it restates.
 """
@@ -33,6 +37,7 @@ import sympy as sp
 from ncphase import CompositeSystem, MassConditions, NCParams, commutator, primed_params
 from ncphase.composite import com_rep_algebraic, com_rep_direct, com_simple_algebraic, com_simple_direct
 from ncphase.representation import _coeff_forms, _epsilon_coeffs, _shift_coeffs, _shift_terms, _swap_row, _swap_scale
+from test_oracle import _free_fall
 
 THETA, ETA = sp.symbols("theta eta", real=True)
 S = sp.sqrt(1 - THETA * ETA)
@@ -251,3 +256,82 @@ def test_conditioned_routes_agree_as_expressions(family, n):
                 got = {(var.particle_id, var.kind): c for var, c in form.terms.items()}
                 want = {(a, kind): float(exact[j][a]) for kind, j in slots.items() for a in range(n)}
                 assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+# --- (d) free fall from the table -----------------------------------------------------
+
+MASS, G, D, T = sp.symbols("m g d t", real=True)
+X1, X2, P1, P2, V1, V2 = sp.symbols("X1 X2 P1 P2 V1 V2")
+#: Initial data: X(0) and dX/dt at t = 0.
+X10, X20, U1, U2 = sp.symbols("X10 X20 U1 U2", real=True)
+
+
+def _free_fall_rates(theta, eta, d) -> list:
+    """d/dt of (X1, X2, V1, V2), V = P/m, under H = (P1^2 + P2^2)/(2m) + m*g*X2, in X and V.
+
+    dA/dt = [A, H]/(i*hbar).  H is a sum of words in the generators, and by
+    the Leibniz rule [A, w1 w2] = [A, w1] w2 + w1 [A, w2], where each
+    [A, wk]/(i*hbar) is a number of the table, so every rate is linear in
+    the generators.
+    """
+    table = {(X1, X2): theta, (P1, P2): eta, (X1, P1): d, (X2, P2): d}
+
+    def bracket(a, b):
+        return table.get((a, b), 0) - table.get((b, a), 0)
+
+    words = [(1 / (2 * MASS), (P1, P1)), (1 / (2 * MASS), (P2, P2)), (MASS * G, (X2,))]
+
+    def rate(a):
+        return sum(k * bracket(a, w[i]) * sp.Mul(*w[:i], *w[i + 1:]) for k, w in words for i in range(len(w)))
+
+    rates = [rate(X1), rate(X2), rate(P1) / MASS, rate(P2) / MASS]
+    return [sp.expand(r.subs({P1: MASS * V1, P2: MASS * V2})) for r in rates]
+
+
+#: d of each family's table under the conditions: 1, or 1 + theta*eta/4 = 1 + alpha*gamma/4.
+DIAGONALS = {"branch": sp.Integer(1), "simple": 1 + ALPHA * GAMMA / 4}
+
+
+@pytest.mark.parametrize("family", DIAGONALS)
+def test_free_fall_equations_hold_no_mass_under_the_conditions(family):
+    d = DIAGONALS[family]
+    rates = _free_fall_rates(GAMMA / MASS, ALPHA * MASS, d)
+    want = [d * V1 + GAMMA * G, d * V2, ALPHA * V2, -ALPHA * V1 - d * G]
+    assert [sp.expand(r - w) for r, w in zip(rates, want)] == [0, 0, 0, 0]
+    assert not any(MASS in r.free_symbols for r in rates)
+    # At fixed (theta, eta) the mass stays: dX1/dt = d*V1 + theta*m*g, dV1/dt = eta*V2/m.
+    fixed = _free_fall_rates(THETA, ETA, D)
+    assert [MASS in r.free_symbols for r in fixed] == [True, False, True, True]
+
+
+def _closed_form(d):
+    """(X1, X2, V1, V2) at time T: V - V* turns at rate alpha about V* = (-d*g/alpha, 0), X integrates it."""
+    w1, w2 = (U1 - GAMMA * G) / d + d * G / ALPHA, U2 / d  # V(0) - V*
+    s, c = sp.sin(ALPHA * T), sp.cos(ALPHA * T)
+    v = (-d * G / ALPHA + w1 * c + w2 * s, -w1 * s + w2 * c)
+    x = (X10 + d * (w1 * s + w2 * (1 - c)) / ALPHA + (GAMMA - d * d / ALPHA) * G * T,
+         X20 + d * (w1 * (c - 1) + w2 * s) / ALPHA)
+    return (*x, *v)
+
+
+@pytest.mark.parametrize("family", DIAGONALS)
+def test_closed_form_solves_the_free_fall_equations(family):
+    d = DIAGONALS[family]
+    path = _closed_form(d)
+    rates = _free_fall_rates(GAMMA / MASS, ALPHA * MASS, d)
+    at_path = dict(zip((X1, X2, V1, V2), path))
+    for z, r in zip(path, rates):
+        assert sp.expand(sp.diff(z, T) - r.xreplace(at_path)) == 0
+    # The initial data: X(0), and dX/dt(0) through the equations.
+    start = [sp.expand(v.subs(T, 0)) for v in path]
+    assert start[:2] == [X10, X20]
+    assert [sp.cancel(r.xreplace(dict(zip((X1, X2, V1, V2), start)))) for r in rates[:2]] == [U1, U2]
+    # Float points tie it to the oracle's closed form (alpha != 0).
+    x = sp.lambdify([GAMMA, ALPHA, G, X10, X20, U1, U2, T], path[:2], "mpmath")
+    for gamma, alpha, g, data, t in [(0.3, 0.2, 2.0, (0.2, 0.1, 1.0, -0.5), 7.0),
+                                     (-0.5, -0.4, 1.0, (0.0, 1.0, 0.3, 0.7), 3.25)]:
+        with mpmath.workdps(30):
+            dd = 1 + mpmath.mpf(alpha) * mpmath.mpf(gamma) / 4 if family == "simple" else mpmath.mpf(1)
+            want = _free_fall(gamma, alpha, dd, g, data, t)
+            got = x(gamma, alpha, g, *data, t)
+        assert [float(v) for v in got] == pytest.approx([float(v) for v in want], rel=1e-15, abs=0.0)

@@ -163,8 +163,8 @@ class Trajectory:
     """One system's sampled states and noncommutative observables at uniform times."""
 
     times: np.ndarray
-    canonical_states: np.ndarray  # shape (n, 4), columns x1 x2 p1 p2
-    nc_observables: np.ndarray  # shape (n, 4), columns X1 X2 P1 P2
+    canonical_states: np.ndarray  # shape (n + 1, 4) for n steps, columns x1 x2 p1 p2
+    nc_observables: np.ndarray  # shape (n + 1, 4) for n steps, columns X1 X2 P1 P2
 
     def __len__(self) -> int:
         return len(self.times)
@@ -349,7 +349,7 @@ def evolve(
     coeffs = np.array([hi.observables for hi in hs])
     observables = canonical @ coeffs.transpose(0, 2, 1)
     times = np.arange(n + 1) * dt
-    runs = [Trajectory(times, states, obs) for states, obs in zip(canonical, observables)]
+    runs = [Trajectory(times, z, obs) for z, obs in zip(canonical, observables)]
     return runs[0] if single else runs
 
 

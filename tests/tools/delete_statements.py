@@ -10,20 +10,19 @@ output by design and is printed with that reason instead.
 
 Usage, from anywhere:
 
-    python tests/tools/delete_statements.py [--workers N] [module ...]
+    python tests/tools/delete_statements.py
 
-The modules default to every key of ``MODULE_TESTS``.  Each worker copies
-``src/`` once into a temporary directory and mutates only its copy; the
-tests run from the repository against that copy, with hypothesis deadlines
-off and its example database in the copy.  With two workers the whole sweep
-takes about 20 minutes on a 2-vCPU VM.  The script is not collected by
+It sweeps every module of ``MODULE_TESTS`` with ``WORKERS`` parallel test
+runs.  Each worker copies ``src/`` once into a temporary directory and
+mutates only its copy; the tests run from the repository against that copy,
+with hypothesis deadlines off and its example database in the copy.  The
+whole sweep takes about 20 minutes on a 2-vCPU VM.  The script is not collected by
 tier-1.  It exits 2 if the unmutated suite fails, 1 if a survivor is not
 in ``EQUIVALENT``, and 0 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import queue
@@ -69,6 +68,8 @@ class NoDeadline:
 
 sys.exit(pytest.main(sys.argv[1:], plugins=[NoDeadline()]))
 """
+#: Parallel test runs: two, or one on a single core.
+WORKERS = min(2, os.cpu_count() or 1)
 #: Longest a test run may take before the mutant counts as killed (a loop that never ends).
 TIMEOUT_S = 600
 
@@ -125,19 +126,9 @@ def passes(copy: Path, tests: list[str]) -> bool:
     return proc.returncode == 0
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=2, help="parallel test runs (default %(default)s)")
-    parser.add_argument("modules", nargs="*", help=f"modules to sweep (default all: {' '.join(MODULE_TESTS)})")
-    args = parser.parse_args(argv)
-    if not 1 <= args.workers <= (os.cpu_count() or 1):
-        parser.error(f"--workers must lie between 1 and the {os.cpu_count()} cores")
-    unknown = set(args.modules) - set(MODULE_TESTS)
-    if unknown:
-        parser.error(f"unknown modules {sorted(unknown)}")
-
+def main() -> int:
     mutants = []
-    for module in args.modules or MODULE_TESTS:
+    for module in MODULE_TESTS:
         path = PACKAGE / f"{module}.py"
         source = path.read_text()
         for node in statements(path):
@@ -146,7 +137,7 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory(prefix="delete_statements-") as scratch:
         copies = queue.Queue()
-        for i in range(args.workers):
+        for i in range(WORKERS):
             copy = Path(scratch) / f"worker{i}"
             shutil.copytree(ROOT / "src", copy / "src")
             copies.put(copy)
@@ -170,7 +161,7 @@ def main(argv: list[str]) -> int:
             print(f"{'survived' if survived else 'killed':8} {module}.py:{lineno}: {text}", file=sys.stderr)
             return survived
 
-        with ThreadPoolExecutor(args.workers) as pool:
+        with ThreadPoolExecutor(WORKERS) as pool:
             outcomes = list(pool.map(survives, mutants))
 
     survivors = [m for m, survived in zip(mutants, outcomes) if survived]
@@ -184,4 +175,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

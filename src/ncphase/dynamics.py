@@ -275,11 +275,15 @@ def evolve(
     The drift is time-independent, so P_j = exp(j*A*dt) of the augmented
     5x5 matrix advances any state by j steps.  P_1 ... P_B come from one
     stacked :func:`expm` call, B = :func:`_block_size` (n), and each block
-    of B steps is one product of the block-start state with all of them.
-    Rounding therefore builds up once per block, not once per step.  Each
-    system's rows are byte-equal to its own single-system run.  The
-    trajectory covers t = 0 to n*dt where n*dt is t_end (or the first
-    multiple of dt past it when t_end is not a multiple).
+    of B steps is one product of the block-start state with all of them,
+    less their last row, which is exactly e5.  The product writes the
+    block's rows in place into one (m, blocks * B + 1, 4) table; rows past
+    n, in the last block, are padding and are never read.  Rounding
+    therefore builds up once per block, not once per step.  Each system's
+    rows are byte-equal to its own single-system run and a C-contiguous
+    prefix of its block of the table.  The trajectory covers t = 0 to n*dt
+    where n*dt is t_end (or the first multiple of dt past it when t_end is
+    not a multiple).
     """
     single = isinstance(h, QuadraticHamiltonian)
     hs = [h] if single else list(h)
@@ -321,31 +325,29 @@ def evolve(
                 f"scaling by 2^-{s.max()} rounds its smallest entries"
             )
 
-        # Each state carries a constant 1 in a fifth slot, which the last row
-        # of each P_j keeps: the drift's last row is zero, so that row is
-        # exactly e5.  P_1 ... P_block stacked into one (5 * block, 5)
-        # matrix, times the state s_k, give s_{k+1} ... s_{k+block}: one
-        # contiguous slice of the system's rows.  The last block may run past
-        # row n; those rows are dropped.
-        step = props.reshape(m, 5 * block, 5)
+        # The drift's last row is zero, so the last row of each P_j is
+        # exactly e5 and is dropped: P_1 ... P_block, four rows each, stacked
+        # into one (4 * block, 5) matrix, times (z_k, 1), give z_{k+1} ...
+        # z_{k+block}, written in place into the system's rows of the table.
+        # Rows past n, in the last block, are padding and are never read.
+        step = np.ascontiguousarray(props[:, :, :4]).reshape(m, 4 * block, 5)
         blocks = -(-n // block)
-        states = np.empty((m, blocks * block + 1, 5))
-        states[:, 0, :4] = z0
-        states[:, 0, 4] = 1.0
-        # Block i starts from row i * block and fills the rows after it; zip
-        # yields the block views one at a time.
-        starts = states[:, :-1:block, :, None].transpose(1, 0, 2, 3)
-        rows = states[:, 1:].reshape(m, blocks, 5 * block, 1).transpose(1, 0, 2, 3)
+        table = np.empty((m, blocks * block + 1, 4))
+        table[:, 0] = z0
+        start = np.ones((m, 5, 1))
+        start[:, :4, 0] = z0
+        # Each block's last row starts the next; the fifth entry of start stays 1.
+        rows = table[:, 1:].reshape(m, blocks, 4 * block, 1).transpose(1, 0, 2, 3)
         matmul = np.matmul
-        for start, row in zip(starts, rows):
+        for row in rows:
             matmul(step, start, row)
+            start[:, :4] = row[:, -4:]
+        canonical = table[:, : n + 1]
         # A row inside a block feeds no later row, so every row is checked.
-        if not np.isfinite(states[:, : n + 1]).all():
+        if not np.isfinite(canonical).all():
             raise ConfigError(f"the trajectory overflows before t = {n * dt}")
 
-    # One contiguous (n + 1, 4) block per system.
-    canonical = np.ascontiguousarray(states[:, : n + 1, :4])
-    del states, starts, rows  # frees the step scratch before the observables product allocates
+    # Each system's (n + 1, 4) rows are a prefix of its contiguous block.
     coeffs = np.array([hi.observables for hi in hs])
     observables = canonical @ coeffs.transpose(0, 2, 1)
     times = np.arange(n + 1) * dt

@@ -735,3 +735,15 @@ def test_overflowing_propagator_or_trajectory_rejected():
     h = build_hamiltonian("free", IDENTITY)
     with pytest.raises(ConfigError, match="trajectory overflows"):
         evolve([h, h], [[0.0] * 4, [0.0, 0.0, 1e307, 0.0]], t_end=100.0, dt=1.0)
+
+
+def test_padding_rows_of_the_last_block_are_never_read():
+    # 17 steps take blocks of 2, so the last block also writes row 18, past n.
+    h = build_hamiltonian("free", IDENTITY)
+    z0 = [0.0, 0.0, 1e307, 0.0]
+    assert dynamics._block_size(17) == 2
+    traj = evolve(h, z0, t_end=17.0, dt=1.0)
+    assert len(traj) == 18 and traj.canonical_states[-1, 0] == pytest.approx(1.7e308)
+    # Row 18 overflows; it is refused once it is a row of the trajectory.
+    with pytest.raises(ConfigError, match=r"the trajectory overflows before t = 18\.0"):
+        evolve(h, z0, t_end=18.0, dt=1.0)

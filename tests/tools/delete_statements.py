@@ -47,11 +47,7 @@ MODULE_TESTS = {
 }
 
 #: (module, source text of the statement) -> why deleting it changes no output.
-EQUIVALENT = {
-    ("dynamics", "del states, starts, rows"): (
-        "frees the step scratch before the observables product is allocated; no value depends on it"
-    ),
-}
+EQUIVALENT: dict[tuple[str, str], str] = {}
 
 #: Runs pytest with hypothesis deadlines off: two workers on two cores slow
 #: every test, and a missed deadline would count as a kill.

@@ -226,7 +226,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _expm(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """:func:`expm` of a float stack whose exponents s = :func:`_scale_exponents` (a) are given.
 
-    The caller holds ``np.errstate(all="ignore")``.
+    Its callers, :func:`expm` and :func:`_propagators` under :func:`evolve`, hold ``np.errstate(all="ignore")``.
     """
     # The powers are taken before scaling, so that a sixth power past the
     # float range (omega = 1e100 at dt = 0.01) leaves inf in its slice.
@@ -259,6 +259,43 @@ def _block_size(n: int) -> int:
     return max(1, min(64, math.isqrt(n) // 2))
 
 
+def _propagators(hs: Sequence[QuadraticHamiltonian], dt: float, block: int) -> np.ndarray:
+    """The (m, 4 * block, 5) step matrix of m Hamiltonians: P_1 ... P_block, less their last row.
+
+    The drift is time-independent, so P_j = exp(j*A*dt) of the augmented
+    5x5 matrix advances any state (z, 1) by j steps.  All m * block
+    exponentials are one stacked :func:`_expm` call.  The drift's last row
+    is zero, so the last row of each P_j is exactly e5 and is dropped: rows
+    4(j - 1) ... 4j - 1 of system i's matrix are the first four of its P_j.
+    The caller, :func:`evolve`, holds ``np.errstate(all="ignore")``.
+    """
+    m = len(hs)
+    A, b = _drift(np.array([hi.quad for hi in hs]), np.array([hi.linear for hi in hs]))
+    aug = np.zeros((m, 5, 5))
+    aug[:, :4, :4] = A * dt
+    aug[:, :4, 4] = b * dt
+    # j * aug for j = 1 .. block, mass-major: P_j is the exponential of the j-th.
+    drifts = (aug[:, None] * np.arange(1.0, block + 1)[:, None, None]).reshape(-1, 5, 5)
+    s = _scale_exponents(drifts)
+    props = _expm(drifts, s).reshape(m, block, 5, 5)
+    if not np.isfinite(props[:, :, :4]).all():
+        raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
+    # The scaling by 2^-s is exact only above the subnormals.  An entry
+    # it rounds (the x2 shift beside the affine column of a 1e200 mass)
+    # is lost from the propagator, whose trajectory would be wrong.
+    s = s[:, None, None]
+    if (np.ldexp(np.ldexp(drifts, -s), s) != drifts).any():
+        raise ConfigError(
+            f"the one-step propagator cannot resolve its drift at dt = {dt}: "
+            f"scaling by 2^-{s.max()} rounds its smallest entries"
+        )
+    return np.ascontiguousarray(props[:, :, :4]).reshape(m, 4 * block, 5)
+
+
+# A finite drift can still overflow expm, the states or the observables
+# (omega = 1e100): numpy stays silent and the finiteness checks raise
+# ConfigError instead of returning nan rows.
+@np.errstate(all="ignore")
 def evolve(
     h: QuadraticHamiltonian | Sequence[QuadraticHamiltonian],
     initial: Sequence[float],
@@ -272,18 +309,15 @@ def evolve(
     array of initial states, one row each, giving a list of one trajectory
     per Hamiltonian; all m advance in one loop and share ``times``.
 
-    The drift is time-independent, so P_j = exp(j*A*dt) of the augmented
-    5x5 matrix advances any state by j steps.  P_1 ... P_B come from one
-    stacked :func:`expm` call, B = :func:`_block_size` (n), and each block
-    of B steps is one product of the block-start state with all of them,
-    less their last row, which is exactly e5.  The product writes the
-    block's rows in place into one (m, blocks * B + 1, 4) table; rows past
-    n, in the last block, are padding and are never read.  Rounding
-    therefore builds up once per block, not once per step.  Each system's
-    rows are byte-equal to its own single-system run and a C-contiguous
-    prefix of its block of the table.  The trajectory covers t = 0 to n*dt
-    where n*dt is t_end (or the first multiple of dt past it when t_end is
-    not a multiple).
+    Each block of B = :func:`_block_size` (n) steps is one product of the
+    block-start state (z_k, 1) with the step matrix of :func:`_propagators`.
+    The product writes the block's rows in place into one
+    (m, blocks * B + 1, 4) table; rows past n, in the last block, are
+    padding and are never read.  Rounding therefore builds up once per
+    block, not once per step.  Each system's rows are byte-equal to its own
+    single-system run and a C-contiguous prefix of its block of the table.
+    The trajectory covers t = 0 to n*dt where n*dt is t_end (or the first
+    multiple of dt past it when t_end is not a multiple).
     """
     single = isinstance(h, QuadraticHamiltonian)
     hs = [h] if single else list(h)
@@ -301,55 +335,30 @@ def evolve(
     n = _step_count(t_end, dt)
     m = len(hs)
     block = _block_size(n)
-    # A finite drift can still overflow expm or the states (omega = 1e100):
-    # numpy stays silent and the finiteness checks raise ConfigError instead
-    # of returning nan rows.
-    with np.errstate(all="ignore"):
-        A, b = _drift(np.array([hi.quad for hi in hs]), np.array([hi.linear for hi in hs]))
-        aug = np.zeros((m, 5, 5))
-        aug[:, :4, :4] = A * dt
-        aug[:, :4, 4] = b * dt
-        # j * aug for j = 1 .. block, mass-major: P_j is the exponential of the j-th.
-        drifts = (aug[:, None] * np.arange(1.0, block + 1)[:, None, None]).reshape(-1, 5, 5)
-        s = _scale_exponents(drifts)
-        props = _expm(drifts, s).reshape(m, block, 5, 5)
-        if not np.isfinite(props[:, :, :4]).all():
-            raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
-        # The scaling by 2^-s is exact only above the subnormals.  An entry
-        # it rounds (the x2 shift beside the affine column of a 1e200 mass)
-        # is lost from the propagator, whose trajectory would be wrong.
-        s = s[:, None, None]
-        if (np.ldexp(np.ldexp(drifts, -s), s) != drifts).any():
-            raise ConfigError(
-                f"the one-step propagator cannot resolve its drift at dt = {dt}: "
-                f"scaling by 2^-{s.max()} rounds its smallest entries"
-            )
-
-        # The drift's last row is zero, so the last row of each P_j is
-        # exactly e5 and is dropped: P_1 ... P_block, four rows each, stacked
-        # into one (4 * block, 5) matrix, times (z_k, 1), give z_{k+1} ...
-        # z_{k+block}, written in place into the system's rows of the table.
-        # Rows past n, in the last block, are padding and are never read.
-        step = np.ascontiguousarray(props[:, :, :4]).reshape(m, 4 * block, 5)
-        blocks = -(-n // block)
-        table = np.empty((m, blocks * block + 1, 4))
-        table[:, 0] = z0
-        start = np.ones((m, 5, 1))
-        start[:, :4, 0] = z0
-        # Each block's last row starts the next; the fifth entry of start stays 1.
-        rows = table[:, 1:].reshape(m, blocks, 4 * block, 1).transpose(1, 0, 2, 3)
-        matmul = np.matmul
-        for row in rows:
-            matmul(step, start, row)
-            start[:, :4] = row[:, -4:]
-        canonical = table[:, : n + 1]
-        # A row inside a block feeds no later row, so every row is checked.
-        if not np.isfinite(canonical).all():
-            raise ConfigError(f"the trajectory overflows before t = {n * dt}")
+    step = _propagators(hs, dt, block)
+    blocks = -(-n // block)
+    table = np.empty((m, blocks * block + 1, 4))
+    table[:, 0] = z0
+    start = np.ones((m, 5, 1))
+    start[:, :4, 0] = z0
+    # step times (z_k, 1) writes z_{k+1} ... z_{k+block} into the table; each
+    # block's last row starts the next, and the fifth entry of start stays 1.
+    rows = table[:, 1:].reshape(m, blocks, 4 * block, 1).transpose(1, 0, 2, 3)
+    matmul = np.matmul
+    for row in rows:
+        matmul(step, start, row)
+        start[:, :4] = row[:, -4:]
+    canonical = table[:, : n + 1]
+    # A row inside a block feeds no later row, so every row is checked.
+    if not np.isfinite(canonical).all():
+        raise ConfigError(f"the trajectory overflows before t = {n * dt}")
 
     # Each system's (n + 1, 4) rows are a prefix of its contiguous block.
     coeffs = np.array([hi.observables for hi in hs])
     observables = canonical @ coeffs.transpose(0, 2, 1)
+    # A finite state can still overflow its observables (X1 = a x1 + b p2).
+    if not np.isfinite(observables).all():
+        raise ConfigError(f"the noncommutative observables overflow before t = {n * dt}")
     times = np.arange(n + 1) * dt
     runs = [Trajectory(times, z, obs) for z, obs in zip(canonical, observables)]
     return runs[0] if single else runs

@@ -488,6 +488,16 @@ def test_simulate_csv_refuses_an_overflowing_energy(capsys, fmt):
     assert "energy" in data["error"]["message"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_refuses_overflowing_observables(capsys, fmt):
+    # A finite trajectory whose X1 overflows printed inf, or bare Infinity in JSON, at exit 0.
+    rc, out = run_cli(capsys, "simulate", "--kind", "free", "--theta", "2e158", "--eta", "1e-159",
+                      "--x1", "1.7e308", "--p2=-1e150", "--t-end", "0.02", "--dt", "0.01", "--format", fmt)
+    assert rc == 2
+    assert json.loads(out, parse_constant=_no_constant)["error"] == {
+        "type": "ConfigError", "message": "the noncommutative observables overflow before t = 0.02"}
+
+
 def test_simulate_wep_single_mass_exits_2(capsys):
     rc, data = run_json(
         capsys, "simulate", "--wep", "--masses", "1", "--gamma", "0.01", "--alpha", "0.01"

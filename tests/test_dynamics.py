@@ -295,11 +295,26 @@ def test_propagator_last_row_is_exactly_e5(kind, family, branch, mass):
         aug[:4, :4], aug[:4, 4] = A * dt, b * dt
         for block in (1, 5, 50, 64):
             drifts = aug * np.arange(1.0, block + 1)[:, None, None]
-            with np.errstate(all="ignore"):
-                props = dynamics._expm(drifts, dynamics._scale_exponents(drifts))
+            props = dynamics.expm(drifts)
             finite = np.isfinite(props[:, :4]).all(axis=(1, 2))
             assert finite.any()
             assert (props[finite, 4] == e5).all()
+
+
+@pytest.mark.parametrize("dt,block", [(1e-3, 64), (0.02, 1), (0.02, 5), (0.5, 16)])
+def test_propagators_are_each_mass_expm_less_its_last_row_mass_major(dt, block):
+    hs = [build_hamiltonian(kind, build_representation(NCParams(0.3, 0.2, mass=mass), family, branch),
+                            g=9.8, omega=0.7)
+          for kind, family, branch, mass in ENERGY_CASES + STACKED_SYSTEMS]
+    expected = []
+    for h in hs:
+        A, b = h.drift()
+        aug = np.zeros((5, 5))
+        aug[:4, :4], aug[:4, 4] = A * dt, b * dt
+        expected.append(dynamics.expm(aug * np.arange(1.0, block + 1)[:, None, None])[:, :4])
+    step = dynamics._propagators(hs, dt, block)
+    assert step.shape == (len(hs), 4 * block, 5) and step.flags.c_contiguous
+    assert step.reshape(len(hs), block, 4, 5).tobytes() == np.array(expected).tobytes()
 
 
 def _mixed_hamiltonians(m):
@@ -735,6 +750,20 @@ def test_overflowing_propagator_or_trajectory_rejected():
     h = build_hamiltonian("free", IDENTITY)
     with pytest.raises(ConfigError, match="trajectory overflows"):
         evolve([h, h], [[0.0] * 4, [0.0, 0.0, 1e307, 0.0]], t_end=100.0, dt=1.0)
+
+
+def test_overflowing_observables_are_refused():
+    # The state stays finite, but X1 = a * x1 + b * p2 sums 1.65e308 and
+    # 1.03e308 and overflows from the initial row on; at x1 = 1.7e307 it does not.
+    rep = build_representation(NCParams(2e158, 1e-159), "branch", "minus")
+    h = build_hamiltonian("free", rep)
+    z0 = [1.7e308, 0.0, 0.0, -1e150]
+    for run in (lambda: evolve(h, z0, t_end=0.02, dt=0.01),
+                lambda: evolve([build_hamiltonian("free", IDENTITY), h], [[0.0] * 4, z0], t_end=0.02, dt=0.01)):
+        with pytest.raises(ConfigError) as info:
+            run()
+        assert str(info.value) == "the noncommutative observables overflow before t = 0.02"
+    assert np.isfinite(evolve(h, [1.7e307, 0.0, 0.0, -1e150], t_end=0.02, dt=0.01).nc_observables).all()
 
 
 def test_padding_rows_of_the_last_block_are_never_read():

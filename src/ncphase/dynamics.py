@@ -87,34 +87,30 @@ def _drift(quad: np.ndarray, linear: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return _J @ quad, (_J @ linear[..., None])[..., 0]
 
 
+# Finite inputs can still overflow (omega = 1e200): numpy stays silent and
+# the finiteness check at the end raises ConfigError instead of nan rows.
+@np.errstate(all="ignore")
 def build_hamiltonian(
     kind: str,
-    rep: Representation,
+    rep: Representation | Sequence[Representation],
     g: float = 0.0,
     omega: float = 0.0,
-) -> QuadraticHamiltonian:
+) -> QuadraticHamiltonian | list[QuadraticHamiltonian]:
     """Kinetic term plus the requested potential, in the rep's observables.
 
     free:            H = (P1^2 + P2^2)/(2m)
     uniform_gravity: H = (P1^2 + P2^2)/(2m) + m*g*X2
     harmonic:        H = (P1^2 + P2^2)/(2m) + m*omega^2*(X1^2 + X2^2)/2
 
-    This is the one-rep case of the stacked setup :func:`_build_hamiltonians`.
+    ``rep`` is one representation, giving one Hamiltonian, or a sequence of
+    m, giving a list of m built as (m, ...) stacks; each Hamiltonian's
+    arrays are its slices of the stacks, byte-equal to its own build.  The
+    overflow refusal names the first mass that overflows.
     """
-    return _build_hamiltonians(kind, [rep], g, omega)[0]
-
-
-# Finite inputs can still overflow (omega = 1e200): numpy stays silent and
-# the finiteness check at the end raises ConfigError instead of nan rows.
-@np.errstate(all="ignore")
-def _build_hamiltonians(
-    kind: str, reps: Sequence[Representation], g: float, omega: float
-) -> list[QuadraticHamiltonian]:
-    """The :func:`build_hamiltonian` of each rep, built as (m, ...) stacks.
-
-    Each Hamiltonian's arrays are its slices of the stacks.  The overflow
-    refusal names the first mass that overflows.
-    """
+    single = isinstance(rep, Representation)
+    reps = [rep] if single else list(rep)
+    if not reps:
+        raise ConfigError("build_hamiltonian needs at least one representation")
     if kind not in HAMILTONIAN_KINDS:
         raise ConfigError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
     if not (math.isfinite(g) and math.isfinite(omega)):
@@ -152,10 +148,11 @@ def _build_hamiltonians(
         raise ConfigError(
             f"the {kind} Hamiltonian overflows for mass = {first}, g = {g}, omega = {omega}"
         )
-    return [
+    hs = [
         QuadraticHamiltonian(rep=rep, quad=q, linear=lin, observables=obs)
         for rep, q, lin, obs in zip(reps, quad, linear, observables)
     ]
+    return hs[0] if single else hs
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: compare and hash by identity
@@ -379,26 +376,26 @@ def energy_drift(h: QuadraticHamiltonian, traj: Trajectory) -> float:
     return drift
 
 
-def nc_initial_state(h: QuadraticHamiltonian, nc_data: Sequence[float]) -> np.ndarray:
+# A finite Hamiltonian can still overflow its map (theta = 1e147): numpy
+# stays silent and the map, then not finite, is refused as singular.
+@np.errstate(all="ignore")
+def nc_initial_state(
+    h: QuadraticHamiltonian | Sequence[QuadraticHamiltonian], nc_data: Sequence[float]
+) -> np.ndarray:
     """Canonical state realising given (X1, X2, dX1/dt, dX2/dt) at t = 0.
 
     The map z -> (X1, X2, dX1/dt, dX2/dt) is affine because the observables
     are linear and the drift is affine; it is inverted with a dense solve.
-    This is the one-Hamiltonian case of the stacked :func:`_initial_states`.
+    ``h`` is one Hamiltonian, giving a (4,) state, or a sequence of m,
+    giving an (m, 4) array, one row each: the initial state :func:`evolve`
+    takes.  The m maps are one (m, 4, 4) stack, checked by one stacked
+    condition number and inverted by one stacked solve; the singular-map
+    refusal names the first mass whose map is singular.
     """
-    return _initial_states([h], nc_data)[0]
-
-
-# A finite Hamiltonian can still overflow its map (theta = 1e147): numpy
-# stays silent and the map, then not finite, is refused as singular.
-@np.errstate(all="ignore")
-def _initial_states(hs: Sequence[QuadraticHamiltonian], nc_data: Sequence[float]) -> np.ndarray:
-    """The :func:`nc_initial_state` of each of m Hamiltonians, as an (m, 4) array.
-
-    The m maps are one (m, 4, 4) stack, checked by one stacked condition
-    number and inverted by one stacked solve; the singular-map refusal
-    names the first mass whose map is singular.
-    """
+    single = isinstance(h, QuadraticHamiltonian)
+    hs = [h] if single else list(h)
+    if not hs:
+        raise ConfigError("nc_initial_state needs at least one Hamiltonian")
     vals = np.asarray(nc_data, dtype=float)
     if vals.shape != (4,):
         raise ConfigError(
@@ -406,8 +403,8 @@ def _initial_states(hs: Sequence[QuadraticHamiltonian], nc_data: Sequence[float]
         )
     if not np.isfinite(vals).all():
         raise ConfigError(f"X1, X2, dX1/dt, dX2/dt must be finite, got {vals.tolist()}")
-    observables = np.array([h.observables for h in hs])
-    A, b = _drift(np.array([h.quad for h in hs]), np.array([h.linear for h in hs]))
+    observables = np.array([hi.observables for hi in hs])
+    A, b = _drift(np.array([hi.quad for hi in hs]), np.array([hi.linear for hi in hs]))
     r1, r2 = observables[:, :1], observables[:, 1:2]
     # Vector products, a (1, 4) row per system: a (2, 4) matmul may sum in another order.
     maps = np.concatenate([r1, r2, r1 @ A, r2 @ A], axis=1)
@@ -424,7 +421,8 @@ def _initial_states(hs: Sequence[QuadraticHamiltonian], nc_data: Sequence[float]
             "observable-to-state map is singular; the chosen representation does not "
             f"determine a unique canonical state (condition number {cond[np.argmax(singular)]:.3g})"
         )
-    return np.linalg.solve(maps, rhs)[..., 0]
+    states = np.linalg.solve(maps, rhs)[..., 0]
+    return states[0] if single else states
 
 
 def wep_trajectories(
@@ -436,20 +434,17 @@ def wep_trajectories(
 ) -> list[tuple[QuadraticHamiltonian, Trajectory]]:
     """Free fall of one representation per mass from the same (X1, X2, dX1/dt, dX2/dt).
 
-    The setup of all masses is stacked: one (m, 4, 4) observables table
-    gives every Hamiltonian under uniform gravity ``g``, and one stacked
-    solve gives every initial state.  All masses are then stepped together
-    in one :func:`evolve` call; each pair holds its mass's Hamiltonian and
-    its own trajectory.  Each mass's Hamiltonian, initial state and
-    trajectory are byte-equal to :func:`build_hamiltonian`,
-    :func:`nc_initial_state` and :func:`evolve` of that mass alone.
+    Each stage takes all masses at once: :func:`build_hamiltonian` under
+    uniform gravity ``g``, :func:`nc_initial_state`, then :func:`evolve`.
+    Each pair holds its mass's Hamiltonian and its own trajectory, byte-equal
+    to the same stages of that mass alone.
     """
     if len(reps) < 2:
         raise ConfigError(
             f"need at least two masses to compare free fall, got {[rep.params.mass for rep in reps]}"
         )
-    hs = _build_hamiltonians("uniform_gravity", reps, g, 0.0)
-    return list(zip(hs, evolve(hs, _initial_states(hs, nc_data), t_end, dt)))
+    hs = build_hamiltonian("uniform_gravity", reps, g)
+    return list(zip(hs, evolve(hs, nc_initial_state(hs, nc_data), t_end, dt)))
 
 
 def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -> float:

@@ -511,7 +511,9 @@ def check_commutative_limit(
     fixed swap map of the ratio theta0/eta0; each scale's sup-norm distance,
     taken on the branch's shift row with no form built, is compared against
     the matching entry of ``tols``.  Branch failures at a degenerate scale
-    (e.g. exactly zero) are recorded, not raised.
+    (e.g. exactly zero) are recorded, not raised.  A negative scale flips
+    both signs, so the plus branch would approach the swap map of -r, not
+    p0's target; it is refused, as is a scale that is not finite.
     """
     if len(scales) == 0:
         raise ConfigError("need at least one scale to track the commutative limit")
@@ -519,6 +521,9 @@ def check_commutative_limit(
         raise ConfigError(
             f"need one tolerance per scale, got {len(scales)} scales and {len(tols)} tolerances"
         )
+    for scale in scales:
+        if not 0.0 <= scale < math.inf:
+            raise ConfigError(f"commutative-limit scale must be finite and nonnegative, got {scale}")
     for tol in tols:
         check_tolerance(tol)
     r = _swap_scale(p0)

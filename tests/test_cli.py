@@ -745,6 +745,24 @@ def test_nonfinite_input_exits_2(capsys, argv, error):
     assert data["error"]["type"] == error
 
 
+@pytest.mark.parametrize(
+    "limit,bad",
+    [
+        # at -1e-2 with these tolerances the plus branch read 2 sqrt(theta/eta) and exited 1
+        (["--limit-scales=-1e-2,-1e-4", "--limit-tols", "1e-2,1e-4"], "-0.01"),
+        # the default tolerances are the scales; the scale is named, not the tolerance
+        (["--limit-scales=-1e-2,-1e-4"], "-0.01"),
+        (["--limit-scales", "nan"], "nan"),
+        (["--limit-scales", "1e-2,inf"], "inf"),
+    ],
+)
+def test_limit_scale_outside_zero_to_inf_exits_2_naming_the_scale(capsys, limit, bad):
+    rc, data = run_json(capsys, "verify", "--theta", "0.5", "--eta", "0.3", *limit)
+    assert rc == 2
+    assert data["error"] == {"type": "ConfigError",
+                             "message": f"commutative-limit scale must be finite and nonnegative, got {bad}"}
+
+
 def test_trajectory_overflowing_inside_a_block_exits_2_without_a_warning(capsys):
     # omega * dt = pi / block, so every block starts at x1 = +-1e308 and p1 = 0
     # up to rounding, and the last row is finite; but p1 = -4e308 sin(omega t)

@@ -743,6 +743,86 @@ def test_stacked_singular_map_refusal_names_the_first_mass():
         assert str(info.value) == messages[first]
 
 
+# --- one system or a sequence: the setup stages take what evolve takes -------------
+
+
+def _mixed_reps():
+    """Reps of both families and several masses, to stack in one call."""
+    return [
+        build_representation(NCParams(theta, eta, mass=mass), family, branch)
+        for theta, eta, mass, family, branch in (
+            (0.3, 0.2, 0.1, "branch", "minus"),
+            (-0.25, 0.0, 7.0, "simple", None),
+            (0.03, 0.02, 1.3, "branch", "plus"),
+            (0.4, 0.1, 1e3, "epsilon_general", "minus"),
+        )
+    ]
+
+
+@pytest.mark.parametrize("kind", dynamics.HAMILTONIAN_KINDS)
+def test_build_hamiltonian_of_a_sequence_is_bitwise_each_one_rep_build(kind):
+    reps = _mixed_reps()
+    hs = build_hamiltonian(kind, reps, g=-9.8, omega=0.7)
+    assert isinstance(hs, list) and len(hs) == len(reps)
+    for rep, h in zip(reps, hs):
+        one = build_hamiltonian(kind, rep, g=-9.8, omega=0.7)
+        assert isinstance(one, dynamics.QuadraticHamiltonian)
+        assert h.rep is rep is one.rep
+        for field in ("quad", "linear", "observables"):
+            assert getattr(h, field).tobytes() == getattr(one, field).tobytes()
+    # A sequence of one is a list of one, whatever the sequence type.
+    (h,) = build_hamiltonian(kind, tuple(reps[:1]), g=-9.8, omega=0.7)
+    assert h.quad.tobytes() == hs[0].quad.tobytes()
+
+
+def test_nc_initial_state_of_a_sequence_is_bitwise_each_single_call():
+    nc_data = (0.25, -0.5, 1.0, 0.3)
+    hs = build_hamiltonian("uniform_gravity", _mixed_reps(), g=2.0)
+    states = nc_initial_state(hs, nc_data)
+    assert states.shape == (len(hs), 4)
+    for h, row in zip(hs, states):
+        one = nc_initial_state(h, nc_data)
+        assert one.shape == (4,)
+        assert row.tobytes() == one.tobytes()
+    # The stages compose the same way for one system or a sequence of one.
+    runs = evolve(hs[:1], nc_initial_state(hs[:1], nc_data), 0.1, 0.05)
+    alone = evolve(hs[0], nc_initial_state(hs[0], nc_data), 0.1, 0.05)
+    assert runs[0].canonical_states.tobytes() == alone.canonical_states.tobytes()
+
+
+def test_setup_refusals_name_the_first_failing_mass_of_a_sequence():
+    reps = [build_representation(NCParams(0.1, 0.1, mass=mass), "branch", "minus") for mass in (1.0, 100.0, 10.0)]
+    with pytest.raises(ConfigError, match=r"overflows for mass = 100\.0, g = 1e\+308, omega = 0\.0$"):
+        build_hamiltonian("uniform_gravity", reps, g=1e308)
+    near = build_representation(NCParams(1.0, 1.0, mass=1.0), "branch", "minus")
+    far = build_representation(NCParams(1e8, 1e-8, mass=3.0), "branch", "minus")
+    fine = build_representation(NCParams(0.1, 0.1, mass=2.0), "branch", "minus")
+    hs = build_hamiltonian("uniform_gravity", [fine, far, near], g=1.0)
+    with pytest.raises(SingularMapError) as info:
+        nc_initial_state(hs, (0.0, 0.0, 1.0, 0.0))
+    assert str(info.value) == _singular_message(far) != _singular_message(near)
+
+
+@pytest.mark.parametrize("empty", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+def test_setup_stages_refuse_an_empty_sequence(empty):
+    with pytest.raises(ConfigError, match="^build_hamiltonian needs at least one representation$"):
+        build_hamiltonian("free", empty)
+    with pytest.raises(ConfigError, match="^nc_initial_state needs at least one Hamiltonian$"):
+        nc_initial_state(empty, (0.0, 0.0, 1.0, 0.0))
+
+
+def test_wep_trajectories_sets_up_through_the_public_stages_once_each(monkeypatch):
+    calls = []
+    for name in ("build_hamiltonian", "nc_initial_state"):
+        def counted(*args, _name=name, _stage=getattr(dynamics, name), **kwargs):
+            calls.append(_name)
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    wep_deviation(MassConditions(gamma=0.05, alpha=0.05), [1.0, 3.0, 9.0], t_end=0.1, dt=0.05)
+    assert calls == ["build_hamiltonian", "nc_initial_state"]
+
+
 def test_overflowing_propagator_or_trajectory_rejected():
     h = build_hamiltonian("harmonic", IDENTITY, omega=1e100)
     with pytest.raises(ConfigError, match="propagator overflows"):

@@ -528,6 +528,16 @@ def test_commutative_limit_needs_a_scale():
         check_commutative_limit([], NCParams(0.5, 0.5), [])
 
 
+@pytest.mark.parametrize("scale", [-1e-2, -5e-324, math.nan, math.inf, -math.inf])
+def test_commutative_limit_refuses_a_scale_outside_zero_to_inf_before_its_tolerance(scale):
+    # A negative scale flips both parameters, and its plus branch would be
+    # measured against the wrong swap map: 2 sqrt(theta/eta) at -1e-2.  The
+    # CLI's default tolerances are the scales, so the scale is named first.
+    with pytest.raises(ConfigError) as info:
+        check_commutative_limit([1e-2, scale], NCParams(0.5, 0.3), [1e-2, scale])
+    assert str(info.value) == f"commutative-limit scale must be finite and nonnegative, got {scale}"
+
+
 def test_commutative_limit_needs_positive_ratio():
     with pytest.raises(DomainError):
         check_commutative_limit((1e-2,), NCParams(-0.5, 0.5), (1e-2,))

@@ -23,7 +23,12 @@ symbolic theta and eta, not sampled:
 * Heisenberg's equations of free fall, derived from the table
   [X1, X2] = theta, [P1, P2] = eta, [Xi, Pi] = d, hold no mass under the
   conditions and do at fixed (theta, eta), and the closed form that
-  ``tests/test_oracle.py`` holds the integrator against solves them.
+  ``tests/test_oracle.py`` holds the integrator against solves them;
+* for two particles, with dX = X^(a) - X^(b), dP = mu*(P^(a)/m_a - P^(b)/m_b)
+  and mu = m_a*m_b/M, all 16 brackets of (X_c, P_c) with (dX, dP) vanish
+  under the conditions; without them [X1_c, dX2] = (theta_a*m_a -
+  theta_b*m_b)/M and [P1_c, dP2] = mu*(eta_a/m_a - eta_b/m_b); and the
+  kinetic energy sum_a P^(a)^2/(2m_a) is P_c^2/(2M) + dP^2/(2mu).
 
 A few float points tie each restatement to the code it restates.
 """
@@ -34,7 +39,7 @@ import mpmath
 import pytest
 import sympy as sp
 
-from ncphase import CompositeSystem, MassConditions, NCParams, commutator, primed_params
+from ncphase import CompositeSystem, MassConditions, NCParams, build_representation, commutator, primed_params
 from ncphase.composite import com_rep_algebraic, com_rep_direct, com_simple_algebraic, com_simple_direct
 from ncphase.representation import _coeff_forms, _epsilon_coeffs, _shift_coeffs, _shift_terms, _swap_row, _swap_scale
 from test_oracle import _free_fall
@@ -335,3 +340,85 @@ def test_closed_form_solves_the_free_fall_equations(family):
             want = _free_fall(gamma, alpha, dd, g, data, t)
             got = x(gamma, alpha, g, *data, t)
         assert [float(v) for v in got] == pytest.approx([float(v) for v in want], rel=1e-15, abs=0.0)
+
+
+# --- (e) centre of mass and relative motion --------------------------------------------
+
+MA, MB = sp.symbols("m_a m_b", positive=True)
+M_AB = MA + MB
+MU = MA * MB / M_AB
+#: Each particle's generators (X1, X2, P1, P2); the two particles' generators commute.
+GENERATORS = {a: sp.symbols(f"X1_{a} X2_{a} P1_{a} P2_{a}") for a in "ab"}
+XA, XB = GENERATORS["a"], GENERATORS["b"]
+#: (X1_c, X2_c, P1_c, P2_c): the mass-weighted coordinates and the summed momenta.
+COM = (*((MA * XA[i] + MB * XB[i]) / M_AB for i in (0, 1)), *(XA[i] + XB[i] for i in (2, 3)))
+#: (dX1, dX2, dP1, dP2): dX = X^(a) - X^(b) and dP = mu*(P^(a)/m_a - P^(b)/m_b).
+RELATIVE = (*(XA[i] - XB[i] for i in (0, 1)), *(MU * (XA[i] / MA - XB[i] / MB) for i in (2, 3)))
+THETA_A, THETA_B, ETA_A, ETA_B = sp.symbols("theta_a theta_b eta_a eta_b", real=True)
+
+
+def _pair_bracket(u, v, tables):
+    """[u, v]/(i*hbar) of two linear combinations of both particles' generators.
+
+    ``tables[a]`` is particle a's (theta, eta, d): [X1, X2] = theta,
+    [P1, P2] = eta and [Xi, Pi] = d; the particles' generators commute.
+    """
+    u, v = sp.expand(u), sp.expand(v)
+    total = 0
+    for a, (x1, x2, p1, p2) in GENERATORS.items():
+        theta, eta, d = tables[a]
+        for (g, h), c in {(x1, x2): theta, (p1, p2): eta, (x1, p1): d, (x2, p2): d}.items():
+            total += c * (u.coeff(g) * v.coeff(h) - u.coeff(h) * v.coeff(g))
+    return sp.cancel(total)
+
+
+#: Each family's diagonal d of (theta, eta): 1 on the branches, 1 + theta*eta/4 for the simple family.
+DIAGONAL_OF = {"branch": lambda theta, eta: sp.Integer(1), "simple": lambda theta, eta: 1 + theta * eta / 4}
+
+
+@pytest.mark.parametrize("family", DIAGONAL_OF)
+def test_centre_of_mass_commutes_with_the_relative_motion_under_the_conditions(family):
+    d = DIAGONAL_OF[family]
+    tables = {a: (GAMMA / m, ALPHA * m, d(GAMMA / m, ALPHA * m)) for a, m in (("a", MA), ("b", MB))}
+    brackets = [[_pair_bracket(u, v, tables) for v in RELATIVE] for u in COM]
+    # Every bracket is a number, so [P_c^2, dP^2] = sum of 2 [P_ci, dP_j] (P_ci dP_j + dP_j P_ci)
+    # vanishes with them: the two kinetic terms below commute as well.
+    assert brackets == [[0] * 4] * 4
+
+
+def test_centre_of_mass_and_relative_motion_couple_without_the_conditions():
+    d_a, d_b = sp.symbols("d_a d_b", real=True)
+    tables = {"a": (THETA_A, ETA_A, d_a), "b": (THETA_B, ETA_B, d_b)}
+    x1_c, _, p1_c, _ = COM
+    _, dx2, _, dp2 = RELATIVE
+    assert _is_zero(_pair_bracket(x1_c, dx2, tables) - (THETA_A * MA - THETA_B * MB) / M_AB)
+    assert _is_zero(_pair_bracket(p1_c, dp2, tables) - MU * (ETA_A / MA - ETA_B / MB))
+
+
+def test_kinetic_energy_splits_into_centre_of_mass_and_relative_terms():
+    # Each square holds one momentum component of the two particles, and
+    # those commute, so commuting symbols prove the operator identity.
+    total = sum((g[2] ** 2 + g[3] ** 2) / (2 * m) for g, m in ((XA, MA), (XB, MB)))
+    split = (COM[2] ** 2 + COM[3] ** 2) / (2 * M_AB) + (RELATIVE[2] ** 2 + RELATIVE[3] ** 2) / (2 * MU)
+    assert sp.cancel(total - split) == 0
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        CompositeSystem([NCParams(0.3, 0.2, mass=1.5), NCParams(-0.1, 0.4, mass=2.5)]),
+        CompositeSystem.from_conditions(MassConditions(gamma=0.3, alpha=0.2), (1.5, 2.5)),
+    ],
+    ids=["fixed", "conditioned"],
+)
+def test_centre_of_mass_brackets_are_the_code_brackets(system):
+    # The code's X1_c and P1_c against dX2 and dP2 built from each particle's own forms.
+    (ma, mb), (ta, tb), (ea, eb) = system.masses, system.thetas, system.etas
+    x1_c, _, p1_c, _ = com_rep_direct(system)
+    rep_a, rep_b = (build_representation(p, "branch", "minus", particle_id=a) for a, p in enumerate(system.particles))
+    mu = ma * mb / system.total_mass
+    point = {MA: ma, MB: mb, THETA_A: ta, THETA_B: tb, ETA_A: ea, ETA_B: eb}
+    want = [float(((THETA_A * MA - THETA_B * MB) / M_AB).subs(point)),
+            float((MU * (ETA_A / MA - ETA_B / MB)).subs(point))]
+    got = [commutator(x1_c, rep_a.X2 - rep_b.X2), commutator(p1_c, rep_a.P2 * (mu / ma) - rep_b.P2 * (mu / mb))]
+    assert got == pytest.approx(want, rel=1e-14, abs=1e-16)

@@ -5,7 +5,10 @@ The invocations are the README examples plus a JSON ``repr``, an
 fixed-parameter ``simulate --wep`` whose spread is nonzero, a
 ``simple``-family ``simulate --wep`` and a single-mass ``simulate`` of the
 harmonic and gravity kinds, so every Hamiltonian kind and both families
-reach the free-fall setup.  A
+reach the free-fall setup.  Three more hold each output path in the other
+format: a check-report CSV with the limit records' empty cells, the CSV of
+``com`` route records that are informational, and a trajectory's JSON body
+with its ``energy_drift``.  A
 change that alters one of these outputs on purpose regenerates the fixture
 with ``PYTHONPATH=src python tests/test_golden_cli.py`` and says so.
 """
@@ -45,6 +48,10 @@ INVOCATIONS = (
      "--x1", "1", "--p2", "0.5", "--t-end", "1", "--dt", "0.25", "--format", "csv"],
     ["simulate", "--kind", "gravity", "--family", "simple", "--gamma", "0.3", "--alpha", "0.2", "--mass", "3",
      "--g", "9.8", "--x2", "2", "--p1", "1", "--t-end", "1", "--dt", "0.25", "--format", "csv"],
+    ["verify", "--theta", "0.5", "--eta", "0.5", "--limit-scales", "1e-2,1e-4,1e-6", "--format", "csv"],
+    ["com", "--masses", "1,2", "--thetas", "0.3,0.1", "--etas", "0.2,0.5", "--format", "csv"],
+    ["simulate", "--kind", "free", "--theta", "0.2", "--eta", "0.1", "--p1", "1.0", "--t-end", "1.0",
+     "--dt", "0.25", "--format", "json"],
 )
 
 

@@ -38,6 +38,7 @@ from .representation import (
     DEFAULT_TOL,
     MassConditions,
     NCParams,
+    Representation,
     branch_transform_residual,
     build_representation,
     check_commutative_limit,
@@ -61,6 +62,8 @@ _WEP_ONLY = ("masses", "nc_x1", "nc_x2", "nc_v1", "nc_v2")
 _KIND_ONLY = {"g": ("gravity", "uniform_gravity"), "omega": ("harmonic",)}
 #: Options holding a comma list, which a config file may give as a JSON array.
 _LIST_OPTIONS = ("masses", "thetas", "etas", "limit_scales", "limit_tols")
+#: A command's output, its CSV text or the JSON body that ``main`` wraps, and its exit code.
+_Output = tuple[str | dict[str, Any], int]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -265,7 +268,7 @@ def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
     """
     if command == "verify" and "limit_tols" in given and "limit_scales" not in given:
         raise ConfigError("`verify` does not read --limit-tols without --limit-scales")
-    if _read_branch(cfg) is None and "branch" in given:
+    if read_branch(cfg["family"], cfg["branch"]) is None and "branch" in given:
         raise ConfigError(f"`{command} --family simple` does not read --branch")
     if command != "simulate":
         return
@@ -278,16 +281,18 @@ def _refuse_unread(command: str, cfg: dict[str, Any], given: set[str]) -> None:
             raise ConfigError(f"`simulate --kind {cfg['kind']}` does not read --{dest}")
 
 
-def _read_branch(cfg: dict[str, Any]) -> str | None:
-    """The branch the run reads, as its report gives it: :func:`read_branch` of --family and --branch."""
-    return read_branch(cfg["family"], cfg["branch"])
+def _reps(cfg: dict[str, Any], masses: Sequence[float]) -> list[Representation]:
+    """One representation per mass, of the run's family and branch, from its one parameter source.
 
-
-def _particle_params(cfg: dict[str, Any], mass: float) -> NCParams:
+    Every mass's parameters are checked before any representation is built,
+    so a bad mass is named before another mass's build refusal.
+    """
     conditions = _param_source(cfg)
-    if conditions is not None:
-        return params_from_conditions(conditions, mass)
-    return NCParams(theta=cfg["theta"], eta=cfg["eta"], mass=mass)
+    if conditions is None:
+        params = [NCParams(theta=cfg["theta"], eta=cfg["eta"], mass=m) for m in masses]
+    else:
+        params = [params_from_conditions(conditions, m) for m in masses]
+    return [build_representation(p, cfg["family"], cfg["branch"]) for p in params]
 
 
 def _emit(text: str, cfg: dict[str, Any]) -> None:
@@ -312,18 +317,17 @@ def _csv_table(header: Sequence[str], rows) -> str:
     return buf.getvalue()
 
 
-def _emit_report(command: str, cfg: dict[str, Any], report: CheckReport) -> int:
-    if cfg.get("format") == "csv":
-        rows = (
-            (c.name, "" if c.expected is None else repr(c.expected), "" if c.measured is None else repr(c.measured),
-             repr(c.tol), str(c.passed).lower(), c.detail)
-            for c in sorted(report.checks, key=lambda c: c.name)
-        )
-        text = _csv_table(("name", "expected", "measured", "tol", "pass", "detail"), rows)
-    else:
-        text = _envelope(command, cfg, **report.to_dict())
-    _emit(text, cfg)
-    return 0 if report.overall else 1
+def _report_body(cfg: dict[str, Any], report: CheckReport) -> _Output:
+    """A check report's output, its CSV text or its JSON body, and the run's exit code."""
+    code = 0 if report.overall else 1
+    if cfg.get("format") != "csv":
+        return report.to_dict(), code
+    rows = (
+        (c.name, "" if c.expected is None else repr(c.expected), "" if c.measured is None else repr(c.measured),
+         repr(c.tol), str(c.passed).lower(), c.detail)
+        for c in sorted(report.checks, key=lambda c: c.name)
+    )
+    return _csv_table(("name", "expected", "measured", "tol", "pass", "detail"), rows), code
 
 
 def _envelope(command: str | None, cfg: dict[str, Any] | None, **body: Any) -> str:
@@ -355,12 +359,11 @@ def _table_error(rep) -> float:
     return max(abs(c.measured - c.expected) for c in report.checks)
 
 
-def _cmd_verify(cfg: dict[str, Any]) -> int:
+def _cmd_verify(cfg: dict[str, Any]) -> _Output:
     tol = cfg["tol"]
-    p = _particle_params(cfg, cfg["mass"])
+    (rep,) = _reps(cfg, [cfg["mass"]])
+    p = rep.params
     family = cfg["family"]
-    branch = cfg["branch"]
-    rep = build_representation(p, family, branch)
     expect = {key: cfg[key] for key in ("expect_theta", "expect_eta", "expect_diag")}
     for key, value in expect.items():
         if value is not None and not math.isfinite(value):
@@ -411,13 +414,11 @@ def _cmd_verify(cfg: dict[str, Any]) -> int:
             checks.append(
                 CheckRecord.within(f"random.closure.{branch}", 0.0, worst, tol, f"worst table error over {over} draws")
             )
-    final = CheckReport(kind=report.kind, checks=tuple(checks), meta=meta)
-    return _emit_report("verify", cfg, final)
+    return _report_body(cfg, CheckReport(kind=report.kind, checks=tuple(checks), meta=meta))
 
 
-def _cmd_repr(cfg: dict[str, Any]) -> int:
-    p = _particle_params(cfg, cfg["mass"])
-    rep = build_representation(p, cfg["family"], cfg["branch"])
+def _cmd_repr(cfg: dict[str, Any]) -> _Output:
+    (rep,) = _reps(cfg, [cfg["mass"]])
     report = verify_nc_algebra(rep, tol=cfg["tol"])
     forms = {
         name: {str(var): coeff for var, coeff in form.terms.items()}
@@ -427,16 +428,14 @@ def _cmd_repr(cfg: dict[str, Any]) -> int:
         rows = []
         for name in rep.form_names():
             rows += [(name, term, repr(coeff)) for term, coeff in sorted(forms[name].items())]
-        _emit(_csv_table(("form", "term", "coefficient"), rows), cfg)
-        return 0
+        return _csv_table(("form", "term", "coefficient"), rows), 0
     # Forms are linear, so every constant of the report schema reads 0.0.
     constants = dict.fromkeys(rep.form_names(), 0.0)
     table = {c.name: c.measured for c in report.checks}
-    _emit(_envelope("repr", cfg, forms=forms, constants=constants, table=table, overall=report.overall), cfg)
-    return 0
+    return {"forms": forms, "constants": constants, "table": table, "overall": report.overall}, 0
 
 
-def _cmd_com(cfg: dict[str, Any]) -> int:
+def _cmd_com(cfg: dict[str, Any]) -> _Output:
     tol = cfg["tol"]
     masses = _float_list(cfg.get("masses"), "--masses")
     conditions = _param_source(cfg, ("thetas", "etas"))
@@ -461,18 +460,17 @@ def _cmd_com(cfg: dict[str, Any]) -> int:
         )
     # The comparison's meta already holds theta_eff and eta_eff.
     meta = {**report.meta, "conditions_used": conditions is not None, "masses": masses}
-    return _emit_report("com", cfg, CheckReport(kind=report.kind, checks=checks, meta=meta))
+    return _report_body(cfg, CheckReport(kind=report.kind, checks=checks, meta=meta))
 
 
-def _cmd_simulate(cfg: dict[str, Any]) -> int:
+def _cmd_simulate(cfg: dict[str, Any]) -> _Output:
     if cfg.get("wep"):
         return _cmd_simulate_wep(cfg)
     import numpy as np
 
     from .dynamics import build_hamiltonian, energy_drift, evolve
 
-    p = _particle_params(cfg, cfg["mass"])
-    rep = build_representation(p, cfg["family"], cfg["branch"])
+    (rep,) = _reps(cfg, [cfg["mass"]])
     kind = {"gravity": "uniform_gravity"}.get(cfg["kind"], cfg["kind"])
     h = build_hamiltonian(kind, rep, g=cfg["g"], omega=cfg["omega"])
     initial = tuple(cfg[key] for key in ("x1", "x2", "p1", "p2"))
@@ -482,9 +480,7 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
     drift = energy_drift(h, traj)
     table = np.column_stack((traj.times, traj.canonical_states, traj.nc_observables))
     if cfg.get("format") == "json":
-        body = {"columns": list(TRAJECTORY_COLUMNS), "rows": table.tolist()}
-        _emit(_envelope("simulate", cfg, **body, energy_drift=drift), cfg)
-        return 0
+        return {"columns": list(TRAJECTORY_COLUMNS), "rows": table.tolist(), "energy_drift": drift}, 0
     # One row at a time: float reprs never need CSV quoting, and a list of
     # the whole table would cost more memory than the text it becomes.
     # Not through _csv_table: on a 10^4-row table csv.writer wrote the same
@@ -493,30 +489,26 @@ def _cmd_simulate(cfg: dict[str, Any]) -> int:
     buf.write(",".join(TRAJECTORY_COLUMNS) + "\n")
     for row in table:
         buf.write(",".join(map(repr, row.tolist())) + "\n")
-    _emit(buf.getvalue(), cfg)
-    return 0
+    return buf.getvalue(), 0
 
 
-def _cmd_simulate_wep(cfg: dict[str, Any]) -> int:
+def _cmd_simulate_wep(cfg: dict[str, Any]) -> _Output:
     from .dynamics import coordinate_spread, energy_drift, wep_trajectories
 
     masses = _float_list(cfg.get("masses"), "--masses")
-    conditioned = _param_source(cfg) is not None
-    # Every mass's parameters are checked before any representation is built.
-    params = [_particle_params(cfg, m) for m in masses]
-    reps = [build_representation(q, cfg["family"], cfg["branch"]) for q in params]
+    reps = _reps(cfg, masses)
     nc_data = tuple(cfg[key] for key in ("nc_x1", "nc_x2", "nc_v1", "nc_v2"))
     runs = wep_trajectories(reps, nc_data, cfg["g"], cfg["t_end"], cfg["dt"])
     summary = {
         "deviation_max": coordinate_spread(runs),
-        "conditions_used": conditioned,
+        # _reps has refused a run with both sources or with half of one.
+        "conditions_used": cfg["gamma"] is not None,
         "masses": masses,
         "family": cfg["family"],
-        "branch": _read_branch(cfg),
+        "branch": read_branch(cfg["family"], cfg["branch"]),
         "energy_drift_max": max(energy_drift(h, traj) for h, traj in runs),
     }
-    _emit(_envelope("simulate", cfg, summary=summary), cfg)
-    return 0
+    return {"summary": summary}, 0
 
 
 _COMMANDS = {
@@ -536,7 +528,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             command = parser.parse_args(argv).command
             cfg, given = _resolve_config(parser, command, argv)
             _refuse_unread(command, cfg, given)
-            return _COMMANDS[command](cfg)
+            body, code = _COMMANDS[command](cfg)
+            # The one write of a run's output; a refusal's report is written below.
+            _emit(body if isinstance(body, str) else _envelope(command, cfg, **body), cfg)
+            return code
         except NCPhaseError as exc:
             error = {"type": type(exc).__name__, "message": str(exc)}
             sys.stdout.write(_envelope(command, None, error=error) + "\n")

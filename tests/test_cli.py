@@ -506,6 +506,13 @@ def test_simulate_wep_single_mass_exits_2(capsys):
     assert data["error"]["type"] == "ConfigError"
 
 
+def test_simulate_wep_checks_every_mass_before_building_any(capsys):
+    # theta*eta = 4 refuses the build of mass 1; mass -2's parameters are refused first
+    rc, data = run_json(capsys, "simulate", "--wep", "--masses", "1,-2", "--theta", "2", "--eta", "2")
+    assert rc == 2
+    assert data["error"] == {"type": "DomainError", "message": "mass must be positive, got -2.0"}
+
+
 # --- repr ----------------------------------------------------------------------
 
 

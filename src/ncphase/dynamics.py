@@ -177,14 +177,15 @@ def _step_count(t_end: float, dt: float) -> int:
     steps = t_end / dt
     n = MAX_STEPS + 1  # stands in for counts past the cap, an overflow to inf among them
     if steps <= n:
-        n = round(steps)
-        if abs(n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-            n = math.ceil(steps)
+        # The first count reaching t_end, less 1e-9 * max(1, steps) steps: a
+        # quotient that rounding lifted just above a whole count takes that
+        # count.  Measured in steps, the tolerance holds at every dt.
+        n = math.ceil(steps - 1e-9 * max(1.0, steps))
     if n > MAX_STEPS:
         raise StepError(
             f"t_end = {t_end} at dt = {dt} needs {steps:.15g} steps, more than the cap of {MAX_STEPS}"
         )
-    return int(n)
+    return n
 
 
 #: Padé [13/13] coefficients b_0 ... b_13, and the largest 1-norm at which that

@@ -280,6 +280,13 @@ def test_simulate_json_format(capsys):
     assert data["energy_drift"] < 1e-10
 
 
+def test_simulate_reaches_t_end_at_a_tiny_dt(capsys):
+    rc, out = run_cli(capsys, "simulate", "--kind", "free", "--theta", "0.1", "--eta", "0.1", "--p1", "1",
+                      "--t-end", "1.4e-9", "--dt", "1e-9", "--format", "csv")
+    assert rc == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["0.0", "1e-09", "2e-09"]
+
+
 def test_simulate_gravity_alias(capsys):
     rc, out = run_cli(
         capsys, "simulate", "--kind", "gravity", "--theta", "0", "--eta", "0",

@@ -552,6 +552,9 @@ def test_step_count_covers_t_end():
     # quotients a rounding above a whole count take that count, not one more
     assert _step_count(0.1 * 3, 0.1) == 3
     assert _step_count(2.1, 0.3) == 7
+    # the rounding tolerance is counted in steps, not in time: at dt = 1e-9 it is no whole step
+    assert _step_count(1.4e-9, 1e-9) == 2
+    assert _step_count(5e-10, 1e-9) == 1
 
 
 def test_step_count_is_capped():

@@ -177,9 +177,8 @@ def _step_count(t_end: float, dt: float) -> int:
     steps = t_end / dt
     n = MAX_STEPS + 1  # stands in for counts past the cap, an overflow to inf among them
     if steps <= n:
-        # The first count reaching t_end, less 1e-9 * max(1, steps) steps: a
-        # quotient that rounding lifted just above a whole count takes that
-        # count.  Measured in steps, the tolerance holds at every dt.
+        # The first count reaching t_end, less 1e-9 * max(1, steps) steps of
+        # tolerance for a quotient that rounding lifted just above a whole count.
         n = math.ceil(steps - 1e-9 * max(1.0, steps))
     if n > MAX_STEPS:
         raise StepError(

@@ -30,7 +30,7 @@ import math
 from functools import cached_property
 from itertools import chain
 from operator import mul, neg
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import _PAIRS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum
 from .errors import ConfigError, DomainError
@@ -62,8 +62,9 @@ class CompositeSystem:
     tuples with one entry per particle, and ``total_mass`` is the
     ``math.fsum`` of the masses, computed once.  ``CompositeSystem(particles)``
     reads the columns from a sequence of ``NCParams``.  ``from_conditions``
-    and ``from_params`` check the columns in bulk and build no ``NCParams``;
-    for every constructor, ``particles`` is built on first access and cached.
+    and ``from_params`` share one checked path: a bulk check of the columns,
+    which builds no ``NCParams``, or else the per-particle chain.  For every
+    constructor, ``particles`` is built on first access and cached.
     """
 
     def __init__(self, particles: Sequence[NCParams], conditions: MassConditions | None = None) -> None:
@@ -90,14 +91,7 @@ class CompositeSystem:
 
     @classmethod
     def from_conditions(cls, conditions: MassConditions, masses: Sequence[float]) -> "CompositeSystem":
-        def columns():
-            ms = [float(m) for m in masses]
-            return ms, [conditions.gamma / m for m in ms], [conditions.alpha * m for m in ms]
-
-        def chain():
-            return tuple(params_from_conditions(conditions, float(m)) for m in masses)
-
-        return cls._build(columns, chain, conditions)
+        return cls._checked(masses, None, None, conditions)
 
     @classmethod
     def from_params(cls, masses: Sequence[float], thetas: Sequence[float], etas: Sequence[float]) -> "CompositeSystem":
@@ -105,46 +99,45 @@ class CompositeSystem:
             raise ConfigError(
                 f"masses/thetas/etas must have equal lengths, got {len(masses)}/{len(thetas)}/{len(etas)}"
             )
-
-        def columns():
-            return [float(m) for m in masses], [float(t) for t in thetas], [float(e) for e in etas]
-
-        def chain():
-            return tuple(
-                NCParams(theta=float(t), eta=float(e), mass=float(m)) for m, t, e in zip(masses, thetas, etas)
-            )
-
-        return cls._build(columns, chain, None)
+        return cls._checked(masses, thetas, etas, None)
 
     @classmethod
-    def _build(
-        cls,
-        columns: Callable[[], tuple[list[float], list[float], list[float]]],
-        chain: Callable[[], tuple[NCParams, ...]],
+    def _checked(
+        cls, masses: Sequence[float], thetas: Sequence[float] | None, etas: Sequence[float] | None,
         conditions: MassConditions | None,
     ) -> "CompositeSystem":
-        """The system of the (masses, thetas, etas) ``columns()`` if a bulk check passes, else of ``chain()``.
+        """The system of these columns if a bulk check passes, else of its particles built one by one.
 
-        ``chain()`` builds the particles one by one, each validated, and so
-        raises the first refusal with its own type and message.  The bulk
-        check is never looser.  A float sum is finite only if every term is,
-        since a NaN or an infinity spreads through it.  Anything else goes
-        through the chain: a finite sum that overflows, no masses (``min``
-        raises) or a column that cannot be computed.
+        With ``conditions``, each theta and eta comes from its mass and
+        ``thetas`` and ``etas`` are not read.  The particle chain validates
+        each particle, and so raises the first refusal with its own type and
+        message.  The bulk check is never looser.  A float sum is finite only
+        if every term is, since a NaN or an infinity spreads through it.
+        Anything else goes through the chain: a finite sum that overflows, no
+        masses (``min`` raises) or a column that cannot be computed.
         """
         try:
-            masses, thetas, etas = columns()
+            ms = [float(m) for m in masses]
+            if conditions is None:
+                ts, es = [float(t) for t in thetas], [float(e) for e in etas]
+            else:
+                ts, es = [conditions.gamma / m for m in ms], [conditions.alpha * m for m in ms]
             accepted = (
-                min(masses) > 0.0
-                and math.isfinite(sum(masses) + sum(thetas) + sum(etas))
+                min(ms) > 0.0
+                and math.isfinite(sum(ms) + sum(ts) + sum(es))
                 and (conditions is None or conditions.product < 1.0)
             )
         except (TypeError, ValueError, ArithmeticError):
             accepted = False
         if not accepted:
-            return cls(chain(), conditions)
+            if conditions is None:
+                columns = zip(masses, thetas, etas)
+                particles = (NCParams(theta=float(t), eta=float(e), mass=float(m)) for m, t, e in columns)
+            else:
+                particles = (params_from_conditions(conditions, float(m)) for m in masses)
+            return cls(particles, conditions)
         system = cls.__new__(cls)
-        system._set_columns((masses, thetas, etas), conditions)
+        system._set_columns((ms, ts, es), conditions)
         return system
 
 

@@ -385,12 +385,13 @@ def _commutator_checks(
 
     ``commute(a, b)`` gives the scalar of [a, b]; ``expected`` is the
     (coordinate, momentum, diagonal) table, and the off-diagonal
-    coordinate-momentum entries are expected to vanish.
+    coordinate-momentum entries are expected to vanish.  A commutator whose
+    exact value lies past the float range is refused, not recorded as inf.
     """
     check_tolerance(tol)
     theta, eta, diag = expected
     X1, X2, P1, P2 = operands
-    return [
+    checks = [
         CheckRecord.within(prefix + "[X1,X2]", theta, commute(X1, X2), tol),
         CheckRecord.within(prefix + "[P1,P2]", eta, commute(P1, P2), tol),
         CheckRecord.within(prefix + "[X1,P1]", diag, commute(X1, P1), tol),
@@ -398,6 +399,10 @@ def _commutator_checks(
         CheckRecord.within(prefix + "[X1,P2]", 0.0, commute(X1, P2), tol),
         CheckRecord.within(prefix + "[X2,P1]", 0.0, commute(X2, P1), tol),
     ]
+    for check in checks:
+        if not math.isfinite(check.measured):
+            raise DomainError(f"the commutator {check.name} overflows the float range")
+    return checks
 
 
 def verify_nc_algebra(

@@ -1034,8 +1034,11 @@ def _parses(out: str) -> bool:
 
 
 #: Zero, subnormal, tiny and huge parameters; their products and ratios
-#: underflow, overflow, or overflow the representation coefficients.
-_EDGE_VALUES = ("0", "5e-324", "1e-160", "1e160", "-1e200", "1e308")
+#: underflow, overflow, or overflow the representation coefficients.  At
+#: theta = -1/max and eta = max, the exact [P1,P2] lies past the float range.
+_EDGE_VALUES = (
+    "0", "5e-324", "1e-160", "1e160", "-1e200", "1e308", "-5.562684646268003e-309", "1.7976931348623157e308"
+)
 
 
 def test_edge_parameter_grid_prints_strict_json(capsys):

@@ -31,6 +31,7 @@ from ncphase import (
     p1,
     p2,
     params_from_conditions,
+    verify_nc_algebra,
     x1,
     x2,
 )
@@ -151,6 +152,34 @@ def test_from_params_refuses_like_the_per_particle_chain(cols):
         return CompositeSystem(particles=particles)
 
     assert _outcome(lambda: CompositeSystem.from_params(masses, thetas, etas)) == _outcome(chain)
+
+
+def test_bulk_constructors_build_no_particle_when_the_columns_pass(monkeypatch):
+    # The bulk check is the fast path; with the per-particle chain broken,
+    # columns that pass it must still build their systems.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-particle chain ran")
+
+    conditions = MassConditions(0.3, 0.2)
+    monkeypatch.setattr("ncphase.composite.NCParams", refuse)
+    monkeypatch.setattr("ncphase.composite.params_from_conditions", refuse)
+    system = CompositeSystem.from_conditions(conditions, [1.0, 2.0, 5.0])
+    assert (system.masses, system.thetas, system.etas) == ((1.0, 2.0, 5.0), (0.3, 0.15, 0.06), (0.2, 0.4, 1.0))
+    assert (system.total_mass, system.conditions) == (8.0, conditions)
+    system = CompositeSystem.from_params([1.0, 2.0], [0.1, 0.2], [0.3, 0.4])
+    assert (system.masses, system.thetas, system.etas) == ((1.0, 2.0), (0.1, 0.2), (0.3, 0.4))
+    assert (system.total_mass, system.conditions) == (3.0, None)
+
+
+def test_a_commutator_past_the_float_range_is_refused():
+    # eta = 1.797e308 is the largest double: the exact [P1,P2] of the table
+    # lies past the float range, so it is refused rather than recorded as inf.
+    rep = build_representation(NCParams(-5.562684646268003e-309, 1.7976931348623157e308), "branch", "minus")
+    with pytest.raises(DomainError, match=r"the commutator \[P1,P2\] overflows the float range"):
+        verify_nc_algebra(rep)
+    system = CompositeSystem.from_conditions(MassConditions(-1.0, 1.0), [1.7976931348623157e308])
+    with pytest.raises(DomainError, match=r"the commutator table\.algebraic\.\[P1,P2\] overflows the float range"):
+        compare_com_reps(system)
 
 
 def _typed(values):

@@ -270,7 +270,8 @@ def form_distance(a: LinearForm, b: LinearForm) -> float:
     return dist
 
 
-def check_tolerance(tol: float) -> None:
-    """Raise ``ConfigError`` unless ``tol`` lies in [0, inf)."""
+def check_tolerance(tol: float) -> float:
+    """``tol`` as a Python float, which callers store; ``ConfigError`` unless it lies in [0, inf)."""
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"tolerance must be finite and nonnegative, got {tol}")
+    return float(tol)

@@ -32,7 +32,7 @@ from itertools import chain
 from operator import mul, neg
 from typing import Iterable, Sequence
 
-from .algebra import _PAIRS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum
+from .algebra import _PAIRS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum, check_tolerance
 from .errors import ConfigError, DomainError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -280,6 +280,7 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
     p = com_params(system)
     row = _shift_terms(*_shift_coeffs(p.theta, p.eta, family, branch))
     routes = {"algebraic": _algebraic_columns(system, row), "direct": _direct(system, family, branch)}
+    tol = check_tolerance(tol)  # a float in the route records, as in the table's
     # Both routes hold the same kinds in the same order, so a form's distance
     # is the largest gap between its matching columns.
     checks = [

@@ -14,6 +14,16 @@ from typing import Any
 
 @dataclass(frozen=True, init=False)
 class CheckRecord:
+    """One named check of ``measured`` against ``expected`` within ``tol``, with its bool ``passed`` and ``detail``.
+
+    ``expected`` and ``measured`` are None where a verdict has no number:
+    both for a limit track's monotone flag and a skipped duality residual,
+    ``measured`` for a limit scale whose branch does not build, ``expected``
+    for ``com``'s informational routes.  Such a record states its rule in
+    ``detail``, a comment that is otherwise often empty.  :meth:`within`
+    passes when |measured - expected| <= tol, so NaN never passes.
+    """
+
     name: str
     expected: float | None
     measured: float | None

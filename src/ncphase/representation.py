@@ -388,7 +388,7 @@ def _commutator_checks(
     coordinate-momentum entries are expected to vanish.  A commutator whose
     exact value lies past the float range is refused, not recorded as inf.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     theta, eta, diag = expected
     X1, X2, P1, P2 = operands
     checks = [
@@ -414,15 +414,15 @@ def verify_nc_algebra(
 ) -> CheckReport:
     """Measure all six independent commutators and compare to expectations.
 
-    Expectations default to the representation's own family table.  The
-    off-diagonal coordinate-momentum commutators are always expected to
-    vanish.
+    Expectations default to the representation's own family table and are
+    stored as floats.  The off-diagonal coordinate-momentum commutators are
+    always expected to vanish.
     """
     table_theta, table_eta, table_diag = rep.expected_table()
     expected = (
-        table_theta if expect_theta is None else expect_theta,
-        table_eta if expect_eta is None else expect_eta,
-        table_diag if expect_diag is None else expect_diag,
+        table_theta if expect_theta is None else float(expect_theta),
+        table_eta if expect_eta is None else float(expect_eta),
+        table_diag if expect_diag is None else float(expect_diag),
     )
     checks = tuple(_commutator_checks(rep.forms(), commutator, expected, tol))
     meta = {
@@ -484,7 +484,7 @@ def _duality_coeffs(p: NCParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def check_branch_transform(p: NCParams, tol: float = DEFAULT_TOL) -> bool:
     """Whether the plus branch maps onto the minus branch within ``tol``."""
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     return branch_transform_residual(p) <= tol
 
 
@@ -515,10 +515,12 @@ def check_commutative_limit(
     The minus branch must approach the identity map and the plus branch the
     fixed swap map of the ratio theta0/eta0; each scale's sup-norm distance,
     taken on the branch's shift row with no form built, is compared against
-    the matching entry of ``tols``.  Branch failures at a degenerate scale
-    (e.g. exactly zero) are recorded, not raised.  A negative scale flips
-    both signs, so the plus branch would approach the swap map of -r, not
-    p0's target; it is refused, as is a scale that is not finite.
+    the matching entry of ``tols``, all read as floats.  Each branch builds
+    its records in one pass; its distances and ``monotone`` verdict are read
+    back from them.  Branch failures at a degenerate scale (e.g. exactly zero)
+    are recorded, not raised.  A negative scale flips both signs, so the plus
+    branch would approach the swap map of -r, not p0's target; it is refused,
+    as is a scale that is not finite or overflows scale*theta0 or scale*eta0.
     """
     if len(scales) == 0:
         raise ConfigError("need at least one scale to track the commutative limit")
@@ -529,55 +531,33 @@ def check_commutative_limit(
     for scale in scales:
         if not 0.0 <= scale < math.inf:
             raise ConfigError(f"commutative-limit scale must be finite and nonnegative, got {scale}")
-    for tol in tols:
-        check_tolerance(tol)
+    tols = [check_tolerance(tol) for tol in tols]
     r = _swap_scale(p0)
+    track = []  # (scale, scale*theta0, scale*eta0) of each scale, in order
+    for scale in map(float, scales):
+        for name, value in (("theta", p0.theta), ("eta", p0.eta)):
+            if not math.isfinite(scale * value):
+                raise DomainError(f"commutative-limit scale {scale} overflows scale*{name}0 = {scale}*{value}")
+        track.append((scale, scale * p0.theta, scale * p0.eta))
     identity = _shift_terms(1.0, 0.0, 0.0)
-    targets = {"minus": identity, "plus": _swap_row(identity, r)}
-    checks: list[CheckRecord] = []
-    distances: dict[str, list[float | None]] = {"minus": [], "plus": []}
-    for scale, tol in zip(scales, tols):
-        p = NCParams(theta=scale * p0.theta, eta=scale * p0.eta, mass=p0.mass)
-        for branch, target in targets.items():
-            name = f"limit.{branch}.scale={float(scale)!r}"
+    records: dict[str, list[CheckRecord]] = {}
+    for branch, target in (("minus", identity), ("plus", _swap_row(identity, r))):
+        records[branch] = []
+        for (scale, theta, eta), tol in zip(track, tols):
+            name = f"limit.{branch}.scale={scale!r}"
             try:
-                row = _shift_terms(*_shift_coeffs(p.theta, p.eta, "branch", branch))
+                row = _shift_terms(*_shift_coeffs(theta, eta, "branch", branch))
             except (DomainError, DegenerateError) as exc:
-                distances[branch].append(None)
-                checks.append(
-                    CheckRecord(
-                        name=name,
-                        expected=0.0,
-                        measured=None,
-                        tol=tol,
-                        passed=False,
-                        detail=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            dist = _coeff_distance(row, target)
-            distances[branch].append(dist)
-            checks.append(CheckRecord.within(name, 0.0, dist, tol))
-    for branch, seq in distances.items():
-        clean = [d for d in seq if d is not None]
-        monotone = all(b < a for a, b in zip(clean, clean[1:]))
-        checks.append(
-            CheckRecord(
-                name=f"limit.{branch}.monotone",
-                expected=None,
-                measured=None,
-                tol=0.0,
-                passed=monotone and len(clean) == len(seq),
-                detail="distances must decrease strictly along the scale sequence",
-            )
-        )
-    meta = {
-        "scales": list(scales),
-        "theta0": p0.theta,
-        "eta0": p0.eta,
-        "minus_distances": distances["minus"],
-        "plus_distances": distances["plus"],
-    }
+                records[branch].append(CheckRecord(name, 0.0, None, tol, False, f"{type(exc).__name__}: {exc}"))
+            else:
+                records[branch].append(CheckRecord.within(name, 0.0, _coeff_distance(row, target), tol))
+    checks = [record for pair in zip(records["minus"], records["plus"]) for record in pair]
+    meta = {"scales": [scale for scale, _, _ in track], "theta0": p0.theta, "eta0": p0.eta}
+    for branch, branch_records in records.items():
+        distances = meta[f"{branch}_distances"] = [record.measured for record in branch_records]
+        monotone = None not in distances and all(b < a for a, b in zip(distances, distances[1:]))
+        detail = "distances must decrease strictly along the scale sequence"
+        checks.append(CheckRecord(f"limit.{branch}.monotone", None, None, 0.0, monotone, detail))
     return CheckReport(kind="limit", checks=tuple(checks), meta=meta)
 
 
@@ -597,7 +577,7 @@ def _kinematic_invariance(reps_by_mass: Sequence[tuple[float, Representation]], 
     compared against ``tol``.  A group that some mass lacks fails.  The
     report's meta holds the masses and then ``meta``.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     if len(reps_by_mass) < 2:
         raise ConfigError("need at least two masses to compare invariance")
     groups: dict[str, list[float]] = {}

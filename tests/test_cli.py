@@ -777,6 +777,16 @@ def test_limit_scale_outside_zero_to_inf_exits_2_naming_the_scale(capsys, limit,
                              "message": f"commutative-limit scale must be finite and nonnegative, got {bad}"}
 
 
+def test_limit_scale_that_overflows_a_parameter_exits_2_naming_the_scale(capsys):
+    # 1e300 * theta0 is inf; the refusal named theta, which the run never gave as inf
+    rc, data = run_json(capsys, "verify", "--theta", "1e10", "--eta", "1e-10", "--limit-scales", "1e-2,1e300")
+    assert rc == 2
+    assert data["error"] == {
+        "type": "DomainError",
+        "message": "commutative-limit scale 1e+300 overflows scale*theta0 = 1e+300*10000000000.0",
+    }
+
+
 def test_trajectory_overflowing_inside_a_block_exits_2_without_a_warning(capsys):
     # omega * dt = pi / block, so every block starts at x1 = +-1e308 and p1 = 0
     # up to rounding, and the last row is finite; but p1 = -4e308 sin(omega t)

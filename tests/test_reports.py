@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,11 @@ from ncphase import (
     check_commutative_limit,
     compare_com_reps,
     compare_com_simple,
+    mass_invariance_report,
     verify_nc_algebra,
 )
 from ncphase.cli import main
+from ncphase.representation import check_branch_transform
 
 
 @pytest.mark.parametrize(
@@ -148,6 +151,37 @@ def test_pass_rule_cli_verify(capsys, monkeypatch, tol):
     checks = json.loads(capsys.readouterr().out)["checks"]
     # six table entries, the duality residual, two random batches, five built limit scales
     assert assert_pass_rule(checks) == 14
+
+
+#: Each report builder, called with every number it takes passed through ``x``.
+BUILDERS = {
+    "verify_nc_algebra": lambda x: verify_nc_algebra(
+        build_representation(NCParams(0.5, 0.3), "branch"), x(0.2), x(0.3), x(1.0), tol=x(1e-12)
+    ),
+    "check_commutative_limit": lambda x: check_commutative_limit(
+        [x(1e-1), x(1e-3), x(0.0)], NCParams(0.5, 0.3), [x(1e-1), x(1e-3), x(1e-6)]
+    ),
+    "mass_invariance_report": lambda x: mass_invariance_report(
+        MassConditions(x(0.3), x(0.2)), [x(1.0), x(2.7)], tol=x(1e-12)
+    ),
+    "compare_com_reps": lambda x: compare_com_reps(
+        CompositeSystem.from_conditions(MassConditions(x(0.3), x(0.2)), [x(1.0), x(2.7)]), "minus", x(1e-12)
+    ),
+    "compare_com_simple": lambda x: compare_com_simple(
+        CompositeSystem.from_params([x(1.0), x(2.7)], [x(0.3), x(0.1)], [x(0.2), x(0.5)]), x(1e-12)
+    ),
+}
+
+
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_numpy_inputs_give_the_report_of_their_floats(build, scalar):
+    # A numpy tolerance made each pass flag a numpy.bool, which json cannot write,
+    # and a float32 input was stored as it came.
+    report = build(scalar).to_dict()
+    assert json.dumps(report) == json.dumps(build(lambda v: float(scalar(v))).to_dict())
+    assert all(type(c["pass"]) is bool for c in report["checks"])
+    assert type(check_branch_transform(NCParams(0.5, 0.3), scalar(1e-12))) is bool
 
 
 def test_record_looks_a_check_up_by_name():

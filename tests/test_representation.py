@@ -445,6 +445,21 @@ def test_commutative_limit_zero_scale_recorded_not_raised():
     assert not report.record("limit.plus.monotone").passed
 
 
+def test_commutative_limit_equal_distances_are_not_monotone():
+    # Both minus rows are the identity to the last bit, so the distances tie at 0.0.
+    report = check_commutative_limit((1e-323, 5e-324), NCParams(0.5, 0.5), (1.0, 1.0))
+    assert report.meta["minus_distances"] == [0.0, 0.0]
+    assert report.record("limit.minus.scale=1e-323").passed and report.record("limit.minus.scale=5e-324").passed
+    assert not report.record("limit.minus.monotone").passed
+
+
+@pytest.mark.parametrize("p0, name", [(NCParams(1e10, 1e-10), "theta"), (NCParams(1e-10, 1e10), "eta")])
+def test_commutative_limit_refuses_a_scale_that_overflows_a_parameter_naming_it(p0, name):
+    with pytest.raises(DomainError) as info:
+        check_commutative_limit((1e-2, 1e300), p0, (1e-2, 1e-2))
+    assert str(info.value) == f"commutative-limit scale 1e+300 overflows scale*{name}0 = 1e+300*10000000000.0"
+
+
 def test_commutative_limit_asymmetric_ratio():
     report = check_commutative_limit((1e-3, 1e-5), NCParams(0.9, 0.1), (1e-3, 1e-5))
     assert report.overall
@@ -492,6 +507,12 @@ def test_commutative_limit_distances_are_the_form_distances(p0):
             want.append(float.hex(max(form_distance(f, t) for f, t in zip(rep.forms(), target))))
         got = [None if d is None else float.hex(d) for d in report.meta[f"{branch}_distances"]]
         assert got == want
+        # each scale's record carries its distance, so measured is None where want is
+        records = [report.record(f"limit.{branch}.scale={scale!r}") for scale in scales]
+        assert [record.measured for record in records] == report.meta[f"{branch}_distances"]
+    # scale by scale, minus before plus, then the two monotone verdicts
+    names = [f"limit.{branch}.scale={scale!r}" for scale in scales for branch in ("minus", "plus")]
+    assert [c.name for c in report.checks] == names + ["limit.minus.monotone", "limit.plus.monotone"]
 
 
 @pytest.mark.parametrize("tol", [-1e-9, math.inf, math.nan])

@@ -271,7 +271,15 @@ def form_distance(a: LinearForm, b: LinearForm) -> float:
 
 
 def check_tolerance(tol: float) -> float:
-    """``tol`` as a Python float, which callers store; ``ConfigError`` unless it lies in [0, inf)."""
-    if not 0.0 <= tol < math.inf:
+    """``tol`` as a Python float, which callers store; ``ConfigError`` unless it lies in [0, inf).
+
+    It is converted before it is compared: an int past the float range does
+    not convert, and comparing an ``np.float32`` with a Python float warns.
+    """
+    try:
+        value = float(tol)
+    except OverflowError:
+        raise ConfigError("tolerance must be finite and nonnegative, got an int past the float range") from None
+    if not 0.0 <= value < math.inf:
         raise ConfigError(f"tolerance must be finite and nonnegative, got {tol}")
-    return float(tol)
+    return value

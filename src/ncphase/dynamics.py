@@ -7,10 +7,11 @@ quadratic Hamiltonian
     H(z) = z.Q.z/2 + L.z,    z = (x1, x2, p1, p2),
 
 over the canonical variables.  Hamilton's equations are then the linear
-system dz/dt = J(Qz + L) with the standard symplectic J, which this module
-integrates with exact matrix exponentials of the augmented drift, one for
-each step count of a block, so the only error sources are rounding and the
-exponentials themselves.
+system dz/dt = J(Qz + L) with the standard symplectic J.  Every
+representation and every Hamiltonian kind is invariant under rotations of
+the plane, so the drift acts on the complex pairs (x1 + i x2, p1 + i p2)
+as a 2x2 complex matrix, whose flow this module evaluates in closed form:
+nothing is scaled or squared, and the only error source is rounding.
 
 The weak-equivalence check evolves the *same* noncommutative initial data
 (X1, X2, dX1/dt, dX2/dt) for several masses and measures how far the
@@ -187,111 +188,106 @@ def _step_count(t_end: float, dt: float) -> int:
     return n
 
 
-#: Padé [13/13] coefficients b_0 ... b_13, and the largest 1-norm at which that
-#: approximant of exp needs no scaling (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
-    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
-def _scale_exponents(a: np.ndarray) -> np.ndarray:
-    """The s of each matrix of an (m, n, n) stack: max(0, ceil(log2(|A|_1 / theta_13)))."""
-    norm = np.abs(a).sum(axis=1).max(axis=1)
-    # frexp gives ceil(log2(x)) exactly: x = mant * 2^e with mant in [0.5, 1).
-    mant, e = np.frexp(norm / _THETA13)
-    return np.maximum(0, e - (mant == 0.5))
-
-
-@np.errstate(all="ignore")
-def expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of an (m, n, n) stack, by Padé [13/13] scaling and squaring.
-
-    Each matrix is scaled by its own 2^-s, s = max(0, ceil(log2(|A|_1 / theta_13))),
-    so slice i of the result is byte-equal to ``expm`` of matrix i alone.  The
-    approximant is formed as I + 2 (V - U)^-1 U: the equal (V - U)^-1 (V + U)
-    rounds worse and about doubles the energy drift of a 1000-step free fall.
-    A matrix whose 1-norm or sixth power overflows, or that holds a NaN, gives
-    a slice that is not finite, without a warning.
-    """
-    a = np.array(a, dtype=float)
-    return _expm(a, _scale_exponents(a))
-
-
-def _expm(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """:func:`expm` of a float stack whose exponents s = :func:`_scale_exponents` (a) are given.
-
-    Its callers, :func:`expm` and :func:`_propagators` under :func:`evolve`, hold ``np.errstate(all="ignore")``.
-    """
-    # The powers are taken before scaling, so that a sixth power past the
-    # float range (omega = 1e100 at dt = 0.01) leaves inf in its slice.
-    # Scaling by 2^-ks is exact above the subnormals, so they are still the
-    # scaled matrix's powers.
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    a, a2, a4, a6 = (np.ldexp(p, -k * s[:, None, None]) for k, p in ((1, a), (2, a2), (4, a4), (6, a6)))
-    b = _PADE13
-    ident = np.eye(a.shape[-1])
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    r = ident + 2.0 * np.linalg.solve(v - u, u)
-    for k in range(s.max(initial=0)):
-        sq = s > k
-        r[sq] = r[sq] @ r[sq]
-    return r
-
-
 def _block_size(n: int) -> int:
     """Steps per block of an n-step run: isqrt(n) // 2, at least 1 and at most 64.
 
-    Each step of a block costs one more exponential per mass, once per run,
-    and each block costs one matmul; a block of about sqrt(n) balances the
-    two.  Half of that, tuned on the free-fall benchmark, spends fewer
-    exponentials on runs of tens of steps, and a run of fewer than 16 steps
-    takes one step per block.
+    Each step of a block adds one closed-form step matrix per mass, once per
+    run, and each block adds one closed-form start state and its slice of
+    the one batched product; a block of about sqrt(n) balances the two.
+    Half of that, tuned on the free-fall benchmark, spends fewer flows on
+    runs of tens of steps, and a run of fewer than 16 steps takes one step
+    per block.
     """
     return max(1, min(64, math.isqrt(n) // 2))
 
 
-def _propagators(hs: Sequence[QuadraticHamiltonian], dt: float, block: int) -> np.ndarray:
-    """The (m, 4 * block, 5) step matrix of m Hamiltonians: P_1 ... P_block, less their last row.
+#: Largest |C00 C11 - C01 C10| / (|C00 C11| + |C01 C10|) of an affine drift.
+#: Free and gravity Hamiltonians give a C of rank one, whose entries are
+#: single products r_i r_j / m, each within 2u of exact (u = 2^-53): the
+#: two products then carry 4u, their rounding (complex products, within
+#: sqrt(5) u each) and the difference about 6.3u more.  Rounded up to 8u;
+#: random built free and gravity drifts read at most 3.9e-16, 3.5u.
+_RANK_ONE_BOUND = 8 * 2.0**-53
 
-    The drift is time-independent, so P_j = exp(j*A*dt) of the augmented
-    5x5 matrix advances any state (z, 1) by j steps.  All m * block
-    exponentials are one stacked :func:`_expm` call.  The drift's last row
-    is zero, so the last row of each P_j is exactly e5 and is dropped: rows
-    4(j - 1) ... 4j - 1 of system i's matrix are the first four of its P_j.
-    The caller, :func:`evolve`, holds ``np.errstate(all="ignore")``.
+#: Largest phase uncertainty rho * t_end * 2^-53 of an accepted run, in
+#: radians, with rho = |tau| + |delta| bounding the drift's eigenvalues: one
+#: ulp of the drift moves the phase of the answer by about that much.
+#: Healthy runs read at most 1e-14 (89 rad); omega = 1e22 over 0.01 s reads
+#: 1.1e4 (1e20 rad), where the answer is a cosine of noise.  At the bound,
+#: a phase of 9e9 rad, the answer is good to about 1e-6.
+_PHASE_BOUND = 1e-6
+
+#: |y| below which phi2(y) = (e^y - 1 - y) / y^2 is summed as its series,
+#: 15 terms: the first one dropped, y^15 / 17!, is under 1e-18 of phi2.
+_SERIES_CUTOFF = 0.5
+#: y / 3, y / 4, ... y / 16: their running products are 2 y^k / (k + 2)!.
+_SERIES_DIVISORS = np.arange(3.0, 17.0)[:, None, None]
+#: +1 where the parities of A5[r, i, s, j] agree, -1 where they differ.
+_MIXED_SIGNS = np.array([[[1.0, -1.0]], [[-1.0, 1.0]]])
+
+
+def _complex_drift(hs: Sequence[QuadraticHamiltonian], dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(C, c) of m Hamiltonians: dz/dt = A z + b as dw/dt = C w + c over complex pairs.
+
+    A state (x1, x2, p1, p2) is read as w = (x1 + i x2, p1 + i p2), the
+    layout of the float64 view of a complex128 pair.  That needs A to
+    commute with the rotation K: (x1, x2, p1, p2) -> (-x2, x1, -p2, p1),
+    which every built drift does bit for bit; C is then (m, 2, 2) and c is
+    (m, 2).  A drift that is not finite, not rotation-invariant, or affine
+    with a C that is not rank one (see :data:`_RANK_ONE_BOUND`) is refused.
     """
-    m = len(hs)
     A, b = _drift(np.array([hi.quad for hi in hs]), np.array([hi.linear for hi in hs]))
-    aug = np.zeros((m, 5, 5))
-    aug[:, :4, :4] = A * dt
-    aug[:, :4, 4] = b * dt
-    # j * aug for j = 1 .. block, mass-major: P_j is the exponential of the j-th.
-    drifts = (aug[:, None] * np.arange(1.0, block + 1)[:, None, None]).reshape(-1, 5, 5)
-    s = _scale_exponents(drifts)
-    props = _expm(drifts, s).reshape(m, block, 5, 5)
-    if not np.isfinite(props[:, :, :4]).all():
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
-    # The scaling by 2^-s is exact only above the subnormals.  An entry
-    # it rounds (the x2 shift beside the affine column of a 1e200 mass)
-    # is lost from the propagator, whose trajectory would be wrong.
-    s = s[:, None, None]
-    if (np.ldexp(np.ldexp(drifts, -s), s) != drifts).any():
-        raise ConfigError(
-            f"the one-step propagator cannot resolve its drift at dt = {dt}: "
-            f"scaling by 2^-{s.max()} rounds its smallest entries"
-        )
-    return np.ascontiguousarray(props[:, :, :4]).reshape(m, 4 * block, 5)
+    # A[2r + i, 2s + j] as A5[r, i, s, j]: K A K^-1 swaps both parities i, j
+    # and flips the sign of the entries where they differ.
+    A5 = A.reshape(-1, 2, 2, 2, 2)
+    if not (A5[:, :, ::-1, :, ::-1] == A5 * _MIXED_SIGNS).all():
+        raise ConfigError("the drift is not invariant under rotations of the plane, which its flow needs")
+    C, c = A5[:, :, 0, :, 0] + 1j * A5[:, :, 1, :, 0], b.view(complex)
+    p, q = C[:, 0, 0] * C[:, 1, 1], C[:, 0, 1] * C[:, 1, 0]
+    if (c.any(axis=1) & (abs(p - q) > _RANK_ONE_BOUND * (abs(p) + abs(q)))).any():
+        raise ConfigError("an affine drift needs a rank-one C, but det C is past rounding")
+    return C, c
 
 
-# A finite drift can still overflow expm, the states or the observables
-# (omega = 1e100): numpy stays silent and the finiteness checks raise
-# ConfigError instead of returning nan rows.
+def _flow(C: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, F, rho): the exact flow w(t) = E w(0) + F of each (C, c) at each time t.
+
+    E = exp(tC) = e^(tau t) [cosh(delta t) I + t sinhc(delta t) (C - tau I)] by
+    Cayley-Hamilton, with tau = tr C / 2 and delta^2 = ((C00 - C11) / 2)^2 +
+    C01 C10, which does not cancel as tau^2 - det C would; t sinhc(delta t)
+    is sinh(delta t) / delta, or t at delta = 0.  F = t c + t^2 phi2(lambda t) C c with lambda = tr C, the
+    integral of exp(sC) c when C^2 = lambda C, as it is for the rank-one C
+    of every affine drift; phi2 is summed as its series below
+    :data:`_SERIES_CUTOFF`.  E is (m, K, 2, 2) and F (m, K, 2) for K times,
+    F zero without computing it where c is; rho = |tau| + |delta| bounds the
+    moduli of C's eigenvalues.  Every value is elementwise per mass, so each
+    mass's slice is byte-equal to its own call.
+    """
+    lam = C[:, 0, 0] + C[:, 1, 1]
+    tau, half = lam / 2, (C[:, 0, 0] - C[:, 1, 1]) / 2
+    delta = np.sqrt(half * half + C[:, 0, 1] * C[:, 1, 0])
+    w = delta[:, None] * t
+    e = np.exp(tau[:, None] * t)
+    sinh = np.divide(np.sinh(w), delta[:, None], out=t * np.ones_like(w), where=delta[:, None] != 0)
+    E = (e * sinh)[..., None, None] * (C - tau[:, None, None] * np.eye(2))[:, None]
+    E.reshape(*E.shape[:2], 4)[..., ::3] += (e * np.cosh(w))[..., None]  # the diagonal
+    affine = c.any(axis=1)
+    if not affine.any():
+        return E, np.zeros(E.shape[:-1], complex), abs(tau) + abs(delta)
+    y = lam[:, None] * t
+    phi2 = 0.5 + 0.5 * np.multiply.accumulate(y / _SERIES_DIVISORS).sum(axis=0)
+    np.divide(np.expm1(y) - y, y * y, out=phi2, where=abs(y) >= _SERIES_CUTOFF)
+    F = t[:, None] * c[:, None] + (t * t * phi2)[..., None] * (C @ c[..., None])[:, None, :, 0]
+    if not affine.all():
+        F[~affine] = 0.0
+    return E, F, abs(tau) + abs(delta)
+
+
+# A finite drift can still overflow the flow, the states or the observables
+# (omega = 1e100 at dt = 1e300): numpy stays silent and the finiteness
+# checks raise ConfigError instead of returning nan rows.
 @np.errstate(all="ignore")
 def evolve(
     h: QuadraticHamiltonian | Sequence[QuadraticHamiltonian],
@@ -299,22 +295,25 @@ def evolve(
     t_end: float,
     dt: float,
 ) -> Trajectory | list[Trajectory]:
-    """Propagate in blocks with the exact exponentials of the affine drift.
+    """Propagate with the exact closed-form flow of the affine drift.
 
     ``h`` is one Hamiltonian with a (4,) initial state, giving one
     :class:`Trajectory`, or a sequence of m Hamiltonians with an (m, 4)
     array of initial states, one row each, giving a list of one trajectory
-    per Hamiltonian; all m advance in one loop and share ``times``.
+    per Hamiltonian; all m advance together and share ``times``.
 
-    Each block of B = :func:`_block_size` (n) steps is one product of the
-    block-start state (z_k, 1) with the step matrix of :func:`_propagators`.
-    The product writes the block's rows in place into one
-    (m, blocks * B + 1, 4) table; rows past n, in the last block, are
-    padding and are never read.  Rounding therefore builds up once per
-    block, not once per step.  Each system's rows are byte-equal to its own
-    single-system run and a C-contiguous prefix of its block of the table.
-    The trajectory covers t = 0 to n*dt where n*dt is t_end (or the first
-    multiple of dt past it when t_end is not a multiple).
+    The run is cut into blocks of B = :func:`_block_size` (n) steps.  One
+    :func:`_flow` call gives the step matrices [E | F] at t = j*dt, j = 1 ... B,
+    and each block's start state at t = k*B*dt, so no start depends on an
+    earlier block.  One batched product of the starts (w_k, 1) with the step
+    matrices then writes every row into one (m, blocks * B + 1) table of
+    complex pairs, whose float view is the (x1, x2, p1, p2) rows; rows past
+    n, in the last block, are padding and are never read.  Each system's
+    rows are byte-equal to its own single-system run and a C-contiguous
+    prefix of its block of the table.  A run whose phase is past
+    :data:`_PHASE_BOUND` is refused.  The trajectory covers t = 0 to n*dt
+    where n*dt is t_end (or the first multiple of dt past it when t_end is
+    not a multiple).
     """
     single = isinstance(h, QuadraticHamiltonian)
     hs = [h] if single else list(h)
@@ -329,23 +328,28 @@ def evolve(
         )
     if not np.isfinite(z0).all():
         raise ConfigError(f"initial state must be finite, got {z0.tolist()}")
-    n = _step_count(t_end, dt)
-    m = len(hs)
+    n, m = _step_count(t_end, dt), len(hs)
     block = _block_size(n)
-    step = _propagators(hs, dt, block)
     blocks = -(-n // block)
-    table = np.empty((m, blocks * block + 1, 4))
-    table[:, 0] = z0
-    start = np.ones((m, 5, 1))
-    start[:, :4, 0] = z0
-    # step times (z_k, 1) writes z_{k+1} ... z_{k+block} into the table; each
-    # block's last row starts the next, and the fifth entry of start stays 1.
-    rows = table[:, 1:].reshape(m, blocks, 4 * block, 1).transpose(1, 0, 2, 3)
-    matmul = np.matmul
-    for row in rows:
-        matmul(step, start, row)
-        start[:, :4] = row[:, -4:]
-    canonical = table[:, : n + 1]
+    C, c = _complex_drift(hs, dt)
+    E, F, rho = _flow(C, c, np.concatenate((np.arange(1, block + 1), np.arange(0, n, block))) * dt)
+    # [E_j | F_j] of step j, laid out so column 2(j - 1) + r gives row r of w_{kB+j}.
+    step = np.concatenate([E[:, :block], F[:, :block, :, None]], axis=-1)
+    if not np.isfinite(step.view(float)).all():
+        raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
+    phase = float(rho.max()) * n * dt
+    if phase * 2.0**-53 > _PHASE_BOUND:
+        raise ConfigError(f"the phase of the run, {phase:.3g} rad by t = {n * dt}, is too large to resolve: one ulp of "
+                          f"the drift moves it by {phase * 2.0**-53:.3g} rad, past the bound of {_PHASE_BOUND}")
+    w0 = z0.reshape(m, 4).view(complex)
+    starts = np.ones((m, blocks, 3), complex)
+    # Elementwise: a stacked matmul would make one BLAS call per 2 x 2 block.
+    starts[..., :2] = E[:, block:, :, 0] * w0[:, None, None, 0] + E[:, block:, :, 1] * w0[:, None, None, 1] + F[:, block:]
+    table = np.empty((m, blocks * block + 1, 2), complex)
+    table[:, 0] = w0
+    rows = table[:, 1:].reshape(m, blocks, 2 * block)
+    np.matmul(starts, step.transpose(0, 3, 1, 2).reshape(m, 3, 2 * block), out=rows)
+    canonical = table.view(float)[:, : n + 1]
     # A row inside a block feeds no later row, so every row is checked.
     if not np.isfinite(canonical).all():
         raise ConfigError(f"the trajectory overflows before t = {n * dt}")

@@ -15,6 +15,7 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ import ncphase
 from ncphase import NCParams, build_hamiltonian, build_representation, evolve
 from ncphase.cli import MAX_RANDOM, build_parser, main
 from ncphase.dynamics import _block_size
+from test_dynamics import HEAVY_FALL_BOUND, _column_error, _taylor_states
 
 REPORT_KEYS = {"tool", "version", "command", "config", "checks", "overall", "meta", "kind"}
 CHECK_KEYS = {"name", "expected", "measured", "tol", "pass"}
@@ -723,9 +725,10 @@ def test_console_script_entry_point():
           "--t-end", "0.02"], "ConfigError"),
         (["simulate", "--wep", "--masses", "1,2", "--gamma", "0.1", "--alpha", "0.1", "--t-end", "0.02",
           "--nc-v1", "1e160"], "ConfigError"),
-        # finite Hamiltonians whose one-step propagator overflows
+        # a finite Hamiltonian whose one-step propagator overflows
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "harmonic", "--omega", "1e100",
           "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
+        # a finite trajectory whose energy overflows
         (["simulate", "--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--g", "1e300",
           "--p1", "1e10", "--t-end", "0.02", "--dt", "0.01"], "ConfigError"),
         # a finite propagator whose trajectory overflows
@@ -802,33 +805,75 @@ def test_trajectory_overflowing_inside_a_block_exits_2_without_a_warning(capsys)
                              "message": f"the trajectory overflows before t = {n * dt}"}
 
 
-#: The gravity run of the README at a huge mass.  At 1e200 and 1e300 the
-#: affine column dwarfs the drift block, and the propagator's scaling by 2^-s
-#: rounds the x2 shift away (it read 0.0 and exited 0); at 1e100 it does not.
-#: A subnormal theta needs no scaling, so nothing is rounded.
-_HEAVY = ("--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--p1", "1", "--t-end", "0.5", "--dt", "0.1")
+#: The gravity run of the README at a huge mass.  The Padé exponential
+#: refused masses 1e200 and 1e300, whose scaling by a power of two rounded
+#: the x2 shift away, and 1e153 past t_end 3.5; the closed-form flow scales
+#: nothing.  A subnormal theta gives a drift of subnormal entries.
+_HEAVY = ("--theta", "0.1", "--eta", "0.1", "--kind", "gravity", "--p1", "1", "--dt", "0.1")
 
 
 @pytest.mark.parametrize(
-    "argv,code",
+    "argv",
     [
-        ([*_HEAVY, "--mass", "1e200"], 2),
-        ([*_HEAVY, "--mass", "1e300"], 2),
-        ([*_HEAVY, "--mass", "1e100"], 0),
-        (["--theta", "1e-320", "--eta", "0.1", "--kind", "free"], 0),
+        [*_HEAVY, "--mass", "1e200", "--t-end", "0.5"],
+        [*_HEAVY, "--mass", "1e300", "--t-end", "0.5"],
+        [*_HEAVY, "--mass", "1e100", "--t-end", "0.5"],
+        [*_HEAVY, "--mass", "1e153", "--t-end", "3"],
+        ["--theta", "1e-320", "--eta", "0.1", "--kind", "free", "--p1", "1"],
     ],
 )
-def test_simulate_refuses_a_step_the_propagator_cannot_resolve(capsys, argv, code):
+def test_simulate_answers_a_heavy_mass_as_the_taylor_oracle_does(capsys, argv):
     rc, out = run_cli(capsys, "simulate", *argv)
-    assert rc == code
-    if code == 2:
-        error = json.loads(out)["error"]
-        assert error["type"] == "ConfigError"
-        assert "propagator cannot resolve its drift at dt = 0.1" in error["message"]
-    elif "--mass" in argv:
+    assert rc == 0
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+    args = build_parser().parse_args(["simulate", *argv])
+    rep = build_representation(NCParams(args.theta, args.eta, mass=args.mass), "branch", "minus")
+    h = build_hamiltonian("uniform_gravity" if args.kind == "gravity" else args.kind, rep, g=args.g)
+    exact = _taylor_states(h, rows[0, 1:5], rows[:, 0])
+    assert _column_error(rows[:, 1:5], exact) <= HEAVY_FALL_BOUND
+    if args.kind == "gravity":
         # the x2 offset after one step is about -t^2/2 (g = 1), not 0.0
-        x2 = float(out.splitlines()[2].split(",")[2])
-        assert abs(x2 + 0.005) < 1e-4
+        assert abs(rows[1, 2] + 0.005) < 1e-4
+
+
+def test_simulate_wep_at_masses_1_and_1e9_agrees_to_rounding(capsys):
+    # The Padé exponential read a spread of 3.1e-9 and an energy drift of 5.1e-9.
+    rc, data = run_json(capsys, "simulate", "--wep", "--masses", "1,1e9", "--gamma", "0.3", "--alpha", "0.2",
+                        "--t-end", "2", "--dt", "0.01")
+    assert rc == 0
+    assert data["summary"]["deviation_max"] <= 1e-12
+    assert data["summary"]["energy_drift_max"] <= 1e-12
+
+
+def test_simulate_free_mass_1e20_matches_mpmath(capsys):
+    # The Padé exponential read an energy drift of 0.99999933.
+    mpmath = pytest.importorskip("mpmath")
+    argv = ["--kind", "free", "--gamma", "0.3", "--alpha", "0.2", "--x1", "0.5", "--p1", "1", "--t-end", "2",
+            "--dt", "0.01", "--mass", "1e20"]
+    rc, data = run_json(capsys, "simulate", *argv, "--format", "json")
+    assert rc == 0 and data["energy_drift"] <= 1e-12
+    rep = build_representation(ncphase.params_from_conditions(ncphase.MassConditions(0.3, 0.2), 1e20), "branch")
+    A, _ = build_hamiltonian("free", rep).drift()
+    # |A t| is about 8e18: 80 digits leave the oracle 40 after the squarings.
+    with mpmath.workdps(80):
+        exact = mpmath.expm(mpmath.matrix(A.tolist()) * 2) * mpmath.matrix([0.5, 0.0, 1.0, 0.0])
+    got = data["rows"][-1][1:5]
+    scale = max(abs(float(v)) for v in exact)
+    assert max(abs(g - float(e)) for g, e in zip(got, exact)) <= 4 * 2.0**-53 * scale
+    assert abs(got[0] - 0.4802652485007) < 1e-13
+
+
+def test_simulate_refuses_a_phase_past_what_float64_resolves(capsys):
+    # x1 would read cos(1e20): exact for the rounded omega, but one ulp of
+    # omega moves that phase by 1e4 rad.  The Padé exponential printed (0, 0, 0, 0).
+    rc, data = run_json(capsys, "simulate", "--kind", "harmonic", "--omega", "1e22", "--theta", "0", "--eta", "0",
+                        "--x1", "1", "--t-end", "0.01", "--dt", "0.01")
+    assert rc == 2
+    assert data["error"] == {
+        "type": "ConfigError",
+        "message": "the phase of the run, 1e+20 rad by t = 0.01, is too large to resolve: one ulp of the drift "
+                   "moves it by 1.11e+04 rad, past the bound of 1e-06",
+    }
 
 
 def test_runaway_step_count_exits_2(capsys):

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncphase import (
     CanonicalVar,
@@ -268,11 +270,11 @@ def test_evolve_matches_the_mpmath_oracle(kind, family, branch, mass):
     assert _oracle_error(h, z0, dt, traj, ORACLE_STEPS) <= ORACLE_BOUND
 
 
-# --- several systems in one step loop -------------------------------------------------
+# --- several systems in one evolve call ------------------------------------------------
 
 
 #: (kind, family, branch, mass) of the stacked systems.  The heavy mass under
-#: gravity has the largest affine column, m*g = 196, which sets its expm scaling.
+#: gravity has the largest affine column, m*g = 196.
 STACKED_SYSTEMS = [
     ("uniform_gravity", "simple", None, 20.0),
     ("harmonic", "branch", "minus", 0.1),
@@ -280,41 +282,6 @@ STACKED_SYSTEMS = [
     ("free", "simple", None, 1.0),
     ("harmonic", "simple", None, 2.5),
 ]
-
-
-@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES + STACKED_SYSTEMS)
-def test_propagator_last_row_is_exactly_e5(kind, family, branch, mass):
-    # evolve relies on it to carry the constant 1 of each state's fifth slot:
-    # the augmented drift's last row is zero, so the solve and the squarings
-    # of the Padé expm keep the last row of each P_j at (0, 0, 0, 0, 1).
-    rep = build_representation(NCParams(0.3, 0.2, mass=mass), family, branch)
-    A, b = build_hamiltonian(kind, rep, g=9.8 if kind == "uniform_gravity" else 0.0, omega=0.7).drift()
-    e5 = np.eye(5)[4]
-    for dt in (1e-3, 0.02, 0.5, 10.0):
-        aug = np.zeros((5, 5))
-        aug[:4, :4], aug[:4, 4] = A * dt, b * dt
-        for block in (1, 5, 50, 64):
-            drifts = aug * np.arange(1.0, block + 1)[:, None, None]
-            props = dynamics.expm(drifts)
-            finite = np.isfinite(props[:, :4]).all(axis=(1, 2))
-            assert finite.any()
-            assert (props[finite, 4] == e5).all()
-
-
-@pytest.mark.parametrize("dt,block", [(1e-3, 64), (0.02, 1), (0.02, 5), (0.5, 16)])
-def test_propagators_are_each_mass_expm_less_its_last_row_mass_major(dt, block):
-    hs = [build_hamiltonian(kind, build_representation(NCParams(0.3, 0.2, mass=mass), family, branch),
-                            g=9.8, omega=0.7)
-          for kind, family, branch, mass in ENERGY_CASES + STACKED_SYSTEMS]
-    expected = []
-    for h in hs:
-        A, b = h.drift()
-        aug = np.zeros((5, 5))
-        aug[:4, :4], aug[:4, 4] = A * dt, b * dt
-        expected.append(dynamics.expm(aug * np.arange(1.0, block + 1)[:, None, None])[:, :4])
-    step = dynamics._propagators(hs, dt, block)
-    assert step.shape == (len(hs), 4 * block, 5) and step.flags.c_contiguous
-    assert step.reshape(len(hs), block, 4, 5).tobytes() == np.array(expected).tobytes()
 
 
 def _mixed_hamiltonians(m):
@@ -364,80 +331,162 @@ def test_stacked_evolve_needs_one_initial_row_per_hamiltonian():
         evolve([], np.zeros((0, 4)), 1.0, 0.1)
 
 
-# --- the one-step matrix exponential ---------------------------------------------------
+# --- the closed-form flow ----------------------------------------------------------------
 
 
 def _drift_draws(count, seed=2005):
-    """Augmented drifts [[A dt, b dt], [0, 0]] of all three kinds: mass 0.1 to 30,
-    dt 1e-3 to 1, omega 0.1 to 100."""
+    """(Hamiltonian, dt) of all three kinds: mass 0.1 to 30, dt 1e-3 to 1, omega 0.1 to 100."""
     rng = np.random.default_rng(seed)
-    out = np.zeros((count, 5, 5))
-    for i, aug in enumerate(out):
+    out = []
+    for i in range(count):
         family, branch = (("branch", "minus"), ("simple", None))[(i // 3) % 2]
         theta, eta = rng.uniform(-0.5, 0.5, size=2)
         mass, dt = 10 ** rng.uniform(-1.0, 1.5), 10 ** rng.uniform(-3.0, 0.0)
         rep = build_representation(NCParams(theta, eta, mass=mass), family, branch)
         h = build_hamiltonian(("free", "uniform_gravity", "harmonic")[i % 3], rep,
                               g=rng.uniform(0.5, 20.0), omega=10 ** rng.uniform(-1.0, 2.0))
-        A, b = h.drift()
-        aug[:4, :4] = A * dt
-        aug[:4, 4] = b * dt
+        out.append((h, dt))
     return out
 
 
-#: Worst error of ``scipy.linalg.expm`` over ``_drift_draws(60)`` against
-#: ``mpmath.expm`` at 40 digits, in ulps of the largest exact entry.
-SCIPY_EXPM_WORST_ULP = 1924.0
+def _conditioned_gravity(mass, family="branch", branch="minus"):
+    rep = build_representation(params_from_conditions(MassConditions(0.3, 0.2), mass), family, branch)
+    return build_hamiltonian("uniform_gravity", rep, g=1.0)
 
 
-def test_expm_is_no_worse_than_scipy_against_mpmath():
+def _one_step(h, dt):
+    """The real 4 x 5 step [exp(A dt) | F] of one Hamiltonian's flow, and its phase rho * dt."""
+    C, c = dynamics._complex_drift([h], dt)
+    E, F, rho = dynamics._flow(C, c, np.array([dt]))
+    E, F = E[0, 0], F[0, 0]
+    step = np.zeros((4, 5))
+    step[::2, :4:2] = step[1::2, 1:4:2] = E.real
+    step[1::2, :4:2], step[::2, 1:4:2] = E.imag, -E.imag
+    step[::2, 4], step[1::2, 4] = F.real, F.imag
+    return step, float(rho[0]) * dt
+
+
+#: Largest error of a one-step flow against ``mpmath.expm`` at 40 digits, in
+#: ulps of the largest exact entry, per 1 + rho * dt, its phase in radians:
+#: the condition number of exp(A dt) grows with that phase.  Over
+#: ``_drift_draws(60)`` the flow read at most 1.0 of these units (85 ulps at
+#: 897 rad); the Padé expm read up to 1924 ulps, as scipy's did.
+FLOW_ULPS = 2.0
+
+#: Largest entrywise relative error of the one-step flow of conditioned
+#: gravity at masses 1e5, 1e9 and 1e20 against the same oracle: 2.0e-16,
+#: where the Padé expm read 3.7e-15 to 4.3e-12 of the largest entry.
+HEAVY_FLOW_BOUND = 4 * 2.0**-53
+
+
+def test_flow_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    drifts = _drift_draws(60)
-    worst = 0.0
-    for aug, got in zip(drifts, dynamics.expm(drifts)):
+    heavy = [(_conditioned_gravity(mass), 0.01) for mass in (1e5, 1e9, 1e20)]
+    for i, (h, dt) in enumerate(_drift_draws(60) + heavy):
+        got, phase = _one_step(h, dt)
+        A, b = h.drift()
+        aug = np.zeros((5, 5))
+        aug[:4, :4], aug[:4, 4] = A * dt, b * dt
         with mpmath.workdps(40):
-            exact = np.array(mpmath.expm(mpmath.matrix(aug.tolist())).tolist(), dtype=float)
-        worst = max(worst, float(np.abs(got - exact).max() / np.spacing(np.abs(exact).max())))
-    assert worst <= SCIPY_EXPM_WORST_ULP
+            exact = np.array(mpmath.expm(mpmath.matrix(aug.tolist())).tolist(), dtype=float)[:4]
+        err = np.abs(got - exact)
+        assert err.max() <= FLOW_ULPS * (1.0 + phase) * np.spacing(np.abs(exact).max()), i
+        if i >= 60:
+            zero = exact == 0
+            assert (got[zero] == 0).all() and (err[~zero] <= HEAVY_FLOW_BOUND * np.abs(exact[~zero])).all(), i
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 60])
-def test_scale_exponent_at_a_power_of_two_is_its_log2(k):
-    # ceil(log2(x)) at x = |A|_1 / theta_13 = 2^k exactly is k; one ulp above it, k + 1.
-    # The third matrix reaches 2^k as a column sum of two entries.
-    a = np.zeros((3, 5, 5))
-    a[0, 2, 0] = dynamics._THETA13 * 2.0**k
-    a[1, 2, 0] = np.nextafter(a[0, 2, 0], np.inf)
-    a[2, 2, 0], a[2, 3, 0] = dynamics._THETA13 * 2.0 ** (k - 1), -dynamics._THETA13 * 2.0 ** (k - 1)
-    assert dynamics._scale_exponents(a).tolist() == [k, k + 1, k]
+def test_stacked_flow_is_bitwise_each_single_flow():
+    # Free, gravity and harmonic drifts in one stack: the affine part is
+    # computed for the stack and zeroed where c is.
+    hs = [h for h, _ in _drift_draws(30)]
+    t = np.array([0.0, 0.01, 0.5, 3.0])
+    stacked = dynamics._flow(*dynamics._complex_drift(hs, 0.01), t)
+    for i, h in enumerate(hs):
+        one = dynamics._flow(*dynamics._complex_drift([h], 0.01), t)
+        assert [a[i].tobytes() for a in stacked] == [a[0].tobytes() for a in one]
+        if h.linear.any():
+            assert stacked[1][i].any()
+        else:
+            assert not stacked[1][i].any() and not np.signbit(stacked[1][i].view(float)).any()
 
 
-def test_stacked_expm_is_bitwise_each_single_call():
-    # Each matrix is scaled by its own power of two; the draws need 0 to 11 squarings.
-    drifts = _drift_draws(60)
-    stacked = dynamics.expm(drifts)
-    assert stacked.shape == drifts.shape
-    for aug, got in zip(drifts, stacked):
-        assert dynamics.expm(aug[None])[0].tobytes() == got.tobytes()
+_K = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
 
 
-def test_expm_of_a_nested_list_or_an_int_array_is_that_of_the_float_array():
-    ints = np.array([[[0, 40, 0], [-40, 0, 3], [0, 0, 0]], [[1, 2, 0], [0, 1, 0], [0, 0, 0]]])
-    want = dynamics.expm(ints.astype(float)).tobytes()
-    assert dynamics.expm(ints.tolist()).tobytes() == want
-    assert dynamics.expm(ints).tobytes() == want
+def _rank_one_ratio(A):
+    """|C00 C11 - C01 C10| / (|C00 C11| + |C01 C10|) of the complex drift of A, as the refusal reads it."""
+    C = A[::2, ::2] + 1j * A[1::2, ::2]
+    p, q = C[0, 0] * C[1, 1], C[0, 1] * C[1, 0]
+    return abs(p - q) / (abs(p) + abs(q)) if p or q else 0.0
 
 
-def test_expm_out_of_range_slices_are_not_finite():
-    big = np.zeros((5, 5))
-    big[:4, 4] = 1e307  # nilpotent: the exact exponential I + A is finite
-    stack = np.stack([_drift_draws(1)[0], big, 10.0 * big, np.full((5, 5), 1e60), big])
-    stack[4, 0, 0] = np.nan
-    got = dynamics.expm(stack)
-    assert got[0].tobytes() == dynamics.expm(stack[:1])[0].tobytes()
-    assert np.array_equal(got[1], np.eye(5) + big)
-    # A 1-norm past the float range, a sixth power past it, a NaN entry.
-    assert not np.isfinite(got[2:]).all(axis=(1, 2)).any()
+_FAMILIES = [("branch", "minus"), ("branch", "plus"), ("simple", None), ("epsilon_general", "minus")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(dynamics.HAMILTONIAN_KINDS), family=st.sampled_from(_FAMILIES),
+       conditioned=st.booleans(), a=st.floats(0.001, 0.9), b=st.floats(0.001, 0.9), sign=st.sampled_from([1.0, -1.0]),
+       mass=st.floats(1e-3, 1e3), g=st.floats(-20.0, 20.0), omega=st.floats(0.0, 100.0))
+def test_every_built_drift_is_rotation_invariant_and_gravity_rank_one(kind, family, conditioned, a, b, sign, mass, g,
+                                                                      omega):
+    # The plus branch needs theta * eta > 0.
+    b = b if family[1] == "plus" else sign * b
+    params = params_from_conditions(MassConditions(a, b), mass) if conditioned else NCParams(a, b, mass=mass)
+    h = build_hamiltonian(kind, build_representation(params, *family), g=g, omega=omega)
+    A, _ = h.drift()
+    assert (_K @ A @ _K.T == A).all()
+    if kind != "harmonic":
+        assert _rank_one_ratio(A) <= dynamics._RANK_ONE_BOUND
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(dynamics.HAMILTONIAN_KINDS), family=st.sampled_from(_FAMILIES[::2]),
+       conditioned=st.booleans(), a=st.floats(-0.5, 0.5), b=st.floats(-0.5, 0.5),
+       mass=st.floats(1e-3, 1e3), g=st.floats(-20.0, 20.0), omega=st.floats(0.0, 100.0),
+       t_end=st.floats(0.01, 100.0))
+def test_healthy_runs_never_trip_the_phase_rule(kind, family, conditioned, a, b, mass, g, omega, t_end):
+    params = params_from_conditions(MassConditions(a, b), mass) if conditioned else NCParams(a, b, mass=mass)
+    h = build_hamiltonian(kind, build_representation(params, *family), g=g, omega=omega)
+    traj = evolve(h, [0.3, -1.25, 2.0, 0.5], t_end, t_end / 10)
+    assert len(traj) == 11
+
+
+def test_drift_that_is_not_rotation_invariant_is_refused():
+    h = build_hamiltonian("harmonic", build_representation(NCParams(0.3, 0.2), "branch"), omega=0.7)
+    quad = h.quad.copy()
+    quad[0, 0] = np.nextafter(quad[0, 0], np.inf)  # the x1^2 weight one ulp off the x2^2 weight
+    bad = dataclasses.replace(h, quad=quad)
+    for run in (lambda: evolve(bad, [1.0, 0.0, 0.0, 0.0], 0.1, 0.01),
+                lambda: evolve([h, bad], [[1.0, 0.0, 0.0, 0.0]] * 2, 0.1, 0.01)):
+        with pytest.raises(ConfigError) as info:
+            run()
+        assert str(info.value) == "the drift is not invariant under rotations of the plane, which its flow needs"
+
+
+def test_affine_drift_whose_C_is_not_rank_one_is_refused():
+    rep = build_representation(NCParams(0.3, 0.2), "branch")
+    fall = build_hamiltonian("uniform_gravity", rep, g=1.0)
+    osc = build_hamiltonian("harmonic", rep, omega=0.7)
+    # The oscillator's C has rank two: accepted without a linear term, refused with one.
+    evolve(osc, [1.0, 0.0, 0.0, 0.0], 0.1, 0.01)
+    refusals = [dataclasses.replace(osc, linear=fall.linear)]
+    # A gravity C whose C11 is scaled by 1 + 1.5 * 2^-49 reads about 12u, past the
+    # 8u bound; scaled by 1 + 2^-51 it reads 2u plus at most 3.5u of rounding.
+    for scale, refused in ((1 + 1.5 * 2.0**-49, True), (1 + 2.0**-51, False)):
+        quad = fall.quad.copy()
+        quad[:2, 2:] *= scale  # the entries of C11, so the drift stays rotation-invariant
+        h = dataclasses.replace(fall, quad=quad)
+        ratio = _rank_one_ratio(h.drift()[0])
+        assert (ratio > dynamics._RANK_ONE_BOUND) == refused and ratio < 2 * dynamics._RANK_ONE_BOUND
+        if refused:
+            refusals.append(h)
+        else:
+            evolve(h, [1.0, 0.0, 0.0, 0.0], 0.1, 0.01)
+    for h in refusals:
+        with pytest.raises(ConfigError) as info:
+            evolve([fall, h], [[1.0, 0.0, 0.0, 0.0]] * 2, 0.1, 0.01)
+        assert str(info.value) == "an affine drift needs a rank-one C, but det C is past rounding"
 
 
 def test_drift_overflowing_at_dt_is_a_propagator_overflow():
@@ -450,7 +499,7 @@ def test_drift_overflowing_at_dt_is_a_propagator_overflow():
 @pytest.mark.parametrize("field,index", [("quad", (2, 2)), ("quad", (0, 3)), ("linear", 1), ("linear", 3)])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_drift_holding_nan_or_inf_is_a_propagator_overflow(value, field, index, steps):
-    # Such a drift has every scale exponent 0; the propagator it gives is not finite.
+    # Such a drift is refused before its flow is formed.
     h = build_hamiltonian("uniform_gravity", build_representation(NCParams(0.3, 0.2), "branch"), g=1.0)
     entries = getattr(h, field).copy()
     entries[index] = value
@@ -460,29 +509,76 @@ def test_drift_holding_nan_or_inf_is_a_propagator_overflow(value, field, index, 
     assert str(info.value) == "the one-step propagator overflows at dt = 0.01"
 
 
-def test_step_whose_scaling_rounds_an_entry_is_refused():
-    # At mass 1e200 the affine column m*g*dt sets s = 659, and 2^-659 rounds
-    # the drift block's 1/m-sized entries into the subnormals.
-    rep = build_representation(NCParams(0.1, 0.1, mass=1e200), "branch", "minus")
-    h = build_hamiltonian("uniform_gravity", rep, g=1.0)
-    with pytest.raises(ConfigError, match="propagator cannot resolve its drift"):
-        evolve(h, [0.0, 0.0, 1.0, 0.0], t_end=0.5, dt=0.1)
-    rep = build_representation(NCParams(0.1, 0.1, mass=1e100), "branch", "minus")
-    h = build_hamiltonian("uniform_gravity", rep, g=1.0)
-    assert np.isfinite(evolve(h, [0.0, 0.0, 1.0, 0.0], t_end=0.5, dt=0.1).canonical_states).all()
+def _taylor_states(h, z0, times, dps=50):
+    """exp(t M) (z0, 1) of the augmented drift M = [[A, b], [0, 0]] at each time, by its Taylor series.
+
+    Summed at ``dps`` digits until a term falls below 10^-dps of the sum;
+    only a drift with a modest |A t| converges in few terms, as a heavy
+    mass's does.  Returns the exact (x1, x2, p1, p2) rows, rounded once.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    A, b = h.drift()
+    with mpmath.workdps(dps):
+        M = mpmath.matrix([[*row, bi] for row, bi in zip(A.tolist(), b.tolist())] + [[0.0] * 5])
+        start = mpmath.matrix([*map(float, z0), 1.0])
+        rows = []
+        for t in times:
+            term, total, k = start, start, 0
+            while max(map(abs, term)) > mpmath.mpf(10) ** -dps * max(map(abs, total)):
+                k += 1
+                term = M * term * (mpmath.mpf(float(t)) / k)
+                total += term
+            rows.append([float(x) for x in total[:4]])
+    return np.array(rows)
 
 
-def test_refusals_cover_every_propagator_of_the_block():
-    # Each run's one-step propagator resolves its drift and is finite; a
-    # later P_j of its 5-step block does not, or is not.
-    rep = build_representation(NCParams(0.1, 0.1, mass=1e153), "branch", "minus")
-    heavy = build_hamiltonian("uniform_gravity", rep, g=1.0)
-    fast = build_hamiltonian("harmonic", IDENTITY, omega=1e22)
-    for h, z0, dt, refusal in [(heavy, [0.0, 0.0, 1.0, 0.0], 0.1, "propagator cannot resolve its drift"),
-                               (fast, [1.0, 0.0, 0.0, 0.0], 0.01, "propagator overflows")]:
-        assert np.isfinite(evolve(h, z0, t_end=dt, dt=dt).canonical_states).all()
-        with pytest.raises(ConfigError, match=refusal):
-            evolve(h, z0, t_end=100 * dt, dt=dt)
+def _column_error(got, exact):
+    """Largest |got - exact| of each column, relative to that column's largest exact entry.
+
+    A column that is exactly zero must be zero in ``got`` too.
+    """
+    err, scale = np.abs(got - exact).max(axis=0), np.abs(exact).max(axis=0)
+    assert (err[scale == 0] == 0).all()
+    return float((err[scale > 0] / scale[scale > 0]).max(initial=0.0))
+
+
+#: Largest error of a heavy fixed-parameter free fall against ``_taylor_states``,
+#: relative to each column's largest entry.  Masses 1e100 to 1e300 at
+#: t_end 0.5 and 1e153 at t_end 3 read at most 3.5e-16.  The Padé expm
+#: refused masses 1e153 (past t_end 3.5), 1e200 and 1e300, whose scaling
+#: by a power of two rounded entries of the drift away.
+HEAVY_FALL_BOUND = 8 * 2.0**-53
+
+
+@pytest.mark.parametrize("mass,t_end", [(1e100, 0.5), (1e153, 3.0), (1e153, 10.0), (1e200, 0.5), (1e300, 0.5)])
+def test_heavy_fixed_parameter_fall_matches_the_taylor_oracle(mass, t_end):
+    rep = build_representation(NCParams(0.1, 0.1, mass=mass), "branch", "minus")
+    h = build_hamiltonian("uniform_gravity", rep, g=1.0)
+    z0 = [0.0, 0.0, 1.0, 0.0]
+    traj = evolve(h, z0, t_end, 0.1)
+    assert _column_error(traj.canonical_states, _taylor_states(h, z0, traj.times)) <= HEAVY_FALL_BOUND
+
+
+def test_phase_refusal_reads_the_whole_run():
+    # One step of omega = 1e10 at dt = 0.01 is a phase of 1e8 rad, 1.1e-8 from
+    # one ulp: accepted, and x1 = cos(omega * dt) to about that.  A hundred
+    # steps reach 1e10 rad, 1.1e-6 from one ulp, past the bound.
+    mpmath = pytest.importorskip("mpmath")
+    h = build_hamiltonian("harmonic", IDENTITY, omega=1e10)
+    one = evolve(h, [1.0, 0.0, 0.0, 0.0], t_end=0.01, dt=0.01)
+    with mpmath.workdps(40):
+        exact = float(mpmath.cos(mpmath.mpf(1e10) * mpmath.mpf(0.01)))
+    assert abs(one.canonical_states[1, 0] - exact) <= 1e8 * 2.0**-53
+    with pytest.raises(ConfigError) as info:
+        evolve(h, [1.0, 0.0, 0.0, 0.0], t_end=1.0, dt=0.01)
+    assert str(info.value) == (
+        "the phase of the run, 1e+10 rad by t = 1.0, is too large to resolve: one ulp of "
+        "the drift moves it by 1.11e-06 rad, past the bound of 1e-06"
+    )
+
+
+def test_conditioned_free_fall_agrees_across_nine_decades_of_mass():
+    assert wep_deviation(MassConditions(0.3, 0.2), (1.0, 1e9)) <= 1e-9
 
 
 def _criterion_9_drifts(count=16, seed=2005):
@@ -827,8 +923,10 @@ def test_wep_trajectories_sets_up_through_the_public_stages_once_each(monkeypatc
 
 
 def test_overflowing_propagator_or_trajectory_rejected():
+    # The flow of omega = 1e100 is finite, a cosine of 1e98 rad, but one ulp
+    # of omega moves that phase by 1e82 rad.
     h = build_hamiltonian("harmonic", IDENTITY, omega=1e100)
-    with pytest.raises(ConfigError, match="propagator overflows"):
+    with pytest.raises(ConfigError, match=r"^the phase of the run, 2e\+98 rad by t = 0\.02, is too large"):
         evolve(h, [1.0, 0.0, 0.0, 0.0], t_end=0.02, dt=0.01)
     h = build_hamiltonian("free", IDENTITY)
     with pytest.raises(ConfigError, match="trajectory overflows"):

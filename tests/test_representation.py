@@ -515,7 +515,7 @@ def test_commutative_limit_distances_are_the_form_distances(p0):
     assert [c.name for c in report.checks] == names + ["limit.minus.monotone", "limit.plus.monotone"]
 
 
-@pytest.mark.parametrize("tol", [-1e-9, math.inf, math.nan])
+@pytest.mark.parametrize("tol", [-1e-9, math.inf, math.nan, 10**400])
 @pytest.mark.parametrize(
     "check",
     [
@@ -536,6 +536,22 @@ def test_commutative_limit_distances_are_the_form_distances(p0):
 def test_tolerance_outside_zero_to_inf_rejected(check, tol):
     with pytest.raises(ConfigError):
         check(tol)
+
+
+def test_tolerance_is_converted_before_it_is_compared():
+    rep = build_branch_rep(NCParams(0.5, 0.5), "minus")
+    # An int past the float range does not convert; it raised OverflowError.
+    with pytest.raises(ConfigError) as info:
+        verify_nc_algebra(rep, tol=10**400)
+    assert str(info.value) == "tolerance must be finite and nonnegative, got an int past the float range"
+    # An np.float32 compared with a Python float would warn, and warnings are errors here.
+    for tol in (np.float32(1e-9), 10**300, np.float32(np.inf)):
+        if math.isfinite(tol):
+            report = verify_nc_algebra(rep, tol=tol)
+            assert {(type(c.tol), c.tol) for c in report.checks} == {(float, float(tol))}
+        else:
+            with pytest.raises(ConfigError, match="^tolerance must be finite and nonnegative, got inf$"):
+                verify_nc_algebra(rep, tol=tol)
 
 
 def test_commutative_limit_needs_one_tolerance_per_scale():

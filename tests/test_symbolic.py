@@ -28,7 +28,12 @@ symbolic theta and eta, not sampled:
   and mu = m_a*m_b/M, all 16 brackets of (X_c, P_c) with (dX, dP) vanish
   under the conditions; without them [X1_c, dX2] = (theta_a*m_a -
   theta_b*m_b)/M and [P1_c, dP2] = mu*(eta_a/m_a - eta_b/m_b); and the
-  kinetic energy sum_a P^(a)^2/(2m_a) is P_c^2/(2M) + dP^2/(2mu).
+  kinetic energy sum_a P^(a)^2/(2m_a) is P_c^2/(2M) + dP^2/(2mu);
+* the closed-form flow of ``dynamics._flow`` solves dw/dt = C w + c: for a
+  generic 2x2 C, E = e^(tau t) [cosh(delta t) I + sinh(delta t)/delta (C - tau I)]
+  with delta^2 = ((C00 - C11)/2)^2 + C01 C10 has E' = C E and E(0) = I; for
+  C = u v^T, so that C^2 = (tr C) C, F = t c + t^2 phi2(t tr C) C c has
+  F' = C F + c and F(0) = 0.
 
 A few float points tie each restatement to the code it restates.
 """
@@ -36,10 +41,12 @@ A few float points tie each restatement to the code it restates.
 from __future__ import annotations
 
 import mpmath
+import numpy as np
 import pytest
 import sympy as sp
 
 from ncphase import CompositeSystem, MassConditions, NCParams, build_representation, commutator, primed_params
+from ncphase.dynamics import _flow
 from ncphase.composite import com_rep_algebraic, com_rep_direct, com_simple_algebraic, com_simple_direct
 from ncphase.representation import _coeff_forms, _epsilon_coeffs, _shift_coeffs, _shift_terms, _swap_row, _swap_scale
 from test_oracle import _free_fall
@@ -422,3 +429,57 @@ def test_centre_of_mass_brackets_are_the_code_brackets(system):
             float((MU * (ETA_A / MA - ETA_B / MB)).subs(point))]
     got = [commutator(x1_c, rep_a.X2 - rep_b.X2), commutator(p1_c, rep_a.P2 * (mu / ma) - rep_b.P2 * (mu / mb))]
     assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+
+# --- the closed-form flow -------------------------------------------------------
+
+T = sp.symbols("t", real=True)
+
+
+def _exp_flow(C, delta):
+    """E(t) of ``dynamics._flow`` for a 2x2 C and a symbol or value delta with delta^2 = h^2 + C01 C10."""
+    tau = C.trace() / 2
+    return sp.exp(tau * T) * (sp.cosh(delta * T) * sp.eye(2) + sp.sinh(delta * T) / delta * (C - tau * sp.eye(2)))
+
+
+def _affine_flow(C, c):
+    """F(t) of ``dynamics._flow``: t c + t^2 phi2(t tr C) C c."""
+    y = C.trace() * T
+    return T * c + T**2 * (sp.exp(y) - 1 - y) / y**2 * C * c
+
+
+def test_exponential_flow_solves_the_linear_equation():
+    # delta is a symbol tied to C by eliminating C10 = (delta^2 - h^2)/C01,
+    # which covers every C with C01 != 0, and the rest by continuity.
+    c00, c01, c10, c11, delta = sp.symbols("C00 C01 C10 C11 delta")
+    C = sp.Matrix([[c00, c01], [c10, c11]])
+    E = _exp_flow(C, delta)
+    h = (c00 - c11) / 2
+    residual = (E.diff(T) - C * E).subs(c10, (delta**2 - h**2) / c01)
+    assert all(sp.simplify(x) == 0 for x in residual)
+    assert E.subs(T, 0) == sp.eye(2)
+
+
+def test_affine_flow_solves_the_affine_equation_for_a_rank_one_C():
+    u0, u1, v0, v1, c0, c1 = sp.symbols("u0 u1 v0 v1 c0 c1")
+    C, c = sp.Matrix([[u0 * v0, u0 * v1], [u1 * v0, u1 * v1]]), sp.Matrix([c0, c1])
+    assert sp.expand(C * C - C.trace() * C) == sp.zeros(2, 2)
+    F = _affine_flow(C, c)
+    assert all(sp.simplify(x) == 0 for x in F.diff(T) - C * F - c)
+    assert [sp.limit(x, T, 0) for x in F] == [0, 0]
+
+
+def test_flow_is_the_code_flow():
+    # A rank-one C, as free and gravity drifts give, and a rank-two one, as
+    # the oscillator gives; times inside and past the series cut-off.
+    for C, c in ((np.array([[0.3j, 0.5], [-0.18, 0.3j]]), np.array([0.25 - 1j, 2.0])),
+                 (np.array([[-0.1j, 0.5], [-2.0, -0.1j]]), np.zeros(2, complex))):
+        times = np.array([0.0, 0.01, 0.7, 5.0])
+        E, F, _ = _flow(C[None], c[None], times)
+        Cs, cs = sp.Matrix(C.tolist()), sp.Matrix(c.tolist())
+        delta = sp.sqrt(((Cs[0, 0] - Cs[1, 1]) / 2) ** 2 + Cs[0, 1] * Cs[1, 0])
+        for k, t in enumerate(times):
+            want_E = _exp_flow(Cs, delta).subs(T, t).evalf(30) if t else sp.eye(2)
+            want_F = _affine_flow(Cs, cs).subs(T, t).evalf(30) if t and c.any() else sp.zeros(2, 1)
+            assert np.abs(E[0, k] - np.array(want_E.tolist(), dtype=complex)).max() <= 1e-15
+            assert np.abs(F[0, k] - np.array(want_F.tolist(), dtype=complex).ravel()).max() <= 1e-15

@@ -409,6 +409,11 @@ def test_stacked_flow_is_bitwise_each_single_flow():
             assert stacked[1][i].any()
         else:
             assert not stacked[1][i].any() and not np.signbit(stacked[1][i].view(float)).any()
+    # A c = 0 mass whose phi2 overflows (a real trace of 100 at t = 10) still reads F = +0 beside an affine one.
+    C = np.array([[[0.3j, 0.5], [-0.18, 0.3j]], [[50.0, 0.0], [0.0, 50.0]]])
+    with np.errstate(all="ignore"):
+        _, F, _ = dynamics._flow(C, np.array([[0.25 - 1j, 2.0], [0.0, 0.0]]), np.array([0.0, 1.0, 10.0]))
+    assert F[0, 1:].all() and not F[1].any() and not np.signbit(F[1].view(float)).any()
 
 
 _K = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])

@@ -349,11 +349,6 @@ def _drift_draws(count, seed=2005):
     return out
 
 
-def _conditioned_gravity(mass, family="branch", branch="minus"):
-    rep = build_representation(params_from_conditions(MassConditions(0.3, 0.2), mass), family, branch)
-    return build_hamiltonian("uniform_gravity", rep, g=1.0)
-
-
 def _one_step(h, dt):
     """The real 4 x 5 step [exp(A dt) | F] of one Hamiltonian's flow, and its phase rho * dt."""
     C, c = dynamics._complex_drift([h], dt)
@@ -381,7 +376,9 @@ HEAVY_FLOW_BOUND = 4 * 2.0**-53
 
 def test_flow_matches_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    heavy = [(_conditioned_gravity(mass), 0.01) for mass in (1e5, 1e9, 1e20)]
+    conditioned = [build_representation(params_from_conditions(MassConditions(0.3, 0.2), mass), "branch")
+                   for mass in (1e5, 1e9, 1e20)]
+    heavy = [(build_hamiltonian("uniform_gravity", rep, g=1.0), 0.01) for rep in conditioned]
     for i, (h, dt) in enumerate(_drift_draws(60) + heavy):
         got, phase = _one_step(h, dt)
         A, b = h.drift()

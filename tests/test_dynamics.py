@@ -413,6 +413,47 @@ def test_stacked_flow_is_bitwise_each_single_flow():
     assert F[0, 1:].all() and not F[1].any() and not np.signbit(F[1].view(float)).any()
 
 
+#: Largest error of E(s + t) = E(t) E(s) and F(s + t) = E(t) F(s) + F(t),
+#: in ulps of the product's scale, per 1 + rho (s + t).  Over
+#: ``SEMIGROUP_TIMES`` and the systems below the flow read at most 3.7 of
+#: these units (gravity, simple family, mass 7).
+SEMIGROUP_ULPS = 8.0
+
+#: s and t of the semigroup check: lambda t crosses phi2's series cutoff
+#: between them for every gravity mass but 20.
+SEMIGROUP_TIMES = (1e-3, 0.02, 0.5, 10.0)
+
+
+@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES + STACKED_SYSTEMS)
+def test_flow_at_a_sum_of_times_is_the_product_of_its_flows(kind, family, branch, mass):
+    # evolve joins each block's start at t = kB dt to the block's steps at
+    # t = j dt, so the flow must compose, on both sides of the series cutoff.
+    rep = build_representation(NCParams(0.3, 0.2, mass=mass), family, branch)
+    h = build_hamiltonian(kind, rep, g=9.8, omega=0.7)
+    s, t = (a.ravel() for a in np.meshgrid(SEMIGROUP_TIMES, SEMIGROUP_TIMES, indexing="ij"))
+    E, F, rho = (a[0] for a in dynamics._flow(*dynamics._complex_drift([h], 1.0), np.concatenate([s, t, s + t])))
+    (Es, Et, Est), (Fs, Ft, Fst) = np.split(E, 3), np.split(F, 3)
+    bound = SEMIGROUP_ULPS * 2.0**-53 * (1.0 + rho * (s + t))
+    scale_e = np.abs(Et).max(axis=(1, 2))
+    assert (np.abs(Est - Et @ Es).max(axis=(1, 2)) <= bound * 2 * scale_e * np.abs(Es).max(axis=(1, 2))).all()
+    err = np.abs(Fst - (Et @ Fs[..., None])[..., 0] - Ft).max(axis=1)
+    assert (err <= bound * (scale_e * np.abs(Fs).max(axis=1) + np.abs(Ft).max(axis=1))).all()
+    assert Fst.any() == (kind == "uniform_gravity")
+
+
+@pytest.mark.parametrize("block", [1, 5, 16, 64])
+def test_every_block_size_meets_the_oracle(monkeypatch, block):
+    # Block 1 takes every row from its own start, block 64 steps 63 rows
+    # from each start and pads the last block (2000 = 31 * 64 + 16).
+    hs = _mixed_hamiltonians(5)
+    z0 = np.array([[0.3, -1.25, 2.0, 0.5], [1.0, 0.0, -3.0, 0.25], [0.0, 2.0, 0.5, -1.0],
+                   [-0.5, 0.75, 4.0, 1.5], [2.0, -2.0, 0.0, 0.125]])
+    monkeypatch.setattr(dynamics, "_block_size", lambda n: block)
+    for h, z, traj in zip(hs, z0, evolve(hs, z0, 40.0, 0.02)):
+        assert len(traj) == 2001
+        assert _oracle_error(h, z, 0.02, traj, ORACLE_STEPS) <= ORACLE_BOUND
+
+
 _K = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
 
 

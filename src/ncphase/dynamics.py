@@ -224,6 +224,8 @@ _SERIES_CUTOFF = 0.5
 _SERIES_DIVISORS = np.arange(3.0, 17.0)[:, None, None]
 #: +1 where the parities of A5[r, i, s, j] agree, -1 where they differ.
 _MIXED_SIGNS = np.array([[[1.0, -1.0]], [[-1.0, 1.0]]])
+#: I of C - tau I, built once.
+_EYE = np.eye(2)
 
 
 def _complex_drift(hs: Sequence[QuadraticHamiltonian], dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -257,32 +259,44 @@ def _flow(C: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.n
     E = exp(tC) = e^(tau t) [cosh(delta t) I + t sinhc(delta t) (C - tau I)] by
     Cayley-Hamilton, with tau = tr C / 2 and delta^2 = ((C00 - C11) / 2)^2 +
     C01 C10, which does not cancel as tau^2 - det C would; t sinhc(delta t)
-    is sinh(delta t) / delta, or t at delta = 0.  F = t c + t^2 phi2(lambda t) C c
-    with lambda = tr C, the integral of exp(sC) c when C^2 = lambda C, as it
-    is for the rank-one C of every affine drift; phi2 is summed as its
+    is sinh(delta t) / delta, or t at delta = 0.  F = t c + t^2 phi2(lambda t)
+    C c with lambda = tr C, the integral of exp(sC) c when C^2 = lambda C, as
+    it is for the rank-one C of every affine drift; phi2 is summed as its
     series below :data:`_SERIES_CUTOFF`.  E is (m, K, 2, 2) and F (m, K, 2)
     for K times; F is +0 where c is, and is not computed when every c is.
-    rho = |tau| + |delta| bounds the moduli of C's eigenvalues.  Every value is elementwise per mass, so each
-    mass's slice is byte-equal to its own call.
+    rho = |tau| + |delta| bounds the moduli of C's eigenvalues.
+
+    Every value is elementwise per mass, so each mass's slice is byte-equal
+    to its own call.  A guarded branch runs only when some element of the
+    stack takes it, and where every element does, unmasked.
     """
     lam = C[:, 0, 0] + C[:, 1, 1]
     tau, half = lam / 2, (C[:, 0, 0] - C[:, 1, 1]) / 2
     delta = np.sqrt(half * half + C[:, 0, 1] * C[:, 1, 0])
     w = delta[:, None] * t
     e = np.exp(tau[:, None] * t)
-    sinh = np.divide(np.sinh(w), delta[:, None], out=t * np.ones_like(w), where=delta[:, None] != 0)
-    E = (e * sinh)[..., None, None] * (C - tau[:, None, None] * np.eye(2))[:, None]
+    if delta.all():
+        sinh = np.sinh(w) / delta[:, None]
+    else:
+        sinh = np.divide(np.sinh(w), delta[:, None], out=t * np.ones_like(w), where=delta[:, None] != 0)
+    E = (e * sinh)[..., None, None] * (C - tau[:, None, None] * _EYE)[:, None]
     E.reshape(*E.shape[:2], 4)[..., ::3] += (e * np.cosh(w))[..., None]  # the diagonal
     F = np.zeros(E.shape[:-1], complex)
     affine = c.any(axis=1)
     if affine.any():
         y = lam[:, None] * t
-        phi2 = 0.5 + 0.5 * np.multiply.accumulate(y / _SERIES_DIVISORS).sum(axis=0)
-        # e^y - 1 = 2 e^(y/2) sinh(y/2) without cancellation; subtracting y then loses at most 2 bits.
-        np.divide(2 * np.exp(y / 2) * np.sinh(y / 2) - y, y * y, out=phi2, where=abs(y) >= _SERIES_CUTOFF)
+        closed = abs(y) >= _SERIES_CUTOFF
+        if closed.all():
+            phi2 = np.empty_like(y)
+        else:
+            phi2 = 0.5 + 0.5 * np.multiply.accumulate(y / _SERIES_DIVISORS).sum(axis=0)
+        if closed.any():
+            # e^y - 1 = 2 e^(y/2) sinh(y/2) without cancellation; subtracting y then loses at most 2 bits.
+            np.divide(2 * np.exp(y / 2) * np.sinh(y / 2) - y, y * y, out=phi2, where=closed)
         F = t[:, None] * c[:, None] + (t * t * phi2)[..., None] * (C @ c[..., None])[:, None, :, 0]
-        # A mass with c = 0 keeps F = +0, whatever its phi2 reads.
-        F = np.where(affine[:, None, None], F, 0)
+        if not affine.all():
+            # A mass with c = 0 keeps F = +0, whatever its phi2 reads.
+            F = np.where(affine[:, None, None], F, 0)
     return E, F, abs(tau) + abs(delta)
 
 
@@ -334,8 +348,10 @@ def evolve(
     blocks = -(-n // block)
     C, c = _complex_drift(hs, dt)
     E, F, rho = _flow(C, c, np.concatenate((np.arange(1, block + 1), np.arange(0, n, block))) * dt)
-    # [E_j | F_j] of step j, laid out so column 2(j - 1) + r gives row r of w_{kB+j}.
-    step = np.concatenate([E[:, :block], F[:, :block, :, None]], axis=-1)
+    # Column s of [E_j | F_j] of step j, laid out so entry 2(j - 1) + r gives row r of w_{kB+j}.
+    step = np.empty((m, 3, block, 2), complex)
+    step[:, :2] = E[:, :block].transpose(0, 3, 1, 2)
+    step[:, 2] = F[:, :block]
     if not np.isfinite(step.view(float)).all():
         raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
     phase = float(rho.max()) * n * dt
@@ -344,12 +360,15 @@ def evolve(
                           f"the drift moves it by {phase * 2.0**-53:.3g} rad, past the bound of {_PHASE_BOUND}")
     w0 = z0.reshape(m, 4).view(complex)
     starts = np.ones((m, blocks, 3), complex)
-    # Elementwise: a stacked matmul would make one BLAS call per 2 x 2 block.
-    starts[..., :2] = E[:, block:, :, 0] * w0[:, None, None, 0] + E[:, block:, :, 1] * w0[:, None, None, 1] + F[:, block:]
+    # Elementwise, written in place: a stacked matmul would make one BLAS call per 2 x 2 block.
+    head = starts[..., :2]
+    np.multiply(E[:, block:, :, 0], w0[:, None, None, 0], out=head)
+    head += E[:, block:, :, 1] * w0[:, None, None, 1]
+    head += F[:, block:]
     table = np.empty((m, blocks * block + 1, 2), complex)
     table[:, 0] = w0
     rows = table[:, 1:].reshape(m, blocks, 2 * block)
-    np.matmul(starts, step.transpose(0, 3, 1, 2).reshape(m, 3, 2 * block), out=rows)
+    np.matmul(starts, step.reshape(m, 3, 2 * block), out=rows)
     canonical = table.view(float)[:, : n + 1]
     # A row inside a block feeds no later row, so every row is checked.
     if not np.isfinite(canonical).all():
@@ -375,7 +394,7 @@ def energy_drift(h: QuadraticHamiltonian, traj: Trajectory) -> float:
     with np.errstate(all="ignore"):
         energies = h.energies(traj.canonical_states)
         scale = max(1.0, abs(energies[0]))
-        drift = float(np.max(np.abs(energies - energies[0])) / scale)
+        drift = float(abs(energies - energies[0]).max() / scale)
     if not math.isfinite(drift):
         raise ConfigError("the energy H, or its drift H(t) - H(0), overflows the float range along the trajectory")
     return drift
@@ -394,8 +413,8 @@ def nc_initial_state(
     ``h`` is one Hamiltonian, giving a (4,) state, or a sequence of m,
     giving an (m, 4) array, one row each: the initial state :func:`evolve`
     takes.  The m maps are one (m, 4, 4) stack, checked by one stacked
-    condition number and inverted by one stacked solve; the singular-map
-    refusal names the first mass whose map is singular.
+    :func:`_condition_numbers` and inverted by one stacked solve; the
+    singular-map refusal names the first mass whose map is singular.
     """
     single = isinstance(h, QuadraticHamiltonian)
     hs = [h] if single else list(h)
@@ -413,13 +432,11 @@ def nc_initial_state(
     r1, r2 = observables[:, :1], observables[:, 1:2]
     # Vector products, a (1, 4) row per system: a (2, 4) matmul may sum in another order.
     maps = np.concatenate([r1, r2, r1 @ A, r2 @ A], axis=1)
-    rhs = np.tile(vals, (len(hs), 1))[..., None]
-    rhs[:, 2:] -= np.concatenate([r1 @ b[..., None], r2 @ b[..., None]], axis=1)
-    # A map that is not finite reads cond = inf without reaching LAPACK,
-    # which would print its complaint to stdout.
-    finite = np.isfinite(maps).all(axis=(1, 2))
-    cond = np.full(len(hs), np.inf)
-    cond[finite] = np.linalg.cond(maps[finite])
+    rhs = np.empty((len(hs), 4, 1))
+    rhs[..., 0] = vals
+    rhs[:, 2:3] -= r1 @ b[..., None]
+    rhs[:, 3:] -= r2 @ b[..., None]
+    cond = _condition_numbers(maps)
     singular = ~np.isfinite(cond) | (cond > 1e12)
     if singular.any():
         raise SingularMapError(
@@ -428,6 +445,25 @@ def nc_initial_state(
         )
     states = np.linalg.solve(maps, rhs)[..., 0]
     return states[0] if single else states
+
+
+def _condition_numbers(maps: np.ndarray) -> np.ndarray:
+    """np.linalg.cond of each map of an (m, 4, 4) stack, or inf for a map that is not finite.
+
+    Finite maps take the singular values' ratio from one np.linalg.svd, as
+    np.linalg.cond does inside its wrapper, which also reads 0 / 0 (an
+    all-zero map) as inf.  A map that is not finite never reaches LAPACK,
+    which would print its complaint to stdout.
+    """
+    if np.isfinite(maps).all():
+        s = np.linalg.svd(maps, compute_uv=False)
+        cond = s[:, 0] / s[:, -1]
+        cond[np.isnan(cond)] = np.inf
+        return cond
+    finite = np.isfinite(maps).all(axis=(1, 2))
+    cond = np.full(len(maps), np.inf)
+    cond[finite] = np.linalg.cond(maps[finite])
+    return cond
 
 
 def wep_trajectories(
@@ -453,9 +489,19 @@ def wep_trajectories(
 
 
 def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -> float:
-    """Largest pointwise spread of the noncommutative coordinates across runs."""
-    coords = np.stack([traj.nc_observables[:, :2] for _, traj in runs])
-    return float(np.max(coords.max(axis=0) - coords.min(axis=0)))
+    """Largest pointwise spread of the noncommutative coordinates across runs.
+
+    A running max and min over the runs' contiguous observable rows: both are
+    exact, so the (X1, X2) columns equal the max and min of a stacked copy.
+    No runs, or runs of unequal lengths, are refused.
+    """
+    rows = [traj.nc_observables for _, traj in runs]
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
+        raise ConfigError(f"coordinate_spread needs runs of one length, got lengths {[len(r) for r in rows]}")
+    hi = lo = rows[0]
+    for r in rows[1:]:
+        hi, lo = np.maximum(hi, r), np.minimum(lo, r)
+    return float((hi[:, :2] - lo[:, :2]).max())
 
 
 def wep_deviation(
@@ -501,7 +547,8 @@ def wep_deviation_fixed(
 
 
 def _wep_spread(
-    params: Sequence[NCParams], family: str, branch: str | None, g: float, nc_data: Sequence[float], t_end: float, dt: float
+    params: Sequence[NCParams], family: str, branch: str | None, g: float, nc_data: Sequence[float],
+    t_end: float, dt: float,
 ) -> float:
     """The body of both WEP comparisons: one representation per parameter set, then their spread."""
     reps = [build_representation(q, family, branch) for q in params]

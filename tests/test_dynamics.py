@@ -413,6 +413,61 @@ def test_stacked_flow_is_bitwise_each_single_flow():
     assert F[0, 1:].all() and not F[1].any() and not np.signbit(F[1].view(float)).any()
 
 
+def _hex(*arrays):
+    """float.hex of every float of each array, a complex entry as its (real, imag) pair."""
+    return [[v.hex() for v in np.ascontiguousarray(a).view(float).ravel().tolist()] for a in arrays]
+
+
+def _masked_flow(C, c, t):
+    """The flow with every guarded branch computed for every element and masked afterwards."""
+    lam = C[:, 0, 0] + C[:, 1, 1]
+    tau, half = lam / 2, (C[:, 0, 0] - C[:, 1, 1]) / 2
+    delta = np.sqrt(half * half + C[:, 0, 1] * C[:, 1, 0])
+    w, e = delta[:, None] * t, np.exp(tau[:, None] * t)
+    sinh = np.divide(np.sinh(w), delta[:, None], out=t * np.ones_like(w), where=delta[:, None] != 0)
+    E = (e * sinh)[..., None, None] * (C - tau[:, None, None] * np.eye(2))[:, None]
+    E.reshape(*E.shape[:2], 4)[..., ::3] += (e * np.cosh(w))[..., None]
+    y = lam[:, None] * t
+    phi2 = 0.5 + 0.5 * np.multiply.accumulate(y / np.arange(3.0, 17.0)[:, None, None]).sum(axis=0)
+    np.divide(2 * np.exp(y / 2) * np.sinh(y / 2) - y, y * y, out=phi2, where=abs(y) >= dynamics._SERIES_CUTOFF)
+    F = t[:, None] * c[:, None] + (t * t * phi2)[..., None] * (C @ c[..., None])[:, None, :, 0]
+    return E, np.where(c.any(axis=1)[:, None, None], F, 0), abs(tau) + abs(delta)
+
+
+def test_flow_shortcuts_are_byte_equal_to_the_masked_expressions():
+    # _flow skips a guarded branch no element takes and runs one that every
+    # element takes unmasked; each side of each guard must read the bytes of
+    # the masked expression.
+    free = build_hamiltonian("free", IDENTITY)  # C = [[0, 1], [0, 0]]: delta = 0, c = 0
+    osc = build_hamiltonian("harmonic", build_representation(NCParams(0.3, 0.2, mass=7.0), "branch", "minus"),
+                            omega=0.7)
+    falls = [build_hamiltonian("uniform_gravity", build_representation(NCParams(0.3, 0.2, mass=mass), family, branch),
+                               g=9.8) for mass, family, branch in ((7.0, "branch", "minus"), (20.0, "simple", None))]
+    C, _ = dynamics._complex_drift(falls, 1.0)
+    lam = abs(C[:, 0, 0] + C[:, 1, 1])  # |y| = lam t reaches the cutoff at t = cutoff / lam
+    below = np.array([0.0, 1e-3, 0.5]) * dynamics._SERIES_CUTOFF / lam.max()
+    above = np.array([1.5, 4.0, 100.0]) * dynamics._SERIES_CUTOFF / lam.min()
+    across = np.concatenate([below, above])
+    cases = [  # (Hamiltonians, times, (delta = 0 for some mass, c = 0 for some mass, |y| below, |y| past))
+        ([free, osc], across, (True, True, None, None)),
+        ([osc, *falls], across, (False, True, True, True)),
+        (falls, below, (False, False, True, False)),
+        (falls, above, (False, False, False, True)),
+        (falls, across, (False, False, True, True)),
+        ([osc, free, *falls], across, (True, True, True, True)),
+    ]
+    for hs, t, premise in cases:
+        C, c = dynamics._complex_drift(hs, 1.0)
+        with np.errstate(all="ignore"):
+            E, F, rho = dynamics._flow(C, c, t)
+            assert _hex(E, F, rho) == _hex(*_masked_flow(C, c, t))
+        half = (C[:, 0, 0] - C[:, 1, 1]) / 2
+        y = abs((C[:, 0, 0] + C[:, 1, 1])[c.any(axis=1), None] * t)
+        assert premise[:2] == (not np.sqrt(half * half + C[:, 0, 1] * C[:, 1, 0]).all(), not c.any(axis=1).all())
+        if premise[2] is not None:
+            assert premise[2:] == ((y < dynamics._SERIES_CUTOFF).any(), (y >= dynamics._SERIES_CUTOFF).any())
+
+
 #: Largest error of E(s + t) = E(t) E(s) and F(s + t) = E(t) F(s) + F(t),
 #: in ulps of the product's scale, per 1 + rho (s + t).  Over
 #: ``SEMIGROUP_TIMES`` and the systems below the flow read at most 3.7 of
@@ -725,6 +780,19 @@ def test_nc_initial_state_inverts_observables():
     assert r2 @ (A @ z0 + b) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_nc_initial_state_realises_the_velocities_of_any_affine_term():
+    # A built drift has X2 . b = 0 (b = J m g X2); a hand-built linear term
+    # moves both velocities, and each must still read as requested.
+    h = build_hamiltonian("harmonic", build_representation(NCParams(0.2, 0.1, mass=3.0), "branch", "minus"), omega=0.7)
+    h = dataclasses.replace(h, linear=np.array([0.3, -0.7, 1.1, 0.4]))
+    A, b = h.drift()
+    assert (h.observables[:2] @ b != 0).all()
+    for hs in (h, [h, h]):
+        for z0 in np.reshape(nc_initial_state(hs, (0.3, -0.2, 1.0, 0.5)), (-1, 4)):
+            assert h.observables[:2] @ z0 == pytest.approx([0.3, -0.2], abs=1e-12)
+            assert h.observables[:2] @ (A @ z0 + b) == pytest.approx([1.0, 0.5], abs=1e-12)
+
+
 def test_nc_initial_state_singular_at_degenerate_params():
     # at theta*eta = 1 the representation collapses onto a rank-deficient
     # observable map: no unique canonical state realises the requested data
@@ -883,6 +951,63 @@ def test_stacked_singular_map_refusal_names_the_first_mass():
         with pytest.raises(SingularMapError) as info:
             wep_trajectories(reps, (0.0, 0.0, 1.0, 0.0), g=1.0, t_end=0.1, dt=0.05)
         assert str(info.value) == messages[first]
+
+
+def test_condition_numbers_are_np_linalg_cond():
+    rng = np.random.default_rng(4242)
+    maps = rng.normal(size=(6, 4, 4)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(6, 1, 1))
+    maps[1, 3] = maps[1, 2]  # rank 3: a ratio past 1e12, or inf
+    maps[2] = 0.0  # 0 / 0, which np.linalg.cond reads as inf
+    with np.errstate(all="ignore"):
+        got = dynamics._condition_numbers(maps)
+        assert _hex(got) == _hex(np.linalg.cond(maps)) and got[2] == np.inf and got[1] > 1e12
+        # Maps that are not finite read inf and never reach LAPACK; the finite ones still read np.linalg.cond.
+        maps[3, 0, 0], maps[5, 1, 2] = np.nan, -np.inf
+        got = dynamics._condition_numbers(maps)
+        assert _hex(got) == _hex(np.concatenate([np.linalg.cond(maps[:3]), [np.inf], np.linalg.cond(maps[4:5]),
+                                                 [np.inf]]))
+
+
+def test_singular_map_refusal_beside_a_map_that_is_not_finite_names_the_first_mass():
+    # The overflowing map sends the stack through np.linalg.cond of the finite maps only.
+    far = build_representation(NCParams(1e8, 1e-8, mass=3.0), "branch", "minus")
+    overflowing = build_representation(NCParams(1e147, -500.0, mass=1e-180), "simple")
+    fine = build_representation(NCParams(0.1, 0.1, mass=2.0), "branch", "minus")
+    hs = build_hamiltonian("uniform_gravity", [fine, far, overflowing], g=1.0)
+    with pytest.raises(SingularMapError) as info:
+        nc_initial_state(hs, (0.0, 0.0, 1.0, 0.0))
+    assert str(info.value) == _singular_message(far)
+    # A hand-built Hamiltonian with no observables: an all-zero map reads condition number inf.
+    h = build_hamiltonian("free", IDENTITY)
+    with pytest.raises(SingularMapError, match=r"\(condition number inf\)$"):
+        nc_initial_state([h, dataclasses.replace(h, observables=np.zeros((4, 4)))], (0.0, 0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_coordinate_spread_is_the_spread_of_a_stacked_copy(m):
+    hs = _mixed_hamiltonians(m)
+    z0 = np.array([[0.3, -1.25, 2.0, 0.5], [1.0, 0.0, -3.0, 0.25], [0.0, 2.0, 0.5, -1.0],
+                   [-0.5, 0.75, 4.0, 1.5], [2.0, -2.0, 0.0, 0.125]])[:m]
+    # Evolved runs, and runs built by hand whose coordinates tie, carry signed zeros and overflow.
+    rng = np.random.default_rng(m)
+    hand = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf], size=(m, 9, 4))
+    evolved = list(zip(hs, evolve(hs, z0, 2.0, 0.05)))
+    built = [(h, dynamics.Trajectory(np.arange(9.0), np.zeros((9, 4)), obs)) for h, obs in zip(hs, hand)]
+    for runs in (evolved, built):
+        coords = np.stack([traj.nc_observables[:, :2] for _, traj in runs])
+        with np.errstate(invalid="ignore"):  # inf - inf
+            expected = float(np.max(coords.max(axis=0) - coords.min(axis=0)))
+            assert coordinate_spread(runs).hex() == expected.hex()
+    assert (coordinate_spread(evolved) == 0.0) == (m == 1)
+    assert coordinate_spread(evolved[:1]).hex() == (0.0).hex()
+
+
+def test_coordinate_spread_refuses_no_runs_or_runs_of_unequal_lengths():
+    h = build_hamiltonian("free", IDENTITY)
+    runs = [(h, evolve(h, [0.0, 0.0, 1.0, 0.0], t_end, 0.1)) for t_end in (1.0, 0.5, 0.0)]
+    for chosen, lengths in (([], r"\[\]"), (runs[:2], r"\[11, 6\]"), (runs[::2], r"\[11, 1\]")):
+        with pytest.raises(ConfigError, match=rf"^coordinate_spread needs runs of one length, got lengths {lengths}$"):
+            coordinate_spread(chosen)
 
 
 # --- one system or a sequence: the setup stages take what evolve takes -------------

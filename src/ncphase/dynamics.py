@@ -286,13 +286,13 @@ def _flow(C: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.n
     if affine.any():
         y = lam[:, None] * t
         closed = abs(y) >= _SERIES_CUTOFF
+        # e^y - 1 = 2 e^(y/2) sinh(y/2) without cancellation; subtracting y then loses at most 2 bits.
         if closed.all():
-            phi2 = np.empty_like(y)
+            phi2 = (2 * np.exp(y / 2) * np.sinh(y / 2) - y) / (y * y)
         else:
             phi2 = 0.5 + 0.5 * np.multiply.accumulate(y / _SERIES_DIVISORS).sum(axis=0)
-        if closed.any():
-            # e^y - 1 = 2 e^(y/2) sinh(y/2) without cancellation; subtracting y then loses at most 2 bits.
-            np.divide(2 * np.exp(y / 2) * np.sinh(y / 2) - y, y * y, out=phi2, where=closed)
+            if closed.any():
+                np.divide(2 * np.exp(y / 2) * np.sinh(y / 2) - y, y * y, out=phi2, where=closed)
         F = t[:, None] * c[:, None] + (t * t * phi2)[..., None] * (C @ c[..., None])[:, None, :, 0]
         if not affine.all():
             # A mass with c = 0 keeps F = +0, whatever its phi2 reads.
@@ -450,19 +450,16 @@ def nc_initial_state(
 def _condition_numbers(maps: np.ndarray) -> np.ndarray:
     """np.linalg.cond of each map of an (m, 4, 4) stack, or inf for a map that is not finite.
 
-    Finite maps take the singular values' ratio from one np.linalg.svd, as
-    np.linalg.cond does inside its wrapper, which also reads 0 / 0 (an
-    all-zero map) as inf.  A map that is not finite never reaches LAPACK,
-    which would print its complaint to stdout.
+    The singular values' ratio from one np.linalg.svd, as np.linalg.cond
+    takes it inside its wrapper, which also reads 0 / 0 (an all-zero map) as
+    inf.  A map that is not finite enters as an all-zero map, so it reads
+    inf and no NaN or inf reaches LAPACK, which would print its complaint to
+    stdout.
     """
-    if np.isfinite(maps).all():
-        s = np.linalg.svd(maps, compute_uv=False)
-        cond = s[:, 0] / s[:, -1]
-        cond[np.isnan(cond)] = np.inf
-        return cond
     finite = np.isfinite(maps).all(axis=(1, 2))
-    cond = np.full(len(maps), np.inf)
-    cond[finite] = np.linalg.cond(maps[finite])
+    s = np.linalg.svd(np.where(finite[:, None, None], maps, 0.0), compute_uv=False)
+    cond = s[:, 0] / s[:, -1]
+    cond[np.isnan(cond)] = np.inf
     return cond
 
 

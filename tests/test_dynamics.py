@@ -961,7 +961,7 @@ def test_condition_numbers_are_np_linalg_cond():
     with np.errstate(all="ignore"):
         got = dynamics._condition_numbers(maps)
         assert _hex(got) == _hex(np.linalg.cond(maps)) and got[2] == np.inf and got[1] > 1e12
-        # Maps that are not finite read inf and never reach LAPACK; the finite ones still read np.linalg.cond.
+        # Maps that are not finite read inf; the finite ones still read np.linalg.cond.
         maps[3, 0, 0], maps[5, 1, 2] = np.nan, -np.inf
         got = dynamics._condition_numbers(maps)
         assert _hex(got) == _hex(np.concatenate([np.linalg.cond(maps[:3]), [np.inf], np.linalg.cond(maps[4:5]),
@@ -969,7 +969,7 @@ def test_condition_numbers_are_np_linalg_cond():
 
 
 def test_singular_map_refusal_beside_a_map_that_is_not_finite_names_the_first_mass():
-    # The overflowing map sends the stack through np.linalg.cond of the finite maps only.
+    # The overflowing map reads inf, after the first singular mass.
     far = build_representation(NCParams(1e8, 1e-8, mass=3.0), "branch", "minus")
     overflowing = build_representation(NCParams(1e147, -500.0, mass=1e-180), "simple")
     fine = build_representation(NCParams(0.1, 0.1, mass=2.0), "branch", "minus")

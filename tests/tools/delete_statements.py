@@ -47,12 +47,7 @@ MODULE_TESTS = {
 }
 
 #: (module, source text of the statement) -> why deleting it changes no output.
-EQUIVALENT: dict[tuple[str, str], str] = {
-    ("dynamics", "if np.isfinite(maps).all():"): (
-        "a shortcut: the singular values' ratio is what np.linalg.cond computes, and without it every stack "
-        "takes the np.linalg.cond path with the same bytes"
-    ),
-}
+EQUIVALENT: dict[tuple[str, str], str] = {}
 
 #: Runs pytest with hypothesis deadlines off: two workers on two cores slow
 #: every test, and a missed deadline would count as a kill.

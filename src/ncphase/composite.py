@@ -110,11 +110,13 @@ class CompositeSystem:
 
         With ``conditions``, each theta and eta comes from its mass and
         ``thetas`` and ``etas`` are not read.  The particle chain validates
-        each particle, and so raises the first refusal with its own type and
-        message.  The bulk check is never looser.  A float sum is finite only
-        if every term is, since a NaN or an infinity spreads through it.
-        Anything else goes through the chain: a finite sum that overflows, no
-        masses (``min`` raises) or a column that cannot be computed.
+        each particle from its raw values, and so raises the first refusal
+        with its own type and message.  The bulk check is never looser but
+        for a numeric string, which ``float`` reads and the chain refuses.  A
+        float sum is finite only if every term is, since a NaN or an infinity
+        spreads through it.  Anything else goes through the chain: a finite
+        sum that overflows, no masses (``min`` raises) or a column that cannot
+        be computed, such as an int past the float range.
         """
         try:
             ms = [float(m) for m in masses]
@@ -132,9 +134,9 @@ class CompositeSystem:
         if not accepted:
             if conditions is None:
                 columns = zip(masses, thetas, etas)
-                particles = (NCParams(theta=float(t), eta=float(e), mass=float(m)) for m, t, e in columns)
+                particles = (NCParams(theta=t, eta=e, mass=m) for m, t, e in columns)
             else:
-                particles = (params_from_conditions(conditions, float(m)) for m in masses)
+                particles = (params_from_conditions(conditions, m) for m in masses)
             return cls(particles, conditions)
         system = cls.__new__(cls)
         system._set_columns((ms, ts, es), conditions)

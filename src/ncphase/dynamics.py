@@ -228,8 +228,14 @@ _MIXED_SIGNS = np.array([[[1.0, -1.0]], [[-1.0, 1.0]]])
 _EYE = np.eye(2)
 
 
-def _complex_drift(hs: Sequence[QuadraticHamiltonian], dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(C, c) of m Hamiltonians: dz/dt = A z + b as dw/dt = C w + c over complex pairs.
+def _stack(hs: Sequence[QuadraticHamiltonian]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(observables, A, b) of m Hamiltonians as (m, 4, 4), (m, 4, 4) and (m, 4) stacks, dz/dt = A z + b."""
+    A, b = _drift(np.array([hi.quad for hi in hs]), np.array([hi.linear for hi in hs]))
+    return np.array([hi.observables for hi in hs]), A, b
+
+
+def _complex_drift(A: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(C, c) of m drifts dz/dt = A z + b, stacked as :func:`_stack` gives them, as dw/dt = C w + c over complex pairs.
 
     A state (x1, x2, p1, p2) is read as w = (x1 + i x2, p1 + i p2), the
     layout of the float64 view of a complex128 pair.  That needs A to
@@ -238,7 +244,6 @@ def _complex_drift(hs: Sequence[QuadraticHamiltonian], dt: float) -> tuple[np.nd
     (m, 2).  A drift that is not finite, not rotation-invariant, or affine
     with a C that is not rank one (see :data:`_RANK_ONE_BOUND`) is refused.
     """
-    A, b = _drift(np.array([hi.quad for hi in hs]), np.array([hi.linear for hi in hs]))
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ConfigError(f"the one-step propagator overflows at dt = {dt}")
     # A[2r + i, 2s + j] as A5[r, i, s, j]: K A K^-1 swaps both parities i, j
@@ -268,17 +273,14 @@ def _flow(C: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.n
 
     Every value is elementwise per mass, so each mass's slice is byte-equal
     to its own call.  A guarded branch runs only when some element of the
-    stack takes it, and where every element does, unmasked.
+    stack takes it.
     """
     lam = C[:, 0, 0] + C[:, 1, 1]
     tau, half = lam / 2, (C[:, 0, 0] - C[:, 1, 1]) / 2
     delta = np.sqrt(half * half + C[:, 0, 1] * C[:, 1, 0])
     w = delta[:, None] * t
     e = np.exp(tau[:, None] * t)
-    if delta.all():
-        sinh = np.sinh(w) / delta[:, None]
-    else:
-        sinh = np.divide(np.sinh(w), delta[:, None], out=t * np.ones_like(w), where=delta[:, None] != 0)
+    sinh = np.divide(np.sinh(w), delta[:, None], out=t * np.ones_like(w), where=delta[:, None] != 0)
     E = (e * sinh)[..., None, None] * (C - tau[:, None, None] * _EYE)[:, None]
     E.reshape(*E.shape[:2], 4)[..., ::3] += (e * np.cosh(w))[..., None]  # the diagonal
     F = np.zeros(E.shape[:-1], complex)
@@ -286,13 +288,10 @@ def _flow(C: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.n
     if affine.any():
         y = lam[:, None] * t
         closed = abs(y) >= _SERIES_CUTOFF
-        # e^y - 1 = 2 e^(y/2) sinh(y/2) without cancellation; subtracting y then loses at most 2 bits.
-        if closed.all():
-            phi2 = (2 * np.exp(y / 2) * np.sinh(y / 2) - y) / (y * y)
-        else:
-            phi2 = 0.5 + 0.5 * np.multiply.accumulate(y / _SERIES_DIVISORS).sum(axis=0)
-            if closed.any():
-                np.divide(2 * np.exp(y / 2) * np.sinh(y / 2) - y, y * y, out=phi2, where=closed)
+        phi2 = 0.5 + 0.5 * np.multiply.accumulate(y / _SERIES_DIVISORS).sum(axis=0)
+        if closed.any():
+            # e^y - 1 = 2 e^(y/2) sinh(y/2) without cancellation; subtracting y then loses at most 2 bits.
+            np.divide(2 * np.exp(y / 2) * np.sinh(y / 2) - y, y * y, out=phi2, where=closed)
         F = t[:, None] * c[:, None] + (t * t * phi2)[..., None] * (C @ c[..., None])[:, None, :, 0]
         if not affine.all():
             # A mass with c = 0 keeps F = +0, whatever its phi2 reads.
@@ -346,7 +345,8 @@ def evolve(
     n, m = _step_count(t_end, dt), len(hs)
     block = _block_size(n)
     blocks = -(-n // block)
-    C, c = _complex_drift(hs, dt)
+    coeffs, A, b = _stack(hs)
+    C, c = _complex_drift(A, b, dt)
     E, F, rho = _flow(C, c, np.concatenate((np.arange(1, block + 1), np.arange(0, n, block))) * dt)
     # Column s of [E_j | F_j] of step j, laid out so entry 2(j - 1) + r gives row r of w_{kB+j}.
     step = np.empty((m, 3, block, 2), complex)
@@ -375,7 +375,6 @@ def evolve(
         raise ConfigError(f"the trajectory overflows before t = {n * dt}")
 
     # Each system's (n + 1, 4) rows are a prefix of its contiguous block.
-    coeffs = np.array([hi.observables for hi in hs])
     observables = canonical @ coeffs.transpose(0, 2, 1)
     # A finite state can still overflow its observables (X1 = a x1 + b p2).
     if not np.isfinite(observables).all():
@@ -427,8 +426,7 @@ def nc_initial_state(
         )
     if not np.isfinite(vals).all():
         raise ConfigError(f"X1, X2, dX1/dt, dX2/dt must be finite, got {vals.tolist()}")
-    observables = np.array([hi.observables for hi in hs])
-    A, b = _drift(np.array([hi.quad for hi in hs]), np.array([hi.linear for hi in hs]))
+    observables, A, b = _stack(hs)
     r1, r2 = observables[:, :1], observables[:, 1:2]
     # Vector products, a (1, 4) row per system: a (2, 4) matmul may sum in another order.
     maps = np.concatenate([r1, r2, r1 @ A, r2 @ A], axis=1)
@@ -437,7 +435,7 @@ def nc_initial_state(
     rhs[:, 2:3] -= r1 @ b[..., None]
     rhs[:, 3:] -= r2 @ b[..., None]
     cond = _condition_numbers(maps)
-    singular = ~np.isfinite(cond) | (cond > 1e12)
+    singular = cond > 1e12
     if singular.any():
         raise SingularMapError(
             "observable-to-state map is singular; the chosen representation does not "

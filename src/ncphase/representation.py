@@ -51,6 +51,19 @@ def _require_positive_mass(mass: float) -> None:
         raise DomainError(f"mass must be positive, got {mass}")
 
 
+def _as_float(name: str, value: float) -> float:
+    """``value`` as a float; a value math.isfinite cannot read, such as a string, raises its TypeError.
+
+    An int past the float range is refused by name, without its digits:
+    Python refuses to format an int of more than 4300 of them.
+    """
+    try:
+        math.isfinite(value)
+    except OverflowError:
+        raise DomainError(f"{name} is an int past the float range") from None
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NCParams:
     """Noncommutativity parameters for one particle.
@@ -69,10 +82,11 @@ class NCParams:
     def __post_init__(self) -> None:
         for name in ("theta", "eta", "mass"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
             # stored as float, so a numpy scalar's overflow warnings stay out of the builders
-            object.__setattr__(self, name, float(value))
+            number = _as_float(name, value)
+            if not math.isfinite(number):
+                raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, number)
         _require_positive_mass(self.mass)
 
     @property
@@ -106,10 +120,9 @@ class MassConditions:
     alpha: float
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "alpha"):  # stored as float, as NCParams stores its fields
-            value = getattr(self, name)
-            math.isfinite(value)  # a non-number raises TypeError; NaN and inf are refused where used
-            object.__setattr__(self, name, float(value))
+        # Stored as float, as NCParams stores its fields; NaN and inf are refused where used.
+        for name in ("gamma", "alpha"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
 
     @property
     def product(self) -> float:
@@ -365,12 +378,12 @@ def params_from_conditions(c: MassConditions, mass: float) -> NCParams:
     The product theta*eta = alpha*gamma is then the same for every mass,
     which is what makes the resulting kinematics mass-independent.
     """
+    mass = _as_float("mass", mass)  # a numpy scalar would warn of overflow before NCParams refuses it
     _require_positive_mass(mass)
     if c.product >= 1.0:
         raise DomainError(
             f"alpha*gamma = {c.product} must stay below 1 so that theta*eta < 1 for every mass"
         )
-    mass = float(mass)  # a numpy scalar would warn of overflow before NCParams refuses it
     return NCParams(theta=c.gamma / mass, eta=c.alpha * mass, mass=mass)
 
 

@@ -351,7 +351,7 @@ def _drift_draws(count, seed=2005):
 
 def _one_step(h, dt):
     """The real 4 x 5 step [exp(A dt) | F] of one Hamiltonian's flow, and its phase rho * dt."""
-    C, c = dynamics._complex_drift([h], dt)
+    C, c = dynamics._complex_drift(*dynamics._stack([h])[1:], dt)
     E, F, rho = dynamics._flow(C, c, np.array([dt]))
     E, F = E[0, 0], F[0, 0]
     step = np.zeros((4, 5))
@@ -398,9 +398,9 @@ def test_stacked_flow_is_bitwise_each_single_flow():
     # computed for the stack and zeroed where c is.
     hs = [h for h, _ in _drift_draws(30)]
     t = np.array([0.0, 0.01, 0.5, 3.0])
-    stacked = dynamics._flow(*dynamics._complex_drift(hs, 0.01), t)
+    stacked = dynamics._flow(*dynamics._complex_drift(*dynamics._stack(hs)[1:], 0.01), t)
     for i, h in enumerate(hs):
-        one = dynamics._flow(*dynamics._complex_drift([h], 0.01), t)
+        one = dynamics._flow(*dynamics._complex_drift(*dynamics._stack([h])[1:], 0.01), t)
         assert [a[i].tobytes() for a in stacked] == [a[0].tobytes() for a in one]
         if h.linear.any():
             assert stacked[1][i].any()
@@ -435,15 +435,14 @@ def _masked_flow(C, c, t):
 
 
 def test_flow_shortcuts_are_byte_equal_to_the_masked_expressions():
-    # _flow skips a guarded branch no element takes and runs one that every
-    # element takes unmasked; each side of each guard must read the bytes of
-    # the masked expression.
+    # _flow skips a guarded branch no element takes; each side of each guard
+    # must read the bytes of the masked expression.
     free = build_hamiltonian("free", IDENTITY)  # C = [[0, 1], [0, 0]]: delta = 0, c = 0
     osc = build_hamiltonian("harmonic", build_representation(NCParams(0.3, 0.2, mass=7.0), "branch", "minus"),
                             omega=0.7)
     falls = [build_hamiltonian("uniform_gravity", build_representation(NCParams(0.3, 0.2, mass=mass), family, branch),
                                g=9.8) for mass, family, branch in ((7.0, "branch", "minus"), (20.0, "simple", None))]
-    C, _ = dynamics._complex_drift(falls, 1.0)
+    C, _ = dynamics._complex_drift(*dynamics._stack(falls)[1:], 1.0)
     lam = abs(C[:, 0, 0] + C[:, 1, 1])  # |y| = lam t reaches the cutoff at t = cutoff / lam
     below = np.array([0.0, 1e-3, 0.5]) * dynamics._SERIES_CUTOFF / lam.max()
     above = np.array([1.5, 4.0, 100.0]) * dynamics._SERIES_CUTOFF / lam.min()
@@ -457,7 +456,7 @@ def test_flow_shortcuts_are_byte_equal_to_the_masked_expressions():
         ([osc, free, *falls], across, (True, True, True, True)),
     ]
     for hs, t, premise in cases:
-        C, c = dynamics._complex_drift(hs, 1.0)
+        C, c = dynamics._complex_drift(*dynamics._stack(hs)[1:], 1.0)
         with np.errstate(all="ignore"):
             E, F, rho = dynamics._flow(C, c, t)
             assert _hex(E, F, rho) == _hex(*_masked_flow(C, c, t))
@@ -486,7 +485,8 @@ def test_flow_at_a_sum_of_times_is_the_product_of_its_flows(kind, family, branch
     rep = build_representation(NCParams(0.3, 0.2, mass=mass), family, branch)
     h = build_hamiltonian(kind, rep, g=9.8, omega=0.7)
     s, t = (a.ravel() for a in np.meshgrid(SEMIGROUP_TIMES, SEMIGROUP_TIMES, indexing="ij"))
-    E, F, rho = (a[0] for a in dynamics._flow(*dynamics._complex_drift([h], 1.0), np.concatenate([s, t, s + t])))
+    C, c = dynamics._complex_drift(*dynamics._stack([h])[1:], 1.0)
+    E, F, rho = (a[0] for a in dynamics._flow(C, c, np.concatenate([s, t, s + t])))
     (Es, Et, Est), (Fs, Ft, Fst) = np.split(E, 3), np.split(F, 3)
     bound = SEMIGROUP_ULPS * 2.0**-53 * (1.0 + rho * (s + t))
     scale_e = np.abs(Et).max(axis=(1, 2))
@@ -966,6 +966,29 @@ def test_condition_numbers_are_np_linalg_cond():
         got = dynamics._condition_numbers(maps)
         assert _hex(got) == _hex(np.concatenate([np.linalg.cond(maps[:3]), [np.inf], np.linalg.cond(maps[4:5]),
                                                  [np.inf]]))
+
+
+def test_condition_numbers_never_read_nan():
+    # nc_initial_state refuses on cond > 1e12 alone, so no map may read NaN:
+    # 0 / 0 (an all-zero map, and every map that is not finite, which enters
+    # as one) and inf / inf (every singular value overflows) both read inf.
+    block = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+    overflowing = np.zeros((4, 4))
+    overflowing[:2, :2] = overflowing[2:, 2:] = block
+    nan, pos_inf, neg_inf = np.eye(4), np.eye(4), np.eye(4)
+    nan[1, 2], pos_inf[0, 0], neg_inf[3, 1] = np.nan, np.inf, -np.inf
+    finite = np.arange(16.0).reshape(4, 4) + 10.0 * np.eye(4)
+    # (map, singular): every map but the first reads past 1e12.
+    maps = [(finite, False), (np.zeros((4, 4)), True), (np.diag([1e-320, 1.0, 1.0, 1.0]), True),
+            (np.full((4, 4), 1e308), True), (overflowing, True), (nan, True), (pos_inf, True), (neg_inf, True)]
+    rng = np.random.default_rng(4343)
+    stacks = [list(range(len(maps)))] + [[i] for i in range(len(maps))]
+    stacks += [list(rng.choice(len(maps), size=rng.integers(2, 9))) for _ in range(40)]
+    for stack in stacks:
+        with np.errstate(all="ignore"):
+            cond = dynamics._condition_numbers(np.array([maps[i][0] for i in stack]))
+        assert not np.isnan(cond).any(), stack
+        assert ((cond > 1e12) == [maps[i][1] for i in stack]).all(), stack
 
 
 def test_singular_map_refusal_beside_a_map_that_is_not_finite_names_the_first_mass():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ncphase import (
     CanonicalVar,
     CheckRecord,
+    CompositeSystem,
     ConfigError,
     DegenerateError,
     DomainError,
@@ -651,8 +652,28 @@ def test_nc_params_validation():
     # a value math.isfinite cannot read keeps its own error type
     with pytest.raises(TypeError):
         NCParams("0.1", 0.1)
-    with pytest.raises(OverflowError):
+    with pytest.raises(DomainError):
         NCParams(10**400, 0.1)
+
+
+#: The parameter constructors, each with one field set to ``big``, and the field's name.
+BIG_INT_CASES = [
+    (lambda big: NCParams(theta=big, eta=0.1), "theta"),
+    (lambda big: NCParams(0.1, 0.1, mass=big), "mass"),
+    (lambda big: MassConditions(big, 0.1), "gamma"),
+    (lambda big: params_from_conditions(MassConditions(0.3, 0.2), big), "mass"),
+    (lambda big: CompositeSystem.from_params([big], [0.1], [0.1]), "mass"),
+    (lambda big: CompositeSystem.from_conditions(MassConditions(0.3, 0.2), [big]), "mass"),
+]
+
+
+@pytest.mark.parametrize("build,field", BIG_INT_CASES)
+@pytest.mark.parametrize("big", [10**400, -(10**5000)], ids=["10**400", "-10**5000"])
+def test_an_int_past_the_float_range_is_refused_by_field(build, field, big):
+    # The message names the field and not the int, which Python refuses to
+    # format past 4300 digits.
+    with pytest.raises(DomainError, match=rf"^{field} is an int past the float range$"):
+        build(big)
 
 
 def test_nc_params_store_floats():

@@ -27,6 +27,7 @@ differ, which is the whole point of the conditions.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import cached_property
 from itertools import chain
 from operator import mul, neg
@@ -111,17 +112,18 @@ class CompositeSystem:
         With ``conditions``, each theta and eta comes from its mass and
         ``thetas`` and ``etas`` are not read.  The particle chain validates
         each particle from its raw values, and so raises the first refusal
-        with its own type and message.  The bulk check is never looser but
-        for a numeric string, which ``float`` reads and the chain refuses.  A
-        float sum is finite only if every term is, since a NaN or an infinity
+        with its own type and message.  The bulk check is never looser:
+        ``array("d")`` reads each value as ``math.isfinite`` and the chain do,
+        so it refuses a numeric string that ``float`` would take.  A float
+        sum is finite only if every term is, since a NaN or an infinity
         spreads through it.  Anything else goes through the chain: a finite
         sum that overflows, no masses (``min`` raises) or a column that cannot
         be computed, such as an int past the float range.
         """
         try:
-            ms = [float(m) for m in masses]
+            ms = array("d", masses).tolist()
             if conditions is None:
-                ts, es = [float(t) for t in thetas], [float(e) for e in etas]
+                ts, es = array("d", thetas).tolist(), array("d", etas).tolist()
             else:
                 ts, es = [conditions.gamma / m for m in ms], [conditions.alpha * m for m in ms]
             accepted = (

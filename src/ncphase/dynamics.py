@@ -34,6 +34,7 @@ from .representation import (
     MassConditions,
     NCParams,
     Representation,
+    _as_float,
     build_representation,
     params_from_conditions,
 )
@@ -42,6 +43,13 @@ HAMILTONIAN_KINDS = ("free", "uniform_gravity", "harmonic")
 
 #: Most steps one trajectory may take; more would allocate an unbounded table.
 MAX_STEPS = 10**6
+
+#: Rows per block of :meth:`QuadraticHamiltonian.energies` and
+#: :func:`coordinate_spread`.  A (rows, 4) float64 temporary takes 32 bytes a
+#: row: at 2048 rows, 64 KiB, it stays under glibc's default 128 KiB mmap
+#: threshold and reuses the heap, where a 10^4-row temporary is mapped fresh
+#: and faulted in page by page on every call.
+_BLOCK_ROWS = 2048
 
 _J = np.array(
     [
@@ -69,14 +77,24 @@ class QuadraticHamiltonian:
         """H of every row of an (n, 4) array of states.
 
         Both terms are einsum loops, which sum each row in one order whatever
-        the batch; ``Z @ linear`` is a BLAS gemv for many rows and a dot for
-        one, and the two may round a row differently.  On a column-major copy,
-        einsum runs down the n contiguous rows once per (i, j) term instead of
-        a strided 16-term loop per row; each row is still summed from 0.0 in
-        i-major order, so its bytes, but for a NaN's sign, are unchanged.
+        the batch of two rows or more; ``Z @ linear`` is a BLAS gemv for many
+        rows and a dot for one, and the two may round a row differently.  On a
+        column-major copy, einsum runs down the contiguous rows once per (i, j)
+        term instead of a strided 16-term loop per row; each row is still
+        summed from 0.0 in i-major order, so its bytes, but for a NaN's sign,
+        are unchanged.  The copy is made :data:`_BLOCK_ROWS` rows at a time
+        into one output array; a last block of one row joins the block before
+        it, since einsum sums a lone row by another loop.
         """
-        Z = np.asfortranarray(states, dtype=float)
-        return 0.5 * np.einsum("ni,ij,nj->n", Z, self.quad, Z) + np.einsum("ni,i->n", Z, self.linear)
+        n = len(states)
+        out = np.empty(n)
+        for start in range(0, max(n - 1, 1), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS if start + _BLOCK_ROWS + 1 < n else n
+            Z = np.asfortranarray(states[start:stop], dtype=float)
+            e = np.einsum("ni,ij,nj->n", Z, self.quad, Z, out=out[start:stop])
+            e *= 0.5
+            e += np.einsum("ni,i->n", Z, self.linear)
+        return out
 
     def drift(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) of dz/dt = A z + b."""
@@ -114,6 +132,7 @@ def build_hamiltonian(
         raise ConfigError("build_hamiltonian needs at least one representation")
     if kind not in HAMILTONIAN_KINDS:
         raise ConfigError(f"unknown Hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}")
+    g, omega = _as_float("g", g, ConfigError), _as_float("omega", omega, ConfigError)
     if not (math.isfinite(g) and math.isfinite(omega)):
         raise ConfigError(f"g and omega must be finite, got g = {g}, omega = {omega}")
     # The one read of the forms: per rep, a row per observable, a column per
@@ -168,7 +187,17 @@ class Trajectory:
         return len(self.times)
 
 
+def _float_array(name: str, values: Sequence[float]) -> np.ndarray:
+    """``values`` as a float array; an int past the float range is refused by name, without its digits."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ConfigError(f"{name} holds an int past the float range") from None
+
+
 def _step_count(t_end: float, dt: float) -> int:
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        _as_float(name, value, StepError)  # only the check: the count and messages read the values as given
     if not (math.isfinite(t_end) and math.isfinite(dt)):
         raise StepError(f"t_end and dt must be finite, got t_end = {t_end}, dt = {dt}")
     if dt <= 0:
@@ -280,7 +309,9 @@ def _flow(C: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.n
     delta = np.sqrt(half * half + C[:, 0, 1] * C[:, 1, 0])
     w = delta[:, None] * t
     e = np.exp(tau[:, None] * t)
-    sinh = np.divide(np.sinh(w), delta[:, None], out=t * np.ones_like(w), where=delta[:, None] != 0)
+    sinh = np.empty_like(w)
+    sinh[...] = t  # the delta = 0 fallback, t + 0j
+    np.divide(np.sinh(w), delta[:, None], out=sinh, where=delta[:, None] != 0)
     E = (e * sinh)[..., None, None] * (C - tau[:, None, None] * _EYE)[:, None]
     E.reshape(*E.shape[:2], 4)[..., ::3] += (e * np.cosh(w))[..., None]  # the diagonal
     F = np.zeros(E.shape[:-1], complex)
@@ -331,7 +362,7 @@ def evolve(
     """
     single = isinstance(h, QuadraticHamiltonian)
     hs = [h] if single else list(h)
-    z0 = np.asarray(initial, dtype=float)
+    z0 = _float_array("initial state", initial)
     if not hs:
         raise ConfigError("evolve needs at least one Hamiltonian")
     shape = (4,) if single else (len(hs), 4)
@@ -370,14 +401,18 @@ def evolve(
     rows = table[:, 1:].reshape(m, blocks, 2 * block)
     np.matmul(starts, step.reshape(m, 3, 2 * block), out=rows)
     canonical = table.view(float)[:, : n + 1]
-    # A row inside a block feeds no later row, so every row is checked.
-    if not np.isfinite(canonical).all():
-        raise ConfigError(f"the trajectory overflows before t = {n * dt}")
-
-    # Each system's (n + 1, 4) rows are a prefix of its contiguous block.
-    observables = canonical @ coeffs.transpose(0, 2, 1)
-    # A finite state can still overflow its observables (X1 = a x1 + b p2).
+    # Each system's (n + 1, 4) rows are a prefix of its contiguous block.  On
+    # many rows a contiguous right operand gives the transposed view's bytes
+    # about 3x faster; one row is a BLAS gemv, which rounds by the operand's
+    # layout, so it keeps the view.
+    right = coeffs.transpose(0, 2, 1)
+    observables = canonical @ (np.ascontiguousarray(right) if n else right)
+    # A state that is not finite makes its observables not finite, inf * 0
+    # being NaN, so the states are read only to word the refusal.  A finite
+    # state can still overflow its observables (X1 = a x1 + b p2).
     if not np.isfinite(observables).all():
+        if not np.isfinite(canonical).all():
+            raise ConfigError(f"the trajectory overflows before t = {n * dt}")
         raise ConfigError(f"the noncommutative observables overflow before t = {n * dt}")
     times = np.arange(n + 1) * dt
     runs = [Trajectory(times, z, obs) for z, obs in zip(canonical, observables)]
@@ -393,7 +428,8 @@ def energy_drift(h: QuadraticHamiltonian, traj: Trajectory) -> float:
     with np.errstate(all="ignore"):
         energies = h.energies(traj.canonical_states)
         scale = max(1.0, abs(energies[0]))
-        drift = float(abs(energies - energies[0]).max() / scale)
+        energies -= energies[0]
+        drift = float(np.abs(energies, out=energies).max() / scale)
     if not math.isfinite(drift):
         raise ConfigError("the energy H, or its drift H(t) - H(0), overflows the float range along the trajectory")
     return drift
@@ -419,7 +455,7 @@ def nc_initial_state(
     hs = [h] if single else list(h)
     if not hs:
         raise ConfigError("nc_initial_state needs at least one Hamiltonian")
-    vals = np.asarray(nc_data, dtype=float)
+    vals = _float_array("nc_data", nc_data)
     if vals.shape != (4,):
         raise ConfigError(
             f"need 4 values (X1, X2, dX1/dt, dX2/dt), got shape {vals.shape}"
@@ -486,17 +522,25 @@ def wep_trajectories(
 def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -> float:
     """Largest pointwise spread of the noncommutative coordinates across runs.
 
-    A running max and min over the runs' contiguous observable rows: both are
-    exact, so the (X1, X2) columns equal the max and min of a stacked copy.
-    No runs, or runs of unequal lengths, are refused.
+    A running max and min over the runs' observable rows, :data:`_BLOCK_ROWS`
+    rows at a time, with the (X1, X2) columns taken from each block: max and
+    min are exact, so each block's spread equals a stacked copy's, and
+    ``np.maximum`` over the blocks keeps a NaN, where Python's ``max`` may
+    drop it.  No runs, or runs of unequal lengths, are refused.
     """
     rows = [traj.nc_observables for _, traj in runs]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError(f"coordinate_spread needs runs of one length, got lengths {[len(r) for r in rows]}")
-    hi = lo = rows[0]
-    for r in rows[1:]:
-        hi, lo = np.maximum(hi, r), np.minimum(lo, r)
-    return float((hi[:, :2] - lo[:, :2]).max())
+    spread = None
+    # At least one block, so runs of no rows raise numpy's empty-max ValueError.
+    for start in range(0, len(rows[0]) or 1, _BLOCK_ROWS):
+        hi = lo = rows[0][start : start + _BLOCK_ROWS]
+        for r in rows[1:]:
+            r = r[start : start + _BLOCK_ROWS]
+            hi, lo = np.maximum(hi, r), np.minimum(lo, r)
+        peak = (hi[:, :2] - lo[:, :2]).max()
+        spread = peak if spread is None else np.maximum(spread, peak)
+    return float(spread)
 
 
 def wep_deviation(

@@ -35,7 +35,7 @@ from operator import sub
 from typing import Sequence
 
 from .algebra import CanonicalVar, LinearForm, check_tolerance, commutator
-from .errors import ConfigError, DegenerateError, DomainError
+from .errors import ConfigError, DegenerateError, DomainError, NCPhaseError
 from .reports import CheckRecord, CheckReport
 
 FAMILIES = ("epsilon_general", "branch", "simple")
@@ -51,16 +51,17 @@ def _require_positive_mass(mass: float) -> None:
         raise DomainError(f"mass must be positive, got {mass}")
 
 
-def _as_float(name: str, value: float) -> float:
+def _as_float(name: str, value: float, error: type[NCPhaseError] = DomainError) -> float:
     """``value`` as a float; a value math.isfinite cannot read, such as a string, raises its TypeError.
 
-    An int past the float range is refused by name, without its digits:
-    Python refuses to format an int of more than 4300 of them.
+    An int past the float range raises ``error``, the class of the caller's
+    finite-value check, naming the field without its digits: Python refuses
+    to format an int of more than 4300 of them.
     """
     try:
         math.isfinite(value)
     except OverflowError:
-        raise DomainError(f"{name} is an int past the float range") from None
+        raise error(f"{name} is an int past the float range") from None
     return float(value)
 
 
@@ -185,7 +186,7 @@ def _branch_root(theta: float, eta: float, branch: str) -> tuple[bool, float, fl
 
 def epsilon_factor(theta_prime: float, eta_prime: float) -> float:
     """Overall scale eps = 1/sqrt(1 + theta'*eta'/4) of the scaled shift."""
-    radicand = 1.0 + float(theta_prime) * float(eta_prime) / 4.0
+    radicand = 1.0 + _as_float("theta_prime", theta_prime) * _as_float("eta_prime", eta_prime) / 4.0
     if radicand <= 0.0:
         raise DomainError(
             f"1 + theta'*eta'/4 = {radicand} is not positive; no real scale factor exists"
@@ -338,7 +339,8 @@ def build_epsilon_rep(
     The coordinate and momentum tables then read eps^2*theta' and
     eps^2*eta'.
     """
-    return _shift_rep(p, "epsilon_general", None, particle_id, _epsilon_coeffs(float(theta_prime), float(eta_prime)))
+    coeffs = _epsilon_coeffs(_as_float("theta_prime", theta_prime), _as_float("eta_prime", eta_prime))
+    return _shift_rep(p, "epsilon_general", None, particle_id, coeffs)
 
 
 def build_branch_rep(p: NCParams, branch: str, particle_id: int = 0) -> Representation:
@@ -433,9 +435,9 @@ def verify_nc_algebra(
     """
     table_theta, table_eta, table_diag = rep.expected_table()
     expected = (
-        table_theta if expect_theta is None else float(expect_theta),
-        table_eta if expect_eta is None else float(expect_eta),
-        table_diag if expect_diag is None else float(expect_diag),
+        table_theta if expect_theta is None else _as_float("expect_theta", expect_theta, ConfigError),
+        table_eta if expect_eta is None else _as_float("expect_eta", expect_eta, ConfigError),
+        table_diag if expect_diag is None else _as_float("expect_diag", expect_diag, ConfigError),
     )
     checks = tuple(_commutator_checks(rep.forms(), commutator, expected, tol))
     meta = {
@@ -541,13 +543,14 @@ def check_commutative_limit(
         raise ConfigError(
             f"need one tolerance per scale, got {len(scales)} scales and {len(tols)} tolerances"
         )
+    scales = [_as_float("commutative-limit scale", scale, ConfigError) for scale in scales]
     for scale in scales:
         if not 0.0 <= scale < math.inf:
             raise ConfigError(f"commutative-limit scale must be finite and nonnegative, got {scale}")
     tols = [check_tolerance(tol) for tol in tols]
     r = _swap_scale(p0)
     track = []  # (scale, scale*theta0, scale*eta0) of each scale, in order
-    for scale in map(float, scales):
+    for scale in scales:
         for name, value in (("theta", p0.theta), ("eta", p0.eta)):
             if not math.isfinite(scale * value):
                 raise DomainError(f"commutative-limit scale {scale} overflows scale*{name}0 = {scale}*{value}")

@@ -154,6 +154,31 @@ def test_from_params_refuses_like_the_per_particle_chain(cols):
     assert _outcome(lambda: CompositeSystem.from_params(masses, thetas, etas)) == _outcome(chain)
 
 
+#: String columns, alone and beside a cell the bulk check refuses anyway.
+STRING_COLUMNS = [
+    (["1"], ["0.1"], ["0.1"]),
+    ([1.0, 2.0], ["0.1", "0.2"], [0.1, 0.2]),
+    (["1", "2"], [0.1, math.nan], [0.1, 0.2]),
+    (["1", "-2"], [0.1, 0.2], [0.1, 0.2]),
+]
+
+
+@pytest.mark.parametrize("masses,thetas,etas", STRING_COLUMNS)
+def test_a_string_column_is_refused_as_the_particle_chain_refuses_it(masses, thetas, etas):
+    # float reads "1", but NCParams and params_from_conditions raise a
+    # TypeError, so the bulk check must not accept what the chain refuses.
+    conditions = MassConditions(0.3, 0.2)
+    cases = [
+        (lambda: CompositeSystem.from_params(masses, thetas, etas),
+         lambda: CompositeSystem(NCParams(theta=t, eta=e, mass=m) for m, t, e in zip(masses, thetas, etas))),
+        (lambda: CompositeSystem.from_conditions(conditions, masses),
+         lambda: CompositeSystem((params_from_conditions(conditions, m) for m in masses), conditions)),
+    ]
+    for build, chain in cases[: 1 + isinstance(masses[0], str)]:
+        assert _outcome(chain)[0] is TypeError
+        assert _outcome(build) == _outcome(chain)
+
+
 def test_bulk_constructors_build_no_particle_when_the_columns_pass(monkeypatch):
     # The bulk check is the fast path; with the per-particle chain broken,
     # columns that pass it must still build their systems.

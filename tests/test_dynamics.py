@@ -20,17 +20,22 @@ from hypothesis import strategies as st
 from ncphase import (
     CanonicalVar,
     ConfigError,
+    DomainError,
     LinearForm,
     MassConditions,
     NCParams,
     SingularMapError,
     StepError,
+    build_epsilon_rep,
     build_hamiltonian,
     build_representation,
+    check_commutative_limit,
     energy_drift,
+    epsilon_factor,
     evolve,
     nc_initial_state,
     params_from_conditions,
+    verify_nc_algebra,
     wep_deviation,
     wep_deviation_fixed,
 )
@@ -308,6 +313,20 @@ def test_stacked_evolve_is_bitwise_each_single_evolve(m):
         assert traj.nc_observables.tobytes() == one.nc_observables.tobytes()
     # The other systems were held against the oracle at smaller m.
     assert _oracle_error(hs[-1], z0[-1], 0.02, one, (2000,)) <= ORACLE_BOUND
+
+
+@pytest.mark.parametrize("t_end", [0.0, 0.02, 40.0])
+def test_observables_are_the_states_times_the_transposed_coefficients(t_end):
+    # evolve multiplies by a contiguous copy of the transposed coefficients;
+    # one row is a gemv, which rounds by the operand's layout, so a zero-step
+    # run must still read the bytes of the product with the transposed view.
+    hs = _mixed_hamiltonians(5)
+    coeffs = np.array([h.observables for h in hs])
+    rng = np.random.default_rng(44)
+    for _ in range(10):  # full-precision states, whose products round
+        runs = evolve(hs, rng.standard_normal((5, 4)), t_end, 0.02)
+        expected = np.array([traj.canonical_states for traj in runs]) @ coeffs.transpose(0, 2, 1)
+        assert [traj.nc_observables.tobytes() for traj in runs] == [obs.tobytes() for obs in expected]
 
 
 @pytest.mark.parametrize("m", [2, 5])
@@ -735,6 +754,40 @@ def test_step_validation():
         evolve(h, [0.0, math.nan, 0.0, 0.0], t_end=1.0, dt=0.1)
 
 
+_GRAVITY = build_hamiltonian("uniform_gravity", IDENTITY, g=1.0)
+_REP = build_representation(NCParams(0.3, 0.2, mass=2.0), "branch", "minus")
+
+#: Entry points past the parameter constructors, each with one value set to
+#: ``big``: the class of its finite-value check and the field it names.
+BIG_INT_ENTRY_POINTS = [
+    (lambda big: build_hamiltonian("uniform_gravity", IDENTITY, g=big), ConfigError, "g is"),
+    (lambda big: build_hamiltonian("harmonic", IDENTITY, omega=big), ConfigError, "omega is"),
+    (lambda big: evolve(_GRAVITY, [big, 0, 0, 0], 1.0, 0.1), ConfigError, "initial state holds"),
+    (lambda big: evolve([_GRAVITY] * 2, [[0] * 4, [0, 0, 0, big]], 1.0, 0.1), ConfigError, "initial state holds"),
+    (lambda big: evolve(_GRAVITY, [0] * 4, big, 0.1), StepError, "t_end is"),
+    (lambda big: evolve(_GRAVITY, [0] * 4, 1.0, big), StepError, "dt is"),
+    (lambda big: nc_initial_state(_GRAVITY, [0, big, 0, 0]), ConfigError, "nc_data holds"),
+    (lambda big: epsilon_factor(big, 0.1), DomainError, "theta_prime is"),
+    (lambda big: epsilon_factor(0.1, big), DomainError, "eta_prime is"),
+    (lambda big: build_epsilon_rep(NCParams(0.3, 0.2), big, 0.1), DomainError, "theta_prime is"),
+    (lambda big: build_epsilon_rep(NCParams(0.3, 0.2), 0.1, big), DomainError, "eta_prime is"),
+    (lambda big: verify_nc_algebra(_REP, expect_theta=big), ConfigError, "expect_theta is"),
+    (lambda big: verify_nc_algebra(_REP, expect_eta=big), ConfigError, "expect_eta is"),
+    (lambda big: verify_nc_algebra(_REP, expect_diag=big), ConfigError, "expect_diag is"),
+    (lambda big: check_commutative_limit([1e-2, big], NCParams(0.3, 0.2), [1e-2] * 2), ConfigError,
+     "commutative-limit scale is"),
+]
+
+
+@pytest.mark.parametrize("build,error,field", BIG_INT_ENTRY_POINTS)
+@pytest.mark.parametrize("big", [10**400, -(10**5000)], ids=["10**400", "-10**5000"])
+def test_an_int_past_the_float_range_is_refused_by_field_at_every_entry_point(build, error, field, big):
+    # The message names the field and not the int, which Python refuses to
+    # format past 4300 digits; the class is the one a NaN there raises.
+    with pytest.raises(error, match=rf"^{field} an int past the float range$"):
+        build(big)
+
+
 def test_step_count_covers_t_end():
     h = build_hamiltonian("free", IDENTITY)
     # 0.3/0.1 is 2.9999... in floats; the rounding guard must still give 3 steps
@@ -1031,6 +1084,43 @@ def test_coordinate_spread_refuses_no_runs_or_runs_of_unequal_lengths():
     for chosen, lengths in (([], r"\[\]"), (runs[:2], r"\[11, 6\]"), (runs[::2], r"\[11, 1\]")):
         with pytest.raises(ConfigError, match=rf"^coordinate_spread needs runs of one length, got lengths {lengths}$"):
             coordinate_spread(chosen)
+
+
+#: Row counts at the edges of the row blocks of energies and coordinate_spread:
+#: one row, a block less one row, one block, a block and a lone row, two blocks
+#: and a lone row, and a 10^4-step run.
+BLOCK_EDGE_ROWS = [1, dynamics._BLOCK_ROWS - 1, dynamics._BLOCK_ROWS, dynamics._BLOCK_ROWS + 1,
+                   2 * dynamics._BLOCK_ROWS + 1, 10**4 + 1]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+def test_blocked_stages_are_byte_equal_to_the_whole_array_expressions(n):
+    # energies and coordinate_spread walk the rows a block at a time; at every
+    # block edge each must read the bytes of one expression over all the rows.
+    h = build_hamiltonian("harmonic", build_representation(NCParams(0.3, 0.2, mass=2.0), "branch", "minus"),
+                          omega=0.7)
+    # A dense linear term, as a hand-built Hamiltonian may hold, large enough
+    # to set the last bits: einsum sums a lone row of it by another loop,
+    # which rounds some rows differently.
+    h = dataclasses.replace(h, linear=np.array([0.7, -1.3, 2.9, 0.45]) * 1e4)
+    rng = np.random.default_rng(n)
+    finite = rng.standard_normal((3, n, 4)) * 10.0 ** rng.integers(-3, 4, size=(3, n, 1))
+    special = rng.choice([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan], size=(3, n, 4),
+                         p=[0.3, 0.3, 0.15, 0.15, 0.03, 0.03, 0.04])
+    # A lone NaN in the first or the last row: a max that drops a NaN from
+    # either side of its comparison reads the other blocks' spread.
+    early, late = finite.copy(), finite.copy()
+    early[1, 0, 1] = late[1, -1, 0] = np.nan
+    for stack in (finite, special, early, late):
+        runs = [(h, dynamics.Trajectory(np.arange(float(n)), z, z)) for z in stack]
+        with np.errstate(all="ignore"):  # inf - inf
+            for states in stack:
+                Z = np.asfortranarray(states)
+                whole = 0.5 * np.einsum("ni,ij,nj->n", Z, h.quad, Z) + np.einsum("ni,i->n", Z, h.linear)
+                assert _hex(h.energies(states)) == _hex(whole)
+            coords = stack[:, :, :2]
+            expected = float(np.max(coords.max(axis=0) - coords.min(axis=0)))
+            assert coordinate_spread(runs).hex() == expected.hex()
 
 
 # --- one system or a sequence: the setup stages take what evolve takes -------------

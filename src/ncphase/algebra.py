@@ -275,8 +275,10 @@ def check_tolerance(tol: float) -> float:
 
     It is converted before it is compared: an int past the float range does
     not convert, and comparing an ``np.float32`` with a Python float warns.
+    A value math.isfinite cannot read, such as a string, raises its TypeError.
     """
     try:
+        math.isfinite(tol)
         value = float(tol)
     except OverflowError:
         raise ConfigError("tolerance must be finite and nonnegative, got an int past the float range") from None

@@ -30,7 +30,6 @@ import sys
 from typing import Any, NoReturn, Sequence
 
 from . import __version__
-from .composite import CompositeSystem, compare_com_reps, compare_com_simple
 from .errors import ConfigError, DegenerateError, DomainError, NCPhaseError, SingularMapError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -436,6 +435,8 @@ def _cmd_repr(cfg: dict[str, Any]) -> _Output:
 
 
 def _cmd_com(cfg: dict[str, Any]) -> _Output:
+    from .composite import CompositeSystem, compare_com_reps, compare_com_simple
+
     tol = cfg["tol"]
     masses = _float_list(cfg.get("masses"), "--masses")
     conditions = _param_source(cfg, ("thetas", "etas"))

@@ -188,9 +188,17 @@ class Trajectory:
 
 
 def _float_array(name: str, values: Sequence[float]) -> np.ndarray:
-    """``values`` as a float array; an int past the float range is refused by name, without its digits."""
+    """``values`` as a float array; an int past the float range is refused by name, without its digits.
+
+    As for every scalar reader, a value math.isfinite cannot read, such as a
+    string, raises its TypeError; a numeric array is converted unchecked.
+    """
+    array = np.asarray(values)
     try:
-        return np.asarray(values, dtype=float)
+        if array.dtype.kind not in "biuf":
+            for value in array.ravel().tolist():
+                math.isfinite(value)
+        return array.astype(float, copy=False)
     except OverflowError:
         raise ConfigError(f"{name} holds an int past the float range") from None
 

@@ -185,12 +185,19 @@ def _branch_root(theta: float, eta: float, branch: str) -> tuple[bool, float, fl
 
 
 def epsilon_factor(theta_prime: float, eta_prime: float) -> float:
-    """Overall scale eps = 1/sqrt(1 + theta'*eta'/4) of the scaled shift."""
-    radicand = 1.0 + _as_float("theta_prime", theta_prime) * _as_float("eta_prime", eta_prime) / 4.0
+    """Overall scale eps = 1/sqrt(1 + theta'*eta'/4) of the scaled shift.
+
+    Where theta'*eta'/4 overflows, 1 + 4/(theta'*eta') rounds to 1 and eps is
+    2/sqrt(|theta'*eta'|), taken one factor at a time so that nothing overflows.
+    """
+    theta_prime, eta_prime = _as_float("theta_prime", theta_prime), _as_float("eta_prime", eta_prime)
+    radicand = 1.0 + theta_prime * eta_prime / 4.0
     if radicand <= 0.0:
         raise DomainError(
             f"1 + theta'*eta'/4 = {radicand} is not positive; no real scale factor exists"
         )
+    if radicand == math.inf:
+        return 2.0 / math.sqrt(abs(theta_prime)) / math.sqrt(abs(eta_prime))
     return 1.0 / math.sqrt(radicand)
 
 

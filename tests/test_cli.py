@@ -66,6 +66,18 @@ def test_verify_clean_branch_rep(capsys):
     assert data["meta"]["branch"] == "plus"
 
 
+def test_epsilon_general_passes_where_the_primed_product_overflows(capsys):
+    # theta' = eta' = 4e155 on the plus branch: 1 + theta'*eta'/4 overflows,
+    # and eps read 0.0, so the table measured 0 and repr printed no term.
+    given = ("--family", "epsilon_general", "--branch", "plus", "--theta", "1e-155", "--eta", "1e-155")
+    rc, data = run_json(capsys, "verify", *given)
+    assert rc == 0
+    assert all(c["pass"] for c in data["checks"]) and len(data["checks"]) == 6
+    rc, out = run_cli(capsys, "repr", "--format", "csv", *given)
+    assert rc == 0
+    assert len(out.splitlines()) == 9
+
+
 def test_verify_domain_error_exits_2(capsys):
     rc, data = run_json(capsys, "verify", "--theta", "1.5", "--eta", "1.0")
     assert rc == 2
@@ -1264,3 +1276,53 @@ def test_start_up_imports_only_what_the_command_needs():
     assert json.loads(proc.stdout) == {
         "cli": [], "dynamics": ["numpy"], "evolve": ["numpy"], "lazy_name": True, "unbound": [],
     }
+
+
+def test_package_loads_each_module_on_first_use_of_one_of_its_names():
+    # A fresh interpreter, as above.  Only com loads composite, and each
+    # package name is its module's attribute, read on every access.
+    script = textwrap.dedent(
+        """
+        import importlib, json, sys
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("ncphase.") or m == "numpy")
+
+        import ncphase
+        facts = {"package": loaded(), "bare": ncphase.errors.__name__}
+        import ncphase.cli
+        facts["cli"] = loaded()
+        ncphase.cli.main(["com", "--masses", "1,2", "--gamma", "0.3", "--alpha", "0.2"])
+        facts["com"] = loaded()
+        facts["foreign"] = [
+            name for name, module in ncphase._MODULE_OF.items()
+            if getattr(ncphase, name) is not getattr(importlib.import_module("ncphase." + module), name)
+        ]
+        facts["modules"] = [m for m in ncphase._EXPORTS if ncphase.__getattr__(m) is not sys.modules["ncphase." + m]]
+        facts["undir"] = sorted(set(ncphase.__all__) - set(dir(ncphase)))
+        facts["unknown"] = hasattr(ncphase, "cli_main") or hasattr(ncphase, "_flow")
+        print(json.dumps(facts))
+        """
+    )
+    src = str(Path(ncphase.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout.splitlines()[-1])
+    bare = ["ncphase.algebra", "ncphase.cli", "ncphase.errors", "ncphase.reports", "ncphase.representation"]
+    assert facts == {
+        "package": [], "bare": "ncphase.errors", "cli": bare, "com": sorted([*bare, "ncphase.composite"]),
+        "foreign": [], "modules": [], "undir": [], "unknown": False,
+    }
+
+
+def test_a_package_name_reads_its_module_attribute_on_every_access(monkeypatch):
+    # The span tracer patches module attributes and restores them; a copy
+    # bound in the package would keep the patched one.
+    original = ncphase.commutator
+    monkeypatch.setattr(ncphase.algebra, "commutator", len)
+    assert ncphase.commutator is len
+    monkeypatch.undo()
+    assert ncphase.commutator is original is ncphase.algebra.commutator

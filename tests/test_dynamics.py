@@ -788,6 +788,23 @@ def test_an_int_past_the_float_range_is_refused_by_field_at_every_entry_point(bu
         build(big)
 
 
+#: Readers that took a numeric string through ``float`` or ``np.asarray``:
+#: the tolerances (one and a list) and the float arrays (a state and nc_data).
+STRING_READERS = [
+    lambda: verify_nc_algebra(_REP, tol="1e-3"),
+    lambda: check_commutative_limit([1e-2], NCParams(0.3, 0.2), ["0.1"]),
+    lambda: evolve(_GRAVITY, ["0", "0", "1", "0"], 1.0, 0.5),
+    lambda: nc_initial_state(_GRAVITY, ["0", "0", "1", "0"]),
+]
+
+
+@pytest.mark.parametrize("read", STRING_READERS, ids=["tol", "limit-tols", "evolve", "nc_initial_state"])
+def test_a_numeric_string_raises_the_type_error_of_every_scalar_reader(read):
+    # NCParams, g, t_end and the rest read through math.isfinite, which refuses a str.
+    with pytest.raises(TypeError, match=r"^must be real number, not str$"):
+        read()
+
+
 def test_step_count_covers_t_end():
     h = build_hamiltonian("free", IDENTITY)
     # 0.3/0.1 is 2.9999... in floats; the rounding guard must still give 3 steps

@@ -19,7 +19,7 @@ from ncphase import CompositeSystem, MassConditions, NCParams, build_branch_rep,
 from ncphase.algebra import CanonicalVar
 from ncphase.composite import effective_params
 from ncphase.dynamics import wep_trajectories
-from ncphase.representation import params_from_conditions, primed_params
+from ncphase.representation import epsilon_factor, params_from_conditions, primed_params
 
 mpmath = pytest.importorskip("mpmath")
 mpf = mpmath.mpf
@@ -99,6 +99,18 @@ def test_branch_coefficients_match_the_oracle(branch, products):
         want = _oracle(theta, eta, p.product, branch)
         for name, got in _measured(p, branch).items():
             assert ulps(got, want[name]) <= BRANCH_ULPS, (branch, theta, eta, name)
+
+
+@pytest.mark.parametrize(
+    "theta_prime,eta_prime",
+    [(1e200, 1e200), (4e155, 4e155), (-3e160, -7e170), (1e308, 1e308), (1.7976931348623157e308,) * 2],
+)
+def test_epsilon_factor_matches_the_oracle_where_the_radicand_overflows(theta_prime, eta_prime):
+    # 1 + theta'*eta'/4 is inf in floats; eps = 1/sqrt of it is not 0 but
+    # about 2/sqrt(theta'*eta'): two square roots and two quotients, 2 ulp.
+    with mpmath.workdps(60):
+        exact = 1 / mpmath.sqrt(1 + mpf(theta_prime) * mpf(eta_prime) / 4)
+        assert ulps(epsilon_factor(theta_prime, eta_prime), exact) <= 2.0
 
 
 def test_effective_params_are_correctly_rounded():

@@ -38,6 +38,7 @@ PACKAGE = ROOT / "src" / "ncphase"
 
 #: Each swept module and the test file that runs first on its mutants.
 MODULE_TESTS = {
+    "__init__": "tests/test_cli.py",
     "cli": "tests/test_cli.py",
     "dynamics": "tests/test_dynamics.py",
     "representation": "tests/test_representation.py",

@@ -44,11 +44,9 @@ HAMILTONIAN_KINDS = ("free", "uniform_gravity", "harmonic")
 #: Most steps one trajectory may take; more would allocate an unbounded table.
 MAX_STEPS = 10**6
 
-#: Rows per block of :meth:`QuadraticHamiltonian.energies` and
-#: :func:`coordinate_spread`.  A (rows, 4) float64 temporary takes 32 bytes a
-#: row: at 2048 rows, 64 KiB, it stays under glibc's default 128 KiB mmap
-#: threshold and reuses the heap, where a 10^4-row temporary is mapped fresh
-#: and faulted in page by page on every call.
+#: Rows per block of :func:`coordinate_spread`.  A (rows, 4) float64 temporary takes 32 bytes a row:
+#: at 2048 rows, 64 KiB, it stays under glibc's default 128 KiB mmap threshold and reuses the heap,
+#: where a 10^4-row temporary is mapped fresh and faulted in page by page on every call.
 _BLOCK_ROWS = 2048
 
 _J = np.array(
@@ -65,36 +63,31 @@ _J = np.array(
 class QuadraticHamiltonian:
     """H(z) = z.quad.z/2 + linear.z over (x1, x2, p1, p2).
 
-    The rep's (X1, X2, P1, P2) at state z are ``observables @ z``.
+    The rep's (X1, X2, P1, P2) at state z are ``observables @ z``; ``g`` and ``omega``
+    are the potential's, 0.0 for a kind whose potential lacks one.
     """
 
     rep: Representation
     quad: np.ndarray
     linear: np.ndarray
     observables: np.ndarray
+    g: float
+    omega: float
 
-    def energies(self, states: np.ndarray) -> np.ndarray:
-        """H of every row of an (n, 4) array of states.
+    def energies(self, observables: np.ndarray) -> np.ndarray:
+        """H of every row of an (n, 4) array of (X1, X2, P1, P2), the observables it is written in.
 
-        Both terms are einsum loops, which sum each row in one order whatever
-        the batch of two rows or more; ``Z @ linear`` is a BLAS gemv for many
-        rows and a dot for one, and the two may round a row differently.  On a
-        column-major copy, einsum runs down the contiguous rows once per (i, j)
-        term instead of a strided 16-term loop per row; each row is still
-        summed from 0.0 in i-major order, so its bytes, but for a NaN's sign,
-        are unchanged.  The copy is made :data:`_BLOCK_ROWS` rows at a time
-        into one output array; a last block of one row joins the block before
-        it, since einsum sums a lone row by another loop.
+        P (P / m) stays finite where P P / (2m) overflows (m = 1e200).  A potential whose parameter is
+        0.0 is left out: X1^2 overflows in a fall at such a mass, and 0 * inf would make H NaN.
         """
-        n = len(states)
-        out = np.empty(n)
-        for start in range(0, max(n - 1, 1), _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS if start + _BLOCK_ROWS + 1 < n else n
-            Z = np.asfortranarray(states[start:stop], dtype=float)
-            e = np.einsum("ni,ij,nj->n", Z, self.quad, Z, out=out[start:stop])
-            e *= 0.5
-            e += np.einsum("ni,i->n", Z, self.linear)
-        return out
+        X1, X2, P1, P2 = np.asarray(observables, dtype=float).T
+        m, g, omega = self.rep.params.mass, self.g, self.omega
+        e = (P1 * (P1 / m) + P2 * (P2 / m)) / 2
+        if g:
+            e += m * g * X2
+        if omega:
+            e += m * omega * (omega * (X1 * X1 + X2 * X2)) / 2
+        return e
 
     def drift(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) of dz/dt = A z + b."""
@@ -168,8 +161,9 @@ def build_hamiltonian(
         raise ConfigError(
             f"the {kind} Hamiltonian overflows for mass = {first}, g = {g}, omega = {omega}"
         )
+    g, omega = (g if kind == "uniform_gravity" else 0.0), (omega if kind == "harmonic" else 0.0)
     hs = [
-        QuadraticHamiltonian(rep=rep, quad=q, linear=lin, observables=obs)
+        QuadraticHamiltonian(rep=rep, quad=q, linear=lin, observables=obs, g=g, omega=omega)
         for rep, q, lin, obs in zip(reps, quad, linear, observables)
     ]
     return hs[0] if single else hs
@@ -428,13 +422,13 @@ def evolve(
 
 
 def energy_drift(h: QuadraticHamiltonian, traj: Trajectory) -> float:
-    """Max |H(t) - H(0)| along the trajectory, relative to max(1, |H(0)|).
+    """Max |H(t) - H(0)| over the trajectory's ``nc_observables``, relative to max(1, |H(0)|).
 
     A finite trajectory can still overflow H or H(t) - H(0) (p1 = 1e200):
     numpy stays silent and the drift, then not finite, raises ConfigError.
     """
     with np.errstate(all="ignore"):
-        energies = h.energies(traj.canonical_states)
+        energies = h.energies(traj.nc_observables)
         scale = max(1.0, abs(energies[0]))
         energies -= energies[0]
         drift = float(np.abs(energies, out=energies).max() / scale)
@@ -455,9 +449,9 @@ def nc_initial_state(
     are linear and the drift is affine; it is inverted with a dense solve.
     ``h`` is one Hamiltonian, giving a (4,) state, or a sequence of m,
     giving an (m, 4) array, one row each: the initial state :func:`evolve`
-    takes.  The m maps are one (m, 4, 4) stack, checked by one stacked
-    :func:`_condition_numbers` and inverted by one stacked solve; the
-    singular-map refusal names the first mass whose map is singular.
+    takes.  The m maps are one (m, 4, 4) stack, column-scaled below, checked by
+    one stacked :func:`_condition_numbers` and inverted by one stacked solve;
+    the singular-map refusal names the first mass whose map is singular.
     """
     single = isinstance(h, QuadraticHamiltonian)
     hs = [h] if single else list(h)
@@ -478,6 +472,10 @@ def nc_initial_state(
     rhs[..., 0] = vals
     rhs[:, 2:3] -= r1 @ b[..., None]
     rhs[:, 3:] -= r2 @ b[..., None]
+    # Each column scaled by 2^-e, e the frexp exponent of its largest |entry|: exact, so the condition
+    # number measures the map, not the units of z, and the solve, pivoting within columns, keeps its bytes.
+    exponents = -np.frexp(abs(maps).max(axis=1))[1]
+    maps = np.ldexp(maps, exponents[:, None])
     cond = _condition_numbers(maps)
     singular = cond > 1e12
     if singular.any():
@@ -485,7 +483,7 @@ def nc_initial_state(
             "observable-to-state map is singular; the chosen representation does not "
             f"determine a unique canonical state (condition number {cond[np.argmax(singular)]:.3g})"
         )
-    states = np.linalg.solve(maps, rhs)[..., 0]
+    states = np.ldexp(np.linalg.solve(maps, rhs)[..., 0], exponents)
     return states[0] if single else states
 
 

@@ -857,6 +857,26 @@ def test_simulate_wep_at_masses_1_and_1e9_agrees_to_rounding(capsys):
     assert data["summary"]["energy_drift_max"] <= 1e-12
 
 
+def test_simulate_wep_at_masses_1_and_1e13_agrees_to_rounding(capsys):
+    # The unscaled map read a condition number of 1.03e13 and exited 1; its
+    # columns scaled, it reads at rounding: a spread of 1.4e-14 with |X2| up to 50.
+    rc, data = run_json(capsys, "simulate", "--wep", "--masses", "1,1e13", "--gamma", "0.3", "--alpha", "0.2")
+    assert rc == 0
+    assert data["summary"]["deviation_max"] <= 1e-13
+
+
+@pytest.mark.parametrize("params,cond", [(("--theta", "0.3", "--eta", "0.2"), "3.48e+12"),
+                                         (("--theta", "1", "--eta", "1"), None)])
+def test_simulate_wep_still_refuses_a_singular_map_at_masses_1_and_1e13(capsys, params, cond):
+    # The fixed (0.3, 0.2) stack stays ill-conditioned once its columns are
+    # scaled; at theta * eta = 1 the branch map is singular at every mass.
+    rc, data = run_json(capsys, "simulate", "--wep", "--masses", "1,1e13", *params, "--t-end", "1", "--dt", "0.1")
+    assert rc == 1
+    assert data["error"]["type"] == "SingularMapError"
+    if cond:
+        assert data["error"]["message"].endswith(f"(condition number {cond})")
+
+
 def test_simulate_free_mass_1e20_matches_mpmath(capsys):
     # The Padé exponential read an energy drift of 0.99999933.
     mpmath = pytest.importorskip("mpmath")

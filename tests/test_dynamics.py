@@ -42,8 +42,8 @@ from ncphase import (
     wep_deviation_fixed,
 )
 from ncphase import dynamics
-from ncphase.errors import NCPhaseError
 from ncphase.dynamics import MAX_STEPS, _step_count, coordinate_spread, wep_trajectories
+from ncphase.errors import NCPhaseError
 
 IDENTITY = build_representation(NCParams(0.0, 0.0), "simple")
 

@@ -211,6 +211,12 @@ def _written_energy(mass, g, omega, x1, x2, p1, p2):
     return e
 
 
+def _row_major_energies(h, observables):
+    """The reference: the written expression over the columns of a row-major copy of the rows."""
+    X = np.ascontiguousarray(observables, dtype=float)
+    return _written_energy(h.rep.params.mass, h.g, h.omega, *X.T)
+
+
 def _assert_same_energies(got, expected):
     # The bytes, the sign of a zero included; a NaN only as NaN, since its sign
     # bit may differ and energy_drift refuses it whatever the sign.
@@ -238,6 +244,25 @@ def test_energies_are_bitwise_the_written_expression():
                 with np.errstate(all="ignore"):  # inf * 0, and X1^2 past the float range
                     for given_rows in (rows, np.asfortranarray(rows), rows.tolist(), rows[:1]):
                         _assert_same_energies(h.energies(given_rows), expected[: len(given_rows)])
+
+
+@pytest.mark.parametrize("kind,family,branch,mass", ENERGY_CASES)
+def test_energies_are_bitwise_the_row_major_sum(kind, family, branch, mass):
+    # Whatever the layout of the rows given, energies reads the bytes of the
+    # written expression over a row-major copy of them.
+    h, *_ = _sampled_states(kind, family, branch, mass)
+    z0 = [1.0, -0.5, 0.25, 0.75]
+    full = evolve(h, z0, t_end=20.0, dt=0.02).nc_observables
+    one_row = evolve(h, z0, t_end=0.0, dt=0.02).nc_observables
+    assert full.flags.c_contiguous and one_row.shape == (1, 4)
+    for rows in (full, full[::50], one_row):
+        expected = _row_major_energies(h, rows)
+        _assert_same_energies(h.energies(rows), expected)
+        _assert_same_energies(h.energies(np.asfortranarray(rows)), expected)
+        _assert_same_energies(h.energies(rows.tolist()), expected)
+    special = np.array([[0.0] * 4, [-0.0] * 4, [-0.0, 0.0, -0.0, 0.0], [0.0, -0.0, 0.0, -0.0],
+                        [np.nan, 1.0, 0.0, -0.0], [-0.0, -np.nan, -0.0, -0.0], [1.0, -0.0, 2.0, -0.0]])
+    _assert_same_energies(h.energies(special), _row_major_energies(h, special))
 
 
 def _exact_drift(h, states) -> Fraction:

@@ -52,7 +52,7 @@ from .representation import (
 TOOL = "ncphase"
 DEFAULT_SEED = 20260814
 TRAJECTORY_COLUMNS = ("t", "x1", "x2", "p1", "p2", "X1", "X2", "P1", "P2")
-#: Largest `verify --random` batch: at 42–68 µs a draw (in process, 2-vCPU Xeon VM), 4–7 s.
+#: Largest `verify --random` batch: at 31–41 µs a draw (in process, 2-vCPU Xeon VM), 3.1–4.1 s.
 MAX_RANDOM = 10**5
 #: Options that only one ``simulate`` mode reads: a single trajectory, or ``--wep``.
 _TRAJECTORY_ONLY = ("mass", "kind", "omega", "x1", "x2", "p1", "p2", "format")

@@ -427,6 +427,51 @@ def _commutator_checks(
     return checks
 
 
+def _layout_row(rep: Representation) -> list[float] | None:
+    """The row a ... h of a one-particle representation laid out as in :func:`_coeff_forms`, else None.
+
+    An absent term reads 0.0, as :func:`_coeff_forms` drops an exact zero.
+    None for centre-of-mass forms (``particle_id`` None), for a form with a
+    term outside the layout, and for a coefficient that is not finite.
+    """
+    pid = rep.particle_id
+    if pid is None:
+        return None
+    # Keys equal their plain tuples, so no CanonicalVar is built here.
+    x1v, x2v, p1v, p2v = (pid, "x1"), (pid, "x2"), (pid, "p1"), (pid, "p2")
+    t1, t2, t3, t4 = rep.X1._terms, rep.X2._terms, rep.P1._terms, rep.P2._terms
+    row = [
+        t1.get(x1v, 0.0), t1.get(p2v, 0.0), t2.get(x2v, 0.0), t2.get(p1v, 0.0),
+        t3.get(p1v, 0.0), t3.get(x2v, 0.0), t4.get(p2v, 0.0), t4.get(x1v, 0.0),
+    ]
+    # A form holds no exact zero, so the layout terms present are the row's nonzeros: the forms
+    # hold no other term exactly when their sizes add up to that count.
+    if len(t1) + len(t2) + len(t3) + len(t4) != 8 - row.count(0.0) or not all(map(math.isfinite, row)):
+        return None
+    return row
+
+
+def _row_table(row: Sequence[float]) -> dict[tuple[str, str], float]:
+    """The commutators of a finite row's forms, keyed by pairs of form names.
+
+    Each entry of the diagonal blocks is one difference of the two products
+    that :func:`commutator`'s walk pairs, every other product it sums being
+    a zero, so the difference rounds their exact sum once, as ``commutator``
+    does.  ``+ 0.0`` turns a -0.0 into the 0.0 that ``math.fsum`` gives, and
+    [X1,P2] and [X2,P1] pair no partners.  Every entry thus equals
+    ``commutator`` of the row's forms bit for bit, an overflow included.
+    """
+    a, b, c, d, e, f, g, h = row
+    return {
+        ("X1", "X2"): a * d - b * c + 0.0,
+        ("P1", "P2"): f * g - e * h + 0.0,
+        ("X1", "P1"): a * e - b * f + 0.0,
+        ("X2", "P2"): c * g - d * h + 0.0,
+        ("X1", "P2"): 0.0,
+        ("X2", "P1"): 0.0,
+    }
+
+
 def verify_nc_algebra(
     rep: Representation,
     expect_theta: float | None = None,
@@ -438,7 +483,10 @@ def verify_nc_algebra(
 
     Expectations default to the representation's own family table and are
     stored as floats.  The off-diagonal coordinate-momentum commutators are
-    always expected to vanish.
+    always expected to vanish.  A one-particle representation in the shift
+    layout has its table read from its eight coefficients
+    (:func:`_row_table`), equal to :func:`commutator` bit for bit; any other
+    goes through ``commutator``.
     """
     table_theta, table_eta, table_diag = rep.expected_table()
     expected = (
@@ -446,7 +494,13 @@ def verify_nc_algebra(
         table_eta if expect_eta is None else _as_float("expect_eta", expect_eta, ConfigError),
         table_diag if expect_diag is None else _as_float("expect_diag", expect_diag, ConfigError),
     )
-    checks = tuple(_commutator_checks(rep.forms(), commutator, expected, tol))
+    row = _layout_row(rep)
+    if row is None:
+        operands, commute = rep.forms(), commutator
+    else:
+        table = _row_table(row)
+        operands, commute = rep.form_names(), lambda a, b: table[a, b]
+    checks = tuple(_commutator_checks(operands, commute, expected, tol))
     meta = {
         "family": rep.family,
         "branch": rep.branch,

@@ -1128,6 +1128,13 @@ _EDGE_VALUES = (
 )
 
 
+@pytest.mark.parametrize("command", ["verify", "repr"])
+def test_the_readme_commutator_overflow_exits_2_naming_the_entry(capsys, command):
+    rc, data = run_json(capsys, command, "--gamma=-1", "--alpha", "1", "--mass", "1.7976931348623157e308")
+    assert rc == 2
+    assert data["error"] == {"message": "the commutator [P1,P2] overflows the float range", "type": "DomainError"}
+
+
 def test_edge_parameter_grid_prints_strict_json(capsys):
     families = [["--family", "simple"]] + [["--family", family, "--branch", branch] for family, branch in
                 [("branch", "minus"), ("branch", "plus"), ("epsilon_general", "minus"), ("epsilon_general", "plus")]]

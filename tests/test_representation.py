@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from ncphase import (
     CanonicalVar,
     CheckRecord,
+    CheckReport,
     CompositeSystem,
     ConfigError,
     DegenerateError,
@@ -43,7 +45,11 @@ from ncphase import (
 from ncphase.representation import (
     BRANCHES,
     DEFAULT_TOL,
+    _coeff_forms,
+    _commutator_checks,
     _kinematic_invariance,
+    _layout_row,
+    _row_table,
     _swap_scale,
     branch_transform_duality,
     check_branch_transform,
@@ -305,11 +311,25 @@ def test_verify_identity_rep():
     assert verify_nc_algebra(rep, 0.0, 0.0, 1.0).overall
 
 
+#: Ways out of the shift layout of particle 0: a term the layout lacks, another
+#: particle's variable, and centre-of-mass forms, zero forms among them.
+_OFF_LAYOUT = {
+    "extra_term": lambda rep: dataclasses.replace(rep, X1=rep.X1 + p1()),
+    "second_particle": lambda rep: dataclasses.replace(rep, P2=rep.P2 + x1(1)),
+    "centre_of_mass": lambda rep: dataclasses.replace(rep, particle_id=None),
+    "zero_centre_of_mass": lambda rep: dataclasses.replace(
+        rep, X1=LinearForm(), X2=LinearForm(), P1=LinearForm(), P2=LinearForm(), particle_id=None
+    ),
+}
+
+
+@pytest.mark.parametrize("leave", [None, *_OFF_LAYOUT], ids=lambda leave: leave or "built")
 @pytest.mark.parametrize("family,branch", [("branch", "minus"), ("branch", "plus"), ("simple", None), ("epsilon_general", None)])
-def test_verify_takes_every_table_entry_through_the_module_commutator(monkeypatch, family, branch):
+def test_verify_calls_the_module_commutator_only_off_the_shift_layout(monkeypatch, family, branch, leave):
     # The benchmark's algebra.commutator span wraps this binding and its
-    # reports.checks count wraps CheckRecord.__init__, so a table entry
-    # computed or recorded past them would go uncounted.
+    # reports.checks count wraps CheckRecord.__init__.  A built family's
+    # table is read from its row and calls no commutator; forms off the
+    # layout take all six entries through it.  Each table makes six records.
     import ncphase.representation as rp
 
     calls, records = [], []
@@ -326,8 +346,79 @@ def test_verify_takes_every_table_entry_through_the_module_commutator(monkeypatc
     monkeypatch.setattr(rp, "commutator", counting)
     monkeypatch.setattr(CheckRecord, "__init__", counting_init)
     rep = build_representation(NCParams(0.5, 0.5), family, branch)
+    if leave is not None:
+        rep = _OFF_LAYOUT[leave](rep)
     report = verify_nc_algebra(rep)
-    assert len(calls) == len(records) == len(report.checks) == 6
+    assert len(records) == len(report.checks) == 6
+    assert len(calls) == (0 if leave is None else 6)
+
+
+_MAX = 1.7976931348623157e308
+#: Shift-row coefficients: signed zeros, which the forms drop, subnormals,
+#: magnitudes whose products overflow, mixed signs and any finite float.
+_row_values = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, _MAX])
+    | st.floats(-2.0, 2.0)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(row=st.lists(_row_values, min_size=8, max_size=8), particle_id=st.integers(0, 5))
+@example(row=[1e300, 1e300, 1e300, 1e300, 1.0, 1.0, 1.0, 1.0], particle_id=0)  # inf - inf: nan
+@example(row=[1e300, -1e300, 1e300, 1e300, 1.0, 1.0, 1.0, 1.0], particle_id=0)  # inf + inf: inf
+@example(row=[_MAX, -(2.0**970), 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], particle_id=1)  # exact sum a half ulp past the max
+@example(row=[_MAX, -(2.0**969), 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], particle_id=1)  # a quarter ulp: rounds to the max
+@example(row=[-5e-324, 0.0, 1.0, 0.5, 0.5, -0.0, 1.0, 1.0], particle_id=2)  # products underflow to -0.0
+@example(row=[0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0], particle_id=0)  # every term dropped
+def test_row_table_is_the_commutator_of_the_row_forms_bit_for_bit(row, particle_id):
+    forms = dict(zip(Representation.form_names(), _coeff_forms(particle_id, row)))
+    table = _row_table(row)
+    assert sorted(table) == sorted(itertools.combinations(forms, 2))
+    for (a, b), value in table.items():
+        assert float.hex(value) == float.hex(commutator(forms[a], forms[b])), (a, b)
+
+
+def _records(verify, rep):
+    """A report's records with their measured value as hex, or the DomainError message it raised."""
+    try:
+        report = verify(rep)
+    except DomainError as exc:
+        return str(exc)
+    return [(c.name, c.expected, float.hex(c.measured), c.tol, c.passed, c.detail) for c in report.checks]
+
+
+def _commutator_path(rep):
+    return CheckReport("verification", tuple(_commutator_checks(rep.forms(), commutator, rep.expected_table(), DEFAULT_TOL)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    row=st.lists(_row_values | st.sampled_from([math.inf, -math.inf, math.nan]), min_size=8, max_size=8),
+    leave=st.sampled_from([None, *_OFF_LAYOUT]),
+)
+@example(row=[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0], leave="extra_term")
+@example(row=[1.0, math.inf, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0], leave=None)  # inf meets an absent partner
+@example(row=[1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, math.nan], leave=None)
+@example(row=[1e300, 1e300, 1e300, 1e300, 1.0, 1.0, 1.0, 1.0], leave="second_particle")
+def test_verify_reports_the_commutator_path_record_by_record(row, leave):
+    rep = Representation(*_coeff_forms(0, row), "branch", NCParams(0.3, 0.2), "minus")
+    if leave is not None:
+        rep = _OFF_LAYOUT[leave](rep)
+    on_layout = leave is None and all(map(math.isfinite, row))
+    assert (_layout_row(rep) is not None) == on_layout
+    assert _records(verify_nc_algebra, rep) == _records(_commutator_path, rep)
+
+
+def test_the_readme_overflow_is_refused_from_the_row_with_its_message():
+    # --gamma=-1 --alpha 1 --mass 1.7976931348623157e308: the row is finite,
+    # and the exact [P1,P2] lies past the float range.
+    rep = build_representation(params_from_conditions(MassConditions(-1.0, 1.0), _MAX), "branch", "minus")
+    row = _layout_row(rep)
+    assert row is not None and _row_table(row)["P1", "P2"] == math.inf
+    with pytest.raises(DomainError) as info:
+        verify_nc_algebra(rep)
+    assert str(info.value) == "the commutator [P1,P2] overflows the float range"
 
 
 # --- effective Planck scale ---------------------------------------------------

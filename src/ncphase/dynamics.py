@@ -45,8 +45,11 @@ HAMILTONIAN_KINDS = ("free", "uniform_gravity", "harmonic")
 MAX_STEPS = 10**6
 
 #: Rows per block of :func:`coordinate_spread`.  A (rows, 4) float64 temporary takes 32 bytes a row:
-#: at 2048 rows, 64 KiB, it stays under glibc's default 128 KiB mmap threshold and reuses the heap,
-#: where a 10^4-row temporary is mapped fresh and faulted in page by page on every call.
+#: at 2048 rows, 64 KiB, it stays under glibc's starting 128 KiB mmap threshold and reuses the heap.
+#: glibc raises that threshold to the largest mapped chunk freed so far, and trims the heap top once
+#: the top reaches twice the threshold.  Two equal arrays freed together fill such a top, and every
+#: long run would fault its pages back in, so :func:`evolve` writes its states and observables into
+#: one buffer, which, freed, does not.
 _BLOCK_ROWS = 2048
 
 _J = np.array(
@@ -315,7 +318,9 @@ def _flow(C: np.ndarray, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.n
     sinh[...] = t  # the delta = 0 fallback, t + 0j
     np.divide(np.sinh(w), delta[:, None], out=sinh, where=delta[:, None] != 0)
     E = (e * sinh)[..., None, None] * (C - tau[:, None, None] * _EYE)[:, None]
-    E.reshape(*E.shape[:2], 4)[..., ::3] += (e * np.cosh(w))[..., None]  # the diagonal
+    diagonal = e * np.cosh(w)  # added entry by entry: a loop over a (..., 2) view of it runs 2 wide
+    E[..., 0, 0] += diagonal
+    E[..., 1, 1] += diagonal
     F = np.zeros(E.shape[:-1], complex)
     affine = c.any(axis=1)
     if affine.any():
@@ -355,12 +360,15 @@ def evolve(
     earlier block.  One batched product of the starts (w_k, 1) with the step
     matrices then writes every row into one (m, blocks * B + 1) table of
     complex pairs, whose float view is the (x1, x2, p1, p2) rows; rows past
-    n, in the last block, are padding and are never read.  Each system's
-    rows are byte-equal to its own single-system run and a C-contiguous
-    prefix of its block of the table.  A run whose phase is past
-    :data:`_PHASE_BOUND` is refused.  The trajectory covers t = 0 to n*dt
-    where n*dt is t_end (or the first multiple of dt past it when t_end is
-    not a multiple).
+    n, in the last block, are padding and are never read.  The table and the
+    observables are the two halves of one (2, m, blocks * B + 1, 4) float
+    buffer, one large allocation a run, which glibc does not trim from the
+    heap when it is freed (see :data:`_BLOCK_ROWS`).  Each system's states
+    and observables are byte-equal to its own single-system run and
+    C-contiguous (n + 1, 4) prefixes of its blocks of the buffer.  A run
+    whose phase is past :data:`_PHASE_BOUND` is refused.  The trajectory
+    covers t = 0 to n*dt where n*dt is t_end (or the first multiple of dt
+    past it when t_end is not a multiple).
     """
     single = isinstance(h, QuadraticHamiltonian)
     hs = [h] if single else list(h)
@@ -392,23 +400,24 @@ def evolve(
         raise ConfigError(f"the phase of the run, {phase:.3g} rad by t = {n * dt}, is too large to resolve: one ulp of "
                           f"the drift moves it by {phase * 2.0**-53:.3g} rad, past the bound of {_PHASE_BOUND}")
     w0 = z0.reshape(m, 4).view(complex)
-    starts = np.ones((m, blocks, 3), complex)
-    # Elementwise, written in place: a stacked matmul would make one BLAS call per 2 x 2 block.
-    head = starts[..., :2]
-    np.multiply(E[:, block:, :, 0], w0[:, None, None, 0], out=head)
+    # Elementwise: a stacked matmul would make one BLAS call per 2 x 2 block.  The pairs are
+    # formed contiguous and copied once, as a loop over a (..., 2) view of the starts runs 2 wide.
+    head = E[:, block:, :, 0] * w0[:, None, None, 0]
     head += E[:, block:, :, 1] * w0[:, None, None, 1]
     head += F[:, block:]
-    table = np.empty((m, blocks * block + 1, 2), complex)
+    starts = np.ones((m, blocks, 3), complex)
+    starts[..., :2] = head
+    buffer = np.empty((2, m, blocks * block + 1, 4))
+    table = buffer[0].view(complex)
     table[:, 0] = w0
     rows = table[:, 1:].reshape(m, blocks, 2 * block)
     np.matmul(starts, step.reshape(m, 3, 2 * block), out=rows)
-    canonical = table.view(float)[:, : n + 1]
-    # Each system's (n + 1, 4) rows are a prefix of its contiguous block.  On
-    # many rows a contiguous right operand gives the transposed view's bytes
-    # about 3x faster; one row is a BLAS gemv, which rounds by the operand's
-    # layout, so it keeps the view.
+    canonical = buffer[0, :, : n + 1]
+    # On many rows a contiguous right operand gives the transposed view's
+    # bytes about 3x faster; one row is a BLAS gemv, which rounds by the
+    # operand's layout, so it keeps the view.
     right = coeffs.transpose(0, 2, 1)
-    observables = canonical @ (np.ascontiguousarray(right) if n else right)
+    observables = np.matmul(canonical, np.ascontiguousarray(right) if n else right, out=buffer[1, :, : n + 1])
     # A state that is not finite makes its observables not finite, inf * 0
     # being NaN, so the states are read only to word the refusal.  A finite
     # state can still overflow its observables (X1 = a x1 + b p2).
@@ -416,7 +425,7 @@ def evolve(
         if not np.isfinite(canonical).all():
             raise ConfigError(f"the trajectory overflows before t = {n * dt}")
         raise ConfigError(f"the noncommutative observables overflow before t = {n * dt}")
-    times = np.arange(n + 1) * dt
+    times = np.arange(n + 1, dtype=float) * dt
     runs = [Trajectory(times, z, obs) for z, obs in zip(canonical, observables)]
     return runs[0] if single else runs
 
@@ -529,10 +538,11 @@ def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -
     """Largest pointwise spread of the noncommutative coordinates across runs.
 
     A running max and min over the runs' observable rows, :data:`_BLOCK_ROWS`
-    rows at a time, with the (X1, X2) columns taken from each block: max and
-    min are exact, so each block's spread equals a stacked copy's, and
-    ``np.maximum`` over the blocks keeps a NaN, where Python's ``max`` may
-    drop it.  No runs, or runs of unequal lengths, are refused.
+    rows at a time, with the X1 and X2 columns taken from each block one at
+    a time, as a loop over a (rows, 2) view runs 2 wide: max and min are
+    exact, so each block's spread equals a stacked copy's, and
+    ``np.maximum`` keeps a NaN, where Python's ``max`` may drop it.  No
+    runs, or runs of unequal lengths, are refused.
     """
     rows = [traj.nc_observables for _, traj in runs]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
@@ -544,7 +554,7 @@ def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -
         for r in rows[1:]:
             r = r[start : start + _BLOCK_ROWS]
             hi, lo = np.maximum(hi, r), np.minimum(lo, r)
-        peak = (hi[:, :2] - lo[:, :2]).max()
+        peak = np.maximum(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1]).max()
         spread = peak if spread is None else np.maximum(spread, peak)
     return float(spread)
 

@@ -383,7 +383,7 @@ def test_stacked_evolve_is_bitwise_each_single_evolve(m):
     assert _oracle_error(hs[-1], z0[-1], 0.02, one, (2000,)) <= ORACLE_BOUND
 
 
-@pytest.mark.parametrize("t_end", [0.0, 0.02, 40.0])
+@pytest.mark.parametrize("t_end", [0.0, 0.02, 40.0, 200.0])
 def test_observables_are_the_states_times_the_transposed_coefficients(t_end):
     # evolve multiplies by a contiguous copy of the transposed coefficients;
     # one row is a gemv, which rounds by the operand's layout, so a zero-step
@@ -407,6 +407,29 @@ def test_wep_trajectories_are_one_contiguous_block_per_mass(m):
         assert len(traj) == 11
         assert traj.canonical_states.shape == traj.nc_observables.shape == (11, 4)
         assert traj.canonical_states.flags.c_contiguous
+
+
+def _owner(array):
+    """The array that owns the memory ``array`` views."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("steps", [0, 1, 40, 10**4])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_a_runs_states_and_observables_are_contiguous_views_of_one_buffer(m, steps):
+    hs = _mixed_hamiltonians(m)
+    z0 = np.array([[0.3, -1.25, 2.0, 0.5], [1.0, 0.0, -3.0, 0.25], [0.0, 2.0, 0.5, -1.0],
+                   [-0.5, 0.75, 4.0, 1.5], [2.0, -2.0, 0.0, 0.125]])[:m]
+    dt = 0.002
+    runs = [evolve(hs[0], z0[0], steps * dt, dt)] if m == 1 else evolve(hs, z0, steps * dt, dt)
+    arrays = [a for traj in runs for a in (traj.canonical_states, traj.nc_observables)]
+    owner = _owner(arrays[0])
+    for i, a in enumerate(arrays):
+        assert a.shape == (steps + 1, 4) and a.flags.c_contiguous
+        assert a.base is not None and _owner(a) is owner
+        assert not any(np.may_share_memory(a, b) for b in arrays[i + 1:])
 
 
 def test_stacked_evolve_needs_one_initial_row_per_hamiltonian():
@@ -635,6 +658,25 @@ def test_healthy_runs_never_trip_the_phase_rule(kind, family, conditioned, a, b,
     h = build_hamiltonian(kind, build_representation(params, *family), g=g, omega=omega)
     traj = evolve(h, [0.3, -1.25, 2.0, 0.5], t_end, t_end / 10)
     assert len(traj) == 11
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("kind", dynamics.HAMILTONIAN_KINDS)
+def test_every_built_drift_has_a_trace_of_real_part_plus_zero(kind, family):
+    # Re tr C = A[0, 0] + A[2, 2] = quad[2, 0] - quad[0, 2], and quad is symmetric bit for bit.
+    rng = np.random.default_rng(89)
+    reps = []
+    for _ in range(200):
+        a, b = rng.uniform(0.001, 0.9, size=2) * rng.choice([1.0, -1.0], size=2)
+        b = abs(b) * np.sign(a) if family[1] == "plus" else b  # the plus branch needs theta * eta > 0
+        mass = 10 ** rng.uniform(-3.0, 6.0)
+        conditioned = rng.random() < 0.5
+        params = params_from_conditions(MassConditions(a, b), mass) if conditioned else NCParams(a, b, mass=mass)
+        reps.append(build_representation(params, *family))
+    hs = build_hamiltonian(kind, reps, g=9.8, omega=0.7)
+    _, A, b = dynamics._stack(hs)
+    C, _ = dynamics._complex_drift(A, b, 0.01)
+    assert {(C[i, 0, 0] + C[i, 1, 1]).real.hex() for i in range(len(hs))} == {(0.0).hex()}
 
 
 def test_drift_that_is_not_rotation_invariant_is_refused():
@@ -1246,7 +1288,18 @@ def test_blocked_stages_are_byte_equal_to_the_whole_array_expressions(n):
     # either side of its comparison reads the other blocks' spread.
     early, late = finite.copy(), finite.copy()
     early[1, 0, 1] = late[1, -1, 0] = np.nan
-    for stack in (finite, special, early, late):
+    # One NaN, inf or -inf in each block and column in turn, X1 and X2 read
+    # apart and P1 and P2 not at all; one signed zero among zeros of the other sign.
+    placed = []
+    for block in range(0, n, dynamics._BLOCK_ROWS):
+        for column in range(4):
+            row = min(n - 1, block + int(rng.integers(dynamics._BLOCK_ROWS)))
+            for value, base in ((np.nan, finite), (np.inf, finite), (-np.inf, finite),
+                                (-0.0, np.zeros_like(finite)), (0.0, np.full_like(finite, -0.0))):
+                stack = base.copy()
+                stack[column % 3, row, column] = value
+                placed.append(stack)
+    for stack in (finite, special, early, late, *placed):
         runs = [(h, dynamics.Trajectory(np.arange(float(n)), z, z)) for z in stack]
         with np.errstate(all="ignore"):  # inf - inf
             coords = stack[:, :, :2]

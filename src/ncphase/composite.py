@@ -33,7 +33,7 @@ from itertools import chain
 from operator import mul, neg
 from typing import Iterable, Sequence
 
-from .algebra import _PAIRS, KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum, check_tolerance
+from .algebra import KINDS, CanonicalVar, LinearForm, _dyadic_sum, _exact_sum, check_tolerance
 from .errors import ConfigError, DomainError
 from .reports import CheckRecord, CheckReport
 from .representation import (
@@ -44,15 +44,16 @@ from .representation import (
     _coeff_distance,
     _commutator_checks,
     _diagonal,
+    _row_table,
     _shift_coeffs,
     _shift_terms,
     params_from_conditions,
     read_branch,
 )
 
-#: One centre-of-mass form: each kind it uses, in its term order, mapped to
-#: one coefficient per particle in particle order.
-_Columns = dict[str, Sequence[float]]
+#: The kinds of each form's two columns, in slot order: the layout X1 = a*x1 + b*p2,
+#: X2 = c*x2 + d*p1, P1 = e*p1 + f*x2, P2 = g*p2 + h*x1 of ``_coeff_forms``.
+_LAYOUT = (("x1", "p2"), ("x2", "p1"), ("p1", "x2"), ("p2", "x1"))
 
 
 class CompositeSystem:
@@ -147,72 +148,55 @@ class CompositeSystem:
 
 def com_canonical(system: CompositeSystem) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Mass-weighted coordinates and total momenta (xc1, xc2, pc1, pc2): the algebraic route of the identity row."""
-    return _forms(_algebraic_columns(system, _shift_terms(1.0, 0.0, 0.0)), system, by_kind=True)
+    return _forms(_algebraic_columns(system, _shift_terms(1.0, 0.0, 0.0)), by_kind=True)
 
 
-def _route_columns(system: CompositeSystem, columns: Iterable[Sequence[float]], direct: bool) -> tuple[_Columns, ...]:
-    """The column forms X1, X2, P1, P2 of the shift rows' columns a, ..., h, laid out as in ``_coeff_forms``.
+def _route_columns(system: CompositeSystem, columns: Iterable[Sequence[float]], direct: bool) -> list[Sequence[float]]:
+    """The eight columns a, ..., h of the route's shift rows, one coefficient per particle, m_a/M on its slots.
 
     Both routes weight by m_a/M and differ only in where.  The direct route
     mass-averages each particle's own map, so m_a/M weights the coordinate
-    forms X1 and X2.  The algebraic route applies one map to
-    (xc, pc) = (sum_a (m_a/M) x^(a), sum_a p^(a)), so its rows all repeat the
-    effective pair's row and m_a/M weights the coordinate kinds x1 and x2.
+    forms X1 and X2: slots 0-3 (a, b, c, d).  The algebraic route applies one
+    map to (xc, pc) = (sum_a (m_a/M) x^(a), sum_a p^(a)), so its rows all
+    repeat the effective pair's row and m_a/M weights the coordinate kinds x1
+    and x2: slots 0, 2, 5 and 7 (a, c, f, h).
     """
     M = system.total_mass
     w = [m / M for m in system.masses]
-    a, b, c, d, e, f, g, h = columns
-
-    def weighted(col: Sequence[float], weigh: bool = True) -> Sequence[float]:
-        return list(map(mul, w, col)) if weigh else col
-
-    return (
-        {"x1": weighted(a), "p2": weighted(b, direct)},
-        {"x2": weighted(c), "p1": weighted(d, direct)},
-        {"p1": e, "x2": weighted(f, not direct)},
-        {"p2": g, "x1": weighted(h, not direct)},
-    )
+    weighted = (0, 1, 2, 3) if direct else (0, 2, 5, 7)
+    return [list(map(mul, w, col)) if j in weighted else col for j, col in enumerate(columns)]
 
 
-def _algebraic_columns(system: CompositeSystem, row: Sequence[float]) -> tuple[_Columns, ...]:
+def _algebraic_columns(system: CompositeSystem, row: Sequence[float]) -> list[Sequence[float]]:
     """The algebraic route: the effective pair's ``row`` repeated for every particle."""
     return _route_columns(system, [[v] * len(system) for v in row], direct=False)
 
 
-def _direct(system: CompositeSystem, family: str, branch: str | None) -> tuple[_Columns, ...]:
+def _direct(system: CompositeSystem, family: str, branch: str | None) -> list[Sequence[float]]:
     """The direct route: each particle's own shift row, read in particle order, so the first refused map raises."""
     rows = [_shift_terms(*_shift_coeffs(t, e, family, branch)) for t, e in zip(system.thetas, system.etas)]
     return _route_columns(system, zip(*rows), direct=True)
 
 
-def _forms(columns: Sequence[_Columns], system: CompositeSystem, by_kind: bool) -> tuple[LinearForm, ...]:
-    """The ``LinearForm`` of each column form, without its exact zeros.
+def _forms(columns: Sequence[Sequence[float]], by_kind: bool) -> tuple[LinearForm, ...]:
+    """The ``LinearForm``s X1, X2, P1, P2 of the eight columns, paired as in :data:`_LAYOUT`, without exact zeros.
 
     Keys run kind-major (all particles of one kind, then the next kind) when
     ``by_kind``, as the algebraic routes order them, else particle-major, as
     the direct routes do.
     """
-    keys = {kind: [CanonicalVar(pid, kind) for pid in range(len(system))] for kind in KINDS}
+    keys = {kind: [CanonicalVar(pid, kind) for pid in range(len(columns[0]))] for kind in KINDS}
     out = []
-    for cols in columns:
-        pairs = [zip(keys[kind], col) for kind, col in cols.items()]
+    for kinds, cols in zip(_LAYOUT, zip(columns[::2], columns[1::2])):
+        pairs = [zip(keys[kind], col) for kind, col in zip(kinds, cols)]
         terms = dict(chain.from_iterable(pairs if by_kind else zip(*pairs)))
         out.append(LinearForm._trusted(terms))
     return tuple(out)
 
 
-def _column_commutator(a: _Columns, b: _Columns) -> float:
-    """``commutator(a, b)`` of two column forms over the same particles.
-
-    The same signed products, summed exactly by the same :func:`_exact_sum`.
-    """
-    products = []
-    for xkind, pkind in _PAIRS:
-        if xkind in a and pkind in b:
-            products += map(mul, a[xkind], b[pkind])
-        if pkind in a and xkind in b:
-            products += map(neg, map(mul, a[pkind], b[xkind]))
-    return _exact_sum(products)
+def _column_cross(p: Sequence[float], q: Sequence[float], r: Sequence[float], s: Sequence[float]) -> float:
+    """sum_a p_a*q_a - sum_a r_a*s_a over four columns: the signed products ``commutator`` sums, summed exactly."""
+    return _exact_sum([*map(mul, p, q), *map(neg, map(mul, r, s))])
 
 
 def effective_params(system: CompositeSystem) -> tuple[float, float]:
@@ -243,7 +227,7 @@ def com_params(system: CompositeSystem) -> NCParams:
 def _algebraic(system: CompositeSystem, family: str, branch: str | None) -> Representation:
     p = com_params(system)
     row = _shift_terms(*_shift_coeffs(p.theta, p.eta, family, branch))
-    forms = _forms(_algebraic_columns(system, row), system, by_kind=True)
+    forms = _forms(_algebraic_columns(system, row), by_kind=True)
     return Representation(*forms, family, p, read_branch(family, branch), particle_id=None)
 
 
@@ -269,14 +253,14 @@ def com_rep_direct(
     Every particle uses the same branch; mixing branches (or families)
     across particles is not representable here on purpose.
     """
-    return _forms(_direct(system, "branch", branch), system, by_kind=False)
+    return _forms(_direct(system, "branch", branch), by_kind=False)
 
 
 def com_simple_direct(
     system: CompositeSystem,
 ) -> tuple[LinearForm, LinearForm, LinearForm, LinearForm]:
     """Direct route through per-particle simple representations."""
-    return _forms(_direct(system, "simple", None), system, by_kind=False)
+    return _forms(_direct(system, "simple", None), by_kind=False)
 
 
 def _compare(system: CompositeSystem, family: str, branch: str | None, tol: float) -> CheckReport:
@@ -285,11 +269,12 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
     row = _shift_terms(*_shift_coeffs(p.theta, p.eta, family, branch))
     routes = {"algebraic": _algebraic_columns(system, row), "direct": _direct(system, family, branch)}
     tol = check_tolerance(tol)  # a float in the route records, as in the table's
-    # Both routes hold the same kinds in the same order, so a form's distance
-    # is the largest gap between its matching columns.
+    # Both routes hold the same layout, so a form's distance is the larger
+    # gap of its two pairs of matching columns.
+    gaps = list(map(_coeff_distance, *routes.values()))
     checks = [
-        CheckRecord.within(f"routes.{name}", 0.0, max(map(_coeff_distance, alg.values(), dir_.values())), tol)
-        for name, alg, dir_ in zip(Representation.form_names(), *routes.values())
+        CheckRecord.within(f"routes.{name}", 0.0, max(u, v), tol)
+        for name, u, v in zip(Representation.form_names(), gaps[::2], gaps[1::2])
     ]
     # Both routes must reproduce their commutator tables regardless of
     # whether they agree with each other.  The routes only share a diagonal
@@ -303,7 +288,7 @@ def _compare(system: CompositeSystem, family: str, branch: str | None, tol: floa
         products["direct"] = math.fsum((m / M) * (t * e) for m, t, e in zip(system.masses, system.thetas, system.etas))
     for label, columns in routes.items():
         table = (p.theta, p.eta, _diagonal(family, products[label]))
-        checks += _commutator_checks(columns, _column_commutator, table, tol, f"table.{label}.")
+        checks += _commutator_checks(_row_table(columns, _column_cross), table, tol, f"table.{label}.")
     # Coefficient of xc2 inside P1c for the algebraic route: slot f (P1's x2,
     # k*m) of the effective row; grows linearly with the total mass under
     # shared conditions.  An exact zero reads +0.0, as an absent term does.

@@ -44,14 +44,6 @@ HAMILTONIAN_KINDS = ("free", "uniform_gravity", "harmonic")
 #: Most steps one trajectory may take; more would allocate an unbounded table.
 MAX_STEPS = 10**6
 
-#: Rows per block of :func:`coordinate_spread`.  A (rows, 4) float64 temporary takes 32 bytes a row:
-#: at 2048 rows, 64 KiB, it stays under glibc's starting 128 KiB mmap threshold and reuses the heap.
-#: glibc raises that threshold to the largest mapped chunk freed so far, and trims the heap top once
-#: the top reaches twice the threshold.  Two equal arrays freed together fill such a top, and every
-#: long run would fault its pages back in, so :func:`evolve` writes its states and observables into
-#: one buffer, which, freed, does not.
-_BLOCK_ROWS = 2048
-
 _J = np.array(
     [
         [0.0, 0.0, 1.0, 0.0],
@@ -362,13 +354,16 @@ def evolve(
     complex pairs, whose float view is the (x1, x2, p1, p2) rows; rows past
     n, in the last block, are padding and are never read.  The table and the
     observables are the two halves of one (2, m, blocks * B + 1, 4) float
-    buffer, one large allocation a run, which glibc does not trim from the
-    heap when it is freed (see :data:`_BLOCK_ROWS`).  Each system's states
-    and observables are byte-equal to its own single-system run and
-    C-contiguous (n + 1, 4) prefixes of its blocks of the buffer.  A run
-    whose phase is past :data:`_PHASE_BOUND` is refused.  The trajectory
-    covers t = 0 to n*dt where n*dt is t_end (or the first multiple of dt
-    past it when t_end is not a multiple).
+    buffer, one large allocation a run: glibc raises its mmap threshold to
+    the largest mapped chunk freed so far and trims the heap top once the top
+    reaches twice the threshold, so two equal arrays freed together would
+    fill such a top and every long run would fault its pages back in, where
+    one buffer, freed, does not.  Each system's states and observables are
+    byte-equal to its own single-system run and C-contiguous (n + 1, 4)
+    prefixes of its blocks of the buffer.  A run whose phase is past
+    :data:`_PHASE_BOUND` is refused.  The trajectory covers t = 0 to n*dt
+    where n*dt is t_end (or the first multiple of dt past it when t_end is
+    not a multiple).
     """
     single = isinstance(h, QuadraticHamiltonian)
     hs = [h] if single else list(h)
@@ -537,26 +532,20 @@ def wep_trajectories(
 def coordinate_spread(runs: Sequence[tuple[QuadraticHamiltonian, Trajectory]]) -> float:
     """Largest pointwise spread of the noncommutative coordinates across runs.
 
-    A running max and min over the runs' observable rows, :data:`_BLOCK_ROWS`
-    rows at a time, with the X1 and X2 columns taken from each block one at
-    a time, as a loop over a (rows, 2) view runs 2 wide: max and min are
-    exact, so each block's spread equals a stacked copy's, and
-    ``np.maximum`` keeps a NaN, where Python's ``max`` may drop it.  No
-    runs, or runs of unequal lengths, are refused.
+    A running max and min over the runs' whole observable arrays, with the
+    X1 and X2 columns taken one at a time, as a loop over a (rows, 2) view
+    runs 2 wide: max and min are exact, so the spread equals a stacked
+    copy's, and ``np.maximum`` keeps a NaN, where Python's ``max`` may drop
+    it.  No runs, or runs of unequal lengths, are refused; runs of no rows
+    raise numpy's empty-max ValueError.
     """
     rows = [traj.nc_observables for _, traj in runs]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ConfigError(f"coordinate_spread needs runs of one length, got lengths {[len(r) for r in rows]}")
-    spread = None
-    # At least one block, so runs of no rows raise numpy's empty-max ValueError.
-    for start in range(0, len(rows[0]) or 1, _BLOCK_ROWS):
-        hi = lo = rows[0][start : start + _BLOCK_ROWS]
-        for r in rows[1:]:
-            r = r[start : start + _BLOCK_ROWS]
-            hi, lo = np.maximum(hi, r), np.minimum(lo, r)
-        peak = np.maximum(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1]).max()
-        spread = peak if spread is None else np.maximum(spread, peak)
-    return float(spread)
+    hi = lo = rows[0]
+    for r in rows[1:]:
+        hi, lo = np.maximum(hi, r), np.minimum(lo, r)
+    return float(np.maximum(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1]).max())
 
 
 def wep_deviation(

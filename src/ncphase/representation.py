@@ -400,26 +400,26 @@ def params_from_conditions(c: MassConditions, mass: float) -> NCParams:
 # verification
 
 
-def _commutator_checks(
-    operands, commute, expected: tuple[float, float, float], tol: float, prefix: str = ""
-) -> list[CheckRecord]:
-    """The six independent commutators of four operands (X1, X2, P1, P2), checked against their table.
+#: The six independent commutators of (X1, X2, P1, P2) in the one order of every table: record name, form indices.
+_TABLE = (("[X1,X2]", 0, 1), ("[P1,P2]", 2, 3), ("[X1,P1]", 0, 2), ("[X2,P2]", 1, 3), ("[X1,P2]", 0, 3), ("[X2,P1]", 1, 2))
 
-    ``commute(a, b)`` gives the scalar of [a, b]; ``expected`` is the
-    (coordinate, momentum, diagonal) table, and the off-diagonal
+
+def _commutator_checks(
+    measured: Sequence[float], expected: tuple[float, float, float], tol: float, prefix: str = ""
+) -> list[CheckRecord]:
+    """The six independent commutators of four forms (X1, X2, P1, P2), checked against their table.
+
+    ``measured`` holds the six scalars in the pair order of :data:`_TABLE`:
+    [X1,X2], [P1,P2], [X1,P1], [X2,P2], [X1,P2], [X2,P1].  ``expected`` is
+    the (coordinate, momentum, diagonal) table, and the off-diagonal
     coordinate-momentum entries are expected to vanish.  A commutator whose
     exact value lies past the float range is refused, not recorded as inf.
     """
     tol = check_tolerance(tol)
     theta, eta, diag = expected
-    X1, X2, P1, P2 = operands
     checks = [
-        CheckRecord.within(prefix + "[X1,X2]", theta, commute(X1, X2), tol),
-        CheckRecord.within(prefix + "[P1,P2]", eta, commute(P1, P2), tol),
-        CheckRecord.within(prefix + "[X1,P1]", diag, commute(X1, P1), tol),
-        CheckRecord.within(prefix + "[X2,P2]", diag, commute(X2, P2), tol),
-        CheckRecord.within(prefix + "[X1,P2]", 0.0, commute(X1, P2), tol),
-        CheckRecord.within(prefix + "[X2,P1]", 0.0, commute(X2, P1), tol),
+        CheckRecord.within(prefix + name, want, got, tol)
+        for (name, _, _), want, got in zip(_TABLE, (theta, eta, diag, diag, 0.0, 0.0), measured)
     ]
     for check in checks:
         if not math.isfinite(check.measured):
@@ -451,25 +451,24 @@ def _layout_row(rep: Representation) -> list[float] | None:
     return row
 
 
-def _row_table(row: Sequence[float]) -> dict[tuple[str, str], float]:
-    """The commutators of a finite row's forms, keyed by pairs of form names.
+def _cross(p: float, q: float, r: float, s: float) -> float:
+    """p*q - r*s rounded once, as :func:`commutator` rounds that exact sum; ``+ 0.0`` makes -0.0 fsum's 0.0."""
+    return p * q - r * s + 0.0
 
-    Each entry of the diagonal blocks is one difference of the two products
-    that :func:`commutator`'s walk pairs, every other product it sums being
-    a zero, so the difference rounds their exact sum once, as ``commutator``
-    does.  ``+ 0.0`` turns a -0.0 into the 0.0 that ``math.fsum`` gives, and
-    [X1,P2] and [X2,P1] pair no partners.  Every entry thus equals
-    ``commutator`` of the row's forms bit for bit, an overflow included.
+
+def _row_table(row: Sequence, cross=_cross) -> tuple:
+    """The six commutators of a row's forms, in the pair order of :data:`_TABLE`.
+
+    [X1,X2] = a*d - b*c, [P1,P2] = f*g - e*h, [X1,P1] = a*e - b*f and
+    [X2,P2] = c*g - d*h, each ``cross(p, q, r, s)`` = p*q - r*s; [X1,P2] and
+    [X2,P1] pair no partners and are 0.0.  With the default :func:`_cross`, a
+    finite row of floats gives ``commutator`` of its forms bit for bit, an
+    overflow included: every other product ``commutator`` sums is a zero.
+    ``composite`` passes eight columns, one coefficient per particle, with
+    an exact column sum for ``cross``.
     """
     a, b, c, d, e, f, g, h = row
-    return {
-        ("X1", "X2"): a * d - b * c + 0.0,
-        ("P1", "P2"): f * g - e * h + 0.0,
-        ("X1", "P1"): a * e - b * f + 0.0,
-        ("X2", "P2"): c * g - d * h + 0.0,
-        ("X1", "P2"): 0.0,
-        ("X2", "P1"): 0.0,
-    }
+    return cross(a, d, b, c), cross(f, g, e, h), cross(a, e, b, f), cross(c, g, d, h), 0.0, 0.0
 
 
 def verify_nc_algebra(
@@ -496,11 +495,11 @@ def verify_nc_algebra(
     )
     row = _layout_row(rep)
     if row is None:
-        operands, commute = rep.forms(), commutator
+        forms = rep.forms()
+        measured = [commutator(forms[i], forms[j]) for _, i, j in _TABLE]
     else:
-        table = _row_table(row)
-        operands, commute = rep.form_names(), lambda a, b: table[a, b]
-    checks = tuple(_commutator_checks(operands, commute, expected, tol))
+        measured = _row_table(row)
+    checks = tuple(_commutator_checks(measured, expected, tol))
     meta = {
         "family": rep.family,
         "branch": rep.branch,

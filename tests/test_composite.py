@@ -36,13 +36,16 @@ from ncphase import (
     x2,
 )
 from ncphase.composite import (
-    _column_commutator,
+    _column_cross,
+    _forms,
+    _route_columns,
     com_params,
     com_rep_algebraic,
     com_rep_direct,
     com_simple_algebraic,
     com_simple_direct,
 )
+from ncphase.representation import _TABLE, _cross, _row_table
 
 SEED = int(os.environ.get("NCPS_SEED", "20260814"))
 
@@ -676,34 +679,31 @@ column_coeffs = st.one_of(
 )
 
 
-@st.composite
-def column_forms(draw, ids):
-    """A form over some of ``ids`` with some kinds: its coefficient per (particle, kind), zeros kept."""
-    kinds = draw(st.lists(st.sampled_from(["x1", "x2", "p1", "p2"]), unique=True, max_size=4))
-    own = draw(st.lists(st.sampled_from(ids), unique=True, min_size=1))
-    return {(pid, kind): draw(column_coeffs) for kind in kinds for pid in own}
-
-
-def _as_columns(coeffs, ids):
-    kinds = dict.fromkeys(kind for _, kind in coeffs)
-    return {kind: [coeffs.get((pid, kind), 0.0) for pid in ids] for kind in kinds}
-
-
-def _as_form(coeffs):
-    return LinearForm({CanonicalVar(pid, kind): c for (pid, kind), c in coeffs.items()})
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_column_primitives_equal_the_form_primitives_bit_for_bit(data):
-    # Two forms over random, possibly disjoint particle sets and kind sets;
-    # the columns run over the union of their particles and hold the zeros.
-    ids = data.draw(st.lists(st.integers(0, 50), unique=True, min_size=1, max_size=6))
-    a, b = data.draw(column_forms(ids)), data.draw(column_forms(ids))
-    ca, cb = _as_columns(a, ids), _as_columns(b, ids)
-    fa, fb = _as_form(a), _as_form(b)
-    assert _column_commutator(ca, cb).hex() == commutator(fa, fb).hex()
-    assert _column_commutator(cb, ca).hex() == commutator(fb, fa).hex()
+def test_column_table_equals_the_commutators_of_the_route_forms_bit_for_bit(data):
+    # A route of 1 to 6 particles: eight random columns, m_a/M weighting the
+    # slots of either route, then paired into forms in either key order.
+    masses = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6))
+    system = CompositeSystem.from_params(masses, [0.0] * len(masses), [0.0] * len(masses))
+    raw = data.draw(st.lists(st.lists(column_coeffs, min_size=len(masses), max_size=len(masses)), min_size=8, max_size=8))
+    columns = _route_columns(system, raw, direct=data.draw(st.booleans()))
+    forms = _forms(columns, by_kind=data.draw(st.booleans()))
+    for (name, i, j), value in zip(_TABLE, _row_table(columns, _column_cross)):
+        assert value.hex() == commutator(forms[i], forms[j]).hex(), name
+        assert (0.0 - value).hex() == commutator(forms[j], forms[i]).hex(), name
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(column_coeffs | st.sampled_from([math.inf, -math.inf, math.nan]), min_size=4, max_size=4))
+@example([1.7976931348623157e308, 1.0, -(2.0**970), 1.0])  # exact sum a half ulp past the max
+@example([1.7976931348623157e308, 1.0, -(2.0**969), 1.0])  # a quarter ulp: rounds to the max
+@example([1e200, 1e200, 1e200, 1e200])  # both products overflow: inf - inf
+@example([-5e-324, 0.5, 0.0, 1.0])  # -0.0 - 0.0
+@example([-0.0, 1.0, 0.0, 1.0])
+def test_column_cross_of_one_particle_is_the_scalar_cross_bit_for_bit(values):
+    p, q, r, s = values
+    assert _column_cross([p], [q], [r], [s]).hex() == _cross(p, q, r, s).hex()
 
 
 #: A magnitude across e^-5 .. e^5, of either sign.

@@ -1267,17 +1267,16 @@ def test_coordinate_spread_refuses_no_runs_or_runs_of_unequal_lengths():
             coordinate_spread(chosen)
 
 
-#: Row counts at the edges of the row blocks of coordinate_spread:
-#: one row, a block less one row, one block, a block and a lone row, two blocks
-#: and a lone row, and a 10^4-step run.
-BLOCK_EDGE_ROWS = [1, dynamics._BLOCK_ROWS - 1, dynamics._BLOCK_ROWS, dynamics._BLOCK_ROWS + 1,
-                   2 * dynamics._BLOCK_ROWS + 1, 10**4 + 1]
+#: Row counts at the edges of 2048-row blocks, where a walk over the rows a
+#: block at a time would split them: one row, a block less one row, one block,
+#: a block and a lone row, two blocks and a lone row, and a 10^4-step run.
+BLOCK_EDGE_ROWS = [1, 2047, 2048, 2049, 4097, 10**4 + 1]
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
 def test_blocked_stages_are_byte_equal_to_the_whole_array_expressions(n):
-    # coordinate_spread walks the rows a block at a time; at every block edge
-    # it must read the bytes of one expression over all the rows.
+    # At every row count, coordinate_spread must read the bytes of one
+    # expression over all the rows.
     h = build_hamiltonian("harmonic", build_representation(NCParams(0.3, 0.2, mass=2.0), "branch", "minus"),
                           omega=0.7)
     rng = np.random.default_rng(n)
@@ -1291,9 +1290,9 @@ def test_blocked_stages_are_byte_equal_to_the_whole_array_expressions(n):
     # One NaN, inf or -inf in each block and column in turn, X1 and X2 read
     # apart and P1 and P2 not at all; one signed zero among zeros of the other sign.
     placed = []
-    for block in range(0, n, dynamics._BLOCK_ROWS):
+    for block in range(0, n, 2048):
         for column in range(4):
-            row = min(n - 1, block + int(rng.integers(dynamics._BLOCK_ROWS)))
+            row = min(n - 1, block + int(rng.integers(2048)))
             for value, base in ((np.nan, finite), (np.inf, finite), (-np.inf, finite),
                                 (-0.0, np.zeros_like(finite)), (0.0, np.full_like(finite, -0.0))):
                 stack = base.copy()

@@ -48,6 +48,7 @@ from ncphase.representation import (
     _coeff_forms,
     _commutator_checks,
     _kinematic_invariance,
+    _TABLE,
     _layout_row,
     _row_table,
     _swap_scale,
@@ -372,11 +373,13 @@ _row_values = (
 @example(row=[-5e-324, 0.0, 1.0, 0.5, 0.5, -0.0, 1.0, 1.0], particle_id=2)  # products underflow to -0.0
 @example(row=[0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0], particle_id=0)  # every term dropped
 def test_row_table_is_the_commutator_of_the_row_forms_bit_for_bit(row, particle_id):
-    forms = dict(zip(Representation.form_names(), _coeff_forms(particle_id, row)))
+    forms, names = _coeff_forms(particle_id, row), Representation.form_names()
     table = _row_table(row)
-    assert sorted(table) == sorted(itertools.combinations(forms, 2))
-    for (a, b), value in table.items():
-        assert float.hex(value) == float.hex(commutator(forms[a], forms[b])), (a, b)
+    assert sorted((i, j) for _, i, j in _TABLE) == list(itertools.combinations(range(4), 2))
+    assert len(table) == len(_TABLE)
+    for (name, i, j), value in zip(_TABLE, table):
+        assert name == f"[{names[i]},{names[j]}]"
+        assert float.hex(value) == float.hex(commutator(forms[i], forms[j])), name
 
 
 def _records(verify, rep):
@@ -388,8 +391,14 @@ def _records(verify, rep):
     return [(c.name, c.expected, float.hex(c.measured), c.tol, c.passed, c.detail) for c in report.checks]
 
 
+#: The six commutators as form indices, in the record order of every verification report.
+_PAIR_ORDER = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+
+
 def _commutator_path(rep):
-    return CheckReport("verification", tuple(_commutator_checks(rep.forms(), commutator, rep.expected_table(), DEFAULT_TOL)))
+    forms = rep.forms()
+    measured = [commutator(forms[i], forms[j]) for i, j in _PAIR_ORDER]
+    return CheckReport("verification", tuple(_commutator_checks(measured, rep.expected_table(), DEFAULT_TOL)))
 
 
 @settings(max_examples=500, deadline=None)
@@ -415,7 +424,7 @@ def test_the_readme_overflow_is_refused_from_the_row_with_its_message():
     # and the exact [P1,P2] lies past the float range.
     rep = build_representation(params_from_conditions(MassConditions(-1.0, 1.0), _MAX), "branch", "minus")
     row = _layout_row(rep)
-    assert row is not None and _row_table(row)["P1", "P2"] == math.inf
+    assert row is not None and _row_table(row)[1] == math.inf  # [P1,P2]
     with pytest.raises(DomainError) as info:
         verify_nc_algebra(rep)
     assert str(info.value) == "the commutator [P1,P2] overflows the float range"
